@@ -32,22 +32,11 @@ from .assembly import (
 from .coupling import (
     CouplingSpec,
     InterpolationWeights,
-    apply_edges_1d,
     lagrangian_weights,
     spectral_weights,
     weights_for,
-    weights_to_csv,
 )
-from .ensemble import (
-    EnsembleSpec1D,
-    EnsembleSpec2D,
-    ShiftMatrixK,
-    build_ensemble_1d,
-    build_ensemble_2d,
-    build_permutations_2d,
-    build_shift_matrix,
-    ensemble_mean,
-)
+from .ensemble import build_permutations_2d
 from .geometry import (
     PatchGrid1D,
     PatchGrid2D,
@@ -74,7 +63,6 @@ from .microscale import (
     full_lattice_operator_1d,
     full_lattice_operator_2d,
     full_lattice_operator_2d_sparse,
-    kappa_at,
     random_lognormal_profile,
     random_lognormal_profile_2d,
 )
@@ -106,8 +94,6 @@ __all__ = [
     "CouplingSpec",
     "DiffusivityProfile1D",
     "DiffusivityProfile2D",
-    "EnsembleSpec1D",
-    "EnsembleSpec2D",
     "ErrorTable",
     "FitResidualError",
     "FourierSymbol",
@@ -115,28 +101,22 @@ __all__ = [
     "InterpolationWeights",
     "PatchGrid1D",
     "PatchGrid2D",
-    "ShiftMatrixK",
     "SpectrumReport",
     "StabilityError",
     "StateVector",
     "SymmetryPreconditionError",
     "SymmetryReport",
     "Trajectory",
-    "apply_edges_1d",
     "assemble_patch_1d",
     "assemble_patch_2d",
     "assemble_wave",
-    "build_ensemble_1d",
-    "build_ensemble_2d",
     "build_grid_1d",
     "build_grid_2d",
     "build_permutations_2d",
-    "build_shift_matrix",
     "conserved_mass",
     "convergence_slope",
     "eigen_general",
     "eigen_symmetric",
-    "ensemble_mean",
     "error_table",
     "evolve_exact",
     "evolve_rk4",
@@ -146,7 +126,6 @@ __all__ = [
     "full_lattice_operator_2d",
     "full_lattice_operator_2d_sparse",
     "harmonic_mean_diffusivity",
-    "kappa_at",
     "lagrangian_weights",
     "predict_macroscale_eigenvalues",
     "random_lognormal_profile",
@@ -160,5 +139,4 @@ __all__ = [
     "validate_compatibility",
     "validate_compatibility_2d",
     "weights_for",
-    "weights_to_csv",
 ]

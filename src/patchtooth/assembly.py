@@ -6,7 +6,7 @@ values i = 0 and i = n+1, which are eliminated by the inter-patch stencils:
 the right-edge bond of patch I couples its i = n row to the i = 1 unknowns of
 all patches J with weight w_right[(J - I) mod N], and the left-edge bond
 couples i = 1 to the i = n unknowns with w_left.  Every entry carries the
-microscale 1/d^2 scaling.
+microscale 1/d^2 scaling.  In 2D the same stencil acts along each axis.
 
 Symmetry comes from three facts: the interior stencil is symmetric, the two
 edge stencils are mirrors of each other (w_left[m] = w_right[-m]), and both
@@ -15,10 +15,14 @@ for single-phase patches with p | n; for general n the phase-shift ensemble
 restores it by routing each edge coupling to the member whose phase matches
 across the gap (member shifted by -n at the left edge, +n at the right).
 
-Unknown ordering is member-major, then patch, then interior point:
+The unknowns are the C-order flattening of an array of shape
+(members, N, n) in 1D and (members, N_y, N_x, n_y, n_x) in 2D:
 
     1D: index = (member * N + I) * n + (i - 1)
     2D: index = ((member * N_y + J) * N_x + I) * (n_x n_y) + (j - 1) n_x + (i - 1)
+
+Every operator carries that shape in its Layout.  Ensemble members are phase
+tuples flattened row-major over the axes, e = phi * p_y + psi.
 
 The wave operator wraps a diffusion operator A into the first-order system
 d/dt (u, v) = (v, A u + eps B v), where B is the same patch construction with
@@ -27,22 +31,44 @@ unit diffusivities; its matrix is [[0, I], [A, eps B]].
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry
 from .coupling import CouplingSpec, weights_for
+from .ensemble import build_permutations_2d
 from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How an operator orders its unknowns.
+
+    A state is the C-order flattening of an array of `shape`, member axis
+    first: (members, N, n) for a 1D patch operator, (members, N_y, N_x, n_y,
+    n_x) in 2D, (1, M) or (1, M_y, M_x) for a full lattice.  A wave operator
+    stacks two such arrays, u then v, each of size `half`.
+    """
+
+    shape: tuple[int, ...]
+    ensemble: bool = False
+    half: int | None = None
+    n_macro: int | None = None
+    diagnostics: tuple = ()
+
+    @property
+    def members(self) -> int:
+        return self.shape[0]
 
 
 @dataclass
 class AssembledOperator:
-    """A dense operator matrix plus enough layout metadata to interpret it."""
+    """A dense operator matrix plus the layout that interprets it."""
 
     matrix: np.ndarray
-    layout: dict
+    layout: Layout
     grid: object = None
     profile: object = None
     coupling: object = None
@@ -50,12 +76,6 @@ class AssembledOperator:
     @property
     def dimension(self) -> int:
         return int(self.matrix.shape[0])
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.matrix:
-                writer.writerow(["%.17g" % v for v in row])
 
 
 @dataclass
@@ -80,6 +100,96 @@ def _raise_on_errors(diagnostics, allow_incompatible):
         raise ValueError("; ".join(errors))
 
 
+def _axes(grid) -> list[geometry.PatchGrid1D]:
+    return [grid.x, grid.y] if isinstance(grid, geometry.PatchGrid2D) else [grid]
+
+
+def _bonds(profile) -> list[np.ndarray]:
+    """Bond field of each axis over the period grid, x first."""
+    if isinstance(profile, DiffusivityProfile2D):
+        return [profile.kx, profile.ky]
+    return [profile.values]
+
+
+def _stencil(grid, bonds, coupling: CouplingSpec, ensemble: bool):
+    """Dense patch operator and its unknown shape.
+
+    The stencil has three parts: interior bonds, edge couplings weighted over
+    the patch offsets m and, in ensemble mode, the member shift of each edge
+    crossing.  Each piece adds at most one term to an entry, and the pieces
+    are added in the order diagonal, right then left along x, then along y,
+    so every entry is the same floating point sum as in a row-by-row loop.
+    """
+    axes = _axes(grid)
+    dims = len(axes)
+    periods = bonds[0].shape
+    members = math.prod(periods) if ensemble else 1
+    shape = (members, *(g.N for g in reversed(axes)), *(g.n for g in reversed(axes)))
+    dim = math.prod(shape)
+    member, *coords = np.unravel_index(np.arange(dim), shape)
+    patch = coords[:dims][::-1]  # x first
+    local = coords[dims:][::-1]  # i - 1, x first
+    phase = np.unravel_index(member, periods)  # all zero for a single phase
+
+    def flat(member, patch, local):
+        return np.ravel_multi_index((member, *patch[::-1], *local[::-1]), shape)
+
+    def bond(a, back):
+        """Bond field a at each point's lattice position, stepped back along axis `back`."""
+        pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
+        return bonds[a][pos] * (1.0 / (axes[a].d * axes[a].d))
+
+    matrix = np.zeros((dim, dim))
+    entries = matrix.reshape(-1)
+
+    def add(rows, cols, values):
+        # No (row, col) pair repeats within one piece: one addition per entry.
+        entries[rows * dim + cols] += values
+
+    right = [bond(a, None) for a in range(dims)]
+    left = [bond(a, a) for a in range(dims)]
+    everything = np.arange(dim)
+    add(everything, everything, -sum(k for pair in zip(right, left) for k in pair))
+    for a, g in enumerate(axes):
+        w = weights_for(coupling, g.N, g.r)
+        for k, step, near, far, weights in (
+            (right[a], 1, g.n - 1, 0, w.w_right),
+            (left[a], -1, 0, g.n - 1, w.w_left),
+        ):
+            # interior bond to the neighbour one step along axis a
+            inner = np.flatnonzero(local[a] != near)
+            stepped = [loc[inner] + step * (b == a) for b, loc in enumerate(local)]
+            add(inner, flat(member[inner], [p[inner] for p in patch], stepped), k[inner])
+
+            # edge coupling to the far next-to-edge point of patch (I + m) mod N,
+            # in the member whose phase matches across the gap
+            edge = np.flatnonzero(local[a] == near)
+            if ensemble:
+                shifted = [ph[edge] + step * g.n * (b == a) for b, ph in enumerate(phase)]
+                source = np.ravel_multi_index(shifted, periods, mode="wrap")
+            else:
+                source = member[edge]
+            offsets = [p[edge, None] for p in patch]
+            offsets[a] = (offsets[a] + np.arange(g.N)) % g.N
+            points = [loc[edge, None] for loc in local]
+            points[a] = np.full_like(points[a], far)
+            add(edge[:, None], flat(source[:, None], offsets, points), k[edge, None] * weights)
+    return matrix, shape
+
+
+def _patch_operator(grid, profile, coupling, ensemble, diagnostics) -> AssembledOperator:
+    matrix, shape = _stencil(grid, _bonds(profile), coupling, ensemble)
+    layout = Layout(
+        shape=shape,
+        ensemble=bool(ensemble),
+        n_macro=math.prod(g.N for g in _axes(grid)),
+        diagnostics=tuple(tuple(item) for item in diagnostics),
+    )
+    return AssembledOperator(
+        matrix=matrix, layout=layout, grid=grid, profile=profile, coupling=coupling
+    )
+
+
 def assemble_patch_1d(
     grid: geometry.PatchGrid1D,
     profile: DiffusivityProfile1D,
@@ -102,51 +212,7 @@ def assemble_patch_1d(
     """
     diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
     _raise_on_errors(diagnostics, allow_incompatible)
-    N, n, d = grid.N, grid.n, grid.d
-    p = profile.period
-    vals = profile.values
-    weights = weights_for(coupling, N, grid.r)
-    wr, wl = weights.w_right, weights.w_left
-    members = p if ensemble else 1
-    dim = members * N * n
-    L = np.zeros((dim, dim))
-    inv_d2 = 1.0 / (d * d)
-
-    def idx(ell, I, i):
-        return (ell * N + I) * n + (i - 1)
-
-    for ell in range(members):
-        for I in range(N):
-            for i in range(1, n + 1):
-                row = idx(ell, I, i)
-                kr = vals[(i + ell) % p] * inv_d2
-                kl = vals[(i - 1 + ell) % p] * inv_d2
-                L[row, row] -= kr + kl
-                if i < n:
-                    L[row, idx(ell, I, i + 1)] += kr
-                else:
-                    tgt = (ell + n) % p if ensemble else ell
-                    for m in range(N):
-                        L[row, idx(tgt, (I + m) % N, 1)] += kr * wr[m]
-                if i > 1:
-                    L[row, idx(ell, I, i - 1)] += kl
-                else:
-                    src = (ell - n) % p if ensemble else ell
-                    for m in range(N):
-                        L[row, idx(src, (I + m) % N, n)] += kl * wl[m]
-
-    layout = {
-        "kind": "diffusion1d",
-        "N": N,
-        "n": n,
-        "members": members,
-        "ensemble": bool(ensemble),
-        "ordering": "index = (member*N + patch)*n + (i-1)",
-        "diagnostics": diagnostics,
-    }
-    return AssembledOperator(
-        matrix=L, layout=layout, grid=grid, profile=profile, coupling=coupling
-    )
+    return _patch_operator(grid, profile, coupling, ensemble, diagnostics)
 
 
 def assemble_patch_2d(
@@ -165,96 +231,10 @@ def assemble_patch_2d(
     """
     diagnostics = geometry.validate_compatibility_2d(grid, profile, ensemble=ensemble)
     _raise_on_errors(diagnostics, allow_incompatible)
-    gx, gy = grid.x, grid.y
-    Nx, nx, dx = gx.N, gx.n, gx.d
-    Ny, ny, dy = gy.N, gy.n, gy.d
-    px, py = profile.periods
-    kx, ky = profile.kx, profile.ky
-    wx = weights_for(coupling, Nx, gx.r)
-    wy = weights_for(coupling, Ny, gy.r)
     if ensemble:
         # Build-time consistency check of the member permutations.
-        from .ensemble import build_permutations_2d
-
-        build_permutations_2d(profile, nx, ny)
-    members = px * py if ensemble else 1
-    per_patch = nx * ny
-    dim = members * Ny * Nx * per_patch
-    L = np.zeros((dim, dim))
-    ivx = 1.0 / (dx * dx)
-    ivy = 1.0 / (dy * dy)
-
-    def idx(e, I, J, i, j):
-        return ((e * Ny + J) * Nx + I) * per_patch + (j - 1) * nx + (i - 1)
-
-    for e in range(members):
-        phi, psi = divmod(e, py) if ensemble else (0, 0)
-        for J in range(Ny):
-            for I in range(Nx):
-                for j in range(1, ny + 1):
-                    for i in range(1, nx + 1):
-                        row = idx(e, I, J, i, j)
-                        kxr = kx[(i + phi) % px, (j + psi) % py] * ivx
-                        kxl = kx[(i - 1 + phi) % px, (j + psi) % py] * ivx
-                        kyu = ky[(i + phi) % px, (j + psi) % py] * ivy
-                        kyd = ky[(i + phi) % px, (j - 1 + psi) % py] * ivy
-                        L[row, row] -= kxr + kxl + kyu + kyd
-                        if i < nx:
-                            L[row, idx(e, I, J, i + 1, j)] += kxr
-                        else:
-                            te = ((phi + nx) % px) * py + psi if ensemble else e
-                            for m in range(Nx):
-                                L[row, idx(te, (I + m) % Nx, J, 1, j)] += (
-                                    kxr * wx.w_right[m]
-                                )
-                        if i > 1:
-                            L[row, idx(e, I, J, i - 1, j)] += kxl
-                        else:
-                            se = ((phi - nx) % px) * py + psi if ensemble else e
-                            for m in range(Nx):
-                                L[row, idx(se, (I + m) % Nx, J, nx, j)] += (
-                                    kxl * wx.w_left[m]
-                                )
-                        if j < ny:
-                            L[row, idx(e, I, J, i, j + 1)] += kyu
-                        else:
-                            te = phi * py + (psi + ny) % py if ensemble else e
-                            for m in range(Ny):
-                                L[row, idx(te, I, (J + m) % Ny, i, 1)] += (
-                                    kyu * wy.w_right[m]
-                                )
-                        if j > 1:
-                            L[row, idx(e, I, J, i, j - 1)] += kyd
-                        else:
-                            se = phi * py + (psi - ny) % py if ensemble else e
-                            for m in range(Ny):
-                                L[row, idx(se, I, (J + m) % Ny, i, ny)] += (
-                                    kyd * wy.w_left[m]
-                                )
-
-    layout = {
-        "kind": "diffusion2d",
-        "N": (Nx, Ny),
-        "n": (nx, ny),
-        "members": members,
-        "ensemble": bool(ensemble),
-        "ordering": "index = ((member*N_y + J)*N_x + I)*(n_x*n_y) + (j-1)*n_x + (i-1)",
-        "diagnostics": diagnostics,
-    }
-    return AssembledOperator(
-        matrix=L, layout=layout, grid=grid, profile=profile, coupling=coupling
-    )
-
-
-def _unit_profile_like(op: AssembledOperator):
-    if isinstance(op.profile, DiffusivityProfile2D):
-        px, py = op.profile.periods
-        if op.layout.get("ensemble"):
-            return DiffusivityProfile2D(np.ones((px, py)), np.ones((px, py)))
-        return DiffusivityProfile2D(np.ones((1, 1)), np.ones((1, 1)))
-    if op.layout.get("ensemble"):
-        return DiffusivityProfile1D(np.ones(op.profile.period))
-    return DiffusivityProfile1D(np.ones(1))
+        build_permutations_2d(profile, grid.x.n, grid.y.n)
+    return _patch_operator(grid, profile, coupling, ensemble, diagnostics)
 
 
 def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOperator:
@@ -265,31 +245,23 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
     unit profile on the same member structure, so dimensions match).  eps = 0
     gives the undamped system with purely imaginary spectrum.
     """
-    if op.layout.get("kind") not in ("diffusion1d", "diffusion2d"):
+    if op.grid is None or op.layout.half is not None:
         raise ValueError("wave assembly needs a diffusion patch operator")
     if epsilon < 0:
         raise ValueError("damping must be nonnegative")
-    ones = _unit_profile_like(op)
-    assemble = (
-        assemble_patch_2d if op.layout["kind"] == "diffusion2d" else assemble_patch_1d
-    )
-    B = assemble(op.grid, ones, op.coupling, ensemble=op.layout.get("ensemble", False))
-    if B.dimension != op.dimension:
-        raise RuntimeError("damping operator dimension mismatch")
+    ones = [np.ones_like(field) for field in _bonds(op.profile)]
+    B, _ = _stencil(op.grid, ones, op.coupling, op.layout.ensemble)
     M = op.dimension
     W = np.block(
         [
             [np.zeros((M, M)), np.eye(M)],
-            [op.matrix, epsilon * B.matrix],
+            [op.matrix, epsilon * B],
         ]
     )
-    layout = {
-        "kind": "wave",
-        "half": M,
-        "epsilon": float(epsilon),
-        "base": op.layout,
-        "ordering": "state (u, v) stacked, u first",
-    }
     return AssembledOperator(
-        matrix=W, layout=layout, grid=op.grid, profile=op.profile, coupling=op.coupling
+        matrix=W,
+        layout=replace(op.layout, half=M),
+        grid=op.grid,
+        profile=op.profile,
+        coupling=op.coupling,
     )

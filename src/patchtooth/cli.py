@@ -17,10 +17,7 @@ Exit codes: 0 success, 1 malformed config (schema or cross-field semantics),
 symmetry, branch separation, unstable step and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
-so identical configs reproduce artefacts byte for byte.  Sweep points can be
-evaluated concurrently: set the PATCHTOOTH_WORKERS environment variable (or
-the "workers" config key); results are merged in config order regardless of
-completion order.
+so identical configs reproduce artefacts byte for byte.
 """
 
 from __future__ import annotations
@@ -28,9 +25,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -224,7 +220,6 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "out": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
     },
     "required": ["model", "grid", "profile", "coupling", "task"],
     "additionalProperties": False,
@@ -385,103 +380,64 @@ def _initial_values(init: dict, positions: np.ndarray, L: float) -> np.ndarray:
     return offset + amplitude * np.sin(2.0 * np.pi * mode * positions / L)
 
 
-def _positions_1d(grid: geometry.PatchGrid1D) -> np.ndarray:
-    return np.concatenate([grid.positions(I) for I in range(grid.N)])
+def _positions(grid: geometry.PatchGrid1D) -> np.ndarray:
+    """Interior lattice positions of every patch, shape (N, n)."""
+    return np.array([grid.positions(I) for I in range(grid.N)])
 
 
 def _initial_state(config: dict, op) -> StateVector:
     init = config.get("simulate", {}).get("initial", {"kind": "sine"})
     layout = op.layout
-    base = layout["base"] if layout["kind"] == "wave" else layout
-    members = base["members"]
-    if base["kind"] == "diffusion2d":
+    if isinstance(op.grid, geometry.PatchGrid2D):
         gx, gy = op.grid.x, op.grid.y
         if init.get("kind", "sine") == "sine":
             mx, my = init.get("modes", (1, 1))
             amplitude = float(init.get("amplitude", 1.0))
             offset = float(init.get("offset", 0.0))
-            per_member = np.empty(gy.N * gx.N * gx.n * gy.n)
-            for J in range(gy.N):
-                yv = gy.positions(J)
-                for I in range(gx.N):
-                    xv = gx.positions(I)
-                    block = offset + amplitude * np.outer(
-                        np.sin(2 * np.pi * my * yv / gy.L),
-                        np.sin(2 * np.pi * mx * xv / gx.L),
-                    )
-                    start = (J * gx.N + I) * gx.n * gy.n
-                    per_member[start : start + gx.n * gy.n] = block.reshape(-1)
+            sy = np.sin(2 * np.pi * my * _positions(gy) / gy.L)
+            sx = np.sin(2 * np.pi * mx * _positions(gx) / gx.L)
+            # (J, I, j, i) order of one member's unknowns
+            per_member = offset + amplitude * (sy[:, None, :, None] * sx[None, :, None, :])
         else:
-            flat = np.arange(gy.N * gx.N * gx.n * gy.n, dtype=float)
+            flat = np.arange(math.prod(layout.shape[1:]), dtype=float)
             per_member = _initial_values(init, flat, max(flat.size, 1))
-        u = np.tile(per_member, members)
     else:
-        grid = op.grid
-        pos = _positions_1d(grid)
-        per_member = _initial_values(init, pos, grid.L)
-        u = np.tile(per_member, members)
-    if layout["kind"] == "wave":
+        per_member = _initial_values(init, _positions(op.grid).ravel(), op.grid.L)
+    u = np.tile(per_member.ravel(), layout.members)
+    if layout.half is not None:
         u = np.concatenate([u, np.zeros_like(u)])
     return StateVector(values=u, time=0.0)
 
 
 def _trajectory_rows(op, traj, stride: int):
     layout = op.layout
-    is_wave = layout["kind"] == "wave"
-    base = layout["base"] if is_wave else layout
-    members = base["members"]
-    ensemble = base["ensemble"]
-    if base["kind"] == "diffusion2d":
-        gx, gy = op.grid.x, op.grid.y
-        header = ["t"] + (["member"] if ensemble else []) + [
-            "I", "J", "i", "j", "x", "y", "value",
-        ]
-        xs = [gx.positions(I) for I in range(gx.N)]
-        ys = [gy.positions(J) for J in range(gy.N)]
-        yield header
-        for snap in range(0, traj.times.size, stride):
-            t = traj.times[snap]
-            state = traj.states[snap]
-            for e in range(members):
-                for J in range(gy.N):
-                    for I in range(gx.N):
-                        for j in range(1, gy.n + 1):
-                            for i in range(1, gx.n + 1):
-                                idx = ((e * gy.N + J) * gx.N + I) * gx.n * gy.n + (
-                                    j - 1
-                                ) * gx.n + (i - 1)
-                                row = [_fmt(t)]
-                                if ensemble:
-                                    row.append(e)
-                                row += [I, J, i, j, _fmt(xs[I][i - 1]),
-                                        _fmt(ys[J][j - 1]), _fmt(state[idx])]
-                                yield row
+    if isinstance(op.grid, geometry.PatchGrid2D):
+        xs, ys = _positions(op.grid.x), _positions(op.grid.y)
+        names = ["I", "J", "i", "j", "x", "y"]
+
+        def label(J, I, j, i):
+            return [I, J, i + 1, j + 1, _fmt(xs[I, i]), _fmt(ys[J, j])]
     else:
-        grid = op.grid
-        header = ["t"] + (["field"] if is_wave else []) + (
-            ["member"] if ensemble else []
-        ) + ["patch", "interior", "position", "value"]
-        pos = [grid.positions(I) for I in range(grid.N)]
-        half = layout["half"] if is_wave else None
-        yield header
-        for snap in range(0, traj.times.size, stride):
-            t = traj.times[snap]
-            state = traj.states[snap]
-            fields = (("u", state[:half]), ("v", state[half:])) if is_wave else (
-                (None, state),
-            )
-            for name, vec in fields:
-                for e in range(members):
-                    for I in range(grid.N):
-                        for i in range(1, grid.n + 1):
-                            idx = (e * grid.N + I) * grid.n + (i - 1)
-                            row = [_fmt(t)]
-                            if is_wave:
-                                row.append(name)
-                            if ensemble:
-                                row.append(e)
-                            row += [I, i, _fmt(pos[I][i - 1]), _fmt(vec[idx])]
-                            yield row
+        pos = _positions(op.grid)
+        names = ["patch", "interior", "position"]
+
+        def label(I, i):
+            return [I, i + 1, _fmt(pos[I, i])]
+
+    wave = layout.half is not None
+    fields = ("u", "v") if wave else (None,)
+    yield (["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
+           + names + ["value"])
+    # one label per unknown, in state order
+    labels = [
+        ([e] if layout.ensemble else []) + label(*idx) for e, *idx in np.ndindex(layout.shape)
+    ]
+    for snap in range(0, traj.times.size, stride):
+        t = _fmt(traj.times[snap])
+        for name, vec in zip(fields, np.split(traj.states[snap], len(fields))):
+            head = [t] if name is None else [t, name]
+            for lab, value in zip(labels, vec.tolist()):
+                yield head + lab + [_fmt(value)]
 
 
 def _task_simulate(config: dict, op, out: Path) -> None:
@@ -563,16 +519,7 @@ def _task_sweep(config: dict, op, out: Path) -> None:
     parameter = sweep["parameter"]
     values = list(sweep["values"])
     modes = int(sweep.get("modes", 3))
-    workers = int(os.environ.get("PATCHTOOTH_WORKERS", config.get("workers", 1)))
-
-    def point(value):
-        return _sweep_point(config, parameter, value, modes)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+    rows = [_sweep_point(config, parameter, v, modes) for v in values]
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)])
@@ -593,12 +540,11 @@ def _task_sweep(config: dict, op, out: Path) -> None:
 
 def _full_lattice_reference(config: dict, op):
     """Assembled full-lattice counterpart, or (None, reason) if there is none."""
-    base = op.layout
-    if base["kind"] == "wave":
+    if op.layout.half is not None:
         return None, "full-lattice comparison is defined for diffusion models"
-    if base["ensemble"]:
+    if op.layout.ensemble:
         return None, "ensemble runs have no single full-lattice counterpart"
-    if base["kind"] == "diffusion2d":
+    if isinstance(op.grid, geometry.PatchGrid2D):
         gx, gy = op.grid.x, op.grid.y
         if not (gx.r == 1.0 and gy.r == 1.0):
             return None, "patches only tile the lattice at r = 1"
@@ -621,8 +567,8 @@ def _full_lattice_reference(config: dict, op):
 def _task_check(config: dict, op, out: Path) -> None:
     sym = symmetry_defect(op)
     dim = op.dimension
-    if op.layout["kind"] == "wave":
-        half = op.layout["half"]
+    if op.layout.half is not None:
+        half = op.layout.half
         kernel_vec = np.concatenate([np.ones(half), np.zeros(half)])
     else:
         kernel_vec = np.ones(dim)
@@ -632,11 +578,9 @@ def _task_check(config: dict, op, out: Path) -> None:
         "dimension": dim,
         "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
         "kernel_residual": kernel_residual,
-        "diagnostics": [
-            list(item) for item in op.layout.get("base", op.layout).get("diagnostics", [])
-        ],
+        "diagnostics": [list(item) for item in op.layout.diagnostics],
     }
-    if op.layout["kind"] == "wave":
+    if op.layout.half is not None:
         report = eigen_general(op)
         payload["max_real_part"] = float(np.max(np.real(report.eigenvalues)))
         payload["zero_mode_magnitude"] = report.zero_mode_magnitude

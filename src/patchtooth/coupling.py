@@ -37,7 +37,6 @@ mirror identity w_left[m mod N] = w_right[(-m) mod N].
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -140,38 +139,3 @@ def weights_for(spec: CouplingSpec, N: int, r: float) -> InterpolationWeights:
     if spec.scheme == "spectral":
         return spectral_weights(N, r)
     return lagrangian_weights(N, r, spec.order)
-
-
-def _circulant(w: np.ndarray) -> np.ndarray:
-    """Matrix C with C[I, J] = w[(J - I) mod N]."""
-    N = w.size
-    J = np.arange(N)
-    return w[(J[None, :] - J[:, None]) % N]
-
-
-def apply_edges_1d(weights: InterpolationWeights, u1, un):
-    """Interpolate all patch edge values from the next-to-edge values.
-
-    Args:
-        weights: stencils for the current grid.
-        u1: next-to-left-edge values u^J_1, one per patch.
-        un: next-to-right-edge values u^J_n, one per patch.
-
-    Returns:
-        (u0, u_np1): left edge values u^I_0 and right edge values u^I_{n+1}.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    un = np.asarray(un, dtype=float)
-    if u1.shape != (weights.N,) or un.shape != (weights.N,):
-        raise ValueError("need one next-to-edge value per patch")
-    u_np1 = _circulant(weights.w_right) @ u1
-    u0 = _circulant(weights.w_left) @ un
-    return u0, u_np1
-
-
-def weights_to_csv(weights: InterpolationWeights, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset", "w_right", "w_left"])
-        for m in range(weights.N):
-            writer.writerow([m, "%.17g" % weights.w_right[m], "%.17g" % weights.w_left[m]])

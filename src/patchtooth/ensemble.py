@@ -10,16 +10,9 @@ shifts of the microstructure at once.  Member l of the 1D ensemble carries
 and crossing a patch edge advances the phase by the patch size n: the right
 edge of member l interpolates next-to-edge values of member (l + n) mod p,
 and the left edge of member m those of member (m - n) mod p.  Both sides of
-every gap then see the same bond diffusivity, restoring exact symmetry.
-
-The cross-member coupling at the left edge is recorded by the shift matrix
-
-    K[m][(m - n) mod p] = values[m],
-
-whose single entry per row holds the left-edge bond prefactor kappa^(m)_{1/2}
-= values[m] and whose column says which member supplies the interpolated
-values.  When p divides n the shift is trivial, K is diagonal, and the
-ensemble decouples into p independent single-phase copies.
+every gap then see the same bond diffusivity, restoring exact symmetry.  When
+p divides n the shift is trivial and the ensemble decouples into p
+independent single-phase copies.
 
 In 2D the members are indexed by a phase pair (phi, psi), flattened row-major
 as e = phi * p_y + psi, and the edge crossings act on one phase at a time:
@@ -29,85 +22,9 @@ permutation P_x sends phi to (phi - n_x) mod p_x, and P_y sends psi to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
-
-
-@dataclass
-class EnsembleSpec1D:
-    base: DiffusivityProfile1D
-
-    @property
-    def p(self) -> int:
-        return self.base.period
-
-    def member_values(self, ell: int) -> np.ndarray:
-        """Diffusivities of member ell: values[(m + ell) mod p] at bond m+1/2."""
-        return np.roll(self.base.values, -(ell % self.p))
-
-    def members(self) -> list[np.ndarray]:
-        return [self.member_values(ell) for ell in range(self.p)]
-
-
-@dataclass
-class ShiftMatrixK:
-    """Left-edge coupling matrix: K[m, (m - n) mod p] = values[m]."""
-
-    matrix: np.ndarray
-    n: int
-
-    @property
-    def p(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-@dataclass
-class EnsembleSpec2D:
-    base: DiffusivityProfile2D
-
-    @property
-    def periods(self) -> tuple[int, int]:
-        return self.base.periods
-
-    @property
-    def member_count(self) -> int:
-        px, py = self.periods
-        return px * py
-
-    def member_phases(self, e: int) -> tuple[int, int]:
-        """Phase pair (phi, psi) of flat member index e = phi * p_y + psi."""
-        px, py = self.periods
-        if not 0 <= e < px * py:
-            raise ValueError(f"member index {e} outside 0..{px * py - 1}")
-        return divmod(e, py)
-
-
-def build_ensemble_1d(profile: DiffusivityProfile1D) -> EnsembleSpec1D:
-    return EnsembleSpec1D(base=profile)
-
-
-def build_ensemble_2d(profile: DiffusivityProfile2D) -> EnsembleSpec2D:
-    return EnsembleSpec2D(base=profile)
-
-
-def build_shift_matrix(profile: DiffusivityProfile1D, n: int) -> ShiftMatrixK:
-    """Cross-member coupling weights for patch size n.
-
-    Row m is the left-edge row of member m: the bond prefactor values[m]
-    multiplies next-to-edge values interpolated from member (m - n) mod p.
-    K^T K is diagonal, which is what makes the assembled coupling symmetric,
-    and p | n makes K itself diagonal (the decoupled case).
-    """
-    if n < 1:
-        raise ValueError("patch size must be at least 1")
-    p = profile.period
-    K = np.zeros((p, p))
-    for m in range(p):
-        K[m, (m - n) % p] = profile.values[m]
-    return ShiftMatrixK(matrix=K, n=int(n))
+from .microscale import DiffusivityProfile2D
 
 
 def build_permutations_2d(profile: DiffusivityProfile2D, nx: int, ny: int):
@@ -153,15 +70,3 @@ def build_permutations_2d(profile: DiffusivityProfile2D, nx: int, ny: int):
                 f"diffusivities at row offset {t}"
             )
     return Px, Py
-
-
-def ensemble_mean(state: np.ndarray, p: int) -> np.ndarray:
-    """Average a member-major stacked state over its p ensemble members."""
-    state = np.asarray(state, dtype=float)
-    if p < 1:
-        raise ValueError("member count must be at least 1")
-    if state.ndim != 1 or state.size % p != 0:
-        raise ValueError(
-            f"state length {state.size} is not a multiple of the member count {p}"
-        )
-    return state.reshape(p, -1).mean(axis=0)

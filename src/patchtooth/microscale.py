@@ -87,16 +87,6 @@ class DiffusivityProfile2D:
     def periods(self) -> tuple[int, int]:
         return (int(self.kx.shape[0]), int(self.kx.shape[1]))
 
-    def kappa_x_at(self, i: int, j: int) -> float:
-        """kappa_{i+1/2, j} with modular indices."""
-        px, py = self.periods
-        return float(self.kx[i % px, j % py])
-
-    def kappa_y_at(self, i: int, j: int) -> float:
-        """kappa_{i, j+1/2} with modular indices."""
-        px, py = self.periods
-        return float(self.ky[i % px, j % py])
-
     def to_json(self) -> dict:
         return {
             "periods": list(self.periods),
@@ -110,11 +100,6 @@ class DiffusivityProfile2D:
         if "periods" in obj and tuple(obj["periods"]) != profile.periods:
             raise ValueError("periods field disagrees with the array shapes")
         return profile
-
-
-def kappa_at(profile: DiffusivityProfile1D, half_index: int) -> float:
-    """Bond diffusivity kappa_{m+1/2} for any integer m, wrapping modulo p."""
-    return float(profile.values[half_index % profile.period])
 
 
 def _full_1d_matrix(profile: DiffusivityProfile1D, M: int, d: float) -> np.ndarray:
@@ -153,16 +138,10 @@ def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1
         )
     if d <= 0:
         raise ValueError("lattice spacing must be positive")
-    from .assembly import AssembledOperator
+    from .assembly import AssembledOperator, Layout
 
     A = _full_1d_matrix(profile, M, d)
-    layout = {
-        "kind": "full1d",
-        "M": M,
-        "d": d,
-        "ordering": "storage row g is physical node g+1",
-    }
-    return AssembledOperator(matrix=A, layout=layout, profile=profile)
+    return AssembledOperator(matrix=A, layout=Layout(shape=(1, M)), profile=profile)
 
 
 def _full_2d_entries(profile: DiffusivityProfile2D, shape, spacing):
@@ -216,19 +195,13 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
     vertical bonds.
     """
     (Mx, My), (dx, dy) = _check_2d_args(profile, shape, spacing)
-    from .assembly import AssembledOperator
+    from .assembly import AssembledOperator, Layout
 
     size = Mx * My
     A = np.zeros((size, size))
     for a, b, v in _full_2d_entries(profile, (Mx, My), (dx, dy)):
         A[a, b] += v
-    layout = {
-        "kind": "full2d",
-        "shape": (Mx, My),
-        "spacing": (dx, dy),
-        "ordering": "row-major over (i, j), i fastest: index = j*M_x + i",
-    }
-    return AssembledOperator(matrix=A, layout=layout, profile=profile)
+    return AssembledOperator(matrix=A, layout=Layout(shape=(1, My, Mx)), profile=profile)
 
 
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):

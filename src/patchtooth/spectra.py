@@ -38,20 +38,7 @@ def _matrix_of(op) -> np.ndarray:
 
 def _default_n_macro(op) -> int | None:
     layout = getattr(op, "layout", None)
-    if not isinstance(layout, dict):
-        return None
-    kind = layout.get("kind")
-    if kind == "diffusion1d":
-        return layout["N"]
-    if kind == "diffusion2d":
-        return layout["N"][0] * layout["N"][1]
-    if kind == "wave":
-        base = layout.get("base", {})
-        if base.get("kind") == "diffusion1d":
-            return base["N"]
-        if base.get("kind") == "diffusion2d":
-            return base["N"][0] * base["N"][1]
-    return None
+    return layout.n_macro if layout is not None else None
 
 
 @dataclass
@@ -104,7 +91,7 @@ def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
 
 def _wave_deflated_eigenvalues(op) -> np.ndarray:
     W = _matrix_of(op)
-    M = op.layout["half"]
+    M = op.layout.half
     Q = scipy.linalg.null_space(np.ones((1, M)))
     P = np.zeros((2 * M, 2 * (M - 1)))
     P[:M, : M - 1] = Q
@@ -120,7 +107,7 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     so their exact defective zero pair stays exactly zero in the report.
     """
     layout = getattr(op, "layout", None)
-    if isinstance(layout, dict) and layout.get("kind") == "wave":
+    if layout is not None and layout.half is not None:
         vals = _wave_deflated_eigenvalues(op)
     else:
         vals = np.linalg.eigvals(_matrix_of(op))

@@ -1,7 +1,10 @@
 """Patch operator assembly: hand-checked rows, structure, reductions."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import patchtooth as pt
 
@@ -25,17 +28,101 @@ def test_hand_assembled_rows_first_order():
     assert op.dimension == 6
 
 
+def _sized(coupling, N):
+    """The coupling itself, or a Lagrangian order that fits N patches (None if none does)."""
+    if coupling.scheme == "spectral":
+        return coupling
+    order = min(coupling.order, (N - 1) // 2)
+    return pt.CouplingSpec("lagrangian", order) if order >= 1 else None
+
+
 @pytest.mark.parametrize(
     "coupling",
     [pt.CouplingSpec("spectral"), pt.CouplingSpec("lagrangian", 2)],
 )
 def test_assembled_operator_is_exactly_symmetric(coupling):
-    grid = pt.build_grid_1d(L, 7, 6, 0.3)
-    prof = pt.DiffusivityProfile1D((3.965, 2.531, 0.838))
-    op = pt.assemble_patch_1d(grid, prof, coupling)
-    report = pt.symmetry_defect(op)
-    assert report.defect == 0.0
-    assert report.relative == 0.0
+    """Every compatible operator down to N = 1, n = 1 is bitwise symmetric."""
+    for N, n, p, ens in itertools.product(range(1, 7), range(1, 7), range(1, 5), (False, True)):
+        sized = _sized(coupling, N)
+        if sized is None:
+            continue
+        grid = pt.build_grid_1d(L, N, n, 0.3)
+        prof = pt.random_lognormal_profile(p, 0.8, 10 * p + n)
+        if not ens and n % p:
+            with pytest.raises(ValueError):
+                pt.assemble_patch_1d(grid, prof, sized)
+            continue
+        report = pt.symmetry_defect(pt.assemble_patch_1d(grid, prof, sized, ensemble=ens))
+        assert report.defect == 0.0, (N, n, p, ens)
+        assert report.relative == 0.0
+
+
+def _loop_operator(grid, profile, coupling, ensemble):
+    """Row-by-row reference assembly.
+
+    Each row adds its diagonal, then its right and left neighbours along x,
+    then along y; an edge neighbour is summed over the patch offsets m.
+    """
+    two_d = isinstance(grid, pt.PatchGrid2D)
+    axes = [grid.x, grid.y] if two_d else [grid]
+    bonds = [profile.kx, profile.ky] if two_d else [profile.values]
+    dims = len(axes)
+    periods = bonds[0].shape
+    members = int(np.prod(periods)) if ensemble else 1
+    shape = (members, *[g.N for g in axes[::-1]], *[g.n for g in axes[::-1]])
+    weights = [pt.weights_for(coupling, g.N, g.r) for g in axes]
+    inv_d2 = [1.0 / (g.d * g.d) for g in axes]
+    matrix = np.zeros((int(np.prod(shape)),) * 2)
+
+    def index(e, patch, i):  # x first, i 1-based
+        return np.ravel_multi_index((e, *patch[::-1], *[v - 1 for v in i[::-1]]), shape)
+
+    def moved(values, a, value):
+        return [value if b == a else v for b, v in enumerate(values)]
+
+    for e, *rest in np.ndindex(shape):
+        patch, i = rest[:dims][::-1], [v + 1 for v in rest[dims:][::-1]]
+        phase = np.unravel_index(e, periods) if ensemble else (0,) * dims
+        row = index(e, patch, i)
+        site = [i[b] + phase[b] for b in range(dims)]
+        kr = [bonds[a][tuple(np.mod(site, periods))] * inv_d2[a] for a in range(dims)]
+        kl = [bonds[a][tuple(np.mod(moved(site, a, site[a] - 1), periods))] * inv_d2[a]
+              for a in range(dims)]
+        matrix[row, row] -= sum(k for pair in zip(kr, kl) for k in pair)
+        for a, g in enumerate(axes):
+            for k, step, w, near, far in ((kr[a], 1, weights[a].w_right, g.n, 1),
+                                          (kl[a], -1, weights[a].w_left, 1, g.n)):
+                if i[a] != near:
+                    matrix[row, index(e, patch, moved(i, a, i[a] + step))] += k
+                    continue
+                te = e
+                if ensemble:
+                    te = np.ravel_multi_index(moved(phase, a, phase[a] + step * g.n), periods,
+                                              mode="wrap")
+                for m in range(g.N):
+                    col = index(te, moved(patch, a, (patch[a] + m) % g.N), moved(i, a, far))
+                    matrix[row, col] += k * w[m]
+    return matrix
+
+
+def test_stencil_matches_the_row_by_row_loop():
+    """Bitwise agreement with the loop, compatible or not, 1D and 2D."""
+    for N, n, p, ens in itertools.product((1, 2, 5), (1, 3, 4), (1, 3), (False, True)):
+        grid = pt.build_grid_1d(L, N, n, 0.3)
+        prof = pt.random_lognormal_profile(p, 0.8, n)
+        for coupling in (pt.CouplingSpec("spectral"), _sized(pt.CouplingSpec("lagrangian", 2), N)):
+            if coupling is None:
+                continue
+            op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ens, allow_incompatible=True)
+            np.testing.assert_array_equal(op.matrix, _loop_operator(grid, prof, coupling, ens))
+    for (Nx, nx, Ny, ny), periods, ens in itertools.product(
+        ((3, 2, 2, 1), (1, 3, 4, 2), (2, 1, 3, 1)), ((1, 1), (2, 3)), (False, True)
+    ):
+        grid = pt.build_grid_2d(L, Nx, nx, 0.4, 1.5 * L, Ny, ny, 0.3)
+        prof = pt.random_lognormal_profile_2d(*periods, 0.6, nx)
+        coupling = pt.CouplingSpec("spectral")
+        op = pt.assemble_patch_2d(grid, prof, coupling, ensemble=ens, allow_incompatible=True)
+        np.testing.assert_array_equal(op.matrix, _loop_operator(grid, prof, coupling, ens))
 
 
 def test_constant_vector_spans_the_kernel():
@@ -90,17 +177,40 @@ def test_ensemble_edge_rows_couple_shifted_members():
 
 
 def test_full_size_patches_reduce_to_the_lattice_1d():
-    N, n = 6, 4
-    grid = pt.build_grid_1d(L, N, n, 1.0)
-    prof = pt.DiffusivityProfile1D((1.0, 2.0))
-    full = pt.full_lattice_operator_1d(prof, N * n, grid.d).matrix
-    # patch (I, i) carries the lattice node I*n + (i - 1)
-    perm = np.array([I * n + (i - 1) for I in range(N) for i in range(1, n + 1)])
-    lagr = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("lagrangian", 1)).matrix
-    np.testing.assert_array_equal(lagr, full[np.ix_(perm, perm)])
-    spec = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral")).matrix
-    scale = np.max(np.abs(full))
-    assert np.max(np.abs(spec - full[np.ix_(perm, perm)])) <= 1e-13 * scale
+    """At r = 1 the patches tile the lattice.
+
+    Ensemble member ell of patch I continues the lattice shifted by
+    c = (ell - I n) mod p, so when p divides N n the ensemble splits into p
+    copies of the full lattice, copy c carrying the profile rolled by c.
+    """
+    for N, n, p, ens in itertools.product(range(1, 7), range(1, 7), range(1, 5), (False, True)):
+        M = N * n
+        if M < 3 or M % p or (not ens and n % p):
+            continue
+        grid = pt.build_grid_1d(L, N, n, 1.0)
+        prof = pt.random_lognormal_profile(p, 0.8, 10 * p + n)
+        copies = range(p) if ens else range(1)
+
+        def member(c, I):
+            return (c + I * n) % p if ens else 0
+
+        # patch (I, i) of copy c carries the lattice node I*n + (i - 1)
+        perm = np.array([
+            (member(c, I) * N + I) * n + (i - 1)
+            for c in copies for I in range(N) for i in range(1, n + 1)
+        ])
+        full = scipy.linalg.block_diag(*[
+            pt.full_lattice_operator_1d(
+                pt.DiffusivityProfile1D(np.roll(prof.values, -c)), M, grid.d
+            ).matrix
+            for c in copies
+        ])
+        if N >= 3:
+            lagr = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("lagrangian", 1), ensemble=ens)
+            np.testing.assert_array_equal(lagr.matrix[np.ix_(perm, perm)], full)
+        spec = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=ens)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(spec.matrix[np.ix_(perm, perm)] - full)) <= 1e-13 * scale
 
 
 def test_full_size_patches_reduce_to_the_lattice_2d():
@@ -155,12 +265,8 @@ def test_wave_operator_block_structure():
     np.testing.assert_allclose(W[M:, M:], 0.02 * flat.matrix, rtol=1e-14)
     with pytest.raises(ValueError):
         pt.assemble_wave(base, epsilon=-0.1)
-
-
-def test_operator_csv_output(tmp_path):
-    grid = pt.build_grid_1d(L, 3, 2, 0.5)
-    op = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0,)), pt.CouplingSpec("spectral"))
-    path = tmp_path / "op.csv"
-    op.save_csv(path)
-    data = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(data, op.matrix)
+    # only a diffusion patch operator can be wrapped
+    with pytest.raises(ValueError):
+        pt.assemble_wave(wave)
+    with pytest.raises(ValueError):
+        pt.assemble_wave(pt.full_lattice_operator_1d(prof, 20))

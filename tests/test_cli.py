@@ -43,6 +43,8 @@ def test_schema_violation_names_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "'r'" in err
+    assert cli.run(base_config(workers=2), tmp_path) == 1
+    assert "'workers'" in capsys.readouterr().err
 
 
 def test_cross_field_validation(tmp_path):
@@ -174,25 +176,19 @@ def test_homogenize_task_frozen_rationals(tmp_path):
     assert len(branch) == 9
 
 
-def test_order_sweep_reproduces_the_decay_curve(tmp_path, monkeypatch):
+def test_order_sweep_reproduces_the_decay_curve(tmp_path):
     config = base_config(
         grid={"L": 2 * np.pi, "N": 20, "n": 5, "r": 0.1},
         profile={"kind": "inline", "values": KAPPA5},
         task="sweep",
         sweep={"parameter": "order", "values": [1, 2, 3, 4, 5], "modes": 1},
     )
-    out1 = tmp_path / "serial"
-    assert cli.run(config, out1) == 0
-    rows = read_csv(out1 / "sweep.csv")
+    assert cli.run(config, tmp_path) == 0
+    rows = read_csv(tmp_path / "sweep.csv")
     assert rows[0] == ["order", "err_mode_1"]
     errs = [float(row[1]) for row in rows[1:]]
     frozen = [4.442e-01, 9.827e-03, 2.171e-04, 4.865e-06, 1.103e-07]
     np.testing.assert_allclose(errs, frozen, rtol=1e-3)
-    # a parallel run merges results in config order, byte for byte
-    monkeypatch.setenv("PATCHTOOTH_WORKERS", "3")
-    out2 = tmp_path / "parallel"
-    assert cli.run(config, out2) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_patches_sweep_reports_slopes(tmp_path):
@@ -206,6 +202,23 @@ def test_patches_sweep_reports_slopes(tmp_path):
     assert cli.run(config, tmp_path) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["slopes"][0] == pytest.approx(-4.110, abs=0.02)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: an ensemble operator has members*N macro modes but "
+    "n_macro defaults to N, so the sweep finds too few distinct modes and exits 2",
+)
+def test_ensemble_patches_sweep_finds_its_macro_modes(tmp_path):
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3},
+        profile={"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0},
+        coupling={"scheme": "lagrangian", "order": 2},
+        ensemble=True,
+        task="sweep",
+        sweep={"parameter": "patches", "values": [9, 13, 17], "modes": 3},
+    )
+    assert cli.run(config, tmp_path) == 0
 
 
 def test_check_task_consistency_at_full_size(tmp_path):

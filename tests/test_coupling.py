@@ -131,31 +131,3 @@ def test_weights_for_dispatches_on_scheme():
     np.testing.assert_array_equal(ws.w_right, pt.spectral_weights(7, 0.3).w_right)
     wl = pt.weights_for(pt.CouplingSpec("lagrangian", 2), 7, 0.3)
     np.testing.assert_array_equal(wl.w_right, pt.lagrangian_weights(7, 0.3, 2).w_right)
-
-
-def test_apply_edges_matches_direct_summation():
-    N = 5
-    w = pt.spectral_weights(N, 0.3)
-    rng = np.random.default_rng(1)
-    u1 = rng.standard_normal(N)
-    un = rng.standard_normal(N)
-    u0, u_np1 = pt.apply_edges_1d(w, u1, un)
-    for I in range(N):
-        right = sum(w.w_right[m] * u1[(I + m) % N] for m in range(N))
-        left = sum(w.w_left[m] * un[(I + m) % N] for m in range(N))
-        assert u_np1[I] == pytest.approx(right, rel=1e-13)
-        assert u0[I] == pytest.approx(left, rel=1e-13)
-
-
-def test_weights_csv_round_trips_exactly(tmp_path):
-    w = pt.lagrangian_weights(8, 0.61, 2)
-    path = tmp_path / "weights.csv"
-    pt.weights_to_csv(w, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split(",")[0] == "offset"
-    body = [line.split(",") for line in rows[1:]]
-    assert len(body) == 8
-    got_right = np.array([float(row[1]) for row in body])
-    got_left = np.array([float(row[2]) for row in body])
-    np.testing.assert_array_equal(got_right, w.w_right)
-    np.testing.assert_array_equal(got_left, w.w_left)

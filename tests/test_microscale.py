@@ -27,13 +27,6 @@ def test_profile_requires_positive_values():
         pt.DiffusivityProfile1D(())
 
 
-def test_kappa_at_wraps_periodically():
-    prof = pt.DiffusivityProfile1D((1.0, 2.0, 3.0))
-    assert prof.period == 3
-    for m in range(-6, 9):
-        assert pt.kappa_at(prof, m) == prof.values[m % 3]
-
-
 def test_profile_json_round_trip():
     prof = pt.DiffusivityProfile1D((3.965, 2.531, 0.838))
     again = pt.DiffusivityProfile1D.from_json(prof.to_json())
@@ -106,8 +99,6 @@ KY = [
 def test_profile_2d_accessors_and_json():
     prof = pt.DiffusivityProfile2D(KX, KY)
     assert prof.periods == (5, 4)
-    assert prof.kappa_x_at(6, 5) == KX[1][1]
-    assert prof.kappa_y_at(-1, -1) == KY[4][3]
     again = pt.DiffusivityProfile2D.from_json(prof.to_json())
     np.testing.assert_array_equal(again.kx, prof.kx)
     np.testing.assert_array_equal(again.ky, prof.ky)
