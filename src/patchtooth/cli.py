@@ -34,6 +34,7 @@ import numpy as np
 
 from . import geometry
 from .assembly import (
+    _raise_on_errors,
     assemble_patch_1d,
     assemble_patch_2d,
     assemble_wave,
@@ -350,11 +351,12 @@ def _task_eigen(config: dict, op, out: Path) -> None:
     n_macro = config.get("eigen", {}).get("n_macro")
     if config["model"] == "wave1d":
         report = eigen_general(op, n_macro=n_macro)
+        sym = symmetry_defect(op)
         extra = {"max_real_part": float(np.max(np.real(report.eigenvalues)))}
     else:
         report = eigen_symmetric(op, n_macro=n_macro)
+        sym = report.symmetry
         extra = {"max_eigenvalue": float(np.max(np.real(report.eigenvalues)))}
-    sym = symmetry_defect(op)
     _write_eigen_csv(out / "eigenvalues.csv", report.eigenvalues)
     _write_json(out / "summary.json", {
         "model": config["model"],
@@ -496,9 +498,7 @@ def _task_homogenize(config: dict, op, out: Path) -> None:
             writer.writerow([_fmt(k), _fmt(slow_branch(profile, k))])
 
 
-def _sweep_point(config: dict, parameter: str, value: int, modes: int):
-    base_grid = _build_grid(config)
-    profile = _build_profile(config)
+def _sweep_point(config: dict, base_grid, profile, parameter: str, value: int, modes: int):
     ens = bool(config.get("ensemble", False))
     if parameter == "order":
         grid = base_grid
@@ -519,7 +519,14 @@ def _task_sweep(config: dict, op, out: Path) -> None:
     parameter = sweep["parameter"]
     values = list(sweep["values"])
     modes = int(sweep.get("modes", 3))
-    rows = [_sweep_point(config, parameter, v, modes) for v in values]
+    base_grid, profile = _build_grid(config), _build_profile(config)
+    # No base operator is assembled, so reject an incompatible base config
+    # here, with the assembler's message, before any point is built.
+    validate = (geometry.validate_compatibility_2d if config["model"] == "diffusion2d"
+                else geometry.validate_compatibility)
+    _raise_on_errors(validate(base_grid, profile, ensemble=bool(config.get("ensemble", False))),
+                     allow_incompatible=False)
+    rows = [_sweep_point(config, base_grid, profile, parameter, v, modes) for v in values]
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)])
@@ -565,9 +572,17 @@ def _full_lattice_reference(config: dict, op):
 
 
 def _task_check(config: dict, op, out: Path) -> None:
-    sym = symmetry_defect(op)
+    wave = op.layout.half is not None
+    if wave:
+        sym, report = symmetry_defect(op), eigen_general(op)
+    else:
+        try:
+            report = eigen_symmetric(op)
+            sym = report.symmetry
+        except SymmetryPreconditionError as exc:
+            report, sym = None, exc.symmetry
     dim = op.dimension
-    if op.layout.half is not None:
+    if wave:
         half = op.layout.half
         kernel_vec = np.concatenate([np.ones(half), np.zeros(half)])
     else:
@@ -580,12 +595,10 @@ def _task_check(config: dict, op, out: Path) -> None:
         "kernel_residual": kernel_residual,
         "diagnostics": [list(item) for item in op.layout.diagnostics],
     }
-    if op.layout.half is not None:
-        report = eigen_general(op)
+    if wave:
         payload["max_real_part"] = float(np.max(np.real(report.eigenvalues)))
         payload["zero_mode_magnitude"] = report.zero_mode_magnitude
-    elif sym.relative <= 1e-10:
-        report = eigen_symmetric(op)
+    elif report is not None:
         payload["max_eigenvalue"] = float(np.max(np.real(report.eigenvalues)))
         payload["zero_mode_magnitude"] = report.zero_mode_magnitude
         payload["gap_ratio"] = report.gap_ratio
@@ -629,7 +642,8 @@ def run(config: dict, outdir=None) -> int:
     out = Path(outdir if outdir is not None else config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     try:
-        op = _assemble(config)
+        # a sweep assembles only its per-point operators
+        op = None if config["task"] == "sweep" else _assemble(config)
         _TASKS[config["task"]](config, op, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,31 +9,121 @@ error tables against a reference operator.
 eigen_symmetric refuses operators whose relative symmetry defect exceeds
 1e-10: feeding an asymmetric matrix to a symmetric eigensolver silently
 produces garbage, so the precondition is enforced rather than documented.
+The report it returns carries that symmetry measurement.
+
+Patch operators are block-circulant in the patch index: every patch carries
+the same interior block and the edge couplings are circulant stencils over
+patch offsets.  A DFT over the patch axes therefore splits an operator on N
+patches exactly into N Bloch blocks H(j) of size b = members * n (members *
+n_x * n_y in 2D), one per patch wavenumber j.  _bloch_blocks builds them
+from the first block row alone, so eigen_symmetric, the wave case of
+eigen_general and timestep.evolve_exact cost O(N b^3) instead of O(dim^3).
+Blocks j and -j are complex conjugates, so only the half spectrum of rfftn
+is solved and the mirrored blocks contribute the same (symmetric case) or
+conjugate (general case) eigenvalues.  Raw arrays and full lattices have no
+patch axes and take the dense path.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
 constant vector), which general eigensolvers scatter into small complex
 pairs.  Since the complement S = {1.u = 0, 1.v = 0} is invariant, the
-spectrum is computed on S by projection and the exact pair {0, 0} appended.
+spectrum is computed on S and the exact pair {0, 0} appended.  Every Bloch
+block j != 0 already lies in S; only block j = 0 is projected onto its
+zero-sum complement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .assembly import symmetry_defect
+from .assembly import Layout, SymmetryReport, symmetry_defect
 
 
 class SymmetryPreconditionError(ValueError):
-    """Operator fails the symmetry tolerance required by a solver."""
+    """Operator fails the symmetry tolerance required by a solver.
+
+    `symmetry` holds the measurement that failed it.
+    """
+
+    def __init__(self, message: str, symmetry: SymmetryReport | None = None):
+        super().__init__(message)
+        self.symmetry = symmetry
+
+
+def _require_symmetric(op, consequence: str) -> SymmetryReport:
+    report = symmetry_defect(op)
+    if report.relative > 1e-10:
+        raise SymmetryPreconditionError(
+            f"relative symmetry defect {report.relative:.3e} exceeds 1e-10; {consequence}",
+            report,
+        )
+    return report
 
 
 def _matrix_of(op) -> np.ndarray:
     return op.matrix if hasattr(op, "matrix") else np.asarray(op)
+
+
+def _patch_layout(op) -> Layout | None:
+    """The layout of a patch operator; None for raw arrays and full lattices."""
+    layout = getattr(op, "layout", None)
+    return layout if layout is not None and layout.patch_axes else None
+
+
+def _bloch_blocks(matrix: np.ndarray, layout: Layout) -> np.ndarray:
+    """Bloch blocks H(j) of a block-circulant patch operator, shape (K, b, b).
+
+    Only the first block row A[0, m] (the rows of patch 0, read through a
+    view) enters: H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch
+    offsets m, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the FFT taken
+    over the patch axes.  j runs over the half spectrum of rfftn (the last
+    patch axis halved), in rfftn's output order; a block is indexed by
+    (member, local point) in C order.  The blocks are summed in extended
+    precision (np.longdouble, plain double where the platform has no wider
+    type).
+    """
+    shape, k = layout.shape, layout.patch_axes
+    first_row = matrix.reshape(shape + shape)[(slice(None),) + (0,) * k].astype(np.longdouble)
+    # axes of first_row: member, local..., member, patches..., local...
+    start = len(shape) - k + 1
+    patch_axes = tuple(range(start, start + k))
+    blocks = np.conj(np.fft.rfftn(first_row, axes=patch_axes))
+    blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
+    b = math.prod(shape) // math.prod(shape[1 : 1 + k])
+    return blocks.reshape(-1, b, b)
+
+
+def _mirror_counts(layout: Layout) -> np.ndarray:
+    """Full-spectrum blocks each half-spectrum block stands for: 1 or 2.
+
+    Block -j is the conjugate of block j.  It lies outside the half spectrum
+    unless the halved wavenumber j_last satisfies j_last = -j_last (mod N).
+    """
+    n_last = layout.shape[layout.patch_axes]
+    j = np.arange(n_last // 2 + 1)
+    counts = np.where((j == 0) | (2 * j == n_last), 1, 2)
+    return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
+
+
+def _bloch_eigh(matrix: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian parts of the Bloch blocks, (K, b) and (K, b, b).
+
+    The eigenvectors come from a double precision eigh; each eigenvalue is
+    the Rayleigh quotient of its eigenvector against the extended precision
+    block.  Its error is quadratic in the eigenvector error, so the slow
+    macro modes, small differences of O(1/d^2) entries, keep their relative
+    accuracy instead of an absolute error of eps * ||H||.
+    """
+    blocks = _bloch_blocks(matrix, layout)
+    H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+    V = np.linalg.eigh(H.astype(complex))[1]
+    w = np.sum(V.conj() * (H @ V), axis=1).real.astype(float)
+    return w, V
 
 
 def _default_n_macro(op) -> int | None:
@@ -43,10 +133,15 @@ def _default_n_macro(op) -> int | None:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues sorted by ascending magnitude, split macro/micro."""
+    """Eigenvalues sorted by ascending magnitude, split macro/micro.
+
+    `symmetry` is the symmetry measurement a symmetric solve was checked
+    against, None when no check was made.
+    """
 
     eigenvalues: np.ndarray
     n_macro: int
+    symmetry: SymmetryReport | None = None
     macro: np.ndarray = field(init=False)
     micro: np.ndarray = field(init=False)
     gap_ratio: float = field(init=False)
@@ -74,41 +169,50 @@ class SpectrumReport:
 def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
     """Full real spectrum of a symmetric operator, sorted by magnitude.
 
-    Precondition: relative symmetry defect at most 1e-10.
+    Precondition: relative symmetry defect at most 1e-10.  Patch operators
+    are solved block by block in the patch wavenumber, others densely.
     """
-    report = symmetry_defect(op)
-    if report.relative > 1e-10:
-        raise SymmetryPreconditionError(
-            f"relative symmetry defect {report.relative:.3e} exceeds 1e-10; "
-            "this operator must not be fed to a symmetric eigensolver"
-        )
-    matrix = _matrix_of(op)
-    vals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    symmetry = _require_symmetric(
+        op, "this operator must not be fed to a symmetric eigensolver"
+    )
+    layout = _patch_layout(op)
+    if layout is None:
+        matrix = _matrix_of(op)
+        vals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    else:
+        w, _ = _bloch_eigh(op.matrix, layout)
+        vals = np.repeat(w, _mirror_counts(layout), axis=0).ravel()
     if n_macro is None:
         n_macro = _default_n_macro(op) or vals.size
-    return SpectrumReport(eigenvalues=vals, n_macro=n_macro)
+    return SpectrumReport(eigenvalues=vals, n_macro=n_macro, symmetry=symmetry)
 
 
-def _wave_deflated_eigenvalues(op) -> np.ndarray:
-    W = _matrix_of(op)
-    M = op.layout.half
-    Q = scipy.linalg.null_space(np.ones((1, M)))
-    P = np.zeros((2 * M, 2 * (M - 1)))
-    P[:M, : M - 1] = Q
-    P[M:, M - 1 :] = Q
-    vals = np.linalg.eigvals(P.T @ W @ P)
-    return np.concatenate([vals, [0.0, 0.0]])
+def _wave_eigenvalues(op) -> np.ndarray:
+    """Spectrum of W = [[0, I], [A, eps B]] on S, plus the exact zero pair."""
+    layout, M = op.layout, op.layout.half
+    A = _bloch_blocks(op.matrix[M:, :M], layout).astype(complex)
+    eps_B = _bloch_blocks(op.matrix[M:, M:], layout).astype(complex)
+    b = A.shape[1]
+    W = np.block([[np.zeros_like(A), np.broadcast_to(np.eye(b), A.shape)], [A, eps_B]])
+    # Block j = 0 is real; S meets it in the zero-sum vectors of u and of v.
+    Q = scipy.linalg.null_space(np.ones((1, b)))
+    P = scipy.linalg.block_diag(Q, Q)
+    zero = np.linalg.eigvals(P.T @ W[0].real @ P)
+    rest = np.linalg.eigvals(W[1:])
+    mirrored = np.conj(rest[_mirror_counts(layout)[1:] == 2])
+    return np.concatenate([zero, rest.ravel(), mirrored.ravel(), [0.0, 0.0]])
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     """Complex spectrum of a general operator, sorted by magnitude.
 
-    Wave operators are deflated onto the zero-sum invariant subspace first,
-    so their exact defective zero pair stays exactly zero in the report.
+    Wave operators are solved block by block in the patch wavenumber and
+    deflated onto the zero-sum invariant subspace, so their exact defective
+    zero pair stays exactly zero in the report.
     """
     layout = getattr(op, "layout", None)
     if layout is not None and layout.half is not None:
-        vals = _wave_deflated_eigenvalues(op)
+        vals = _wave_eigenvalues(op)
     else:
         vals = np.linalg.eigvals(_matrix_of(op))
     if n_macro is None:

@@ -125,6 +125,66 @@ def test_stencil_matches_the_row_by_row_loop():
         np.testing.assert_array_equal(op.matrix, _loop_operator(grid, prof, coupling, ens))
 
 
+def _rolled_from_first_block_row(op):
+    """The operator rebuilt from the rows of patch 0, rolled over patch offsets."""
+    shape, k = op.layout.shape, op.layout.patch_axes
+    first = op.matrix.reshape(shape + shape)[(slice(None),) + (0,) * k]
+    # axes of `first`: member, local..., member, patches..., local...
+    start = len(shape) - k + 1
+    col_patches = tuple(range(start, start + k))
+    rebuilt = np.empty(shape + shape)
+    for patch in np.ndindex(shape[1 : 1 + k]):
+        rebuilt[(slice(None), *patch)] = np.roll(first, patch, axis=col_patches)
+    return rebuilt.reshape(op.matrix.shape)
+
+
+def test_operators_are_block_circulant_in_the_patch_index():
+    """Row block I is row block 0 rolled by I patches, bitwise.
+
+    The Bloch spectra rely on this: every patch carries the same interior
+    block and the edge couplings depend only on the patch offset.
+    """
+    for coupling in (pt.CouplingSpec("spectral"), pt.CouplingSpec("lagrangian", 2)):
+        for N, n, p, ens in itertools.product(range(1, 7), range(1, 7), range(1, 5), (False, True)):
+            sized = _sized(coupling, N)
+            if sized is None:
+                continue
+            grid = pt.build_grid_1d(L, N, n, 0.3)
+            prof = pt.random_lognormal_profile(p, 0.8, 10 * p + n)
+            op = pt.assemble_patch_1d(grid, prof, sized, ensemble=ens, allow_incompatible=True)
+            assert op.layout.patch_axes == 1
+            np.testing.assert_array_equal(op.matrix, _rolled_from_first_block_row(op), (N, n, p, ens))
+    for (Nx, nx, Ny, ny), periods, ens in itertools.product(
+        ((3, 2, 2, 1), (1, 3, 4, 2), (2, 1, 3, 1)), ((1, 1), (2, 3)), (False, True)
+    ):
+        grid = pt.build_grid_2d(L, Nx, nx, 0.4, 1.5 * L, Ny, ny, 0.3)
+        prof = pt.random_lognormal_profile_2d(*periods, 0.6, nx)
+        op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=ens,
+                                  allow_incompatible=True)
+        assert op.layout.patch_axes == 2
+        np.testing.assert_array_equal(op.matrix, _rolled_from_first_block_row(op))
+    assert pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0, 2.0)), 8).layout.patch_axes == 0
+
+
+def test_tiled_symmetry_defect_equals_the_whole_matrix_maxima():
+    rng = np.random.default_rng(5)
+    grid = pt.build_grid_1d(L, 6, 4, 0.3)
+    counter = pt.assemble_patch_1d(  # the criterion-2 counterexample
+        grid, pt.DiffusivityProfile1D((1.0, 2.0, 3.0)), pt.CouplingSpec("spectral"),
+        allow_incompatible=True,
+    ).matrix
+    # 300 and 517 are not multiples of the 256-row tiles
+    for A in (rng.standard_normal((300, 300)), rng.lognormal(size=(517, 517)), counter):
+        report = pt.symmetry_defect(A)
+        assert report.defect == float(np.max(np.abs(A - A.T)))
+        assert report.scale == float(np.max(np.abs(A)))
+    assert pt.symmetry_defect(counter).relative > 1e-6
+    empty = pt.symmetry_defect(np.zeros((0, 0)))
+    assert (empty.defect, empty.scale, empty.relative) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        pt.symmetry_defect(np.ones((3, 4)))
+
+
 def test_constant_vector_spans_the_kernel():
     grid = pt.build_grid_1d(L, 6, 4, 0.25)
     prof = pt.DiffusivityProfile1D((1.0, 2.0))

@@ -2,10 +2,88 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import patchtooth as pt
 
 L = 2 * np.pi
+
+
+def dense_eigenvalues(op):
+    """The dense solve patch operators took before the Bloch engine (oracle)."""
+    return np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.T))
+
+
+def dense_wave_eigenvalues(op):
+    """Dense spectrum of a wave operator on the zero-sum subspace, plus {0, 0} (oracle)."""
+    W, M = op.matrix, op.layout.half
+    Q = scipy.linalg.null_space(np.ones((1, M)))
+    P = np.zeros((2 * M, 2 * (M - 1)))
+    P[:M, : M - 1] = Q
+    P[M:, M - 1 :] = Q
+    return np.concatenate([np.linalg.eigvals(P.T @ W @ P), [0.0, 0.0]])
+
+
+@st.composite
+def patch_operators_1d(draw):
+    """Random 1D patch operators: N from 1 up, both couplings, ensemble or not."""
+    N = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 4))
+    ensemble = draw(st.booleans())
+    n = draw(st.integers(1, 6)) if ensemble else p * draw(st.integers(1, 6 // p))
+    scheme = draw(st.sampled_from(["spectral", "lagrangian"]))
+    if scheme == "lagrangian":
+        assume(N >= 3)
+        coupling = pt.CouplingSpec("lagrangian", draw(st.integers(1, (N - 1) // 2)))
+    else:
+        coupling = pt.CouplingSpec("spectral")
+    grid = pt.build_grid_1d(L, N, n, draw(st.floats(0.05, 1.0)))
+    prof = pt.random_lognormal_profile(p, draw(st.floats(0.0, 1.5)), draw(st.integers(0, 999)))
+    return pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble)
+
+
+@st.composite
+def patch_operators_2d(draw):
+    """Random 2D patch operators with N_x != N_y, single phase or ensemble."""
+    Nx, Ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    assume(Nx != Ny)
+    px, py = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ensemble = draw(st.booleans())
+    if ensemble:
+        nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    else:
+        nx, ny = px * draw(st.integers(1, 3 // px)), py * draw(st.integers(1, 3 // py))
+    grid = pt.build_grid_2d(L, Nx, nx, draw(st.floats(0.05, 1.0)),
+                            1.5 * L, Ny, ny, draw(st.floats(0.05, 1.0)))
+    prof = pt.random_lognormal_profile_2d(px, py, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 999)))
+    return pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=ensemble)
+
+
+@settings(max_examples=60)
+@given(st.one_of(patch_operators_1d(), patch_operators_2d()))
+def test_bloch_spectrum_matches_the_dense_solve(op):
+    got = np.sort(pt.eigen_symmetric(op).eigenvalues)
+    want = np.sort(dense_eigenvalues(op))
+    assert got.size == want.size == op.dimension
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40)
+@given(st.one_of(patch_operators_1d(), patch_operators_2d()), st.sampled_from([0.0, 0.02, 0.3]))
+def test_bloch_wave_spectrum_matches_the_dense_deflation(base, epsilon):
+    wave = pt.assemble_wave(base, epsilon=epsilon)
+    got = pt.eigen_general(wave).eigenvalues
+    want = dense_wave_eigenvalues(wave)
+    assert got.size == want.size == wave.dimension
+    assert np.count_nonzero(got == 0.0) == 2
+    # Match the two multisets by least total distance.  A nearly critically
+    # damped pair is close to defective, so both solvers place it only to
+    # about sqrt(eps) relative (1.5e-8 seen over 300 draws).
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.max(np.abs(got[rows] - want[cols])) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_spectrum_report_sorts_and_splits():
@@ -49,6 +127,27 @@ def test_eigen_general_deflates_the_wave_zero_pair():
     assert np.count_nonzero(rep.eigenvalues == 0.0) == 2
     assert np.max(np.real(rep.eigenvalues)) <= 1e-10
     assert rep.n_macro == 5
+
+
+def test_eigen_symmetric_reports_the_symmetry_it_checked():
+    grid = pt.build_grid_1d(L, 6, 4, 0.3)
+    op = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0, 2.0)), pt.CouplingSpec("spectral"))
+    assert pt.eigen_symmetric(op).symmetry == pt.symmetry_defect(op)
+    assert pt.eigen_general(op).symmetry is None
+    bad = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0, 2.0, 3.0)),
+                               pt.CouplingSpec("spectral"), allow_incompatible=True)
+    with pytest.raises(pt.SymmetryPreconditionError) as failure:
+        pt.eigen_symmetric(bad)
+    assert failure.value.symmetry == pt.symmetry_defect(bad)
+
+
+def test_mirrored_wavenumbers_pair_exactly():
+    """Blocks j and -j are conjugate, so their eigenvalues pair bitwise."""
+    grid = pt.build_grid_1d(L, 6, 3, 0.4)
+    op = pt.assemble_patch_1d(grid, pt.random_lognormal_profile(3, 0.7, 1), pt.CouplingSpec("spectral"))
+    _, counts = np.unique(pt.eigen_symmetric(op).eigenvalues, return_counts=True)
+    # j = 0 and j = 3 stand alone, j = 1, 2 pair with j = 5, 4
+    assert sorted(counts) == [1] * 6 + [2] * 6
 
 
 def test_smallest_magnitude_matches_dense_solver():
