@@ -81,6 +81,10 @@ class AssembledOperator:
         return int(self.matrix.shape[0])
 
 
+def _matrix_of(op) -> np.ndarray:
+    return op.matrix if hasattr(op, "matrix") else np.asarray(op)
+
+
 @dataclass
 class SymmetryReport:
     defect: float
@@ -96,7 +100,7 @@ def symmetry_defect(op) -> SymmetryReport:
     maxima are exactly those of the whole-matrix expressions.
     """
     tile = 256
-    matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
+    matrix = _matrix_of(op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"symmetry needs a square matrix, got shape {matrix.shape}")
     starts = range(0, matrix.shape[0], tile)
@@ -130,74 +134,97 @@ def _bonds(profile) -> list[np.ndarray]:
     return [profile.values]
 
 
-def _stencil(grid, bonds, coupling: CouplingSpec, ensemble: bool):
-    """Dense patch operator and its unknown shape.
+def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
+    """Per-axis stencil inputs (N, n, d, w_right, w_left) of a patch grid, x first."""
+    inputs = []
+    for g in _axes(grid):
+        w = weights_for(coupling, g.N, g.r)
+        inputs.append((g.N, g.n, g.d, w.w_right, w.w_left))
+    return inputs
+
+
+def _stencil(axes, bonds, ensemble: bool):
+    """Unknown shape and (rows, cols, values) pieces of a patch operator.
+
+    Each axis, x first, is given as (N, n, d, w_right, w_left): N patches of
+    n points at spacing d, whose edge rows couple to the far next-to-edge
+    point of patch (I + m) mod N with weights w_right[m] and w_left[m].  A
+    full lattice of M points along an axis is the single patch
+    (1, M, d, [1.0], [1.0]).
 
     The stencil has three parts: interior bonds, edge couplings weighted over
     the patch offsets m and, in ensemble mode, the member shift of each edge
-    crossing.  Each piece adds at most one term to an entry, and the pieces
-    are added in the order diagonal, right then left along x, then along y,
-    so every entry is the same floating point sum as in a row-by-row loop.
+    crossing.  The pieces are yielded one at a time in the order diagonal,
+    right then left along x, then along y; no (row, col) pair repeats within
+    one piece.  Adding them to a zero matrix in that order makes every entry
+    the same floating point sum as a row-by-row loop.  Row and column arrays
+    of a piece broadcast against its values.
     """
-    axes = _axes(grid)
     dims = len(axes)
     periods = bonds[0].shape
     members = math.prod(periods) if ensemble else 1
-    shape = (members, *(g.N for g in reversed(axes)), *(g.n for g in reversed(axes)))
+    shape = (members, *(ax[0] for ax in reversed(axes)), *(ax[1] for ax in reversed(axes)))
     dim = math.prod(shape)
-    member, *coords = np.unravel_index(np.arange(dim), shape)
-    patch = coords[:dims][::-1]  # x first
-    local = coords[dims:][::-1]  # i - 1, x first
-    phase = np.unravel_index(member, periods)  # all zero for a single phase
 
-    def flat(member, patch, local):
-        return np.ravel_multi_index((member, *patch[::-1], *local[::-1]), shape)
+    def pieces():
+        member, *coords = np.unravel_index(np.arange(dim), shape)
+        patch = coords[:dims][::-1]  # x first
+        local = coords[dims:][::-1]  # i - 1, x first
+        phase = np.unravel_index(member, periods)  # all zero for a single phase
 
-    def bond(a, back):
-        """Bond field a at each point's lattice position, stepped back along axis `back`."""
-        pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
-        return bonds[a][pos] * (1.0 / (axes[a].d * axes[a].d))
+        def flat(member, patch, local):
+            return np.ravel_multi_index((member, *patch[::-1], *local[::-1]), shape)
 
+        def bond(a, back):
+            """Bond field a at each point's lattice position, stepped back along axis `back`."""
+            pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
+            d = axes[a][2]
+            return bonds[a][pos] * (1.0 / (d * d))
+
+        right = [bond(a, None) for a in range(dims)]
+        left = [bond(a, a) for a in range(dims)]
+        everything = np.arange(dim)
+        yield everything, everything, -sum(k for pair in zip(right, left) for k in pair)
+        for a, (N, n, _, w_right, w_left) in enumerate(axes):
+            for k, step, near, far, weights in (
+                (right[a], 1, n - 1, 0, w_right),
+                (left[a], -1, 0, n - 1, w_left),
+            ):
+                # interior bond to the neighbour one step along axis a
+                inner = np.flatnonzero(local[a] != near)
+                stepped = [loc[inner] + step * (b == a) for b, loc in enumerate(local)]
+                yield inner, flat(member[inner], [p[inner] for p in patch], stepped), k[inner]
+
+                # edge coupling to the far next-to-edge point of patch (I + m) mod N,
+                # in the member whose phase matches across the gap
+                edge = np.flatnonzero(local[a] == near)
+                if ensemble:
+                    shifted = [ph[edge] + step * n * (b == a) for b, ph in enumerate(phase)]
+                    source = np.ravel_multi_index(shifted, periods, mode="wrap")
+                else:
+                    source = member[edge]
+                offsets = [p[edge, None] for p in patch]
+                offsets[a] = (offsets[a] + np.arange(N)) % N
+                points = [loc[edge, None] for loc in local]
+                points[a] = np.full_like(points[a], far)
+                yield edge[:, None], flat(source[:, None], offsets, points), k[edge, None] * weights
+
+    return shape, pieces()
+
+
+def _dense(shape, pieces) -> np.ndarray:
+    """Dense matrix of a stencil: each piece added in place, in stream order."""
+    dim = math.prod(shape)
     matrix = np.zeros((dim, dim))
     entries = matrix.reshape(-1)
-
-    def add(rows, cols, values):
+    for rows, cols, values in pieces:
         # No (row, col) pair repeats within one piece: one addition per entry.
         entries[rows * dim + cols] += values
-
-    right = [bond(a, None) for a in range(dims)]
-    left = [bond(a, a) for a in range(dims)]
-    everything = np.arange(dim)
-    add(everything, everything, -sum(k for pair in zip(right, left) for k in pair))
-    for a, g in enumerate(axes):
-        w = weights_for(coupling, g.N, g.r)
-        for k, step, near, far, weights in (
-            (right[a], 1, g.n - 1, 0, w.w_right),
-            (left[a], -1, 0, g.n - 1, w.w_left),
-        ):
-            # interior bond to the neighbour one step along axis a
-            inner = np.flatnonzero(local[a] != near)
-            stepped = [loc[inner] + step * (b == a) for b, loc in enumerate(local)]
-            add(inner, flat(member[inner], [p[inner] for p in patch], stepped), k[inner])
-
-            # edge coupling to the far next-to-edge point of patch (I + m) mod N,
-            # in the member whose phase matches across the gap
-            edge = np.flatnonzero(local[a] == near)
-            if ensemble:
-                shifted = [ph[edge] + step * g.n * (b == a) for b, ph in enumerate(phase)]
-                source = np.ravel_multi_index(shifted, periods, mode="wrap")
-            else:
-                source = member[edge]
-            offsets = [p[edge, None] for p in patch]
-            offsets[a] = (offsets[a] + np.arange(g.N)) % g.N
-            points = [loc[edge, None] for loc in local]
-            points[a] = np.full_like(points[a], far)
-            add(edge[:, None], flat(source[:, None], offsets, points), k[edge, None] * weights)
-    return matrix, shape
+    return matrix
 
 
 def _patch_operator(grid, profile, coupling, ensemble, diagnostics) -> AssembledOperator:
-    matrix, shape = _stencil(grid, _bonds(profile), coupling, ensemble)
+    shape, pieces = _stencil(_axis_inputs(grid, coupling), _bonds(profile), ensemble)
     layout = Layout(
         shape=shape,
         ensemble=bool(ensemble),
@@ -206,7 +233,7 @@ def _patch_operator(grid, profile, coupling, ensemble, diagnostics) -> Assembled
         patch_axes=len(_axes(grid)),
     )
     return AssembledOperator(
-        matrix=matrix, layout=layout, grid=grid, profile=profile, coupling=coupling
+        matrix=_dense(shape, pieces), layout=layout, grid=grid, profile=profile, coupling=coupling
     )
 
 
@@ -270,7 +297,7 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
     if epsilon < 0:
         raise ValueError("damping must be nonnegative")
     ones = [np.ones_like(field) for field in _bonds(op.profile)]
-    B, _ = _stencil(op.grid, ones, op.coupling, op.layout.ensemble)
+    B = _dense(*_stencil(_axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble))
     M = op.dimension
     W = np.block(
         [

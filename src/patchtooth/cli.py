@@ -475,12 +475,9 @@ def _task_simulate(config: dict, op, out: Path) -> None:
 def _task_homogenize(config: dict, op, out: Path) -> None:
     params = config.get("homogenize", {})
     profile = op.profile
-    d = op.grid.d
-    coeffs = extract_coefficients(
-        profile, d,
-        node_spacing=float(params.get("node_spacing", 0.02)),
-        node_count=int(params.get("node_count", 8)),
-    )
+    spacing = float(params.get("node_spacing", 0.02))
+    count = int(params.get("node_count", 8))
+    coeffs = extract_coefficients(profile, op.grid.d, node_spacing=spacing, node_count=count)
     _write_json(out / "homogenize.json", {
         "K2": coeffs.K2,
         "K4": coeffs.K4,
@@ -488,8 +485,6 @@ def _task_homogenize(config: dict, op, out: Path) -> None:
         "d": coeffs.d,
         "fit_residual": coeffs.fit_residual,
     })
-    spacing = float(params.get("node_spacing", 0.02))
-    count = int(params.get("node_count", 8))
     with open(out / "slow_branch.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "eigenvalue"])
@@ -556,6 +551,8 @@ def _full_lattice_reference(config: dict, op):
         if not (gx.r == 1.0 and gy.r == 1.0):
             return None, "patches only tile the lattice at r = 1"
         shape = (gx.N * gx.n, gy.N * gy.n)
+        if min(shape) < 3:
+            return None, f"full lattice {shape} has an axis below the 3-point minimum"
         if shape[0] * shape[1] > 4096:
             return None, f"full lattice {shape} too large for a dense comparison"
         return (
@@ -566,6 +563,8 @@ def _full_lattice_reference(config: dict, op):
     if grid.r != 1.0:
         return None, "patches only tile the lattice at r = 1"
     M = grid.N * grid.n
+    if M < 3:
+        return None, f"full lattice of {M} points is below the 3-point minimum"
     if M > 4096:
         return None, f"full lattice of {M} points too large for a dense comparison"
     return full_lattice_operator_1d(op.profile, M, grid.d), None

@@ -11,7 +11,10 @@ and ky[i][j] = kappa_{i, j+1/2} for vertical bonds, both (p_x, p_y) periodic.
 
 The full-lattice operators built here serve as the consistency references for
 the patch scheme.  They are symmetric by construction, annihilate constants,
-and have nonpositive spectra.
+and have nonpositive spectra.  A full lattice is the patch stencil of
+assembly._stencil with one patch spanning each axis: M points at spacing d
+along an axis are the patch (N, n, d) = (1, M, d), whose edge rows couple
+back to the same patch with weight 1.
 
 Index convention: physical lattice nodes are labelled from 1, so matrix row g
 describes node g+1 and
@@ -30,6 +33,7 @@ which is versioned and reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,18 +106,12 @@ class DiffusivityProfile2D:
         return profile
 
 
-def _full_1d_matrix(profile: DiffusivityProfile1D, M: int, d: float) -> np.ndarray:
-    vals = profile.values
-    p = profile.period
-    A = np.zeros((M, M))
-    inv_d2 = 1.0 / (d * d)
-    for g in range(M):
-        right = vals[(g + 1) % p] * inv_d2
-        left = vals[g % p] * inv_d2
-        A[g, (g + 1) % M] += right
-        A[g, (g - 1) % M] += left
-        A[g, g] -= right + left
-    return A
+def _lattice_stencil(bonds, sizes, spacings):
+    """Shape and pieces of the full lattice: one patch spanning each axis, x first."""
+    from .assembly import _stencil
+
+    one = np.ones(1)
+    return _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)], bonds, False)
 
 
 def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1.0):
@@ -138,36 +136,10 @@ def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1
         )
     if d <= 0:
         raise ValueError("lattice spacing must be positive")
-    from .assembly import AssembledOperator, Layout
+    from .assembly import AssembledOperator, Layout, _dense
 
-    A = _full_1d_matrix(profile, M, d)
+    A = _dense(*_lattice_stencil([profile.values], [M], [d]))
     return AssembledOperator(matrix=A, layout=Layout(shape=(1, M)), profile=profile)
-
-
-def _full_2d_entries(profile: DiffusivityProfile2D, shape, spacing):
-    """Yield (row, col, value) triples of the five-point operator."""
-    Mx, My = shape
-    dx, dy = spacing
-    px, py = profile.periods
-    ivx = 1.0 / (dx * dx)
-    ivy = 1.0 / (dy * dy)
-    kx, ky = profile.kx, profile.ky
-
-    def idx(i, j):
-        return (j % My) * Mx + (i % Mx)
-
-    for j in range(My):
-        for i in range(Mx):
-            a = idx(i, j)
-            kxr = kx[(i + 1) % px, (j + 1) % py] * ivx
-            kxl = kx[i % px, (j + 1) % py] * ivx
-            kyu = ky[(i + 1) % px, (j + 1) % py] * ivy
-            kyd = ky[(i + 1) % px, j % py] * ivy
-            yield a, idx(i + 1, j), kxr
-            yield a, idx(i - 1, j), kxl
-            yield a, idx(i, j + 1), kyu
-            yield a, idx(i, j - 1), kyd
-            yield a, a, -(kxr + kxl + kyu + kyd)
 
 
 def _check_2d_args(profile, shape, spacing):
@@ -194,25 +166,26 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
     j*M_x + i.  Entry scalings are 1/d_x^2 for horizontal and 1/d_y^2 for
     vertical bonds.
     """
-    (Mx, My), (dx, dy) = _check_2d_args(profile, shape, spacing)
-    from .assembly import AssembledOperator, Layout
+    (Mx, My), spacing = _check_2d_args(profile, shape, spacing)
+    from .assembly import AssembledOperator, Layout, _dense
 
-    size = Mx * My
-    A = np.zeros((size, size))
-    for a, b, v in _full_2d_entries(profile, (Mx, My), (dx, dy)):
-        A[a, b] += v
+    A = _dense(*_lattice_stencil([profile.kx, profile.ky], (Mx, My), spacing))
     return AssembledOperator(matrix=A, layout=Layout(shape=(1, My, Mx)), profile=profile)
 
 
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
-    """Sparse CSR variant of full_lattice_operator_2d for large lattices."""
-    (Mx, My), (dx, dy) = _check_2d_args(profile, shape, spacing)
-    rows, cols, vals = [], [], []
-    for a, b, v in _full_2d_entries(profile, (Mx, My), (dx, dy)):
-        rows.append(a)
-        cols.append(b)
-        vals.append(v)
-    size = Mx * My
+    """Sparse CSR variant of full_lattice_operator_2d for large lattices.
+
+    The stencil pieces are concatenated into one CSR matrix in O(nnz) time
+    and memory; no dense matrix is formed.
+    """
+    sizes, spacing = _check_2d_args(profile, shape, spacing)
+    _, pieces = _lattice_stencil([profile.kx, profile.ky], sizes, spacing)
+    rows, cols, vals = (
+        np.concatenate([part.ravel() for part in parts])
+        for parts in zip(*(np.broadcast_arrays(*piece) for piece in pieces))
+    )
+    size = math.prod(sizes)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .assembly import Layout, SymmetryReport, symmetry_defect
+from .assembly import Layout, SymmetryReport, _matrix_of, symmetry_defect
 
 
 class SymmetryPreconditionError(ValueError):
@@ -63,10 +63,6 @@ def _require_symmetric(op, consequence: str) -> SymmetryReport:
             report,
         )
     return report
-
-
-def _matrix_of(op) -> np.ndarray:
-    return op.matrix if hasattr(op, "matrix") else np.asarray(op)
 
 
 def _patch_layout(op) -> Layout | None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import _matrix_of
 from .spectra import _bloch_eigh, _patch_layout, _require_symmetric
 
 
@@ -57,10 +58,6 @@ class Trajectory:
 
     def final(self) -> StateVector:
         return StateVector(values=self.states[-1], time=float(self.times[-1]))
-
-
-def _matrix_of(op) -> np.ndarray:
-    return op.matrix if hasattr(op, "matrix") else np.asarray(op)
 
 
 def _as_state(u0) -> StateVector:

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,32 @@ def test_check_task_consistency_at_full_size(tmp_path):
     payload2 = json.loads((out2 / "check.json").read_text())
     assert payload2["consistency"]["available"] is False
     assert "r = 1" in payload2["consistency"]["reason"]
+    # Tilings with fewer than 3 lattice points along an axis have a valid
+    # patch operator but no full lattice to compare with.
+    small_2d = {
+        "model": "diffusion2d",
+        "grid": {
+            "x": {"L": 2 * np.pi, "N": 1, "n": 2, "r": 1.0},
+            "y": {"L": 2 * np.pi, "N": 2, "n": 2, "r": 1.0},
+        },
+        "profile": {"kind": "inline", "kx": [[1.3, 0.8], [0.9, 1.2]],
+                     "ky": [[0.7, 1.4], [1.1, 0.9]]},
+        "coupling": {"scheme": "spectral"},
+        "task": "check",
+    }
+    small = [
+        base_config(grid={"L": 2 * np.pi, "N": 1, "n": 2, "r": 1.0}, task="check"),
+        base_config(grid={"L": 2 * np.pi, "N": 2, "n": 1, "r": 1.0},
+                    profile={"kind": "inline", "values": [1.5]}, task="check"),
+        small_2d,
+    ]
+    for k, config in enumerate(small):
+        out = tmp_path / f"small{k}"
+        assert cli.run(config, out) == 0
+        payload = json.loads((out / "check.json").read_text())
+        assert payload["symmetry"]["relative"] <= 1e-10
+        assert payload["consistency"]["available"] is False
+        assert "3-point minimum" in payload["consistency"]["reason"]
 
 
 def test_task_override_and_missing_config(tmp_path, capsys):
@@ -296,10 +324,14 @@ def test_task_override_and_missing_config(tmp_path, capsys):
 def test_module_entry_point_runs(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "patchtooth", "--config", str(path), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "eigenvalues.csv").exists()

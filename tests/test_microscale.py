@@ -143,6 +143,79 @@ def test_full_operator_2d_rejects_incommensurate_sizes():
         pt.full_lattice_operator_2d(prof, (10, 6))
 
 
+def loop_full_1d(profile, M, d):
+    """Row-by-row reference loop for the 1D full lattice."""
+    vals = profile.values
+    p = profile.period
+    A = np.zeros((M, M))
+    inv_d2 = 1.0 / (d * d)
+    for g in range(M):
+        right = vals[(g + 1) % p] * inv_d2
+        left = vals[g % p] * inv_d2
+        A[g, (g + 1) % M] += right
+        A[g, (g - 1) % M] += left
+        A[g, g] -= right + left
+    return A
+
+
+def loop_full_2d(profile, shape, spacing):
+    """Point-by-point reference loop for the 2D five-point full lattice."""
+    Mx, My = shape
+    dx, dy = spacing
+    px, py = profile.periods
+    ivx = 1.0 / (dx * dx)
+    ivy = 1.0 / (dy * dy)
+    kx, ky = profile.kx, profile.ky
+
+    def idx(i, j):
+        return (j % My) * Mx + (i % Mx)
+
+    A = np.zeros((Mx * My, Mx * My))
+    for j in range(My):
+        for i in range(Mx):
+            a = idx(i, j)
+            kxr = kx[(i + 1) % px, (j + 1) % py] * ivx
+            kxl = kx[i % px, (j + 1) % py] * ivx
+            kyu = ky[(i + 1) % px, (j + 1) % py] * ivy
+            kyd = ky[(i + 1) % px, j % py] * ivy
+            A[a, idx(i + 1, j)] += kxr
+            A[a, idx(i - 1, j)] += kxl
+            A[a, idx(i, j + 1)] += kyu
+            A[a, idx(i, j - 1)] += kyd
+            A[a, a] += -(kxr + kxl + kyu + kyd)
+    return A
+
+
+LOOP_SPACINGS = (1.0, 0.1, 0.0123, 2 * np.pi / 450)
+
+
+def lattice_sizes(p):
+    """M = 3 (where p divides it), M = p and several multiples of p, all >= 3."""
+    return sorted({M for M in (3, p, 2 * p, 3 * p, 4 * p) if M >= 3 and M % p == 0})
+
+
+def test_full_operators_equal_the_loop_references_bitwise():
+    """The one-patch stencil keeps the summation order of the row loops."""
+    for p in range(1, 6):
+        prof = pt.random_lognormal_profile(p, 1.0, p)
+        for M in lattice_sizes(p):
+            for d in LOOP_SPACINGS:
+                got = pt.full_lattice_operator_1d(prof, M, d).matrix
+                np.testing.assert_array_equal(got, loop_full_1d(prof, M, d), strict=True)
+    for px in range(1, 6):
+        for py in range(1, 6):
+            prof = pt.random_lognormal_profile_2d(px, py, 1.0, 10 * px + py)
+            shapes = {(Mx, My) for Mx in lattice_sizes(px)[:2] for My in lattice_sizes(py)[:2]}
+            for shape in sorted(shapes):
+                for spacing in zip(LOOP_SPACINGS, LOOP_SPACINGS[::-1]):
+                    want = loop_full_2d(prof, shape, spacing)
+                    dense = pt.full_lattice_operator_2d(prof, shape, spacing).matrix
+                    sparse = pt.full_lattice_operator_2d_sparse(prof, shape, spacing)
+                    np.testing.assert_array_equal(dense, want, strict=True)
+                    np.testing.assert_array_equal(sparse.toarray(), want, strict=True)
+                    assert sparse.nnz == np.count_nonzero(want)
+
+
 def test_lognormal_draws_are_deterministic():
     a = pt.random_lognormal_profile(4, 0.3, 123)
     b = pt.random_lognormal_profile(4, 0.3, 123)
