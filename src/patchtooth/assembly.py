@@ -38,7 +38,6 @@ import numpy as np
 
 from . import geometry
 from .coupling import CouplingSpec, weights_for
-from .ensemble import build_permutations_2d
 from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
 
 
@@ -278,9 +277,6 @@ def assemble_patch_2d(
     """
     diagnostics = geometry.validate_compatibility_2d(grid, profile, ensemble=ensemble)
     _raise_on_errors(diagnostics, allow_incompatible)
-    if ensemble:
-        # Build-time consistency check of the member permutations.
-        build_permutations_2d(profile, grid.x.n, grid.y.n)
     return _patch_operator(grid, profile, coupling, ensemble, diagnostics)
 
 

@@ -12,9 +12,10 @@ scheme, and a task.  Tasks:
     check       operator health report, optionally consistency against the
                 assembled full lattice when the grid has one (r = 1)
 
-Exit codes: 0 success, 1 malformed config (schema or cross-field semantics),
-2 numerical precondition failure (incompatible single-phase assembly, lost
-symmetry, branch separation, unstable step and the like).
+Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
+non-finite numbers, inconsistent inline profiles), 2 numerical precondition
+failure (incompatible single-phase assembly, lost symmetry, branch
+separation, unstable step and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.
@@ -231,7 +232,21 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _nonfinite_paths(value, path=""):
+    """Paths of the NaN and infinite numbers in a parsed config, in document order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    elif isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _nonfinite_paths(item, f"{path}[{key!r}]")
+
+
 def _validate_config(config: dict) -> None:
+    # JSON parsers accept NaN and Infinity, and NaN passes every schema bound.
+    path = next(_nonfinite_paths(config), None)
+    if path is not None:
+        raise ConfigError(f"at {path or '(top level)'}: not a finite number")
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(config), key=lambda e: len(e.absolute_path))
     if errors:
@@ -290,9 +305,12 @@ def _validate_config(config: dict) -> None:
 def _build_profile(config: dict):
     spec = config["profile"]
     if spec["kind"] == "inline":
-        if "kx" in spec:
-            return DiffusivityProfile2D.from_json(spec)
-        return DiffusivityProfile1D.from_json(spec)
+        try:
+            if "kx" in spec:
+                return DiffusivityProfile2D.from_json(spec)
+            return DiffusivityProfile1D.from_json(spec)
+        except ValueError as exc:
+            raise ConfigError(f"at ['profile']: {exc}") from exc
     if "periods" in spec:
         px, py = spec["periods"]
         return random_lognormal_profile_2d(px, py, spec["sigma"], spec["seed"])
@@ -314,9 +332,7 @@ def _build_coupling(config: dict) -> CouplingSpec:
     return CouplingSpec(scheme=c["scheme"], order=c.get("order"))
 
 
-def _assemble(config: dict):
-    profile = _build_profile(config)
-    grid = _build_grid(config)
+def _assemble(config: dict, grid, profile):
     coupling = _build_coupling(config)
     ens = bool(config.get("ensemble", False))
     allow = bool(config.get("allow_incompatible", False))
@@ -347,7 +363,8 @@ def _write_eigen_csv(path: Path, values: np.ndarray) -> None:
             )
 
 
-def _task_eigen(config: dict, op, out: Path) -> None:
+def _task_eigen(config: dict, grid, profile, out: Path) -> None:
+    op = _assemble(config, grid, profile)
     n_macro = config.get("eigen", {}).get("n_macro")
     if config["model"] == "wave1d":
         report = eigen_general(op, n_macro=n_macro)
@@ -442,7 +459,8 @@ def _trajectory_rows(op, traj, stride: int):
                 yield head + lab + [_fmt(value)]
 
 
-def _task_simulate(config: dict, op, out: Path) -> None:
+def _task_simulate(config: dict, grid, profile, out: Path) -> None:
+    op = _assemble(config, grid, profile)
     sim = config.get("simulate", {})
     integrator = sim.get("integrator", "rk4" if config["model"] == "wave1d" else "exact")
     state = _initial_state(config, op)
@@ -472,12 +490,13 @@ def _task_simulate(config: dict, op, out: Path) -> None:
     })
 
 
-def _task_homogenize(config: dict, op, out: Path) -> None:
+def _task_homogenize(config: dict, grid, profile, out: Path) -> None:
+    # The outputs depend on the profile and d only, so nothing is assembled.
+    _require_compatible(config, grid, profile, bool(config.get("allow_incompatible", False)))
     params = config.get("homogenize", {})
-    profile = op.profile
     spacing = float(params.get("node_spacing", 0.02))
     count = int(params.get("node_count", 8))
-    coeffs = extract_coefficients(profile, op.grid.d, node_spacing=spacing, node_count=count)
+    coeffs = extract_coefficients(profile, grid.d, node_spacing=spacing, node_count=count)
     _write_json(out / "homogenize.json", {
         "K2": coeffs.K2,
         "K4": coeffs.K4,
@@ -491,6 +510,14 @@ def _task_homogenize(config: dict, op, out: Path) -> None:
         for m in range(1, count + 1):
             k = spacing * m
             writer.writerow([_fmt(k), _fmt(slow_branch(profile, k))])
+
+
+def _require_compatible(config: dict, grid, profile, allow_incompatible: bool) -> None:
+    """Reject an incompatible grid and profile as the assembler would, without assembling."""
+    validate = (geometry.validate_compatibility_2d if config["model"] == "diffusion2d"
+                else geometry.validate_compatibility)
+    diagnostics = validate(grid, profile, ensemble=bool(config.get("ensemble", False)))
+    _raise_on_errors(diagnostics, allow_incompatible)
 
 
 def _sweep_point(config: dict, base_grid, profile, parameter: str, value: int, modes: int):
@@ -509,19 +536,15 @@ def _sweep_point(config: dict, base_grid, profile, parameter: str, value: int, m
     return list(table.relative_errors)
 
 
-def _task_sweep(config: dict, op, out: Path) -> None:
+def _task_sweep(config: dict, grid, profile, out: Path) -> None:
     sweep = config["sweep"]
     parameter = sweep["parameter"]
     values = list(sweep["values"])
     modes = int(sweep.get("modes", 3))
-    base_grid, profile = _build_grid(config), _build_profile(config)
     # No base operator is assembled, so reject an incompatible base config
-    # here, with the assembler's message, before any point is built.
-    validate = (geometry.validate_compatibility_2d if config["model"] == "diffusion2d"
-                else geometry.validate_compatibility)
-    _raise_on_errors(validate(base_grid, profile, ensemble=bool(config.get("ensemble", False))),
-                     allow_incompatible=False)
-    rows = [_sweep_point(config, base_grid, profile, parameter, v, modes) for v in values]
+    # here, before any point is built.
+    _require_compatible(config, grid, profile, allow_incompatible=False)
+    rows = [_sweep_point(config, grid, profile, parameter, v, modes) for v in values]
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)])
@@ -570,7 +593,8 @@ def _full_lattice_reference(config: dict, op):
     return full_lattice_operator_1d(op.profile, M, grid.d), None
 
 
-def _task_check(config: dict, op, out: Path) -> None:
+def _task_check(config: dict, grid, profile, out: Path) -> None:
+    op = _assemble(config, grid, profile)
     wave = op.layout.half is not None
     if wave:
         sym, report = symmetry_defect(op), eigen_general(op)
@@ -635,18 +659,14 @@ def run(config: dict, outdir=None) -> int:
     """Validate a config, execute its task, write artefacts; returns exit code."""
     try:
         _validate_config(config)
+        profile, grid = _build_profile(config), _build_grid(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(outdir if outdir is not None else config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     try:
-        # a sweep assembles only its per-point operators
-        op = None if config["task"] == "sweep" else _assemble(config)
-        _TASKS[config["task"]](config, op, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        _TASKS[config["task"]](config, grid, profile, out)
     except (
         SymmetryPreconditionError,
         BranchSeparationError,

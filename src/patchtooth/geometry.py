@@ -50,25 +50,16 @@ class PatchGrid1D:
         """Centre X^I of patch I, internal index 0 <= I < N."""
         return (I % self.N + 1) * self.H
 
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.N) + 1.0) * self.H
-
-    def positions(self, I: int, edges: bool = False) -> np.ndarray:
-        """Lattice point positions of patch I, interior only by default."""
-        i = np.arange(0, self.n + 2) if edges else np.arange(1, self.n + 1)
+    def positions(self, I: int) -> np.ndarray:
+        """Interior lattice point positions of patch I."""
+        i = np.arange(1, self.n + 1)
         return self.center(I) + (i - 0.5 * (self.n + 1)) * self.d
-
-    def to_json(self) -> dict:
-        return {"L": self.L, "N": self.N, "n": self.n, "r": self.r}
 
 
 @dataclass
 class PatchGrid2D:
     x: PatchGrid1D
     y: PatchGrid1D
-
-    def to_json(self) -> dict:
-        return {"x": self.x.to_json(), "y": self.y.to_json()}
 
 
 def build_grid_1d(L: float, N: int, n: int, r: float) -> PatchGrid1D:

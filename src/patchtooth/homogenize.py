@@ -108,12 +108,11 @@ def extract_coefficients(
     d: float = 1.0,
     node_spacing: float = 0.02,
     node_count: int = 8,
-    max_power: int = 10,
 ) -> HomogenisedCoefficients:
     """Extract K2 (closed form), K4 (small-k fit), and the decay scale beta.
 
     The slow branch is sampled at k = node_spacing * (1..node_count) and fitted
-    with even powers k^2 .. k^max_power in a column-scaled least-squares
+    with even powers k^2 .. k^10 in a column-scaled least-squares
     problem.  Two guards apply: the fitted K2 must match the harmonic mean to
     1e-9 relative, and the fit residual must stay below 1e-10 of the leading
     k^2 term.  Either failure signals fast-branch contamination and raises.
@@ -122,7 +121,7 @@ def extract_coefficients(
         raise ValueError("lattice spacing must be positive")
     if node_count < 2:
         raise ValueError("need at least two fit nodes")
-    powers = np.arange(2, max_power + 1, 2)
+    powers = np.array([2, 4, 6, 8, 10])
     if node_count < powers.size:
         raise ValueError("fewer fit nodes than fitted powers")
     K2 = harmonic_mean_diffusivity(profile)

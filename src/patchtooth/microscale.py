@@ -57,9 +57,6 @@ class DiffusivityProfile1D:
     def period(self) -> int:
         return int(self.values.size)
 
-    def to_json(self) -> dict:
-        return {"period": self.period, "values": [float(v) for v in self.values]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "DiffusivityProfile1D":
         profile = cls(np.asarray(obj["values"], dtype=float))
@@ -90,13 +87,6 @@ class DiffusivityProfile2D:
     @property
     def periods(self) -> tuple[int, int]:
         return (int(self.kx.shape[0]), int(self.kx.shape[1]))
-
-    def to_json(self) -> dict:
-        return {
-            "periods": list(self.periods),
-            "kx": self.kx.tolist(),
-            "ky": self.ky.tolist(),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiffusivityProfile2D":

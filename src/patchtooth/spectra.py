@@ -216,15 +216,15 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro)
 
 
-def smallest_magnitude_eigenvalues(matrix, count: int, shift: float = 0.1):
+def smallest_magnitude_eigenvalues(matrix, count: int):
     """Smallest-|lambda| eigenvalues of a large sparse symmetric operator.
 
-    Shift-invert about a small positive sigma, which for a negative
-    semidefinite operator is never an eigenvalue, so the factorisation is
-    always nonsingular (sigma = 0 would hit the constant kernel mode).
+    Shift-invert about sigma = 0.1, which for a negative semidefinite
+    operator is never an eigenvalue, so the factorisation is always
+    nonsingular (sigma = 0 would hit the constant kernel mode).
     """
     vals = scipy.sparse.linalg.eigsh(
-        matrix, k=count, sigma=shift, which="LM", return_eigenvectors=False
+        matrix, k=count, sigma=0.1, which="LM", return_eigenvectors=False
     )
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
@@ -237,11 +237,6 @@ class ErrorTable:
     test_values: np.ndarray
     reference_values: np.ndarray
     relative_errors: np.ndarray
-
-    def rows(self):
-        return zip(
-            self.indices, self.test_values, self.reference_values, self.relative_errors
-        )
 
 
 def _unique_macro_modes(report: SpectrumReport) -> np.ndarray:

@@ -8,15 +8,18 @@ over the patch axes, each Bloch block (see spectra) is propagated by its own
 eigendecomposition, and the result transformed back.
 evolve_rk4 is the classic fourth-order Runge-Kutta loop for operators that
 need not be symmetric (the wave system), guarded by an explicit stability
-check dt <= 2.5 / rho(L).  The spectral radius is estimated by power
-iteration on L^2, whose dominant eigenvalue is real even when L has the
-dominant conjugate pair of an undamped wave operator; the deterministic start
-vector makes the estimate reproducible.
+check dt <= 2.5 / rho(L).  The spectral radius is estimated by at most 100
+steps of power iteration on L^2, whose dominant eigenvalue is real even when
+L has the dominant conjugate pair of an undamped wave operator.  L^2 is never
+formed: each step applies L twice to the iterate, two matrix-vector products
+at O(dim^2) instead of an O(dim^3) matrix product, and stops once the
+estimate changes by at most 1e-9 relative.  The deterministic start vector
+makes the estimate reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +48,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    mass: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -54,10 +56,6 @@ class Trajectory:
             raise ValueError("one state row per time required")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        self.mass = self.states.sum(axis=1)
-
-    def final(self) -> StateVector:
-        return StateVector(values=self.states[-1], time=float(self.times[-1]))
 
 
 def _as_state(u0) -> StateVector:
@@ -106,17 +104,16 @@ def _bloch_evolve(matrix, layout, u0: np.ndarray, elapsed: np.ndarray) -> np.nda
     return np.moveaxis(u_t, k + 1, 1).reshape(elapsed.size, -1)
 
 
-def stability_limit(op, iterations: int = 100) -> float:
+def stability_limit(op) -> float:
     """Largest stable RK4 step, 2.5 / rho(L), with rho from power iteration."""
     matrix = _matrix_of(op)
     dim = matrix.shape[0]
-    M2 = matrix @ matrix
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     rho_sq = 0.0
-    for _ in range(iterations):
-        y = M2 @ x
+    for _ in range(100):
+        y = matrix @ (matrix @ x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
             break

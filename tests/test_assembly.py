@@ -236,6 +236,66 @@ def test_ensemble_edge_rows_couple_shifted_members():
     assert pt.symmetry_defect(op).defect == 0.0
 
 
+def test_ensemble_2d_edge_rows_couple_the_permuted_members():
+    """Member e hands its left x edge to the member P_x names and its right x
+    edge to the member P_x^T names; likewise along y with P_y.
+
+    With n_x, n_y >= 3 the far next-to-edge point of an edge row is neither
+    its interior neighbour nor reached by the other axis, so the entries of
+    an edge row at the far point come from the edge coupling alone.
+    """
+    for (nx, ny), (px, py), coupling in itertools.product(
+        [(3, 4), (4, 3)],
+        [(2, 3), (3, 1), (1, 2)],
+        [pt.CouplingSpec("spectral"), pt.CouplingSpec("lagrangian", 1)],
+    ):
+        grid = pt.build_grid_2d(L, 3, nx, 0.3, 3.0, 4, ny, 0.5)
+        prof = pt.random_lognormal_profile_2d(px, py, 0.6, 10 * px + py)
+        op = pt.assemble_patch_2d(grid, prof, coupling, ensemble=True)
+        Px, Py = pt.build_permutations_2d(prof, nx, ny)
+        shape = op.layout.shape  # (members, N_y, N_x, n_y, n_x)
+        blocks = op.matrix.reshape(shape + shape)
+        near_far = {
+            "x left": (blocks[..., 0, :, :, :, :, nx - 1], Px),
+            "x right": (blocks[..., nx - 1, :, :, :, :, 0], Px.T),
+            "y left": (blocks[:, :, :, 0, :, :, :, :, ny - 1, :], Py),
+            "y right": (blocks[:, :, :, ny - 1, :, :, :, :, 0, :], Py.T),
+        }
+        for edge, (coupled, P) in near_far.items():
+            members = np.any(coupled != 0.0, axis=(1, 2, 3, 5, 6, 7))
+            np.testing.assert_array_equal(members, P != 0.0, err_msg=f"{edge} {nx, ny, px, py}")
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [pt.CouplingSpec("spectral"), pt.CouplingSpec("lagrangian", 1)],
+)
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_exchanging_the_axes_permutes_the_2d_operator(coupling, ensemble):
+    """Rotational invariance: swapping x and y (grid, bond fields transposed
+    and exchanged) gives the same operator on the reordered unknowns, member
+    e = phi * p_y + psi becoming psi * p_x + phi.  Only the order of the
+    four-term diagonal sum changes."""
+    nx, ny = (3, 2) if ensemble else (4, 3)
+    kx = [[1.3, 0.8, 2.1], [0.9, 1.2, 0.4]]  # periods (p_x, p_y) = (2, 3)
+    ky = [[0.7, 1.4, 0.5], [1.1, 0.9, 1.6]]
+    grid = pt.build_grid_2d(L, 3, nx, 0.3, 3.0, 5, ny, 0.5)
+    swapped_grid = pt.PatchGrid2D(x=grid.y, y=grid.x)
+    prof = pt.DiffusivityProfile2D(kx, ky)
+    swapped_prof = pt.DiffusivityProfile2D(np.transpose(ky), np.transpose(kx))
+    A = pt.assemble_patch_2d(grid, prof, coupling, ensemble=ensemble)
+    B = pt.assemble_patch_2d(swapped_grid, swapped_prof, coupling, ensemble=ensemble)
+    members, Ny, Nx, ny_, nx_ = A.layout.shape
+    phases = (2, 3) if ensemble else (1, 1)
+    index = np.arange(A.dimension).reshape(*phases, Ny, Nx, ny_, nx_)
+    perm = index.transpose(1, 0, 3, 2, 5, 4).ravel()
+    assert B.layout.shape == (members, Nx, Ny, nx_, ny_)
+    scale = np.max(np.abs(A.matrix))
+    assert np.max(np.abs(B.matrix - A.matrix[np.ix_(perm, perm)])) <= 4 * np.finfo(float).eps * scale
+    assert pt.symmetry_defect(A).defect == 0.0
+    assert pt.symmetry_defect(B).defect == 0.0
+
+
 def test_full_size_patches_reduce_to_the_lattice_1d():
     """At r = 1 the patches tile the lattice.
 

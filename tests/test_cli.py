@@ -49,6 +49,37 @@ def test_schema_violation_names_the_field(tmp_path, capsys):
     assert "'workers'" in capsys.readouterr().err
 
 
+GRID_2D = {
+    "x": {"L": 2 * np.pi, "N": 3, "n": 2, "r": 0.4},
+    "y": {"L": 2 * np.pi, "N": 4, "n": 2, "r": 0.4},
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"profile": {"kind": "inline", "values": [1.0, 2.0], "period": 3}}, "['profile']"),
+        ({"model": "diffusion2d", "grid": GRID_2D,
+          "profile": {"kind": "inline", "kx": [[1.0, 2.0]], "ky": [[1.0, 2.0], [1.0, 2.0]]}},
+         "['profile']"),
+        ({"model": "diffusion2d", "grid": GRID_2D,
+          "profile": {"kind": "inline", "kx": [[1.0, 2.0], [1.0]], "ky": [[1.0], [1.0]]}},
+         "['profile']"),
+        ({"profile": {"kind": "inline", "values": [1.0, float("nan")]}},
+         "['profile']['values'][1]"),
+        ({"grid": {"L": float("inf"), "N": 6, "n": 4, "r": 0.3}}, "['grid']['L']"),
+    ],
+    ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L"],
+)
+def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
+    """Inconsistent inline profiles and non-finite numbers are config faults,
+    not numerical precondition failures."""
+    assert cli.run(base_config(**overrides), tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
+
+
 def test_cross_field_validation(tmp_path):
     assert cli.run(base_config(model="diffusion2d"), tmp_path) == 1
     assert cli.run(base_config(coupling={"scheme": "lagrangian"}), tmp_path) == 1
@@ -64,17 +95,24 @@ def test_incompatible_assembly_exits_2(tmp_path, capsys):
     assert "numerical precondition" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("parameter", ["order", "patches"])
+@pytest.mark.parametrize("parameter", ["order", "patches", "homogenize"])
 def test_incompatible_sweep_exits_2_with_the_assembly_message(tmp_path, capsys, parameter):
-    """A sweep builds no base operator, yet rejects an incompatible base config
-    (p = 3 does not divide n = 4) exactly as assembling it would."""
+    """Sweeps and homogenize build no base operator, yet reject an incompatible
+    base config (p = 3 does not divide n = 4) exactly as assembling it would."""
     profile = {"kind": "inline", "values": [1.0, 2.0, 3.0]}
     assert cli.run(base_config(profile=profile), tmp_path / "eigen") == 2
     want = capsys.readouterr().err
     assert "not a multiple of the diffusivity period p = 3" in want
-    sweep = {"parameter": parameter, "values": [6, 7, 8], "modes": 1}
-    assert cli.run(base_config(profile=profile, task="sweep", sweep=sweep), tmp_path / "sweep") == 2
+    if parameter == "homogenize":
+        task = {"task": "homogenize"}
+    else:
+        task = {"task": "sweep", "sweep": {"parameter": parameter, "values": [6, 7, 8], "modes": 1}}
+    assert cli.run(base_config(profile=profile, **task), tmp_path / "task") == 2
     assert capsys.readouterr().err == want
+    if parameter == "homogenize":
+        # the ensemble lifts the restriction, and allow_incompatible waives it
+        for waiver in ({"ensemble": True}, {"allow_incompatible": True}):
+            assert cli.run(base_config(profile=profile, **task, **waiver), tmp_path / "w") == 0
 
 
 def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path, monkeypatch):
@@ -100,6 +138,9 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
     sweep = {"parameter": "patches", "values": [6, 7, 8], "modes": 1}
     assert cli.run(base_config(task="sweep", sweep=sweep), tmp_path / "sweep") == 0
     assert calls["assemble_patch_1d"] == 6  # a test and a reference operator per point
+    calls.update(assemble_patch_1d=0)
+    assert cli.run(base_config(task="homogenize"), tmp_path / "homogenize") == 0
+    assert calls["assemble_patch_1d"] == 0
 
 
 def test_eigen_task_matches_the_library(tmp_path):

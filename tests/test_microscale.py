@@ -28,13 +28,11 @@ def test_profile_requires_positive_values():
 
 
 def test_profile_json_round_trip():
-    prof = pt.DiffusivityProfile1D((3.965, 2.531, 0.838))
-    again = pt.DiffusivityProfile1D.from_json(prof.to_json())
-    np.testing.assert_array_equal(again.values, prof.values)
-    bad = prof.to_json()
-    bad["period"] = 5
+    payload = {"period": 3, "values": [3.965, 2.531, 0.838]}
+    prof = pt.DiffusivityProfile1D.from_json(payload)
+    np.testing.assert_array_equal(prof.values, payload["values"])
     with pytest.raises(ValueError):
-        pt.DiffusivityProfile1D.from_json(bad)
+        pt.DiffusivityProfile1D.from_json(dict(payload, period=5))
 
 
 def test_full_operator_known_row():
@@ -97,11 +95,13 @@ KY = [
 
 
 def test_profile_2d_accessors_and_json():
-    prof = pt.DiffusivityProfile2D(KX, KY)
+    payload = {"periods": [5, 4], "kx": KX, "ky": KY}
+    prof = pt.DiffusivityProfile2D.from_json(payload)
     assert prof.periods == (5, 4)
-    again = pt.DiffusivityProfile2D.from_json(prof.to_json())
-    np.testing.assert_array_equal(again.kx, prof.kx)
-    np.testing.assert_array_equal(again.ky, prof.ky)
+    np.testing.assert_array_equal(prof.kx, KX)
+    np.testing.assert_array_equal(prof.ky, KY)
+    with pytest.raises(ValueError):
+        pt.DiffusivityProfile2D.from_json(dict(payload, periods=[4, 5]))
 
 
 def test_full_operator_2d_known_row():

@@ -166,8 +166,6 @@ def test_error_table_collapses_degenerate_pairs():
     np.testing.assert_array_equal(table.indices, [1, 2])
     np.testing.assert_allclose(table.reference_values, [-1.0, -2.0])
     np.testing.assert_allclose(table.relative_errors, [0.01, 0.05], rtol=1e-12)
-    rows = list(table.rows())
-    assert len(rows) == 2
     with pytest.raises(ValueError):
         pt.error_table(test, ref, 9)
     with pytest.raises(ValueError):

@@ -32,9 +32,6 @@ def test_exact_evolution_matches_scalar_decay():
     want = u0[None, :] * np.exp(np.outer(times, [-1.0, -2.0]))
     np.testing.assert_allclose(traj.states, want, rtol=1e-13)
     np.testing.assert_array_equal(traj.times, times)
-    final = traj.final()
-    assert final.time == 1.0
-    np.testing.assert_allclose(final.values, want[-1], rtol=1e-13)
 
 
 def test_trajectory_rejects_unordered_times():
