@@ -84,6 +84,44 @@ def _matrix_of(op) -> np.ndarray:
     return op.matrix if hasattr(op, "matrix") else np.asarray(op)
 
 
+def _patch_layout(op) -> Layout | None:
+    """The layout of a patch operator's whole state; None for raw arrays and full lattices.
+
+    A wave operator's state (u, v) is read as one array of shape
+    (2 * members, patches..., local...): u and v stack on the member axis.
+    """
+    layout = getattr(op, "layout", None)
+    if layout is None or not layout.patch_axes:
+        return None
+    if layout.half is not None:
+        return replace(layout, shape=(2 * layout.members, *layout.shape[1:]), half=None)
+    return layout
+
+
+def _bloch_blocks(matrix: np.ndarray, layout: Layout) -> np.ndarray:
+    """Bloch blocks H(j) of a block-circulant patch operator, shape (K, b, b).
+
+    Only the first block row A[0, m] (the rows of patch 0, read through a
+    view) enters: H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch
+    offsets m, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the FFT taken
+    over the patch axes.  j runs over the half spectrum of rfftn (the last
+    patch axis halved), in rfftn's output order; a block is indexed by
+    (member, local point) in C order.  The blocks are summed in extended
+    precision (np.longdouble, plain double where the platform has no wider
+    type).  For a wave operator, given the layout of _patch_layout, each block
+    is [[0, I], [A(j), eps B(j)]].
+    """
+    shape, k = layout.shape, layout.patch_axes
+    first_row = matrix.reshape(shape + shape)[(slice(None),) + (0,) * k].astype(np.longdouble)
+    # axes of first_row: member, local..., member, patches..., local...
+    start = len(shape) - k + 1
+    patch_axes = tuple(range(start, start + k))
+    blocks = np.conj(np.fft.rfftn(first_row, axes=patch_axes))
+    blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
+    b = math.prod(shape) // math.prod(shape[1 : 1 + k])
+    return blocks.reshape(-1, b, b)
+
+
 @dataclass
 class SymmetryReport:
     defect: float

@@ -13,9 +13,9 @@ scheme, and a task.  Tasks:
                 assembled full lattice when the grid has one (r = 1)
 
 Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
-non-finite numbers, inconsistent inline profiles), 2 numerical precondition
-failure (incompatible single-phase assembly, lost symmetry, branch
-separation, unstable step and the like).
+non-finite numbers or integers beyond the double range, inconsistent inline
+profiles), 2 numerical precondition failure (incompatible single-phase
+assembly, lost symmetry, branch separation, unstable step and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.
@@ -232,21 +232,23 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _nonfinite_paths(value, path=""):
-    """Paths of the NaN and infinite numbers in a parsed config, in document order."""
+def _unusable_numbers(value, path=""):
+    """(path, problem) of each number in a parsed config that no finite double holds."""
     if isinstance(value, float) and not math.isfinite(value):
-        yield path
+        yield path, "not a finite number"
+    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) > sys.float_info.max:
+        yield path, "too large for a double"
     elif isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, item in items:
-            yield from _nonfinite_paths(item, f"{path}[{key!r}]")
+            yield from _unusable_numbers(item, f"{path}[{key!r}]")
 
 
 def _validate_config(config: dict) -> None:
-    # JSON parsers accept NaN and Infinity, and NaN passes every schema bound.
-    path = next(_nonfinite_paths(config), None)
-    if path is not None:
-        raise ConfigError(f"at {path or '(top level)'}: not a finite number")
+    # JSON parsers accept NaN, Infinity and integers of any size, and NaN
+    # passes every schema bound.
+    for path, problem in _unusable_numbers(config):
+        raise ConfigError(f"at {path or '(top level)'}: {problem}")
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(config), key=lambda e: len(e.absolute_path))
     if errors:
@@ -428,7 +430,13 @@ def _initial_state(config: dict, op) -> StateVector:
     return StateVector(values=u, time=0.0)
 
 
-def _trajectory_rows(op, traj, stride: int):
+def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> None:
+    """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown.
+
+    The bytes are those csv.writer writes (no field needs quoting, \r\n line
+    ends).  Each unknown's label text is built once; a whole snapshot is then
+    one %-format of its time and %.17g values.
+    """
     layout = op.layout
     if isinstance(op.grid, geometry.PatchGrid2D):
         xs, ys = _positions(op.grid.x), _positions(op.grid.y)
@@ -444,19 +452,21 @@ def _trajectory_rows(op, traj, stride: int):
             return [I, i + 1, _fmt(pos[I, i])]
 
     wave = layout.half is not None
-    fields = ("u", "v") if wave else (None,)
-    yield (["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
-           + names + ["value"])
+    header = (["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
+              + names + ["value"])
     # one label per unknown, in state order
     labels = [
-        ([e] if layout.ensemble else []) + label(*idx) for e, *idx in np.ndindex(layout.shape)
+        ",".join(map(str, ([e] if layout.ensemble else []) + label(*idx)))
+        for e, *idx in np.ndindex(layout.shape)
     ]
-    for snap in range(0, traj.times.size, stride):
-        t = _fmt(traj.times[snap])
-        for name, vec in zip(fields, np.split(traj.states[snap], len(fields))):
-            head = [t] if name is None else [t, name]
-            for lab, value in zip(labels, vec.tolist()):
-                yield head + lab + [_fmt(value)]
+    fields = ("u,", "v,") if wave else ("",)
+    row = "".join(f"%s,{field}{lab}," + "%.17g\r\n" for field in fields for lab in labels)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, values in zip(times, states):
+            args = [_fmt(t)] * (2 * values.size)
+            args[1::2] = values.tolist()
+            fh.write(row % tuple(args))
 
 
 def _task_simulate(config: dict, grid, profile, out: Path) -> None:
@@ -464,29 +474,32 @@ def _task_simulate(config: dict, grid, profile, out: Path) -> None:
     sim = config.get("simulate", {})
     integrator = sim.get("integrator", "rk4" if config["model"] == "wave1d" else "exact")
     state = _initial_state(config, op)
+    stride = int(sim.get("stride", 1))
     if integrator == "exact":
         t_final = float(sim["t_final"])
         snapshots = int(sim.get("snapshots", 10))
         times = np.linspace(0.0, t_final, snapshots + 1)
         traj = evolve_exact(op, state, times)
+        final_time = traj.times[-1]
+        stored = slice(None, None, stride)
     else:
+        dt, steps = float(sim["dt"]), int(sim["steps"])
         traj = evolve_rk4(
-            op, state, float(sim["dt"]), int(sim["steps"]),
-            allow_unstable=bool(sim.get("allow_unstable", False)),
+            op, state, dt, steps,
+            allow_unstable=bool(sim.get("allow_unstable", False)), stride=stride,
         )
-    stride = int(sim.get("stride", 1))
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in _trajectory_rows(op, traj, stride):
-            writer.writerow(row)
+        final_time = state.time + dt * steps
+        stored = slice(None)
+    _write_trajectory(out / "trajectory.csv", op, traj.times[stored], traj.states[stored])
+    # one sum per step (rk4) or per snapshot (exact)
     sums, drift = conserved_mass(traj)
     _write_json(out / "summary.json", {
         "model": config["model"],
         "integrator": integrator,
-        "snapshots": int(traj.times.size),
+        "snapshots": int(sums.size),
         "initial_mass": float(sums[0]),
         "mass_drift": drift,
-        "final_time": float(traj.times[-1]),
+        "final_time": float(final_time),
     })
 
 

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 
 @dataclass
@@ -176,6 +175,8 @@ def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
         for parts in zip(*(np.broadcast_arrays(*piece) for piece in pieces))
     )
     size = math.prod(sizes)
+    import scipy.sparse  # only this builder needs scipy; keep it off the import path
+
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 

@@ -15,8 +15,8 @@ Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
-n_x * n_y in 2D), one per patch wavenumber j.  _bloch_blocks builds them
-from the first block row alone, so eigen_symmetric, the wave case of
+n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_blocks builds
+them from the first block row alone, so eigen_symmetric, the wave case of
 eigen_general and timestep.evolve_exact cost O(N b^3) instead of O(dim^3).
 Blocks j and -j are complex conjugates, so only the half spectrum of rfftn
 is solved and the mirrored blocks contribute the same (symmetric case) or
@@ -34,14 +34,18 @@ zero-sum complement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .assembly import Layout, SymmetryReport, _matrix_of, symmetry_defect
+from .assembly import (
+    Layout,
+    SymmetryReport,
+    _bloch_blocks,
+    _matrix_of,
+    _patch_layout,
+    symmetry_defect,
+)
 
 
 class SymmetryPreconditionError(ValueError):
@@ -63,35 +67,6 @@ def _require_symmetric(op, consequence: str) -> SymmetryReport:
             report,
         )
     return report
-
-
-def _patch_layout(op) -> Layout | None:
-    """The layout of a patch operator; None for raw arrays and full lattices."""
-    layout = getattr(op, "layout", None)
-    return layout if layout is not None and layout.patch_axes else None
-
-
-def _bloch_blocks(matrix: np.ndarray, layout: Layout) -> np.ndarray:
-    """Bloch blocks H(j) of a block-circulant patch operator, shape (K, b, b).
-
-    Only the first block row A[0, m] (the rows of patch 0, read through a
-    view) enters: H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch
-    offsets m, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the FFT taken
-    over the patch axes.  j runs over the half spectrum of rfftn (the last
-    patch axis halved), in rfftn's output order; a block is indexed by
-    (member, local point) in C order.  The blocks are summed in extended
-    precision (np.longdouble, plain double where the platform has no wider
-    type).
-    """
-    shape, k = layout.shape, layout.patch_axes
-    first_row = matrix.reshape(shape + shape)[(slice(None),) + (0,) * k].astype(np.longdouble)
-    # axes of first_row: member, local..., member, patches..., local...
-    start = len(shape) - k + 1
-    patch_axes = tuple(range(start, start + k))
-    blocks = np.conj(np.fft.rfftn(first_row, axes=patch_axes))
-    blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
-    b = math.prod(shape) // math.prod(shape[1 : 1 + k])
-    return blocks.reshape(-1, b, b)
 
 
 def _mirror_counts(layout: Layout) -> np.ndarray:
@@ -185,14 +160,15 @@ def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
 
 def _wave_eigenvalues(op) -> np.ndarray:
     """Spectrum of W = [[0, I], [A, eps B]] on S, plus the exact zero pair."""
-    layout, M = op.layout, op.layout.half
-    A = _bloch_blocks(op.matrix[M:, :M], layout).astype(complex)
-    eps_B = _bloch_blocks(op.matrix[M:, M:], layout).astype(complex)
-    b = A.shape[1]
-    W = np.block([[np.zeros_like(A), np.broadcast_to(np.eye(b), A.shape)], [A, eps_B]])
-    # Block j = 0 is real; S meets it in the zero-sum vectors of u and of v.
-    Q = scipy.linalg.null_space(np.ones((1, b)))
-    P = scipy.linalg.block_diag(Q, Q)
+    layout = _patch_layout(op)
+    W = _bloch_blocks(op.matrix, layout).astype(complex)
+    b = W.shape[1] // 2
+    # Block j = 0 is real; S meets it in the zero-sum vectors of u and of v,
+    # spanned by the right singular vectors of the ones row after the first.
+    Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
+    P = np.zeros((2 * b, 2 * (b - 1)))
+    P[:b, : b - 1] = Q
+    P[b:, b - 1 :] = Q
     zero = np.linalg.eigvals(P.T @ W[0].real @ P)
     rest = np.linalg.eigvals(W[1:])
     mirrored = np.conj(rest[_mirror_counts(layout)[1:] == 2])
@@ -223,6 +199,8 @@ def smallest_magnitude_eigenvalues(matrix, count: int):
     operator is never an eigenvalue, so the factorisation is always
     nonsingular (sigma = 0 would hit the constant kernel mode).
     """
+    import scipy.sparse.linalg  # only this solver needs scipy; keep it off the import path
+
     vals = scipy.sparse.linalg.eigsh(
         matrix, k=count, sigma=0.1, which="LM", return_eigenvectors=False
     )

@@ -1,6 +1,7 @@
 """End-to-end driver tests: validation, artefacts, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -68,12 +69,17 @@ GRID_2D = {
         ({"profile": {"kind": "inline", "values": [1.0, float("nan")]}},
          "['profile']['values'][1]"),
         ({"grid": {"L": float("inf"), "N": 6, "n": 4, "r": 0.3}}, "['grid']['L']"),
+        ({"grid": {"L": 2 * np.pi, "N": 10**400, "n": 4, "r": 0.3}}, "['grid']['N']"),
+        ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "grid": {"x": dict(GRID_2D["x"], N=10**400), "y": GRID_2D["y"]}},
+         "['grid']['x']['N']"),
     ],
-    ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L"],
+    ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
+         "huge-N", "huge-2d-N"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
-    """Inconsistent inline profiles and non-finite numbers are config faults,
-    not numerical precondition failures."""
+    """Inconsistent inline profiles, non-finite numbers and integers no double
+    holds are config faults, not numerical precondition failures."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -198,6 +204,81 @@ def test_simulate_rk4_stability_guard(tmp_path):
     assert cli.run(config, tmp_path) == 2
     config["simulate"]["allow_unstable"] = True
     assert cli.run(config, tmp_path) == 0
+
+
+def test_simulate_rk4_summary_counts_every_step(tmp_path):
+    """Only every stride-th state is written, but the summary still counts
+    steps + 1 snapshots, ends at steps * dt and measures the drift of every step."""
+    config = base_config(
+        task="simulate",
+        simulate={"integrator": "rk4", "dt": 1e-3, "steps": 20, "stride": 7,
+                  "initial": {"kind": "random", "seed": 4}},
+    )
+    assert cli.run(config, tmp_path) == 0
+    rows = read_csv(tmp_path / "trajectory.csv")
+    assert len(rows) == 1 + 3 * 6 * 4
+    assert sorted({float(row[0]) for row in rows[1:]}) == [0.0, 7e-3, 14e-3]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["snapshots"] == 21
+    assert summary["final_time"] == 20 * 1e-3
+    assert summary["mass_drift"] <= 1e-12 * abs(summary["initial_mass"]) + 1e-13
+
+
+def reference_trajectory_csv(op, times, states):
+    """The trajectory.csv rows of a csv.writer, one row built per snapshot and unknown."""
+    layout = op.layout
+    if isinstance(op.grid, pt.PatchGrid2D):
+        xs, ys = cli._positions(op.grid.x), cli._positions(op.grid.y)
+        names = ["I", "J", "i", "j", "x", "y"]
+
+        def label(J, I, j, i):
+            return [I, J, i + 1, j + 1, cli._fmt(xs[I, i]), cli._fmt(ys[J, j])]
+    else:
+        pos = cli._positions(op.grid)
+        names = ["patch", "interior", "position"]
+
+        def label(I, i):
+            return [I, i + 1, cli._fmt(pos[I, i])]
+
+    wave = layout.half is not None
+    fields = ("u", "v") if wave else (None,)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
+                    + names + ["value"])
+    labels = [([e] if layout.ensemble else []) + label(*idx) for e, *idx in np.ndindex(layout.shape)]
+    for t, state in zip(times, states):
+        for name, vec in zip(fields, np.split(state, len(fields))):
+            head = [cli._fmt(t)] if name is None else [cli._fmt(t), name]
+            for lab, value in zip(labels, vec.tolist()):
+                writer.writerow(head + lab + [cli._fmt(value)])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"ensemble": True, "profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}},
+        {"model": "diffusion2d", "grid": GRID_2D,
+         "profile": {"kind": "inline", "kx": [[1.3, 0.8], [0.9, 1.2]], "ky": [[0.7, 1.4], [1.1, 0.9]]}},
+        {"model": "diffusion2d", "grid": GRID_2D, "ensemble": True,
+         "profile": {"kind": "inline", "kx": [[1.3, 0.8, 2.0]], "ky": [[0.7, 1.4, 0.5]]}},
+        {"model": "wave1d"},
+    ],
+    ids=["1d", "1d-ensemble", "2d", "2d-ensemble", "wave"],
+)
+def test_trajectory_bytes_match_the_csv_writer(tmp_path, overrides):
+    config = base_config(task="simulate", **overrides)
+    grid, profile = cli._build_grid(config), cli._build_profile(config)
+    op = cli._assemble(config, grid, profile)
+    rng = np.random.default_rng(5)
+    # values of every magnitude and sign, an exact zero and the non-finite ones
+    states = rng.standard_normal((3, op.dimension)) * 10.0 ** rng.integers(-300, 300, (3, op.dimension))
+    states[1, :4] = [0.0, np.nan, np.inf, -np.inf]
+    times = np.array([0.0, 1 / 3, 2e-7])
+    cli._write_trajectory(tmp_path / "trajectory.csv", op, times, states)
+    assert (tmp_path / "trajectory.csv").read_bytes() == reference_trajectory_csv(op, times, states)
 
 
 def test_simulate_2d_layout(tmp_path):
@@ -376,3 +457,15 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "eigenvalues.csv").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy serves only the sparse full lattice and the shift-invert solver,
+    which import it when called."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, patchtooth.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

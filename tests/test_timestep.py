@@ -11,6 +11,19 @@ import patchtooth as pt
 L = 2 * np.pi
 
 
+def dense_rk4(matrix, u0, dt, steps):
+    """Every state of the plain RK4 loop, four matrix-vector products per step (oracle)."""
+    states = [u0]
+    for _ in range(steps):
+        u = states[-1]
+        k1 = matrix @ u
+        k2 = matrix @ (u + 0.5 * dt * k1)
+        k3 = matrix @ (u + 0.5 * dt * k2)
+        k4 = matrix @ (u + dt * k3)
+        states.append(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(states)
+
+
 def dense_evolution(op, u0, times):
     """The dense eigh propagator patch operators used before the Bloch engine (oracle)."""
     w, Q = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
@@ -65,9 +78,15 @@ def test_constant_state_is_stationary():
 
 
 def test_stability_limit_tracks_the_extreme_eigenvalue():
+    """Exact over the Bloch blocks of a patch operator (a diffusion operator
+    and its wave system), a power iteration estimate on a raw array."""
     op = make_operator()
     lam = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.T))
-    assert pt.stability_limit(op) == pytest.approx(2.5 / abs(lam[0]), rel=2e-2)
+    assert pt.stability_limit(op) == pytest.approx(2.5 / abs(lam[0]), rel=1e-10)
+    assert pt.stability_limit(op.matrix) == pytest.approx(2.5 / abs(lam[0]), rel=2e-2)
+    wave = pt.assemble_wave(op, epsilon=0.3)
+    rho = np.max(np.abs(np.linalg.eigvals(wave.matrix)))
+    assert pt.stability_limit(wave) == pytest.approx(2.5 / rho, rel=1e-10)
 
 
 def test_rk4_matches_the_exact_propagator():
@@ -143,3 +162,49 @@ def test_bloch_evolution_matches_the_dense_propagator(op, seed):
     got = pt.evolve_exact(op, u0, times).states
     want = dense_evolution(op, u0, times)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def wave_operators():
+    return st.builds(
+        pt.assemble_wave, patch_operators_1d(), st.sampled_from([0.0, 0.02, 0.3])
+    )
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(patch_operators_1d(), patch_operators_2d(), wave_operators()),
+    st.integers(1, 12),
+    st.sampled_from(["one", "three", "all"]),
+    st.floats(0.05, 1.0),
+    st.integers(0, 999),
+)
+def test_bloch_rk4_matches_the_dense_loop(op, steps, stride_kind, fraction, seed):
+    """Stored states and times of every stride-th step, and the mass after every step."""
+    stride = {"one": 1, "three": 3, "all": steps}[stride_kind]
+    u0 = 1.0 + np.random.default_rng(seed).standard_normal(op.dimension)
+    dt = fraction * min(pt.stability_limit(op), 1.0)  # the zero operator has no limit
+    traj = pt.evolve_rk4(op, pt.StateVector(u0, time=0.5), dt, steps, stride=stride)
+    want = dense_rk4(op.matrix, u0, dt, steps)
+    np.testing.assert_array_equal(traj.times, 0.5 + dt * np.arange(steps + 1)[::stride])
+    scale = np.max(np.abs(want))
+    assert traj.states.shape == want[::stride].shape
+    assert np.max(np.abs(traj.states - want[::stride])) <= 1e-12 * scale
+    assert traj.mass.shape == (steps + 1,)
+    assert traj.mass[0] == u0.sum()
+    assert np.max(np.abs(traj.mass - want.sum(axis=1))) <= 1e-12 * op.dimension * scale
+
+
+def test_rk4_on_a_raw_array_stores_every_stride_th_step_of_the_loop():
+    op = make_operator()
+    u0 = 1.0 + 0.3 * np.sin(np.arange(op.dimension))
+    dt = pt.stability_limit(op) / 4.0
+    want = dense_rk4(op.matrix, u0, dt, 10)
+    traj = pt.evolve_rk4(op.matrix, u0, dt, 10, stride=4)
+    np.testing.assert_array_equal(traj.states, want[::4])
+    np.testing.assert_array_equal(traj.times, dt * np.arange(11)[::4])
+    np.testing.assert_array_equal(traj.mass, want.sum(axis=1))
+    sums, drift = pt.conserved_mass(traj)
+    assert sums is traj.mass
+    assert drift == np.max(np.abs(want.sum(axis=1) - want[0].sum()))
+    with pytest.raises(ValueError):
+        pt.evolve_rk4(op, u0, dt, 10, stride=0)
