@@ -160,24 +160,10 @@ def _raise_on_errors(diagnostics, allow_incompatible):
         raise ValueError("; ".join(errors))
 
 
-def _axes(grid) -> list[geometry.PatchGrid1D]:
-    return [grid.x, grid.y] if isinstance(grid, geometry.PatchGrid2D) else [grid]
-
-
-def _bonds(profile) -> list[np.ndarray]:
-    """Bond field of each axis over the period grid, x first."""
-    if isinstance(profile, DiffusivityProfile2D):
-        return [profile.kx, profile.ky]
-    return [profile.values]
-
-
 def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
     """Per-axis stencil inputs (N, n, d, w_right, w_left) of a patch grid, x first."""
-    inputs = []
-    for g in _axes(grid):
-        w = weights_for(coupling, g.N, g.r)
-        inputs.append((g.N, g.n, g.d, w.w_right, w.w_left))
-    return inputs
+    weights = [weights_for(coupling, g.N, g.r) for g in grid.axes]
+    return [(g.N, g.n, g.d, w.w_right, w.w_left) for g, w in zip(grid.axes, weights)]
 
 
 def _stencil(axes, bonds, ensemble: bool):
@@ -260,62 +246,48 @@ def _dense(shape, pieces) -> np.ndarray:
     return matrix
 
 
-def _patch_operator(grid, profile, coupling, ensemble, diagnostics) -> AssembledOperator:
-    shape, pieces = _stencil(_axis_inputs(grid, coupling), _bonds(profile), ensemble)
+def assemble_patch_1d(
+    grid: geometry.PatchGrid1D | geometry.PatchGrid2D,
+    profile: DiffusivityProfile1D | DiffusivityProfile2D,
+    coupling: CouplingSpec,
+    ensemble: bool = False,
+    allow_incompatible: bool = False,
+) -> AssembledOperator:
+    """Assemble the 1D or 2D patch operator, single-phase or phase-shift ensemble.
+
+    assemble_patch_2d is the same function.  On a 2D tensor-product grid the
+    edge eliminations act axis by axis (x edges interpolate over patch column
+    I at fixed J and vice versa), and in ensemble mode each crossing shifts
+    one phase of the member pair (phi, psi) by the patch size of that axis.
+    Corner values are never referenced by the five-point stencil.
+
+    Args:
+        grid: patch geometry (N patches of n points, spacing d, per axis).
+        profile: periodic bond diffusivities of the grid's dimension.
+        coupling: inter-patch interpolation scheme.
+        ensemble: simulate every phase shift, coupling members across gaps.
+        allow_incompatible: assemble even when the compatibility check fails
+            (the result is then deliberately asymmetric; used for diagnostics).
+
+    Returns:
+        AssembledOperator of dimension (prod(periods) if ensemble else 1) * prod(N * n).
+    """
+    diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
+    _raise_on_errors(diagnostics, allow_incompatible)
+    shape, pieces = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
     layout = Layout(
         shape=shape,
         ensemble=bool(ensemble),
-        n_macro=math.prod(g.N for g in _axes(grid)),
+        n_macro=math.prod(g.N for g in grid.axes),
         diagnostics=tuple(tuple(item) for item in diagnostics),
-        patch_axes=len(_axes(grid)),
+        patch_axes=len(grid.axes),
     )
     return AssembledOperator(
         matrix=_dense(shape, pieces), layout=layout, grid=grid, profile=profile, coupling=coupling
     )
 
 
-def assemble_patch_1d(
-    grid: geometry.PatchGrid1D,
-    profile: DiffusivityProfile1D,
-    coupling: CouplingSpec,
-    ensemble: bool = False,
-    allow_incompatible: bool = False,
-) -> AssembledOperator:
-    """Assemble the 1D patch operator, single-phase or phase-shift ensemble.
-
-    Args:
-        grid: patch geometry (N patches of n points, spacing d).
-        profile: p-periodic bond diffusivities.
-        coupling: inter-patch interpolation scheme.
-        ensemble: simulate all p phase shifts, coupling members across gaps.
-        allow_incompatible: assemble even when the compatibility check fails
-            (the result is then deliberately asymmetric; used for diagnostics).
-
-    Returns:
-        AssembledOperator of dimension (p if ensemble else 1) * N * n.
-    """
-    diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
-    _raise_on_errors(diagnostics, allow_incompatible)
-    return _patch_operator(grid, profile, coupling, ensemble, diagnostics)
-
-
-def assemble_patch_2d(
-    grid: geometry.PatchGrid2D,
-    profile: DiffusivityProfile2D,
-    coupling: CouplingSpec,
-    ensemble: bool = False,
-    allow_incompatible: bool = False,
-) -> AssembledOperator:
-    """Assemble the 2D patch operator on a tensor-product grid.
-
-    The edge eliminations act axis by axis (x edges interpolate over patch
-    column I at fixed J and vice versa), and in ensemble mode each crossing
-    shifts one phase of the member pair (phi, psi) by the patch size of that
-    axis.  Corner values are never referenced by the five-point stencil.
-    """
-    diagnostics = geometry.validate_compatibility_2d(grid, profile, ensemble=ensemble)
-    _raise_on_errors(diagnostics, allow_incompatible)
-    return _patch_operator(grid, profile, coupling, ensemble, diagnostics)
+assemble_patch_2d = assemble_patch_1d
 
 
 def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOperator:
@@ -330,7 +302,7 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
         raise ValueError("wave assembly needs a diffusion patch operator")
     if epsilon < 0:
         raise ValueError("damping must be nonnegative")
-    ones = [np.ones_like(field) for field in _bonds(op.profile)]
+    ones = [np.ones_like(field) for field in op.profile.bonds]
     B = _dense(*_stencil(_axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble))
     M = op.dimension
     W = np.block(

@@ -14,8 +14,10 @@ scheme, and a task.  Tasks:
 
 Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
 non-finite numbers or integers beyond the double range, inconsistent inline
-profiles), 2 numerical precondition failure (incompatible single-phase
-assembly, lost symmetry, branch separation, unstable step and the like).
+profiles, grids with more unknowns than an array can index, diffusivities that
+are not finite or whose stencil entries overflow), 2 numerical precondition
+failure (incompatible single-phase assembly, lost symmetry, branch separation,
+unstable step and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -306,17 +309,17 @@ def _validate_config(config: dict) -> None:
 
 def _build_profile(config: dict):
     spec = config["profile"]
-    if spec["kind"] == "inline":
-        try:
+    try:
+        if spec["kind"] == "inline":
             if "kx" in spec:
                 return DiffusivityProfile2D.from_json(spec)
             return DiffusivityProfile1D.from_json(spec)
-        except ValueError as exc:
-            raise ConfigError(f"at ['profile']: {exc}") from exc
-    if "periods" in spec:
-        px, py = spec["periods"]
-        return random_lognormal_profile_2d(px, py, spec["sigma"], spec["seed"])
-    return random_lognormal_profile(spec["period"], spec["sigma"], spec["seed"])
+        if "periods" in spec:
+            px, py = spec["periods"]
+            return random_lognormal_profile_2d(px, py, spec["sigma"], spec["seed"])
+        return random_lognormal_profile(spec["period"], spec["sigma"], spec["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"at ['profile']: {exc}") from exc
 
 
 def _build_grid(config: dict):
@@ -327,6 +330,29 @@ def _build_grid(config: dict):
             g["y"]["L"], g["y"]["N"], g["y"]["n"], g["y"]["r"],
         )
     return geometry.build_grid_1d(g["L"], g["N"], g["n"], g["r"])
+
+
+def _check_representable(config: dict, grid, profile) -> None:
+    """Reject a grid whose unknowns (members x N * n per axis) no array can index,
+    and a profile whose largest stencil entry, 2 max(bonds) / d^2 summed over
+    the axes, overflows."""
+    count = math.prod(profile.periods) if config.get("ensemble", False) else 1
+    limit = np.iinfo(np.intp).max
+    sections = ["['grid']['x']", "['grid']['y']"] if len(grid.axes) > 1 else ["['grid']"]
+    for section, g in zip(sections, grid.axes):
+        count *= g.N * g.n
+        if count > limit:
+            raise ConfigError(f"at {section}: more unknowns than an array can index ({limit})")
+    with np.errstate(over="ignore", divide="ignore"):
+        largest = sum(
+            2.0 * np.max(bonds) * (1.0 / np.square(g.d))
+            for g, bonds in zip(grid.axes, profile.bonds)
+        )
+    if not np.isfinite(largest):
+        raise ConfigError(
+            "at ['profile']: the largest stencil entry, 2 max(diffusivity) / d^2 "
+            "summed over the axes, is not a finite double"
+        )
 
 
 def _build_coupling(config: dict) -> CouplingSpec:
@@ -388,42 +414,33 @@ def _task_eigen(config: dict, grid, profile, out: Path) -> None:
     })
 
 
-def _initial_values(init: dict, positions: np.ndarray, L: float) -> np.ndarray:
-    kind = init.get("kind", "sine")
-    if kind == "constant":
-        return np.full(positions.size, float(init.get("value", 1.0)))
-    if kind == "random":
-        rng = np.random.default_rng(int(init.get("seed", 0)))
-        return rng.standard_normal(positions.size)
-    amplitude = float(init.get("amplitude", 1.0))
-    offset = float(init.get("offset", 0.0))
-    mode = int(init.get("mode", 1))
-    return offset + amplitude * np.sin(2.0 * np.pi * mode * positions / L)
-
-
 def _positions(grid: geometry.PatchGrid1D) -> np.ndarray:
     """Interior lattice positions of every patch, shape (N, n)."""
     return np.array([grid.positions(I) for I in range(grid.N)])
 
 
 def _initial_state(config: dict, op) -> StateVector:
+    """One member's start values, repeated for every member; v = 0 for a wave.
+
+    A sine start is offset + amplitude * the product over the axes of sin(2 pi m x / L).
+    """
     init = config.get("simulate", {}).get("initial", {"kind": "sine"})
     layout = op.layout
-    if isinstance(op.grid, geometry.PatchGrid2D):
-        gx, gy = op.grid.x, op.grid.y
-        if init.get("kind", "sine") == "sine":
-            mx, my = init.get("modes", (1, 1))
-            amplitude = float(init.get("amplitude", 1.0))
-            offset = float(init.get("offset", 0.0))
-            sy = np.sin(2 * np.pi * my * _positions(gy) / gy.L)
-            sx = np.sin(2 * np.pi * mx * _positions(gx) / gx.L)
-            # (J, I, j, i) order of one member's unknowns
-            per_member = offset + amplitude * (sy[:, None, :, None] * sx[None, :, None, :])
-        else:
-            flat = np.arange(math.prod(layout.shape[1:]), dtype=float)
-            per_member = _initial_values(init, flat, max(flat.size, 1))
+    kind = init.get("kind", "sine")
+    size = math.prod(layout.shape[1:])
+    if kind == "constant":
+        per_member = np.full(size, float(init.get("value", 1.0)))
+    elif kind == "random":
+        per_member = np.random.default_rng(int(init.get("seed", 0))).standard_normal(size)
     else:
-        per_member = _initial_values(init, _positions(op.grid).ravel(), op.grid.L)
+        axes = op.grid.axes
+        modes = init.get("modes", (1, 1)) if len(axes) > 1 else [int(init.get("mode", 1))]
+        sines = [np.sin(2.0 * np.pi * m * _positions(g) / g.L) for g, m in zip(axes, modes)]
+        # (N_y, n_y, N_x, n_x) from the outer product, then (patches..., points...) order
+        product = functools.reduce(np.multiply.outer, sines[::-1])
+        k = product.ndim
+        product = product.transpose([*range(0, k, 2), *range(1, k, 2)])
+        per_member = float(init.get("offset", 0.0)) + float(init.get("amplitude", 1.0)) * product
     u = np.tile(per_member.ravel(), layout.members)
     if layout.half is not None:
         u = np.concatenate([u, np.zeros_like(u)])
@@ -527,10 +544,8 @@ def _task_homogenize(config: dict, grid, profile, out: Path) -> None:
 
 def _require_compatible(config: dict, grid, profile, allow_incompatible: bool) -> None:
     """Reject an incompatible grid and profile as the assembler would, without assembling."""
-    validate = (geometry.validate_compatibility_2d if config["model"] == "diffusion2d"
-                else geometry.validate_compatibility)
-    diagnostics = validate(grid, profile, ensemble=bool(config.get("ensemble", False)))
-    _raise_on_errors(diagnostics, allow_incompatible)
+    ensemble = bool(config.get("ensemble", False))
+    _raise_on_errors(geometry.validate_compatibility(grid, profile, ensemble), allow_incompatible)
 
 
 def _sweep_point(config: dict, base_grid, profile, parameter: str, value: int, modes: int):
@@ -582,28 +597,18 @@ def _full_lattice_reference(config: dict, op):
         return None, "full-lattice comparison is defined for diffusion models"
     if op.layout.ensemble:
         return None, "ensemble runs have no single full-lattice counterpart"
-    if isinstance(op.grid, geometry.PatchGrid2D):
-        gx, gy = op.grid.x, op.grid.y
-        if not (gx.r == 1.0 and gy.r == 1.0):
-            return None, "patches only tile the lattice at r = 1"
-        shape = (gx.N * gx.n, gy.N * gy.n)
-        if min(shape) < 3:
-            return None, f"full lattice {shape} has an axis below the 3-point minimum"
-        if shape[0] * shape[1] > 4096:
-            return None, f"full lattice {shape} too large for a dense comparison"
-        return (
-            full_lattice_operator_2d(op.profile, shape, (gx.d, gy.d)),
-            None,
-        )
-    grid = op.grid
-    if grid.r != 1.0:
+    axes = op.grid.axes
+    if any(g.r != 1.0 for g in axes):
         return None, "patches only tile the lattice at r = 1"
-    M = grid.N * grid.n
-    if M < 3:
-        return None, f"full lattice of {M} points is below the 3-point minimum"
-    if M > 4096:
-        return None, f"full lattice of {M} points too large for a dense comparison"
-    return full_lattice_operator_1d(op.profile, M, grid.d), None
+    sizes = [g.N * g.n for g in axes]
+    lattice = f"full lattice of {' x '.join(map(str, sizes))} points"
+    if min(sizes) < 3:
+        return None, f"{lattice} is below the 3-point minimum"
+    if math.prod(sizes) > 4096:
+        return None, f"{lattice} too large for a dense comparison"
+    if config["model"] == "diffusion2d":
+        return full_lattice_operator_2d(op.profile, sizes, [g.d for g in axes]), None
+    return full_lattice_operator_1d(op.profile, sizes[0], axes[0].d), None
 
 
 def _task_check(config: dict, grid, profile, out: Path) -> None:
@@ -673,6 +678,7 @@ def run(config: dict, outdir=None) -> int:
     try:
         _validate_config(config)
         profile, grid = _build_profile(config), _build_grid(config)
+        _check_representable(config, grid, profile)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ the interior unknowns and i = 0 and i = n+1 are the edge values eliminated by
 inter-patch interpolation.  At r = 1 the patches tile the domain without gaps:
 x^{I+1}_1 - x^I_n = H - (n-1) d = d.
 
-A 2D grid is the tensor product of two independent 1D grids.
+A 2D grid is the tensor product of two independent 1D grids.  Both grids
+list their 1D axes, x first, as `axes`; a 1D grid is its own single axis.
 """
 
 from __future__ import annotations
@@ -55,11 +56,19 @@ class PatchGrid1D:
         i = np.arange(1, self.n + 1)
         return self.center(I) + (i - 0.5 * (self.n + 1)) * self.d
 
+    @property
+    def axes(self) -> tuple[PatchGrid1D, ...]:
+        return (self,)
+
 
 @dataclass
 class PatchGrid2D:
     x: PatchGrid1D
     y: PatchGrid1D
+
+    @property
+    def axes(self) -> tuple[PatchGrid1D, ...]:
+        return (self.x, self.y)
 
 
 def build_grid_1d(L: float, N: int, n: int, r: float) -> PatchGrid1D:
@@ -91,48 +100,33 @@ def _is_integer_multiple(ratio: float, p: int) -> bool:
     return nearest % p == 0
 
 
-def validate_compatibility(grid: PatchGrid1D, profile, ensemble: bool = False):
-    """Check that a profile can be assembled self-adjointly on a grid.
+def validate_compatibility(grid, profile, ensemble: bool = False):
+    """Check that a profile can be assembled self-adjointly on a 1D or 2D grid.
 
-    Returns a list of (severity, message) pairs.  Severity "error" marks
-    combinations the assembler must reject, "warning" marks configurations
-    that work but lose the full-lattice consistency reference.
+    Returns a list of (severity, message) pairs, x axis first; on a 2D grid
+    each message starts with its axis.  Severity "error" marks combinations
+    the assembler must reject, "warning" marks configurations that work but
+    lose the full-lattice consistency reference.
     """
     diagnostics = []
-    p = profile.period
-    if not ensemble and grid.n % p != 0:
-        diagnostics.append((
-            "error",
-            f"patch size n = {grid.n} is not a multiple of the diffusivity "
-            f"period p = {p}; single-phase assembly would break self-adjointness "
-            "(use the phase-shift ensemble instead)",
-        ))
-    if not _is_integer_multiple(grid.H / grid.d, p):
-        diagnostics.append((
-            "warning",
-            f"patch separation over spacing H/d = {grid.H / grid.d:.6g} is not "
-            f"an integer multiple of the period p = {p}; the scheme still runs "
-            "but has no exact full-lattice counterpart to compare against",
-        ))
-    return diagnostics
-
-
-def validate_compatibility_2d(grid: PatchGrid2D, profile, ensemble: bool = False):
-    """Per-axis version of validate_compatibility for 2D grids."""
-    diagnostics = []
-    px, py = profile.periods
-    for axis, g, p in (("x", grid.x, px), ("y", grid.y, py)):
+    axes = grid.axes
+    for a, (g, p) in enumerate(zip(axes, profile.periods, strict=True)):
+        where = f"{'xy'[a]}-axis " if len(axes) > 1 else ""
         if not ensemble and g.n % p != 0:
             diagnostics.append((
                 "error",
-                f"{axis}-axis patch size n = {g.n} is not a multiple of the "
-                f"period p = {p}; single-phase assembly would break "
-                "self-adjointness (use the phase-shift ensemble instead)",
+                f"{where}patch size n = {g.n} is not a multiple of the diffusivity "
+                f"period p = {p}; single-phase assembly would break self-adjointness "
+                "(use the phase-shift ensemble instead)",
             ))
         if not _is_integer_multiple(g.H / g.d, p):
             diagnostics.append((
                 "warning",
-                f"{axis}-axis H/d = {g.H / g.d:.6g} is not an integer multiple "
-                f"of the period p = {p}; no exact full-lattice counterpart",
+                f"{where}patch separation over spacing H/d = {g.H / g.d:.6g} is not "
+                f"an integer multiple of the period p = {p}; the scheme still runs "
+                "but has no exact full-lattice counterpart to compare against",
             ))
     return diagnostics
+
+
+validate_compatibility_2d = validate_compatibility

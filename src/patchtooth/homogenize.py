@@ -116,6 +116,9 @@ def extract_coefficients(
     problem.  Two guards apply: the fitted K2 must match the harmonic mean to
     1e-9 relative, and the fit residual must stay below 1e-10 of the leading
     k^2 term.  Either failure signals fast-branch contamination and raises.
+    Samples or a beta that are not finite raise as well, and so does a fit
+    that is not: NaN would pass a guard written as err > tol, so the guards
+    read not err <= tol.
     """
     if d <= 0:
         raise ValueError("lattice spacing must be positive")
@@ -127,19 +130,21 @@ def extract_coefficients(
     K2 = harmonic_mean_diffusivity(profile)
     ks = node_spacing * np.arange(1, node_count + 1)
     lam = np.array([slow_branch(profile, k) for k in ks])
+    if not np.all(np.isfinite(lam)):
+        raise FitResidualError("the slow-branch samples are not all finite")
     V = ks[:, None] ** powers[None, :]
     col_scale = np.linalg.norm(V, axis=0)
     coef_scaled, *_ = np.linalg.lstsq(V / col_scale, lam, rcond=None)
     coef = coef_scaled / col_scale
     K2_fit = -coef[0]
-    if abs(K2_fit - K2) > 1e-9 * abs(K2):
+    if not abs(K2_fit - K2) <= 1e-9 * abs(K2):
         raise FitResidualError(
             f"fitted k^2 coefficient {K2_fit:.12g} disagrees with the harmonic "
             f"mean {K2:.12g} beyond 1e-9 relative"
         )
     residual = float(np.linalg.norm(V @ coef - lam))
     leading = float(np.abs(coef[0]) * np.linalg.norm(ks**2))
-    if residual > 1e-10 * leading:
+    if not residual <= 1e-10 * leading:
         raise FitResidualError(
             f"fit residual {residual:.3e} exceeds 1e-10 of the leading term "
             f"{leading:.3e}; the slow branch looks contaminated"
@@ -147,6 +152,8 @@ def extract_coefficients(
     beta = 2.0 * np.pi**2 * float(np.min(profile.values)) / (
         profile.period**2 * d * d
     )
+    if not np.isfinite(beta):
+        raise FitResidualError(f"the decay scale beta = {beta} is not finite")
     return HomogenisedCoefficients(
         K2=float(K2), K4=float(coef[1]), beta=float(beta), d=float(d),
         fit_residual=residual,

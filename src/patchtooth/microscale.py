@@ -9,12 +9,17 @@ points, kappa_{m+1/2} = values[m mod p].  The 2D analogue is the five-point
 stencil with two bond fields, kx[i][j] = kappa_{i+1/2, j} for horizontal bonds
 and ky[i][j] = kappa_{i, j+1/2} for vertical bonds, both (p_x, p_y) periodic.
 
+Both profile classes give one period and one bond field per axis, x first:
+`periods` and `bonds` are ((p,), (values,)) in 1D and ((p_x, p_y), (kx, ky))
+in 2D.  Every diffusivity must be finite and strictly positive.
+
 The full-lattice operators built here serve as the consistency references for
 the patch scheme.  They are symmetric by construction, annihilate constants,
 and have nonpositive spectra.  A full lattice is the patch stencil of
 assembly._stencil with one patch spanning each axis: M points at spacing d
 along an axis are the patch (N, n, d) = (1, M, d), whose edge rows couple
-back to the same patch with weight 1.
+back to the same patch with weight 1.  One builder serves both dimensions and
+checks every axis the same way.
 
 Index convention: physical lattice nodes are labelled from 1, so matrix row g
 describes node g+1 and
@@ -39,6 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_bonds(bonds) -> None:
+    if not all(np.all((field > 0.0) & (field < np.inf)) for field in bonds):
+        raise ValueError("all diffusivities must be finite and strictly positive")
+
+
 @dataclass
 class DiffusivityProfile1D:
     """Positive p-periodic bond diffusivities, values[m] = kappa_{m+1/2}."""
@@ -49,12 +59,19 @@ class DiffusivityProfile1D:
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("diffusivity profile must be a nonempty 1D sequence")
-        if not np.all(self.values > 0.0):
-            raise ValueError("all diffusivities must be strictly positive")
+        _check_bonds(self.bonds)
 
     @property
     def period(self) -> int:
         return int(self.values.size)
+
+    @property
+    def periods(self) -> tuple[int]:
+        return (self.period,)
+
+    @property
+    def bonds(self) -> tuple[np.ndarray]:
+        return (self.values,)
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiffusivityProfile1D":
@@ -80,12 +97,15 @@ class DiffusivityProfile2D:
         self.ky = np.asarray(self.ky, dtype=float)
         if self.kx.ndim != 2 or self.kx.shape != self.ky.shape:
             raise ValueError("kx and ky must be 2D arrays of identical shape")
-        if not (np.all(self.kx > 0.0) and np.all(self.ky > 0.0)):
-            raise ValueError("all diffusivities must be strictly positive")
+        _check_bonds(self.bonds)
 
     @property
     def periods(self) -> tuple[int, int]:
         return (int(self.kx.shape[0]), int(self.kx.shape[1]))
+
+    @property
+    def bonds(self) -> tuple[np.ndarray, np.ndarray]:
+        return (self.kx, self.ky)
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiffusivityProfile2D":
@@ -95,12 +115,37 @@ class DiffusivityProfile2D:
         return profile
 
 
-def _lattice_stencil(bonds, sizes, spacings):
-    """Shape and pieces of the full lattice: one patch spanning each axis, x first."""
+def _lattice_stencil(profile, sizes, spacings):
+    """Shape and pieces of the full lattice: one patch spanning each axis, x first.
+
+    A scalar spacing serves every axis.
+    """
+    sizes = [int(M) for M in sizes]
+    spacings = [float(d) for d in np.broadcast_to(spacings, len(sizes))]
+    if len(sizes) != len(profile.periods):
+        raise ValueError(f"a {len(profile.periods)}D profile on a {len(sizes)}D lattice")
+    for M, d, p in zip(sizes, spacings, profile.periods):
+        if M < 3 or not d > 0:
+            raise ValueError(f"a full lattice axis needs 3 or more points at a positive spacing, "
+                             f"not {M} at d = {d}")
+        if M % p != 0:
+            raise ValueError(
+                f"point count {M} not divisible by diffusivity period {p}; the "
+                "heterogeneity would be discontinuous at the periodic wrap"
+            )
     from .assembly import _stencil
 
     one = np.ones(1)
-    return _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)], bonds, False)
+    return _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)], profile.bonds, False)
+
+
+def _full_lattice(profile, sizes, spacings):
+    """Dense full lattice with M_a points at spacing d_a along axis a, x first."""
+    from .assembly import AssembledOperator, Layout, _dense
+
+    shape, pieces = _lattice_stencil(profile, sizes, spacings)
+    layout = Layout(shape=(1, *shape[1 + len(sizes) :]))  # without the one-patch axes
+    return AssembledOperator(matrix=_dense(shape, pieces), layout=layout, profile=profile)
 
 
 def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1.0):
@@ -115,37 +160,7 @@ def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1
     Returns:
         AssembledOperator holding the dense symmetric M x M matrix.
     """
-    if M < 3:
-        raise ValueError("full lattice needs at least 3 points")
-    if M % profile.period != 0:
-        raise ValueError(
-            f"point count {M} not divisible by diffusivity period "
-            f"{profile.period}; the heterogeneity would be discontinuous "
-            "at the periodic wrap"
-        )
-    if d <= 0:
-        raise ValueError("lattice spacing must be positive")
-    from .assembly import AssembledOperator, Layout, _dense
-
-    A = _dense(*_lattice_stencil([profile.values], [M], [d]))
-    return AssembledOperator(matrix=A, layout=Layout(shape=(1, M)), profile=profile)
-
-
-def _check_2d_args(profile, shape, spacing):
-    Mx, My = int(shape[0]), int(shape[1])
-    if np.isscalar(spacing):
-        spacing = (float(spacing), float(spacing))
-    dx, dy = float(spacing[0]), float(spacing[1])
-    px, py = profile.periods
-    if Mx % px != 0 or My % py != 0:
-        raise ValueError(
-            f"lattice shape ({Mx}, {My}) not divisible by periods ({px}, {py})"
-        )
-    if Mx < 3 or My < 3:
-        raise ValueError("full 2D lattice needs at least 3 points per axis")
-    if dx <= 0 or dy <= 0:
-        raise ValueError("lattice spacings must be positive")
-    return (Mx, My), (dx, dy)
+    return _full_lattice(profile, [M], [d])
 
 
 def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0, 1.0)):
@@ -153,13 +168,9 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
 
     Unknowns are ordered row-major over (i, j) with i fastest, storage index
     j*M_x + i.  Entry scalings are 1/d_x^2 for horizontal and 1/d_y^2 for
-    vertical bonds.
+    vertical bonds; a scalar spacing serves both axes.
     """
-    (Mx, My), spacing = _check_2d_args(profile, shape, spacing)
-    from .assembly import AssembledOperator, Layout, _dense
-
-    A = _dense(*_lattice_stencil([profile.kx, profile.ky], (Mx, My), spacing))
-    return AssembledOperator(matrix=A, layout=Layout(shape=(1, My, Mx)), profile=profile)
+    return _full_lattice(profile, shape, spacing)
 
 
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
@@ -168,13 +179,12 @@ def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
     The stencil pieces are concatenated into one CSR matrix in O(nnz) time
     and memory; no dense matrix is formed.
     """
-    sizes, spacing = _check_2d_args(profile, shape, spacing)
-    _, pieces = _lattice_stencil([profile.kx, profile.ky], sizes, spacing)
+    unknowns, pieces = _lattice_stencil(profile, shape, spacing)
     rows, cols, vals = (
         np.concatenate([part.ravel() for part in parts])
         for parts in zip(*(np.broadcast_arrays(*piece) for piece in pieces))
     )
-    size = math.prod(sizes)
+    size = math.prod(unknowns)
     import scipy.sparse  # only this builder needs scipy; keep it off the import path
 
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
@@ -191,7 +201,8 @@ def random_lognormal_profile(p: int, sigma: float, seed: int) -> DiffusivityProf
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
-    return DiffusivityProfile1D(np.exp(sigma * rng.standard_normal(p)))
+    with np.errstate(over="ignore"):  # an infinite draw is rejected by the profile
+        return DiffusivityProfile1D(np.exp(sigma * rng.standard_normal(p)))
 
 
 def random_lognormal_profile_2d(px: int, py: int, sigma: float, seed: int):
@@ -201,6 +212,7 @@ def random_lognormal_profile_2d(px: int, py: int, sigma: float, seed: int):
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
-    kx = np.exp(sigma * rng.standard_normal((px, py)))
-    ky = np.exp(sigma * rng.standard_normal((px, py)))
+    with np.errstate(over="ignore"):  # an infinite draw is rejected by the profile
+        kx = np.exp(sigma * rng.standard_normal((px, py)))
+        ky = np.exp(sigma * rng.standard_normal((px, py)))
     return DiffusivityProfile2D(kx, ky)

@@ -11,6 +11,14 @@ import patchtooth as pt
 L = 2 * np.pi
 
 
+def test_rfftn_computes_in_long_double():
+    """The Bloch blocks and RK4 step matrices are summed in extended precision,
+    which needs an FFT that keeps np.longdouble (NumPy >= 2.0; 1.x casts to
+    complex128)."""
+    out = np.fft.rfftn(np.ones((4, 3), dtype=np.longdouble))
+    assert out.dtype == np.result_type(np.longdouble, 1j)
+
+
 def test_hand_assembled_rows_first_order():
     """N = 3 patches of n = 2 points, constant kappa, r = 1/2, order 1.
 

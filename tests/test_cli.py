@@ -73,13 +73,35 @@ GRID_2D = {
         ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
           "grid": {"x": dict(GRID_2D["x"], N=10**400), "y": GRID_2D["y"]}},
          "['grid']['x']['N']"),
+        ({"grid": {"L": 2 * np.pi, "N": 10**20, "n": 4, "r": 0.3}}, "['grid']"),
+        ({"grid": {"L": 2 * np.pi, "N": 10**300, "n": 4, "r": 0.3}}, "['grid']"),
+        ({"grid": {"L": 2 * np.pi, "N": 6, "n": 10**300, "r": 0.3}}, "['grid']"),
+        ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "grid": {"x": dict(GRID_2D["x"], N=10**300), "y": GRID_2D["y"]}},
+         "['grid']['x']"),
+        ({"ensemble": True, "profile": {"kind": "inline", "values": [1.0] * 7},
+          "grid": {"L": 2 * np.pi, "N": 2**61, "n": 1, "r": 0.3}},
+         "['grid']"),
+        ({"task": "homogenize",
+          "profile": {"kind": "lognormal", "period": 2, "sigma": 1000, "seed": 1}},
+         "['profile']"),
+        ({"model": "diffusion2d", "grid": GRID_2D,
+          "profile": {"kind": "lognormal", "periods": [1, 2], "sigma": 1000, "seed": 1}},
+         "['profile']"),
+        ({"task": "homogenize", "profile": {"kind": "inline", "values": [1e308, 1e308]}},
+         "['profile']"),
+        ({"profile": {"kind": "inline", "values": [1e308, 1.0]}}, "['profile']"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
-         "huge-N", "huge-2d-N"],
+         "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
+         "unindexable-2d-N", "unindexable-ensemble", "lognormal-draws-inf",
+         "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
-    holds are config faults, not numerical precondition failures."""
+    holds are config faults, not numerical precondition failures.  So are
+    grids with more unknowns than an array can index, diffusivities that are
+    drawn infinite and profiles whose stencil entries overflow."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -299,6 +321,39 @@ def test_simulate_2d_layout(tmp_path):
     rows = read_csv(tmp_path / "trajectory.csv")
     assert rows[0] == ["t", "I", "J", "i", "j", "x", "y", "value"]
     assert len(rows) == 1 + 2 * 3 * 4 * 2 * 2
+
+
+def test_sine_start_is_the_product_over_the_axes(tmp_path):
+    """A 2D sine start is offset + amplitude * sin(2 pi m_x x / L_x) sin(2 pi m_y y / L_y)
+    at every unknown, repeated for each ensemble member."""
+    init = {"kind": "sine", "modes": [2, 1], "amplitude": 0.7, "offset": 1.5}
+    config = base_config(
+        model="diffusion2d", grid=GRID_2D, ensemble=True,
+        profile={"kind": "inline", "kx": [[1.3, 0.8, 2.0]], "ky": [[0.7, 1.4, 0.5]]},
+        task="simulate", simulate={"integrator": "exact", "t_final": 0.1, "initial": init},
+    )
+    grid, profile = cli._build_grid(config), cli._build_profile(config)
+    op = cli._assemble(config, grid, profile)
+    u = cli._initial_state(config, op).values.reshape(op.layout.shape)
+    gx, gy = grid.x, grid.y
+    for e, J, I, j, i in np.ndindex(op.layout.shape):
+        x, y = gx.positions(I)[i], gy.positions(J)[j]
+        want = 1.5 + 0.7 * np.sin(2 * np.pi * 2 * x / gx.L) * np.sin(2 * np.pi * y / gy.L)
+        assert u[e, J, I, j, i] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_constant_start_fills_every_unknown(tmp_path):
+    init = {"kind": "constant", "value": 2.5}
+    for model in ("diffusion1d", "wave1d"):
+        config = base_config(model=model, task="simulate",
+                             simulate={"integrator": "rk4", "dt": 1e-4, "steps": 2, "initial": init})
+        grid, profile = cli._build_grid(config), cli._build_profile(config)
+        op = cli._assemble(config, grid, profile)
+        u = cli._initial_state(config, op).values
+        want = np.full(6 * 4, 2.5)
+        if model == "wave1d":
+            want = np.concatenate([want, np.zeros(6 * 4)])  # the velocity starts at rest
+        np.testing.assert_array_equal(u, want)
 
 
 def test_wave_eigen_and_simulate(tmp_path):

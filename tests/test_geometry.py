@@ -81,3 +81,24 @@ def test_grid_2d_wraps_both_axes():
     prof_bad = pt.DiffusivityProfile2D([[1.0], [2.0], [3.0]], [[1.0], [1.0], [1.0]])
     issues_bad = pt.validate_compatibility_2d(g, prof_bad)
     assert any(sev == "error" for sev, _ in issues_bad)
+
+
+def test_2d_compatibility_is_the_1d_check_per_axis():
+    """One validator: on a 2D grid each axis gets the 1D wording, prefixed by its name."""
+    assert pt.validate_compatibility_2d is pt.validate_compatibility
+    # x: n = 3 is not a multiple of p = 2 (error); y: H/d = n/r = 5 is not (warning)
+    g = pt.build_grid_2d(2 * np.pi, 3, 3, 0.3, 4.0, 4, 2, 0.4)
+    prof = pt.DiffusivityProfile2D([[1.0, 2.0], [0.5, 1.5]], [[1.0, 1.2], [2.0, 0.7]])
+    want = [
+        (severity, f"{name}-axis {message}")
+        for name, axis in (("x", g.x), ("y", g.y))
+        for severity, message in pt.validate_compatibility(axis, pt.DiffusivityProfile1D((1.0, 2.0)))
+    ]
+    assert [severity for severity, _ in want] == ["error", "warning"]
+    assert pt.validate_compatibility(g, prof) == want
+    assert "diffusivity period p = 2" in want[0][1]
+    assert "the scheme still runs" in want[1][1]
+    # ensemble mode drops the error and keeps the warning
+    assert pt.validate_compatibility(g, prof, ensemble=True) == want[1:]
+    with pytest.raises(ValueError):
+        pt.validate_compatibility(g.x, prof)

@@ -92,10 +92,21 @@ def test_branch_separation_guard():
         pt.extract_coefficients(KAPPA123, node_spacing=0.25)
 
 
-def test_fit_residual_guard():
+def test_fit_residual_guard(monkeypatch):
     rough = pt.DiffusivityProfile1D((0.2, 5.0, 0.3, 4.0, 0.25, 4.5, 0.21, 3.9))
     with pytest.raises(pt.FitResidualError):
         pt.extract_coefficients(rough)
+    # K2 and K4 fit cleanly at this scale, but beta ~ min(values) / d^2 overflows
+    huge = pt.DiffusivityProfile1D((1e150, 2e150))
+    assert np.isfinite(pt.extract_coefficients(huge, d=1.0).beta)
+    with pytest.raises(pt.FitResidualError, match="beta"):
+        pt.extract_coefficients(huge, d=1e-100)
+    # NaN compares false with every tolerance, so it must not slip through
+    from patchtooth import homogenize
+
+    monkeypatch.setattr(homogenize, "slow_branch", lambda profile, k: float("nan"))
+    with pytest.raises(pt.FitResidualError, match="not all finite"):
+        pt.extract_coefficients(KAPPA123)
 
 
 def test_predicted_macroscale_eigenvalues():

@@ -25,6 +25,13 @@ def test_profile_requires_positive_values():
         pt.DiffusivityProfile1D((1.0, 0.0))
     with pytest.raises(ValueError):
         pt.DiffusivityProfile1D(())
+    with pytest.raises(ValueError, match="finite"):
+        pt.DiffusivityProfile1D((1.0, np.inf))
+    with pytest.raises(ValueError, match="finite"):
+        pt.DiffusivityProfile2D([[1.0, np.inf]], [[1.0, 1.0]])
+    # a draw that overflows to infinity is rejected the same way
+    with pytest.raises(ValueError, match="finite"):
+        pt.random_lognormal_profile(2, 1000.0, 1)
 
 
 def test_profile_json_round_trip():
@@ -58,6 +65,13 @@ def test_full_operator_rejects_bad_sizes():
         pt.full_lattice_operator_1d(prof, 8)  # 3 does not divide 8
     with pytest.raises(ValueError):
         pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0,)), 2)
+    # a profile of the other dimension
+    with pytest.raises(ValueError):
+        pt.full_lattice_operator_1d(pt.DiffusivityProfile2D([[1.0, 2.0]], [[1.0, 1.5]]), 6)
+    with pytest.raises(ValueError):
+        pt.full_lattice_operator_2d(pt.DiffusivityProfile1D((1.0, 2.0)), (6, 6))
+    with pytest.raises(ValueError):
+        pt.full_lattice_operator_2d_sparse(pt.DiffusivityProfile1D((1.0, 2.0)), (6, 6))
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,8 +221,9 @@ def test_full_operators_equal_the_loop_references_bitwise():
             prof = pt.random_lognormal_profile_2d(px, py, 1.0, 10 * px + py)
             shapes = {(Mx, My) for Mx in lattice_sizes(px)[:2] for My in lattice_sizes(py)[:2]}
             for shape in sorted(shapes):
-                for spacing in zip(LOOP_SPACINGS, LOOP_SPACINGS[::-1]):
-                    want = loop_full_2d(prof, shape, spacing)
+                # the last spacing is a scalar, which serves both axes
+                for spacing in [*zip(LOOP_SPACINGS, LOOP_SPACINGS[::-1]), LOOP_SPACINGS[2]]:
+                    want = loop_full_2d(prof, shape, np.broadcast_to(spacing, 2))
                     dense = pt.full_lattice_operator_2d(prof, shape, spacing).matrix
                     sparse = pt.full_lattice_operator_2d_sparse(prof, shape, spacing)
                     np.testing.assert_array_equal(dense, want, strict=True)
