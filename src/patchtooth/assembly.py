@@ -24,6 +24,14 @@ The unknowns are the C-order flattening of an array of shape
 Every operator carries that shape in its Layout.  Ensemble members are phase
 tuples flattened row-major over the axes, e = phi * p_y + psi.
 
+Every patch carries the same interior block and the edge couplings depend
+only on the patch offset, so an operator is block-circulant in the patch
+index and the rows of patch 0, its first block row, describe it whole.
+AssembledOperator stores only their nonzero entries, O(nnz / N) numbers.
+Symmetry defect, matrix-vector products and the Bloch blocks of the spectra
+and time steppers are computed from them; the dense matrix is rolled out
+only when `.matrix` is read, at dim^2 memory on every access.
+
 The wave operator wraps a diffusion operator A into the first-order system
 d/dt (u, v) = (v, A u + eps B v), where B is the same patch construction with
 unit diffusivities; its matrix is [[0, I], [A, eps B]].
@@ -39,6 +47,9 @@ import numpy as np
 from . import geometry
 from .coupling import CouplingSpec, weights_for
 from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
+
+# Bytes of extended-precision numbers one batch of Bloch blocks may hold.
+_BATCH_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -65,19 +76,109 @@ class Layout:
         return self.shape[0]
 
 
+def _state_layout(layout: Layout) -> Layout:
+    """The layout of the whole state.
+
+    A wave operator's state (u, v) is read as one array of shape
+    (2 * members, patches..., local...): u and v stack on the member axis.
+    """
+    if layout.half is not None:
+        return replace(layout, shape=(2 * layout.members, *layout.shape[1:]), half=None)
+    return layout
+
+
+def _blocking(layout: Layout) -> tuple[tuple[int, ...], int, int]:
+    """Patch shape, block size b and points per member of a state layout."""
+    k = layout.patch_axes
+    patches = layout.shape[1 : 1 + k]
+    points = math.prod(layout.shape[1 + k :])
+    return patches, layout.members * points, points
+
+
+def _patch_sum(a, b, patches, sign: int = 1) -> np.ndarray:
+    """Flat index of patch a + sign * b, taken mod N along each patch axis.
+
+    a and b are flat C-order indices over `patches` and broadcast.
+    """
+    total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
+    stride = math.prod(patches)
+    for N in patches:
+        stride //= N
+        total += (a // stride % N + sign * (b // stride % N)) % N * stride
+    return total
+
+
 @dataclass
 class AssembledOperator:
-    """A dense operator matrix plus the layout that interprets it."""
+    """A block-circulant operator stored as its first block row, plus its layout.
 
-    matrix: np.ndarray
+    Entry t couples local row rows[t] of every patch P to local column
+    cols[t] of patch P + offsets[t] (mod N along each patch axis) with weight
+    values[t].  Local rows and columns index (member, local point) in C order,
+    the block index of the Bloch blocks; offsets are flat C-order indices over
+    the patch axes.  A full lattice has no patch axes: its one block row holds
+    every row and every offset is 0.  A wave operator indexes its entries in
+    the stacked (u, v) state of _state_layout.  Each (row, offset, col) occurs
+    once, and the entries are kept sorted by it.
+    """
+
     layout: Layout
+    rows: np.ndarray
+    offsets: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     grid: object = None
     profile: object = None
     coupling: object = None
 
+    def __post_init__(self):
+        order = np.argsort(self._keys(), kind="stable")
+        self.rows, self.offsets, self.cols, self.values = (
+            np.asarray(part)[order] for part in (self.rows, self.offsets, self.cols, self.values)
+        )
+
+    def _keys(self) -> np.ndarray:
+        patches, b, _ = _blocking(_state_layout(self.layout))
+        return (self.rows * math.prod(patches) + self.offsets) * b + self.cols
+
     @property
     def dimension(self) -> int:
-        return int(self.matrix.shape[0])
+        return math.prod(_state_layout(self.layout).shape)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, rolled out anew on every access."""
+        patches, _, points = _blocking(_state_layout(self.layout))
+        K = math.prod(patches)
+        P = np.arange(K)[:, None]
+
+        def index(local, patch):
+            member, point = np.divmod(local, points)
+            return (member * K + patch) * points + point
+
+        matrix = np.zeros((self.dimension, self.dimension))
+        matrix[index(self.rows, P), index(self.cols, _patch_sum(P, self.offsets, patches))] = (
+            self.values
+        )
+        return matrix
+
+    def matvec(self, x) -> np.ndarray:
+        """The product A x, gathered over the patch index: O(nnz) work."""
+        layout = _state_layout(self.layout)
+        k = layout.patch_axes
+        patches, b, _ = _blocking(layout)
+        K = math.prod(patches)
+        # one row per patch, indexed by (member, local point) like the blocks
+        X = np.moveaxis(np.asarray(x, dtype=float).reshape(layout.shape), 0, k).reshape(K, b)
+        Y = np.zeros_like(X)
+        targets, starts = np.unique(self.rows, return_index=True)
+        chunk = max(1, 2**20 // max(self.values.size, 1))
+        for start in range(0, K, chunk):
+            P = np.arange(start, min(start + chunk, K))[:, None]
+            gathered = X[_patch_sum(P, self.offsets, patches), self.cols] * self.values
+            Y[start : start + chunk, targets] = np.add.reduceat(gathered, starts, axis=1)
+        Y = Y.reshape(patches + (layout.members,) + layout.shape[1 + k :])
+        return np.moveaxis(Y, k, 0).ravel()
 
 
 def _matrix_of(op) -> np.ndarray:
@@ -85,41 +186,41 @@ def _matrix_of(op) -> np.ndarray:
 
 
 def _patch_layout(op) -> Layout | None:
-    """The layout of a patch operator's whole state; None for raw arrays and full lattices.
-
-    A wave operator's state (u, v) is read as one array of shape
-    (2 * members, patches..., local...): u and v stack on the member axis.
-    """
+    """The state layout of a patch operator; None for raw arrays and full lattices."""
     layout = getattr(op, "layout", None)
     if layout is None or not layout.patch_axes:
         return None
-    if layout.half is not None:
-        return replace(layout, shape=(2 * layout.members, *layout.shape[1:]), half=None)
-    return layout
+    return _state_layout(layout)
 
 
-def _bloch_blocks(matrix: np.ndarray, layout: Layout) -> np.ndarray:
-    """Bloch blocks H(j) of a block-circulant patch operator, shape (K, b, b).
+def _bloch_batches(op: AssembledOperator, layout: Layout):
+    """Bloch blocks H(j) of a patch operator in batches over j, each (k, b, b).
 
-    Only the first block row A[0, m] (the rows of patch 0, read through a
-    view) enters: H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch
-    offsets m, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the FFT taken
-    over the patch axes.  j runs over the half spectrum of rfftn (the last
-    patch axis halved), in rfftn's output order; a block is indexed by
-    (member, local point) in C order.  The blocks are summed in extended
-    precision (np.longdouble, plain double where the platform has no wider
-    type).  For a wave operator, given the layout of _patch_layout, each block
-    is [[0, I], [A(j), eps B(j)]].
+    H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
+    the first block row, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the
+    FFT taken over the patch axes.  Each (row, col) pair of the stored
+    entries is laid out as one line over the offsets and transformed by
+    rfftn, in extended precision (np.longdouble, plain double where the
+    platform has no wider type): O(pairs K log K) work and memory for K
+    patches, never the dense b x b x K first block row.  j runs over the half
+    spectrum of rfftn (the last patch axis halved), in rfftn's output order;
+    a block is indexed by (member, local point) in C order, and one batch
+    holds at most about _BATCH_BYTES of blocks.  For a wave operator, given
+    the layout of _patch_layout, each block is [[0, I], [A(j), eps B(j)]].
     """
-    shape, k = layout.shape, layout.patch_axes
-    first_row = matrix.reshape(shape + shape)[(slice(None),) + (0,) * k].astype(np.longdouble)
-    # axes of first_row: member, local..., member, patches..., local...
-    start = len(shape) - k + 1
-    patch_axes = tuple(range(start, start + k))
-    blocks = np.conj(np.fft.rfftn(first_row, axes=patch_axes))
-    blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
-    b = math.prod(shape) // math.prod(shape[1 : 1 + k])
-    return blocks.reshape(-1, b, b)
+    patches, b, _ = _blocking(layout)
+    pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
+    lines = np.zeros((pairs.size, math.prod(patches)), dtype=np.longdouble)
+    lines[line, op.offsets] = op.values
+    axes = tuple(range(1, len(patches) + 1))
+    spectra = np.fft.rfftn(lines.reshape(pairs.size, *patches), axes=axes)
+    spectra = spectra.reshape(pairs.size, math.prod(spectra.shape[1:]))
+    step = max(1, _BATCH_BYTES // (spectra.itemsize * b * b))
+    for start in range(0, spectra.shape[1], step):
+        batch = spectra[:, start : start + step]
+        blocks = np.zeros((batch.shape[1], b * b), dtype=spectra.dtype)
+        blocks[:, pairs] = batch.T
+        yield np.conj(blocks).reshape(-1, b, b)
 
 
 @dataclass
@@ -132,12 +233,34 @@ class SymmetryReport:
 def symmetry_defect(op) -> SymmetryReport:
     """Largest asymmetry max|L - L^T|, absolute and relative to max|L|.
 
-    Compares each 256 x 256 tile (I, J), J >= I, with the transpose of tile
-    (J, I), so every entry is read but no dim x dim temporary is made; the
-    maxima are exactly those of the whole-matrix expressions.
+    An assembled operator compares entry (r, m, c) of its first block row
+    with entry (c, -m, r), a missing one counting as 0: O(nnz / N) work.  A
+    raw array is compared in 256 x 256 tiles (I, J), J >= I, against the
+    transpose of tile (J, I), so every entry is read but no dim x dim
+    temporary is made.  Both give exactly the maxima of the whole-matrix
+    expressions.
     """
+    if isinstance(op, AssembledOperator):
+        defect, scale = _stored_symmetry(op)
+    else:
+        defect, scale = _tiled_symmetry(np.asarray(op))
+    relative = defect / scale if scale > 0 else 0.0
+    return SymmetryReport(defect=defect, scale=scale, relative=relative)
+
+
+def _stored_symmetry(op: AssembledOperator) -> tuple[float, float]:
+    if not op.values.size:
+        return 0.0, 0.0
+    patches, b, _ = _blocking(_state_layout(op.layout))
+    keys = op._keys()
+    mirror = (op.cols * math.prod(patches) + _patch_sum(0, op.offsets, patches, -1)) * b + op.rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    mirrored = np.where(keys[at] == mirror, op.values[at], 0.0)
+    return float(np.max(np.abs(op.values - mirrored))), float(np.max(np.abs(op.values)))
+
+
+def _tiled_symmetry(matrix: np.ndarray) -> tuple[float, float]:
     tile = 256
-    matrix = _matrix_of(op)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"symmetry needs a square matrix, got shape {matrix.shape}")
     starts = range(0, matrix.shape[0], tile)
@@ -150,8 +273,7 @@ def symmetry_defect(op) -> SymmetryReport:
     scales = [np.max(np.abs(matrix[i : i + tile])) for i in starts]
     defect = float(np.max(defects)) if defects else 0.0
     scale = float(np.max(scales)) if scales else 0.0
-    relative = defect / scale if scale > 0 else 0.0
-    return SymmetryReport(defect=defect, scale=scale, relative=relative)
+    return defect, scale
 
 
 def _raise_on_errors(diagnostics, allow_incompatible):
@@ -167,7 +289,7 @@ def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
 
 
 def _stencil(axes, bonds, ensemble: bool):
-    """Unknown shape and (rows, cols, values) pieces of a patch operator.
+    """Unknown shape and first block row (rows, offsets, cols, values) of a patch operator.
 
     Each axis, x first, is given as (N, n, d, w_right, w_left): N patches of
     n points at spacing d, whose edge rows couple to the far next-to-edge
@@ -177,73 +299,84 @@ def _stencil(axes, bonds, ensemble: bool):
 
     The stencil has three parts: interior bonds, edge couplings weighted over
     the patch offsets m and, in ensemble mode, the member shift of each edge
-    crossing.  The pieces are yielded one at a time in the order diagonal,
-    right then left along x, then along y; no (row, col) pair repeats within
-    one piece.  Adding them to a zero matrix in that order makes every entry
-    the same floating point sum as a row-by-row loop.  Row and column arrays
-    of a piece broadcast against its values.
+    crossing.  They are evaluated for the unknowns of patch 0 only, as pieces
+    in the order diagonal, right then left along x, then along y; no entry
+    repeats within one piece.  The pieces are coalesced in that order,
+    starting from 0.0, so every entry is the same floating point sum as in a
+    row-by-row loop; entries that sum to 0.0 are dropped.  The result is
+    indexed as AssembledOperator stores it.
     """
+    for _, _, d, _, _ in axes:
+        if not (d * d > 0.0 and math.isfinite(1.0 / (d * d))):
+            raise ValueError(f"lattice spacing d = {d!r} has no finite 1/d^2")
     dims = len(axes)
     periods = bonds[0].shape
     members = math.prod(periods) if ensemble else 1
-    shape = (members, *(ax[0] for ax in reversed(axes)), *(ax[1] for ax in reversed(axes)))
-    dim = math.prod(shape)
+    patches = tuple(ax[0] for ax in reversed(axes))
+    block = (members, *(ax[1] for ax in reversed(axes)))
+    size = math.prod(block)
 
-    def pieces():
-        member, *coords = np.unravel_index(np.arange(dim), shape)
-        patch = coords[:dims][::-1]  # x first
-        local = coords[dims:][::-1]  # i - 1, x first
-        phase = np.unravel_index(member, periods)  # all zero for a single phase
+    member, *local = np.unravel_index(np.arange(size), block)
+    local = local[::-1]  # i - 1, x first
+    phase = np.unravel_index(member, periods)  # all zero for a single phase
 
-        def flat(member, patch, local):
-            return np.ravel_multi_index((member, *patch[::-1], *local[::-1]), shape)
+    def column(member, local):
+        return np.ravel_multi_index((member, *local[::-1]), block)
 
-        def bond(a, back):
-            """Bond field a at each point's lattice position, stepped back along axis `back`."""
-            pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
-            d = axes[a][2]
-            return bonds[a][pos] * (1.0 / (d * d))
+    def bond(a, back):
+        """Bond field a at each point's lattice position, stepped back along axis `back`."""
+        pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
+        d = axes[a][2]
+        return bonds[a][pos] * (1.0 / (d * d))
 
-        right = [bond(a, None) for a in range(dims)]
-        left = [bond(a, a) for a in range(dims)]
-        everything = np.arange(dim)
-        yield everything, everything, -sum(k for pair in zip(right, left) for k in pair)
-        for a, (N, n, _, w_right, w_left) in enumerate(axes):
-            for k, step, near, far, weights in (
-                (right[a], 1, n - 1, 0, w_right),
-                (left[a], -1, 0, n - 1, w_left),
-            ):
-                # interior bond to the neighbour one step along axis a
-                inner = np.flatnonzero(local[a] != near)
-                stepped = [loc[inner] + step * (b == a) for b, loc in enumerate(local)]
-                yield inner, flat(member[inner], [p[inner] for p in patch], stepped), k[inner]
+    right = [bond(a, None) for a in range(dims)]
+    left = [bond(a, a) for a in range(dims)]
+    everything = np.arange(size)
+    pieces = [(everything, 0, everything, -sum(k for pair in zip(right, left) for k in pair))]
+    for a, (N, n, _, w_right, w_left) in enumerate(axes):
+        for k, step, near, far, weights in (
+            (right[a], 1, n - 1, 0, w_right),
+            (left[a], -1, 0, n - 1, w_left),
+        ):
+            # interior bond to the neighbour one step along axis a, in patch 0
+            inner = np.flatnonzero(local[a] != near)
+            stepped = [loc[inner] + step * (c == a) for c, loc in enumerate(local)]
+            pieces.append((inner, 0, column(member[inner], stepped), k[inner]))
 
-                # edge coupling to the far next-to-edge point of patch (I + m) mod N,
-                # in the member whose phase matches across the gap
-                edge = np.flatnonzero(local[a] == near)
-                if ensemble:
-                    shifted = [ph[edge] + step * n * (b == a) for b, ph in enumerate(phase)]
-                    source = np.ravel_multi_index(shifted, periods, mode="wrap")
-                else:
-                    source = member[edge]
-                offsets = [p[edge, None] for p in patch]
-                offsets[a] = (offsets[a] + np.arange(N)) % N
-                points = [loc[edge, None] for loc in local]
-                points[a] = np.full_like(points[a], far)
-                yield edge[:, None], flat(source[:, None], offsets, points), k[edge, None] * weights
+            # edge coupling to the far next-to-edge point of patch m along axis a,
+            # in the member whose phase matches across the gap
+            edge = np.flatnonzero(local[a] == near)
+            if ensemble:
+                shifted = [ph[edge] + step * n * (c == a) for c, ph in enumerate(phase)]
+                source = np.ravel_multi_index(shifted, periods, mode="wrap")
+            else:
+                source = member[edge]
+            points = [loc[edge] for loc in local]
+            points[a] = np.full_like(points[a], far)
+            offsets = np.arange(N) * math.prod(patches[dims - a :])  # along axis a
+            pieces.append(
+                (edge[:, None], offsets, column(source, points)[:, None], k[edge, None] * weights)
+            )
+    shape = (members, *patches, *block[1:])
+    return shape, _coalesce(pieces, math.prod(patches), size)
 
-    return shape, pieces()
 
-
-def _dense(shape, pieces) -> np.ndarray:
-    """Dense matrix of a stencil: each piece added in place, in stream order."""
-    dim = math.prod(shape)
-    matrix = np.zeros((dim, dim))
-    entries = matrix.reshape(-1)
-    for rows, cols, values in pieces:
-        # No (row, col) pair repeats within one piece: one addition per entry.
-        entries[rows * dim + cols] += values
-    return matrix
+def _coalesce(pieces, K: int, b: int):
+    """Sum the pieces (rows, offsets, cols, values) entry by entry, in stream order."""
+    pieces = [np.broadcast_arrays(*piece) for piece in pieces]
+    keys = [((rows * K + offsets) * b + cols).ravel() for rows, offsets, cols, _ in pieces]
+    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(unique.size)
+    start = 0
+    for key, (*_, values) in zip(keys, pieces):
+        # No entry repeats within one piece: one addition per entry.
+        sums[inverse[start : start + key.size]] += values.ravel()
+        start += key.size
+    keep = sums != 0.0
+    unique = unique[keep]
+    rows, rest = np.divmod(unique, K * b)
+    offsets, cols = np.divmod(rest, b)
+    return rows, offsets, cols, sums[keep]
 
 
 def assemble_patch_1d(
@@ -270,11 +403,12 @@ def assemble_patch_1d(
             (the result is then deliberately asymmetric; used for diagnostics).
 
     Returns:
-        AssembledOperator of dimension (prod(periods) if ensemble else 1) * prod(N * n).
+        AssembledOperator of dimension (prod(periods) if ensemble else 1) * prod(N * n),
+        stored as its first block row.
     """
     diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
     _raise_on_errors(diagnostics, allow_incompatible)
-    shape, pieces = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
+    shape, entries = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
     layout = Layout(
         shape=shape,
         ensemble=bool(ensemble),
@@ -282,9 +416,7 @@ def assemble_patch_1d(
         diagnostics=tuple(tuple(item) for item in diagnostics),
         patch_axes=len(grid.axes),
     )
-    return AssembledOperator(
-        matrix=_dense(shape, pieces), layout=layout, grid=grid, profile=profile, coupling=coupling
-    )
+    return AssembledOperator(layout, *entries, grid=grid, profile=profile, coupling=coupling)
 
 
 assemble_patch_2d = assemble_patch_1d
@@ -296,24 +428,26 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
     The state is (u, v) with d/dt u = v and d/dt v = A u + eps B v, where B is
     the same patch assembly with unit diffusivities (in ensemble mode: the
     unit profile on the same member structure, so dimensions match).  eps = 0
-    gives the undamped system with purely imaginary spectrum.
+    gives the undamped system with purely imaginary spectrum.  The first
+    block row of [[0, I], [A, eps B]] is built directly: the u rows of a
+    block hold the identity, its v rows the entries of A and eps B.
     """
     if op.grid is None or op.layout.half is not None:
         raise ValueError("wave assembly needs a diffusion patch operator")
     if epsilon < 0:
         raise ValueError("damping must be nonnegative")
     ones = [np.ones_like(field) for field in op.profile.bonds]
-    B = _dense(*_stencil(_axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble))
-    M = op.dimension
-    W = np.block(
-        [
-            [np.zeros((M, M)), np.eye(M)],
-            [op.matrix, epsilon * B],
-        ]
+    _, (rows, offsets, cols, values) = _stencil(
+        _axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble
     )
+    b = _blocking(op.layout)[1]  # u of a block, then v
+    u = np.arange(b)
     return AssembledOperator(
-        matrix=W,
-        layout=replace(op.layout, half=M),
+        replace(op.layout, half=op.dimension),
+        rows=np.concatenate([u, op.rows + b, rows + b]),
+        offsets=np.concatenate([np.zeros(b, dtype=np.intp), op.offsets, offsets]),
+        cols=np.concatenate([u + b, op.cols, cols + b]),
+        values=np.concatenate([np.ones(b), op.values, epsilon * values]),
         grid=op.grid,
         profile=op.profile,
         coupling=op.coupling,

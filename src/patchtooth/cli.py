@@ -14,10 +14,11 @@ scheme, and a task.  Tasks:
 
 Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
 non-finite numbers or integers beyond the double range, inconsistent inline
-profiles, grids with more unknowns than an array can index, diffusivities that
-are not finite or whose stencil entries overflow), 2 numerical precondition
-failure (incompatible single-phase assembly, lost symmetry, branch separation,
-unstable step and the like).
+profiles, grids with more unknowns than an array can index or a lattice
+spacing whose 1/d^2 is not finite, diffusivities that are not finite or whose
+stencil entries overflow), 2 numerical precondition failure (incompatible
+single-phase assembly, lost symmetry, branch separation, unstable step, a run
+that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.
@@ -333,9 +334,9 @@ def _build_grid(config: dict):
 
 
 def _check_representable(config: dict, grid, profile) -> None:
-    """Reject a grid whose unknowns (members x N * n per axis) no array can index,
-    and a profile whose largest stencil entry, 2 max(bonds) / d^2 summed over
-    the axes, overflows."""
+    """Reject a grid whose unknowns (members x N * n per axis) no array can index
+    or whose lattice spacing d has no finite 1/d^2, and a profile whose largest
+    stencil entry, 2 max(bonds) / d^2 summed over the axes, overflows."""
     count = math.prod(profile.periods) if config.get("ensemble", False) else 1
     limit = np.iinfo(np.intp).max
     sections = ["['grid']['x']", "['grid']['y']"] if len(grid.axes) > 1 else ["['grid']"]
@@ -344,10 +345,13 @@ def _check_representable(config: dict, grid, profile) -> None:
         if count > limit:
             raise ConfigError(f"at {section}: more unknowns than an array can index ({limit})")
     with np.errstate(over="ignore", divide="ignore"):
-        largest = sum(
-            2.0 * np.max(bonds) * (1.0 / np.square(g.d))
-            for g, bonds in zip(grid.axes, profile.bonds)
-        )
+        scales = [1.0 / np.square(g.d) for g in grid.axes]
+        for section, g, scale in zip(sections, grid.axes, scales):
+            if not np.isfinite(scale):
+                raise ConfigError(
+                    f"at {section}: the lattice spacing d = {g.d!r} has no finite 1/d^2"
+                )
+        largest = sum(2.0 * np.max(bonds) * scale for scale, bonds in zip(scales, profile.bonds))
     if not np.isfinite(largest):
         raise ConfigError(
             "at ['profile']: the largest stencil entry, 2 max(diffusivity) / d^2 "
@@ -628,7 +632,7 @@ def _task_check(config: dict, grid, profile, out: Path) -> None:
         kernel_vec = np.concatenate([np.ones(half), np.zeros(half)])
     else:
         kernel_vec = np.ones(dim)
-    kernel_residual = float(np.max(np.abs(op.matrix @ kernel_vec)))
+    kernel_residual = float(np.max(np.abs(op.matvec(kernel_vec))))
     payload = {
         "model": config["model"],
         "dimension": dim,
@@ -695,6 +699,10 @@ def run(config: dict, outdir=None) -> int:
         RuntimeError,
     ) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical precondition failed: out of memory{detail}", file=sys.stderr)
         return 2
     return 0
 

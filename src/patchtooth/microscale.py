@@ -38,7 +38,6 @@ which is versioned and reproducible across platforms for a fixed seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +114,11 @@ class DiffusivityProfile2D:
         return profile
 
 
-def _lattice_stencil(profile, sizes, spacings):
-    """Shape and pieces of the full lattice: one patch spanning each axis, x first.
+def _full_lattice(profile, sizes, spacings):
+    """Full lattice with M_a points at spacing d_a along axis a, x first.
 
-    A scalar spacing serves every axis.
+    It is the stencil with one patch spanning each axis, so its one block row
+    holds every row.  A scalar spacing serves every axis.
     """
     sizes = [int(M) for M in sizes]
     spacings = [float(d) for d in np.broadcast_to(spacings, len(sizes))]
@@ -133,19 +133,13 @@ def _lattice_stencil(profile, sizes, spacings):
                 f"point count {M} not divisible by diffusivity period {p}; the "
                 "heterogeneity would be discontinuous at the periodic wrap"
             )
-    from .assembly import _stencil
+    from .assembly import AssembledOperator, Layout, _stencil
 
     one = np.ones(1)
-    return _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)], profile.bonds, False)
-
-
-def _full_lattice(profile, sizes, spacings):
-    """Dense full lattice with M_a points at spacing d_a along axis a, x first."""
-    from .assembly import AssembledOperator, Layout, _dense
-
-    shape, pieces = _lattice_stencil(profile, sizes, spacings)
+    shape, entries = _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)],
+                              profile.bonds, False)
     layout = Layout(shape=(1, *shape[1 + len(sizes) :]))  # without the one-patch axes
-    return AssembledOperator(matrix=_dense(shape, pieces), layout=layout, profile=profile)
+    return AssembledOperator(layout, *entries, profile=profile)
 
 
 def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1.0):
@@ -158,13 +152,14 @@ def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1
         d: lattice spacing; all entries carry the 1/d^2 scaling.
 
     Returns:
-        AssembledOperator holding the dense symmetric M x M matrix.
+        AssembledOperator of the symmetric M x M operator, whose one block row
+        holds every row; `.matrix` rolls out the dense matrix.
     """
     return _full_lattice(profile, [M], [d])
 
 
 def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0, 1.0)):
-    """Dense five-point heterogeneous diffusion operator, doubly periodic.
+    """Five-point heterogeneous diffusion operator, doubly periodic.
 
     Unknowns are ordered row-major over (i, j) with i fastest, storage index
     j*M_x + i.  Entry scalings are 1/d_x^2 for horizontal and 1/d_y^2 for
@@ -176,18 +171,13 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
     """Sparse CSR variant of full_lattice_operator_2d for large lattices.
 
-    The stencil pieces are concatenated into one CSR matrix in O(nnz) time
-    and memory; no dense matrix is formed.
+    The CSR matrix holds the stored entries of the operator, built in O(nnz)
+    time and memory; no dense matrix is formed.
     """
-    unknowns, pieces = _lattice_stencil(profile, shape, spacing)
-    rows, cols, vals = (
-        np.concatenate([part.ravel() for part in parts])
-        for parts in zip(*(np.broadcast_arrays(*piece) for piece in pieces))
-    )
-    size = math.prod(unknowns)
+    op = _full_lattice(profile, shape, spacing)
     import scipy.sparse  # only this builder needs scipy; keep it off the import path
 
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    return scipy.sparse.csr_matrix((op.values, (op.rows, op.cols)), shape=(op.dimension,) * 2)
 
 
 def random_lognormal_profile(p: int, sigma: float, seed: int) -> DiffusivityProfile1D:

@@ -15,13 +15,15 @@ Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
-n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_blocks builds
-them from the first block row alone, so eigen_symmetric, the wave case of
-eigen_general and timestep.evolve_exact cost O(N b^3) instead of O(dim^3).
-Blocks j and -j are complex conjugates, so only the half spectrum of rfftn
-is solved and the mirrored blocks contribute the same (symmetric case) or
-conjugate (general case) eigenvalues.  Raw arrays and full lattices have no
-patch axes and take the dense path.
+n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_batches
+builds them from the stored first block row, a bounded batch of wavenumbers
+at a time, and the solvers consume them batch by batch: eigen_symmetric,
+eigen_general and timestep.evolve_exact cost O(N b^3) time instead of
+O(dim^3) and never hold a dim x dim matrix.  Blocks j and -j are complex
+conjugates, so only the half spectrum of rfftn is solved and the mirrored
+blocks contribute the same (symmetric case) or conjugate (general case)
+eigenvalues.  Raw arrays and full lattices have no patch axes and take the
+dense path; a full lattice rolls out its `.matrix` for it.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -41,7 +43,7 @@ import numpy as np
 from .assembly import (
     Layout,
     SymmetryReport,
-    _bloch_blocks,
+    _bloch_batches,
     _matrix_of,
     _patch_layout,
     symmetry_defect,
@@ -81,20 +83,20 @@ def _mirror_counts(layout: Layout) -> np.ndarray:
     return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
 
 
-def _bloch_eigh(matrix: np.ndarray, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian parts of the Bloch blocks, (K, b) and (K, b, b).
+def _bloch_eigh(op, layout: Layout):
+    """Eigenpairs of the Hermitian parts of the Bloch blocks, one batch at a time.
 
-    The eigenvectors come from a double precision eigh; each eigenvalue is
-    the Rayleigh quotient of its eigenvector against the extended precision
-    block.  Its error is quadratic in the eigenvector error, so the slow
-    macro modes, small differences of O(1/d^2) entries, keep their relative
-    accuracy instead of an absolute error of eps * ||H||.
+    Yields (w, V) of shapes (k, b) and (k, b, b) for each batch of
+    assembly._bloch_batches.  The eigenvectors come from a double precision
+    eigh; each eigenvalue is the Rayleigh quotient of its eigenvector against
+    the extended precision block.  Its error is quadratic in the eigenvector
+    error, so the slow macro modes, small differences of O(1/d^2) entries,
+    keep their relative accuracy instead of an absolute error of eps * ||H||.
     """
-    blocks = _bloch_blocks(matrix, layout)
-    H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
-    V = np.linalg.eigh(H.astype(complex))[1]
-    w = np.sum(V.conj() * (H @ V), axis=1).real.astype(float)
-    return w, V
+    for blocks in _bloch_batches(op, layout):
+        H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+        V = np.linalg.eigh(H.astype(complex))[1]
+        yield np.sum(V.conj() * (H @ V), axis=1).real.astype(float), V
 
 
 def _default_n_macro(op) -> int | None:
@@ -151,42 +153,53 @@ def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
         matrix = _matrix_of(op)
         vals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
     else:
-        w, _ = _bloch_eigh(op.matrix, layout)
+        w = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
         vals = np.repeat(w, _mirror_counts(layout), axis=0).ravel()
     if n_macro is None:
         n_macro = _default_n_macro(op) or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro, symmetry=symmetry)
 
 
-def _wave_eigenvalues(op) -> np.ndarray:
-    """Spectrum of W = [[0, I], [A, eps B]] on S, plus the exact zero pair."""
-    layout = _patch_layout(op)
-    W = _bloch_blocks(op.matrix, layout).astype(complex)
-    b = W.shape[1] // 2
-    # Block j = 0 is real; S meets it in the zero-sum vectors of u and of v,
-    # spanned by the right singular vectors of the ones row after the first.
-    Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
-    P = np.zeros((2 * b, 2 * (b - 1)))
-    P[:b, : b - 1] = Q
-    P[b:, b - 1 :] = Q
-    zero = np.linalg.eigvals(P.T @ W[0].real @ P)
-    rest = np.linalg.eigvals(W[1:])
-    mirrored = np.conj(rest[_mirror_counts(layout)[1:] == 2])
-    return np.concatenate([zero, rest.ravel(), mirrored.ravel(), [0.0, 0.0]])
+def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
+    """Eigenvalues of every Bloch block, those of the mirrored blocks as conjugates.
+
+    The wave system W = [[0, I], [A, eps B]] is solved on S, plus the exact
+    zero pair.
+    """
+    wave = op.layout.half is not None
+    counts = _mirror_counts(layout)
+    head, tail, solved = [], [], []
+    for W in _bloch_batches(op, layout):
+        W = W.astype(complex)
+        if wave and not solved:
+            # Block j = 0 is real; S meets it in the zero-sum vectors of u and
+            # of v, spanned by the right singular vectors of the ones row
+            # after the first.
+            b = W.shape[1] // 2
+            Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
+            P = np.zeros((2 * b, 2 * (b - 1)))
+            P[:b, : b - 1] = Q
+            P[b:, b - 1 :] = Q
+            head, tail = [np.linalg.eigvals(P.T @ W[0].real @ P)], [[0.0, 0.0]]
+            W, counts = W[1:], counts[1:]
+        solved.append(np.linalg.eigvals(W))
+    solved = np.concatenate(solved)
+    return np.concatenate([*head, solved.ravel(), np.conj(solved[counts == 2]).ravel(), *tail])
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     """Complex spectrum of a general operator, sorted by magnitude.
 
-    Wave operators are solved block by block in the patch wavenumber and
-    deflated onto the zero-sum invariant subspace, so their exact defective
-    zero pair stays exactly zero in the report.
+    Patch operators are solved block by block in the patch wavenumber; wave
+    operators are also deflated onto the zero-sum invariant subspace, so
+    their exact defective zero pair stays exactly zero in the report.  Raw
+    arrays and full lattices are solved densely.
     """
-    layout = getattr(op, "layout", None)
-    if layout is not None and layout.half is not None:
-        vals = _wave_eigenvalues(op)
-    else:
+    layout = _patch_layout(op)
+    if layout is None:
         vals = np.linalg.eigvals(_matrix_of(op))
+    else:
+        vals = _bloch_eigenvalues(op, layout)
     if n_macro is None:
         n_macro = _default_n_macro(op) or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro)

@@ -9,7 +9,8 @@ check dt <= 2.5 / rho(L), and it stores only every stride-th state.
 
 Both work in the patch wavenumber on a patch operator.  The state is
 transformed over the patch axes (rfftn), each Bloch block (see
-assembly._bloch_blocks) is advanced on its own, and only the stored states are
+assembly._bloch_batches, which builds them from the stored first block row
+in batches) is advanced on its own, and only the stored states are
 transformed back.  evolve_exact propagates a block by its eigendecomposition.
 On a linear system one RK4 step is u <- R u with R = sum_{k<=4} (dt W)^k / k!,
 so evolve_rk4 builds R(j) for each block, raises it to the power `stride` by
@@ -18,15 +19,17 @@ stored states grew 20- to 45-fold on the rk4-wave1d benchmark system), and
 applies that once per stored state: O(N b^3 log stride) set-up and
 O(N b^2) per stored state instead of four dim x dim matrix-vector products per
 step.  Block j = 0 holds the patch sums of the state, so the total mass after
-every step, stored or not, costs O(b) per step.  The stability limit of a patch operator is exact, 2.5 over the
-largest eigenvalue magnitude over the blocks.
+every step, stored or not, costs O(b) per step.  The stability limit of a
+patch operator is exact, 2.5 over the largest eigenvalue magnitude over the
+blocks, taken one batch of blocks at a time.
 
-Raw arrays and full lattices have no patch axes.  evolve_exact diagonalises
-them densely; evolve_rk4 runs the plain RK4 loop, four matrix-vector products
-per step, and estimates rho by at most 100 steps of power iteration on L^2,
-whose dominant eigenvalue is real even when L has the dominant conjugate pair
-of an undamped wave operator.  L^2 is never formed: each step applies L twice
-to the iterate and stops once the estimate changes by at most 1e-9 relative.
+Raw arrays and full lattices have no patch axes (a full lattice rolls out its
+`.matrix` once per call).  evolve_exact diagonalises them densely; evolve_rk4
+runs the plain RK4 loop, four matrix-vector products per step, and estimates
+rho by at most 100 steps of power iteration on L^2, whose dominant eigenvalue
+is real even when L has the dominant conjugate pair of an undamped wave
+operator.  L^2 is never formed: each step applies L twice to the iterate and
+stops once the estimate changes by at most 1e-9 relative.
 The deterministic start vector makes the estimate reproducible.
 """
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _bloch_blocks, _matrix_of, _patch_layout
+from .assembly import _bloch_batches, _matrix_of, _patch_layout
 from .spectra import _bloch_eigh, _require_symmetric
 
 
@@ -100,7 +103,7 @@ def evolve_exact(op, u0, times) -> Trajectory:
         raise ValueError("cannot evolve backwards past the initial time")
     layout = _patch_layout(op)
     if layout is not None:
-        states = _bloch_evolve(op.matrix, layout, state.values, times - state.time)
+        states = _bloch_evolve(op, layout, state.values, times - state.time)
         return Trajectory(times=times, states=states)
     matrix = _matrix_of(op)
     w, Q = np.linalg.eigh(0.5 * (matrix + matrix.T))
@@ -130,11 +133,16 @@ def _bloch_states(modes: np.ndarray, layout) -> np.ndarray:
     return np.moveaxis(u_t, k + 1, 1).reshape(modes.shape[0], -1)
 
 
-def _bloch_evolve(matrix, layout, u0: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
+def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
     """States exp(A t) u0, one row per elapsed time t, block by block."""
-    w, V = _bloch_eigh(matrix, layout)
-    c = V.conj().swapaxes(1, 2) @ _bloch_modes(u0, layout)[:, :, None]
-    modes = V @ (np.exp(w[:, :, None] * elapsed) * c)  # (K, b, times)
+    u_hat = _bloch_modes(u0, layout)
+    modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
+    start = 0
+    for w, V in _bloch_eigh(op, layout):
+        batch = slice(start, start + w.shape[0])
+        c = V.conj().swapaxes(1, 2) @ u_hat[batch, :, None]
+        modes[batch] = V @ (np.exp(w[:, :, None] * elapsed) * c)
+        start = batch.stop
     return _bloch_states(np.moveaxis(modes, 2, 0), layout)
 
 
@@ -146,8 +154,10 @@ def stability_limit(op) -> float:
     """
     layout = _patch_layout(op)
     if layout is not None:
-        blocks = _bloch_blocks(op.matrix, layout).astype(complex)
-        rho = float(np.max(np.abs(np.linalg.eigvals(blocks))))
+        rho = max(
+            float(np.max(np.abs(np.linalg.eigvals(blocks.astype(complex)))))
+            for blocks in _bloch_batches(op, layout)
+        )
         return 2.5 / rho if rho > 0.0 else float("inf")
     matrix = _matrix_of(op)
     dim = matrix.shape[0]
@@ -179,23 +189,30 @@ def _rk4_step_matrices(blocks: np.ndarray, dt: float) -> np.ndarray:
     return R
 
 
-def _bloch_rk4(matrix, layout, u0: np.ndarray, dt: float, steps: int, stride: int):
+def _bloch_rk4(op, layout, u0: np.ndarray, dt: float, steps: int, stride: int):
     """RK4 states after every stride-th step, and the total mass after every step."""
-    R = _rk4_step_matrices(_bloch_blocks(matrix, layout), dt)
-    P = np.linalg.matrix_power(R, stride).astype(complex)
-    stored = np.empty((steps // stride + 1,) + R.shape[:2], dtype=complex)
-    stored[0] = _bloch_modes(u0, layout)
-    for q in range(1, stored.shape[0]):
-        stored[q] = (P @ stored[q - 1][:, :, None])[:, :, 0]
+    u_hat = _bloch_modes(u0, layout)
+    stored = np.empty((steps // stride + 1,) + u_hat.shape, dtype=complex)
+    stored[0] = u_hat
+    start = 0
+    for blocks in _bloch_batches(op, layout):
+        R = _rk4_step_matrices(blocks, dt)
+        P = np.linalg.matrix_power(R, stride).astype(complex)
+        batch = slice(start, start + R.shape[0])
+        for q in range(1, stored.shape[0]):
+            stored[q, batch] = (P @ stored[q - 1, batch][:, :, None])[:, :, 0]
+        if start == 0:
+            R0 = R[0]
+        start = batch.stop
     # Block j = 0 holds the patch sums, so the mass k < stride steps after
     # stored state q is 1^T R(0)^k c_q(0).
     patch_sums = stored[:, 0].real
-    total = np.ones(R.shape[1], dtype=R.dtype)  # 1^T R(0)^k
+    total = np.ones(R0.shape[0], dtype=R0.dtype)  # 1^T R(0)^k
     mass = np.empty(steps + 1)
     for k in range(min(stride, steps + 1)):
         after = mass[k::stride]
         after[:] = patch_sums[: after.size] @ total.real.astype(float)
-        total = total @ R[0]
+        total = total @ R0
     mass[0] = u0.sum()  # the initial total exactly as the stored state sums it
     return _bloch_states(stored, layout), mass
 
@@ -227,7 +244,7 @@ def evolve_rk4(
     times = state.time + dt * np.arange(0, steps + 1, stride)
     layout = _patch_layout(op)
     if layout is not None:
-        states, mass = _bloch_rk4(op.matrix, layout, state.values, dt, steps, stride)
+        states, mass = _bloch_rk4(op, layout, state.values, dt, steps, stride)
         return Trajectory(times=times, states=states, mass=mass)
     matrix = _matrix_of(op)
     u = state.values.copy()

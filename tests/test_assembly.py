@@ -216,6 +216,17 @@ def test_incompatible_single_phase_is_rejected():
         pt.eigen_symmetric(op)
 
 
+def test_spacing_without_a_finite_inverse_square_is_rejected():
+    """d = 1.25e-172 squares to 0.0: the stencil names the spacing instead of
+    dividing by zero, for patch operators and full lattices alike."""
+    prof = pt.DiffusivityProfile1D((1.0,))
+    grid = pt.build_grid_1d(1e-170, 6, 4, 0.3)
+    with pytest.raises(ValueError, match="spacing d = 1.25e-172"):
+        pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"))
+    with pytest.raises(ValueError, match="spacing d = 1e-160"):
+        pt.full_lattice_operator_1d(prof, 6, 1e-160)  # d^2 is subnormal, 1/d^2 overflows
+
+
 def test_ensemble_edge_rows_couple_shifted_members():
     """Crossing a patch edge moves n lattice steps, so member ell hands its
     right edge to member (ell + n) mod p and receives its left edge from

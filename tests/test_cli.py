@@ -91,21 +91,39 @@ GRID_2D = {
         ({"task": "homogenize", "profile": {"kind": "inline", "values": [1e308, 1e308]}},
          "['profile']"),
         ({"profile": {"kind": "inline", "values": [1e308, 1.0]}}, "['profile']"),
+        ({"grid": {"L": 1e-170, "N": 6, "n": 4, "r": 0.3}}, "['grid']: the lattice spacing"),
+        ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "grid": {"x": GRID_2D["x"], "y": dict(GRID_2D["y"], L=1e-170)}},
+         "['grid']['y']: the lattice spacing"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
          "unindexable-2d-N", "unindexable-ensemble", "lognormal-draws-inf",
-         "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows"],
+         "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows",
+         "spacing-squared-underflows", "2d-spacing-squared-underflows"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
     holds are config faults, not numerical precondition failures.  So are
-    grids with more unknowns than an array can index, diffusivities that are
-    drawn infinite and profiles whose stencil entries overflow."""
+    grids with more unknowns than an array can index or a spacing whose 1/d^2
+    overflows, diffusivities that are drawn infinite and profiles whose
+    stencil entries overflow."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
     assert key in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A MemoryError in a task is a numerical precondition failure, not a traceback."""
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+    monkeypatch.setattr(cli, "_assemble", exhausted)
+    assert cli.run(base_config(), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "numerical precondition failed: out of memory: Unable to allocate 22.4 GiB" in err
 
 
 def test_cross_field_validation(tmp_path):

@@ -129,6 +129,21 @@ def test_eigen_general_deflates_the_wave_zero_pair():
     assert rep.n_macro == 5
 
 
+@settings(max_examples=30)
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(2, 3), st.integers(0, 999))
+def test_bloch_general_spectrum_matches_the_dense_solve(N, n, p, seed):
+    """Incompatible single-phase operators are asymmetric; eigen_general
+    solves them block by block like the symmetric ones."""
+    grid = pt.build_grid_1d(L, N, n, 0.3)
+    prof = pt.random_lognormal_profile(p, 0.8, seed)
+    op = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), allow_incompatible=True)
+    got = pt.eigen_general(op).eigenvalues
+    want = np.linalg.eigvals(op.matrix)
+    assert got.size == want.size == op.dimension
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.max(np.abs(got[rows] - want[cols])) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_eigen_symmetric_reports_the_symmetry_it_checked():
     grid = pt.build_grid_1d(L, 6, 4, 0.3)
     op = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0, 2.0)), pt.CouplingSpec("spectral"))

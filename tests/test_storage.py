@@ -1,0 +1,136 @@
+"""First-block-row storage: Bloch blocks, symmetry defect and matvec against the dense matrix."""
+
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import patchtooth as pt
+from patchtooth.assembly import _bloch_batches, _patch_layout
+
+L = 2 * np.pi
+
+
+def dense_bloch_blocks(matrix, layout):
+    """Bloch blocks from the rfftn of the dense first block row (oracle).
+
+    The engine summed its blocks this way before operators were stored as
+    their first block row.
+    """
+    shape, k = layout.shape, layout.patch_axes
+    first_row = matrix.reshape(shape + shape)[(slice(None),) + (0,) * k].astype(np.longdouble)
+    # axes of first_row: member, local..., member, patches..., local...
+    start = len(shape) - k + 1
+    patch_axes = tuple(range(start, start + k))
+    blocks = np.conj(np.fft.rfftn(first_row, axes=patch_axes))
+    blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
+    b = math.prod(shape) // math.prod(shape[1 : 1 + k])
+    return blocks.reshape(-1, b, b)
+
+
+@st.composite
+def couplings(draw, N):
+    """Spectral coupling or a Lagrangian order that fits every axis of N patches."""
+    orders = (min(N) - 1) // 2
+    if orders < 1 or draw(st.booleans()):
+        return pt.CouplingSpec("spectral")
+    return pt.CouplingSpec("lagrangian", draw(st.integers(1, orders)))
+
+
+@st.composite
+def stored_operators(draw):
+    """Patch operators in 1D and 2D, single phase or ensemble, compatible or
+    not (an incompatible one is asymmetric), possibly wrapped as a wave."""
+    two_d = draw(st.booleans())
+    axes = 2 if two_d else 1
+    N = [draw(st.integers(1, 5 if two_d else 9)) for _ in range(axes)]
+    n = [draw(st.integers(1, 3 if two_d else 5)) for _ in range(axes)]
+    periods = [draw(st.integers(1, 3)) for _ in range(axes)]
+    ensemble = draw(st.booleans())
+    coupling = draw(couplings(N))
+    r = [draw(st.floats(0.05, 1.0)) for _ in range(axes)]
+    seed = draw(st.integers(0, 999))
+    if two_d:
+        grid = pt.build_grid_2d(L, N[0], n[0], r[0], 1.5 * L, N[1], n[1], r[1])
+        prof = pt.random_lognormal_profile_2d(*periods, 0.8, seed)
+    else:
+        grid = pt.build_grid_1d(L, N[0], n[0], r[0])
+        prof = pt.random_lognormal_profile(periods[0], 0.8, seed)
+    op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble, allow_incompatible=True)
+    if draw(st.booleans()):
+        op = pt.assemble_wave(op, draw(st.sampled_from([0.0, 0.02, 0.3])))
+    return op
+
+
+@st.composite
+def full_lattices(draw):
+    p = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        M = p * draw(st.integers(3 // p + 1, 8))
+        return pt.full_lattice_operator_1d(pt.random_lognormal_profile(p, 0.8, M), M, 0.3)
+    shape = [p * draw(st.integers(3 // p + 1, 4)) for _ in range(2)]
+    prof = pt.random_lognormal_profile_2d(p, 1, 0.8, shape[0])
+    return pt.full_lattice_operator_2d(prof, shape, (0.3, 0.4))
+
+
+@settings(max_examples=80)
+@given(stored_operators())
+def test_bloch_blocks_match_the_dense_rfftn(op):
+    layout = _patch_layout(op)
+    got = np.concatenate(list(_bloch_batches(op, layout)))
+    want = dense_bloch_blocks(op.matrix, layout)
+    assert got.shape == want.shape
+    scale = np.max(np.linalg.norm(want.astype(complex), ord=2, axis=(1, 2)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+@settings(max_examples=80)
+@given(st.one_of(stored_operators(), full_lattices()))
+def test_symmetry_defect_equals_the_tiled_dense_result(op):
+    got, want = pt.symmetry_defect(op), pt.symmetry_defect(op.matrix)
+    assert (got.defect, got.scale, got.relative) == (want.defect, want.scale, want.relative)
+
+
+@settings(max_examples=80)
+@given(st.one_of(stored_operators(), full_lattices()), st.integers(0, 999))
+def test_matvec_equals_the_dense_product(op, seed):
+    x = np.random.default_rng(seed).standard_normal(op.dimension)
+    want = op.matrix @ x
+    got = op.matvec(x)
+    assert got.shape == want.shape == (op.dimension,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(op.matrix)) * np.max(np.abs(x))
+
+
+def test_batches_bound_the_blocks_alive_at_once(monkeypatch):
+    """Small batches give the same blocks, in the same order."""
+    grid = pt.build_grid_2d(L, 5, 2, 0.3, L, 4, 2, 0.4)
+    prof = pt.random_lognormal_profile_2d(2, 1, 0.5, 3)
+    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+    layout = _patch_layout(op)
+    whole = list(_bloch_batches(op, layout))
+    monkeypatch.setattr("patchtooth.assembly._BATCH_BYTES", 1)
+    single = list(_bloch_batches(op, layout))
+    assert len(whole) == 1 and len(single) == 4 * 3  # N_y x (N_x // 2 + 1)
+    np.testing.assert_array_equal(np.concatenate(single), whole[0])
+
+
+def test_the_stored_form_needs_no_dense_matrix():
+    """A 2D grid of 41 x 41 patches of 8 x 8 points (dim 107,584, a 92 GB
+    dense matrix) is assembled, checked for symmetry and applied once within
+    64 MB of traced allocations."""
+    grid = pt.build_grid_2d(L, 41, 8, 0.2, L, 41, 8, 0.2)
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    tracemalloc.start()
+    try:
+        op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
+        report = pt.symmetry_defect(op)
+        residual = op.matvec(np.ones(op.dimension))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.dimension == 107_584
+    assert report.defect == 0.0
+    assert np.max(np.abs(residual)) <= 1e-12 * report.scale
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MB"
