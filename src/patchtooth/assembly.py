@@ -62,6 +62,12 @@ class Layout:
     stacks two such arrays, u then v, each of size `half`.  The `patch_axes`
     axes after the member axis index patches, and the operator is
     block-circulant over them; a full lattice has none.
+
+    `slow` is the number of slow (macroscale) eigenvalues of each Bloch
+    block: 1 for a single phase, and for a phase-shift ensemble the product
+    over the axes of gcd(p_a, n_a), since crossing a patch edge along axis a
+    moves phase l to (l + n_a) mod p_a, so the members fall into that many
+    orbits (Bunder, Roberts & Kevrekidis, J. Comput. Phys. 337, 2017).
     """
 
     shape: tuple[int, ...]
@@ -70,6 +76,7 @@ class Layout:
     n_macro: int | None = None
     diagnostics: tuple = ()
     patch_axes: int = 0
+    slow: int = 1
 
     @property
     def members(self) -> int:
@@ -409,12 +416,14 @@ def assemble_patch_1d(
     diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
     _raise_on_errors(diagnostics, allow_incompatible)
     shape, entries = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
+    orbits = (math.gcd(p, g.n) for p, g in zip(profile.periods, grid.axes))
     layout = Layout(
         shape=shape,
         ensemble=bool(ensemble),
         n_macro=math.prod(g.N for g in grid.axes),
         diagnostics=tuple(tuple(item) for item in diagnostics),
         patch_axes=len(grid.axes),
+        slow=math.prod(orbits) if ensemble else 1,
     )
     return AssembledOperator(layout, *entries, grid=grid, profile=profile, coupling=coupling)
 

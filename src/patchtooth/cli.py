@@ -386,13 +386,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_eigen_csv(path: Path, values: np.ndarray) -> None:
+    """eigenvalues.csv: rank, real, imag, magnitude per eigenvalue.
+
+    The bytes are those csv.writer writes with _fmt fields: one %-format per row.
+    """
+    columns = (values.real.tolist(), values.imag.tolist(), np.abs(values).tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "real", "imag", "magnitude"])
-        for rank, lam in enumerate(values, start=1):
-            writer.writerow(
-                [rank, _fmt(np.real(lam)), _fmt(np.imag(lam)), _fmt(np.abs(lam))]
-            )
+        fh.write("rank,real,imag,magnitude\r\n")
+        fh.writelines(
+            "%d,%.17g,%.17g,%.17g\r\n" % row for row in zip(range(1, values.size + 1), *columns)
+        )
 
 
 def _task_eigen(config: dict, grid, profile, out: Path) -> None:

@@ -94,23 +94,36 @@ def evolve_exact(op, u0, times) -> Trajectory:
 
     Diagonalises the (symmetric) operator once; requires relative symmetry
     defect at most 1e-10 and strictly increasing times not before the state's
-    own time stamp.
+    own time stamp.  Raises StabilityError, naming the largest eigenvalue,
+    when a state is not finite: on a profile of extreme dynamic range the
+    round-off of the eigensolve gives spurious positive eigenvalues whose
+    exp(w t) overflows.
     """
     _require_symmetric(op, "exact evolution by orthogonal diagonalisation is unavailable")
     state = _as_state(u0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < state.time):
         raise ValueError("cannot evolve backwards past the initial time")
+    elapsed = times - state.time
     layout = _patch_layout(op)
-    if layout is not None:
-        states = _bloch_evolve(op, layout, state.values, times - state.time)
-        return Trajectory(times=times, states=states)
-    matrix = _matrix_of(op)
-    w, Q = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    c = Q.T @ state.values
-    states = np.empty((times.size, state.values.size))
-    for row, t in enumerate(times):
-        states[row] = Q @ (np.exp(w * (t - state.time)) * c)
+    # exp(w t) of a spurious positive eigenvalue may overflow; the states are
+    # checked below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        if layout is not None:
+            states, top = _bloch_evolve(op, layout, state.values, elapsed)
+        else:
+            matrix = _matrix_of(op)
+            w, Q = np.linalg.eigh(0.5 * (matrix + matrix.T))
+            c = Q.T @ state.values
+            states = np.empty((times.size, state.values.size))
+            for row, t in enumerate(elapsed):
+                states[row] = Q @ (np.exp(w * t) * c)
+            top = float(w[-1]) if w.size else 0.0
+    if not np.all(np.isfinite(states)):
+        raise StabilityError(
+            f"exact evolution to t = {times[-1]:.6g} left the double range: "
+            f"largest eigenvalue {top:.6g}"
+        )
     return Trajectory(times=times, states=states)
 
 
@@ -133,17 +146,18 @@ def _bloch_states(modes: np.ndarray, layout) -> np.ndarray:
     return np.moveaxis(u_t, k + 1, 1).reshape(modes.shape[0], -1)
 
 
-def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray) -> np.ndarray:
-    """States exp(A t) u0, one row per elapsed time t, block by block."""
+def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
+    """States exp(A t) u0, one row per elapsed time t, block by block, and
+    the largest eigenvalue."""
     u_hat = _bloch_modes(u0, layout)
     modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
-    start = 0
+    start, top = 0, -np.inf
     for w, V in _bloch_eigh(op, layout):
         batch = slice(start, start + w.shape[0])
         c = V.conj().swapaxes(1, 2) @ u_hat[batch, :, None]
         modes[batch] = V @ (np.exp(w[:, :, None] * elapsed) * c)
-        start = batch.stop
-    return _bloch_states(np.moveaxis(modes, 2, 0), layout)
+        start, top = batch.stop, max(top, float(np.max(w)))
+    return _bloch_states(np.moveaxis(modes, 2, 0), layout), top
 
 
 def stability_limit(op) -> float:

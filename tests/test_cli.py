@@ -208,6 +208,28 @@ def test_eigen_task_matches_the_library(tmp_path):
     assert summary["max_eigenvalue"] <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigen_csv_bytes_match_the_csv_writer(tmp_path, dtype):
+    rng = np.random.default_rng(3)
+    values = (rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)).astype(dtype)
+    if dtype is complex:
+        values.imag = rng.standard_normal(40)
+        values[:4] = [
+            complex(0.0, -0.0), complex(-0.0, 0.0), complex(-1.5, -0.0), complex(1e-300, 1e308)
+        ]
+    else:
+        values[:3] = [-0.0, 0.0, 1 / 3]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["rank", "real", "imag", "magnitude"])
+    for rank, lam in enumerate(values, start=1):
+        writer.writerow(
+            [rank, cli._fmt(np.real(lam)), cli._fmt(np.imag(lam)), cli._fmt(np.abs(lam))]
+        )
+    cli._write_eigen_csv(tmp_path / "eigenvalues.csv", values)
+    assert (tmp_path / "eigenvalues.csv").read_bytes() == out.getvalue().encode()
+
+
 def test_simulate_task_writes_positions_and_conserves_mass(tmp_path):
     config = base_config(
         task="simulate",
@@ -244,6 +266,23 @@ def test_simulate_rk4_stability_guard(tmp_path):
     assert cli.run(config, tmp_path) == 2
     config["simulate"]["allow_unstable"] = True
     assert cli.run(config, tmp_path) == 0
+
+
+def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsys):
+    """A profile of extreme dynamic range gives spurious positive eigenvalues
+    of size 3e41, whose exp(w t) overflows: that is a numerical failure, not
+    a trajectory of nan rows."""
+    config = base_config(
+        task="simulate",
+        profile={"kind": "lognormal", "period": 2, "sigma": 1000, "seed": 0},
+        simulate={"integrator": "exact", "t_final": 0.1},
+    )
+    assert cli.run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "numerical precondition failed: exact evolution" in err
+    assert "largest eigenvalue" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_simulate_rk4_summary_counts_every_step(tmp_path):

@@ -1,14 +1,17 @@
-"""First-block-row storage: Bloch blocks, symmetry defect and matvec against the dense matrix."""
+"""First-block-row storage: Bloch blocks, symmetry defect, matvec and Bloch
+eigenvalues against the dense matrix."""
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patchtooth as pt
 from patchtooth.assembly import _bloch_batches, _patch_layout
+from patchtooth.spectra import _bloch_eigh
 
 L = 2 * np.pi
 
@@ -39,18 +42,43 @@ def couplings(draw, N):
     return pt.CouplingSpec("lagrangian", draw(st.integers(1, orders)))
 
 
+def rayleigh_bloch_eigh(op, layout):
+    """Eigenpairs of the Bloch blocks, every eigenvalue a Rayleigh quotient (oracle).
+
+    The engine refined all b eigenvalues of each block this way before it
+    refined only the slow ones.
+    """
+    for blocks in _bloch_batches(op, layout):
+        H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+        V = np.linalg.eigh(H.astype(complex))[1]
+        yield np.sum(V.conj() * (H @ V), axis=1).real.astype(float), V
+
+
 @st.composite
-def stored_operators(draw):
-    """Patch operators in 1D and 2D, single phase or ensemble, compatible or
-    not (an incompatible one is asymmetric), possibly wrapped as a wave."""
+def patch_setups(draw, compatible=False, r_max=1.0):
+    """Grid, profile, coupling and ensemble flag of a patch operator in 1D or 2D.
+
+    Compatible setups have n a multiple of p in single phase mode; in
+    ensemble mode n is free, so gcd(p, n) > 1 occurs (p = 4, n = 6 in 1D).
+    They have at least two points per patch along each axis: a patch of one
+    point resolves no microscale, and its block may have no slow modes set
+    apart from the rest.
+    """
     two_d = draw(st.booleans())
     axes = 2 if two_d else 1
-    N = [draw(st.integers(1, 5 if two_d else 9)) for _ in range(axes)]
-    n = [draw(st.integers(1, 3 if two_d else 5)) for _ in range(axes)]
-    periods = [draw(st.integers(1, 3)) for _ in range(axes)]
     ensemble = draw(st.booleans())
+    N = [draw(st.integers(1, 5 if two_d else 9)) for _ in range(axes)]
+    if compatible:
+        periods = [draw(st.integers(1, 2 if two_d else 4)) for _ in range(axes)]
+        if ensemble:
+            n = [draw(st.integers(2, 3 if two_d else 6)) for _ in range(axes)]
+        else:
+            n = [p * draw(st.integers(-(-2 // p), (3 if two_d else 6) // p)) for p in periods]
+    else:
+        n = [draw(st.integers(1, 3 if two_d else 5)) for _ in range(axes)]
+        periods = [draw(st.integers(1, 3)) for _ in range(axes)]
     coupling = draw(couplings(N))
-    r = [draw(st.floats(0.05, 1.0)) for _ in range(axes)]
+    r = [draw(st.floats(0.05, r_max)) for _ in range(axes)]
     seed = draw(st.integers(0, 999))
     if two_d:
         grid = pt.build_grid_2d(L, N[0], n[0], r[0], 1.5 * L, N[1], n[1], r[1])
@@ -58,6 +86,14 @@ def stored_operators(draw):
     else:
         grid = pt.build_grid_1d(L, N[0], n[0], r[0])
         prof = pt.random_lognormal_profile(periods[0], 0.8, seed)
+    return grid, prof, coupling, ensemble
+
+
+@st.composite
+def stored_operators(draw):
+    """Patch operators in 1D and 2D, single phase or ensemble, compatible or
+    not (an incompatible one is asymmetric), possibly wrapped as a wave."""
+    grid, prof, coupling, ensemble = draw(patch_setups())
     op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble, allow_incompatible=True)
     if draw(st.booleans()):
         op = pt.assemble_wave(op, draw(st.sampled_from([0.0, 0.02, 0.3])))
@@ -101,6 +137,68 @@ def test_matvec_equals_the_dense_product(op, seed):
     got = op.matvec(x)
     assert got.shape == want.shape == (op.dimension,)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(op.matrix)) * np.max(np.abs(x))
+
+
+def nyquist_blocks(layout):
+    """Which half-spectrum blocks have 2 j = N along some patch axis."""
+    patches = layout.shape[1 : 1 + layout.patch_axes]
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    j = np.unravel_index(np.arange(math.prod(half)), half)
+    return np.any([2 * ja == N for ja, N in zip(j, patches)], axis=0)
+
+
+# Patches of at most 0.3 of the spacing keep the slow modes of a block apart
+# from its fast ones.  At a Nyquist wavenumber of a coarse 2D grid with
+# spectral coupling a slow mode may still meet a fast one; which of the two is
+# refined is then arbitrary, and both are within eps * ||H||.
+@settings(max_examples=150, deadline=None)
+@given(patch_setups(compatible=True, r_max=0.3))
+def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(setup):
+    grid, prof, coupling, ensemble = setup
+    op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble)
+    layout = _patch_layout(op)
+    slow = layout.slow
+    got = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
+    oracle = np.concatenate([w for w, _ in rayleigh_bloch_eigh(op, layout)])
+    magnitudes = np.sort(np.abs(got), axis=1)
+    apart = np.ones(got.shape[0], dtype=bool)
+    if got.shape[1] > slow:
+        apart = magnitudes[:, slow - 1] < (1 - 1e-9) * magnitudes[:, slow]
+        assert np.all(apart | nyquist_blocks(layout))
+    # the slow eigenvalues are the oracle's Rayleigh quotients, bit for bit
+    order = np.argsort(np.abs(got), axis=1, kind="stable")[:, :slow]
+    refined = np.take_along_axis(got, order, axis=1)
+    want = np.take_along_axis(oracle, order, axis=1)
+    np.testing.assert_array_equal(refined[apart], want[apart])
+    scale = magnitudes[~apart, -1:]
+    assert np.all(np.abs(refined[~apart] - want[~apart]) <= 1e-14 * scale)
+    dense = np.linalg.eigvalsh(op.matrix)
+    spectrum = np.sort(pt.eigen_symmetric(op).eigenvalues)
+    assert np.max(np.abs(spectrum - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize(
+    "periods, n, slow",
+    [
+        ((5,), (4,), 1),  # acceptance criterion 8b
+        ((5,), (10,), 5),  # criterion 9: n = p * mult
+        ((4,), (6,), 2),  # the ensemble patches sweep
+        ((2, 2), (3, 3), 1),  # the eigen2d-ens benchmark
+        ((2, 3), (4, 6), 6),
+    ],
+)
+def test_the_slow_count_is_the_number_of_member_orbits(periods, n, slow):
+    if len(periods) == 1:
+        grid = pt.build_grid_1d(L, 5, n[0], 0.3)
+        prof = pt.random_lognormal_profile(periods[0], 0.5, 0)
+    else:
+        grid = pt.build_grid_2d(L, 3, n[0], 0.3, L, 3, n[1], 0.3)
+        prof = pt.random_lognormal_profile_2d(*periods, 0.5, 0)
+    ensemble = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+    assert ensemble.layout.slow == slow
+    assert pt.assemble_wave(ensemble).layout.slow == slow
+    single = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), allow_incompatible=True)
+    assert single.layout.slow == 1
 
 
 def test_batches_bound_the_blocks_alive_at_once(monkeypatch):
