@@ -30,7 +30,9 @@ index and the rows of patch 0, its first block row, describe it whole.
 AssembledOperator stores only their nonzero entries, O(nnz / N) numbers.
 Symmetry defect, matrix-vector products and the Bloch blocks of the spectra
 and time steppers are computed from them; the dense matrix is rolled out
-only when `.matrix` is read, at dim^2 memory on every access.
+only when `.matrix` is read, at dim^2 memory on every access.  The full
+lattices of microscale are patch operators too, with one-hot edge weights,
+so every operator has patch axes and every solver takes the Bloch path.
 
 The wave operator wraps a diffusion operator A into the first-order system
 d/dt (u, v) = (v, A u + eps B v), where B is the same patch construction with
@@ -57,11 +59,11 @@ class Layout:
     """How an operator orders its unknowns.
 
     A state is the C-order flattening of an array of `shape`, member axis
-    first: (members, N, n) for a 1D patch operator, (members, N_y, N_x, n_y,
-    n_x) in 2D, (1, M) or (1, M_y, M_x) for a full lattice.  A wave operator
-    stacks two such arrays, u then v, each of size `half`.  The `patch_axes`
-    axes after the member axis index patches, and the operator is
-    block-circulant over them; a full lattice has none.
+    first: (members, N, n) for a 1D patch operator and (members, N_y, N_x,
+    n_y, n_x) in 2D; a full lattice has one member.  A wave operator stacks
+    two such arrays, u then v, each of size `half`.  The `patch_axes` axes
+    after the member axis index patches, one per lattice axis, and the
+    operator is block-circulant over them.
 
     `slow` is the number of slow (macroscale) eigenvalues of each Bloch
     block: 1 for a single phase, and for a phase-shift ensemble the product
@@ -71,11 +73,11 @@ class Layout:
     """
 
     shape: tuple[int, ...]
+    patch_axes: int
     ensemble: bool = False
     half: int | None = None
     n_macro: int | None = None
     diagnostics: tuple = ()
-    patch_axes: int = 0
     slow: int = 1
 
     @property
@@ -123,10 +125,9 @@ class AssembledOperator:
     cols[t] of patch P + offsets[t] (mod N along each patch axis) with weight
     values[t].  Local rows and columns index (member, local point) in C order,
     the block index of the Bloch blocks; offsets are flat C-order indices over
-    the patch axes.  A full lattice has no patch axes: its one block row holds
-    every row and every offset is 0.  A wave operator indexes its entries in
-    the stacked (u, v) state of _state_layout.  Each (row, offset, col) occurs
-    once, and the entries are kept sorted by it.
+    the patch axes.  A wave operator indexes its entries in the stacked
+    (u, v) state of _state_layout.  Each (row, offset, col) occurs once, and
+    the entries are kept sorted by it.
     """
 
     layout: Layout
@@ -152,9 +153,8 @@ class AssembledOperator:
     def dimension(self) -> int:
         return math.prod(_state_layout(self.layout).shape)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense dim x dim matrix, rolled out anew on every access."""
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Global (rows, cols, values) of the stored entries in every patch: O(nnz)."""
         patches, _, points = _blocking(_state_layout(self.layout))
         K = math.prod(patches)
         P = np.arange(K)[:, None]
@@ -163,10 +163,16 @@ class AssembledOperator:
             member, point = np.divmod(local, points)
             return (member * K + patch) * points + point
 
+        rows = index(self.rows, P)
+        cols = index(self.cols, _patch_sum(P, self.offsets, patches))
+        return rows.ravel(), cols.ravel(), np.broadcast_to(self.values, rows.shape).ravel()
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, rolled out anew on every access."""
+        rows, cols, values = self.triplets()
         matrix = np.zeros((self.dimension, self.dimension))
-        matrix[index(self.rows, P), index(self.cols, _patch_sum(P, self.offsets, patches))] = (
-            self.values
-        )
+        matrix[rows, cols] = values
         return matrix
 
     def matvec(self, x) -> np.ndarray:
@@ -188,16 +194,11 @@ class AssembledOperator:
         return np.moveaxis(Y, k, 0).ravel()
 
 
-def _matrix_of(op) -> np.ndarray:
-    return op.matrix if hasattr(op, "matrix") else np.asarray(op)
-
-
-def _patch_layout(op) -> Layout | None:
-    """The state layout of a patch operator; None for raw arrays and full lattices."""
-    layout = getattr(op, "layout", None)
-    if layout is None or not layout.patch_axes:
-        return None
-    return _state_layout(layout)
+def _patch_layout(op) -> Layout:
+    """The state layout of an assembled operator; a TypeError for anything else."""
+    if not isinstance(op, AssembledOperator):
+        raise TypeError(f"an AssembledOperator is required, not {type(op).__name__}")
+    return _state_layout(op.layout)
 
 
 def _bloch_batches(op: AssembledOperator, layout: Layout):
@@ -237,50 +238,25 @@ class SymmetryReport:
     relative: float
 
 
-def symmetry_defect(op) -> SymmetryReport:
+def symmetry_defect(op: AssembledOperator) -> SymmetryReport:
     """Largest asymmetry max|L - L^T|, absolute and relative to max|L|.
 
-    An assembled operator compares entry (r, m, c) of its first block row
-    with entry (c, -m, r), a missing one counting as 0: O(nnz / N) work.  A
-    raw array is compared in 256 x 256 tiles (I, J), J >= I, against the
-    transpose of tile (J, I), so every entry is read but no dim x dim
-    temporary is made.  Both give exactly the maxima of the whole-matrix
-    expressions.
+    Entry (r, m, c) of the first block row is compared with entry (c, -m, r),
+    a missing one counting as 0: O(nnz / N) work, and exactly the maxima of
+    the whole-matrix expressions.
     """
-    if isinstance(op, AssembledOperator):
-        defect, scale = _stored_symmetry(op)
-    else:
-        defect, scale = _tiled_symmetry(np.asarray(op))
+    patches, b, _ = _blocking(_patch_layout(op))
+    defect = scale = 0.0
+    if op.values.size:
+        keys = op._keys()
+        K = math.prod(patches)
+        mirror = (op.cols * K + _patch_sum(0, op.offsets, patches, -1)) * b + op.rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        mirrored = np.where(keys[at] == mirror, op.values[at], 0.0)
+        defect = float(np.max(np.abs(op.values - mirrored)))
+        scale = float(np.max(np.abs(op.values)))
     relative = defect / scale if scale > 0 else 0.0
     return SymmetryReport(defect=defect, scale=scale, relative=relative)
-
-
-def _stored_symmetry(op: AssembledOperator) -> tuple[float, float]:
-    if not op.values.size:
-        return 0.0, 0.0
-    patches, b, _ = _blocking(_state_layout(op.layout))
-    keys = op._keys()
-    mirror = (op.cols * math.prod(patches) + _patch_sum(0, op.offsets, patches, -1)) * b + op.rows
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    mirrored = np.where(keys[at] == mirror, op.values[at], 0.0)
-    return float(np.max(np.abs(op.values - mirrored))), float(np.max(np.abs(op.values)))
-
-
-def _tiled_symmetry(matrix: np.ndarray) -> tuple[float, float]:
-    tile = 256
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"symmetry needs a square matrix, got shape {matrix.shape}")
-    starts = range(0, matrix.shape[0], tile)
-    defects = [
-        np.max(np.abs(matrix[i : i + tile, j : j + tile] - matrix[j : j + tile, i : i + tile].T))
-        for i in starts
-        for j in starts
-        if j >= i
-    ]
-    scales = [np.max(np.abs(matrix[i : i + tile])) for i in starts]
-    defect = float(np.max(defects)) if defects else 0.0
-    scale = float(np.max(scales)) if scales else 0.0
-    return defect, scale
 
 
 def _raise_on_errors(diagnostics, allow_incompatible):
@@ -301,8 +277,9 @@ def _stencil(axes, bonds, ensemble: bool):
     Each axis, x first, is given as (N, n, d, w_right, w_left): N patches of
     n points at spacing d, whose edge rows couple to the far next-to-edge
     point of patch (I + m) mod N with weights w_right[m] and w_left[m].  A
-    full lattice of M points along an axis is the single patch
-    (1, M, d, [1.0], [1.0]).
+    full lattice of M points along an axis is q = M / n patches of n points
+    whose edges couple to the next patch with weight 1: w_right = e_1 and
+    w_left = e_{q-1}, [1.0] when q = 1.
 
     The stencil has three parts: interior bonds, edge couplings weighted over
     the patch offsets m and, in ensemble mode, the member shift of each edge

@@ -55,8 +55,7 @@ from .homogenize import (
 from .microscale import (
     DiffusivityProfile1D,
     DiffusivityProfile2D,
-    full_lattice_operator_1d,
-    full_lattice_operator_2d,
+    _full_lattice,
     random_lognormal_profile,
     random_lognormal_profile_2d,
 )
@@ -598,7 +597,7 @@ def _task_sweep(config: dict, grid, profile, out: Path) -> None:
     _write_json(out / "summary.json", summary)
 
 
-def _full_lattice_reference(config: dict, op):
+def _full_lattice_reference(op):
     """Assembled full-lattice counterpart, or (None, reason) if there is none."""
     if op.layout.half is not None:
         return None, "full-lattice comparison is defined for diffusion models"
@@ -611,11 +610,7 @@ def _full_lattice_reference(config: dict, op):
     lattice = f"full lattice of {' x '.join(map(str, sizes))} points"
     if min(sizes) < 3:
         return None, f"{lattice} is below the 3-point minimum"
-    if math.prod(sizes) > 4096:
-        return None, f"{lattice} too large for a dense comparison"
-    if config["model"] == "diffusion2d":
-        return full_lattice_operator_2d(op.profile, sizes, [g.d for g in axes]), None
-    return full_lattice_operator_1d(op.profile, sizes[0], axes[0].d), None
+    return _full_lattice(op.profile, sizes, [g.d for g in axes]), None
 
 
 def _task_check(config: dict, grid, profile, out: Path) -> None:
@@ -650,12 +645,12 @@ def _task_check(config: dict, grid, profile, out: Path) -> None:
         payload["max_eigenvalue"] = float(np.max(np.real(report.eigenvalues)))
         payload["zero_mode_magnitude"] = report.zero_mode_magnitude
         payload["gap_ratio"] = report.gap_ratio
-        full, reason = _full_lattice_reference(config, op)
+        full, reason = _full_lattice_reference(op)
         if full is None:
             payload["consistency"] = {"available": False, "reason": reason}
         else:
             patch_vals = np.sort(np.real(report.eigenvalues))
-            full_vals = np.sort(np.linalg.eigvalsh(full.matrix))
+            full_vals = np.sort(eigen_symmetric(full).eigenvalues)
             scale = float(np.max(np.abs(full_vals)))
             # The denominator floor keeps the kernel rows from reading
             # round-off noise as relative error.

@@ -5,9 +5,11 @@ diffusion operator to a p x p Hermitian symbol (in d^2 du/dt scaling),
 
     A(k)[l, (l+1) mod p] += values[l] e^{ik},
     A(k)[l, (l-1) mod p] += values[(l-1) mod p] e^{-ik},
-    A(k)[l, l]           -= values[l] + values[(l-1) mod p],
+    A(k)[l, l]           -= values[l] + values[(l-1) mod p].
 
-whose slowest eigenvalue branch lambda(k) carries the macroscale physics:
+fourier_symbol reads it off the stored entries of the d = 1 full lattice of
+three periods (microscale), so the bond convention lives in one stencil.  Its
+slowest eigenvalue branch lambda(k) carries the macroscale physics:
 
     lambda(k) = -K2 k^2 + K4 k^4 + O(k^6).
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .microscale import DiffusivityProfile1D
+from .microscale import DiffusivityProfile1D, _full_lattice
 
 
 class BranchSeparationError(RuntimeError):
@@ -58,15 +60,21 @@ class HomogenisedCoefficients:
 
 
 def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> FourierSymbol:
-    """The p x p Bloch symbol of the diffusion operator at grid wavenumber k."""
+    """The p x p Bloch symbol of the diffusion operator at grid wavenumber k.
+
+    The lattice of 3p points is three patches of one period, so the patch
+    offsets 0, 1, 2 of its entries read as 0, +1, -1 periods, and entry
+    (l, m, c, v) adds v exp(ik(m p + c - l)) to S[l, c].  Lattice row l
+    describes node l + 1, whose right bond is values[(l + 1) mod p]: a roll by
+    one site in both axes puts it in the per-site gauge above.
+    """
     p = profile.period
-    vals = profile.values
-    A = np.zeros((p, p), dtype=complex)
-    for ell in range(p):
-        A[ell, (ell + 1) % p] += vals[ell] * np.exp(1j * k)
-        A[ell, (ell - 1) % p] += vals[(ell - 1) % p] * np.exp(-1j * k)
-        A[ell, ell] -= vals[ell] + vals[(ell - 1) % p]
-    return FourierSymbol(k=float(k), matrix=A)
+    op = _full_lattice(profile, [3 * p], [1.0])
+    phase = np.where(op.offsets == 2, -1, op.offsets) * p + op.cols - op.rows
+    t = np.argsort(phase == 0, kind="stable")  # the bond terms first, the diagonal last
+    S = np.zeros((p, p), dtype=complex)
+    np.add.at(S, (op.rows[t], op.cols[t]), op.values[t] * np.exp(1j * k * phase[t]))
+    return FourierSymbol(k=float(k), matrix=np.roll(S, 1, axis=(0, 1)))
 
 
 def _sorted_branch_values(profile, k):

@@ -15,11 +15,13 @@ in 2D.  Every diffusivity must be finite and strictly positive.
 
 The full-lattice operators built here serve as the consistency references for
 the patch scheme.  They are symmetric by construction, annihilate constants,
-and have nonpositive spectra.  A full lattice is the patch stencil of
-assembly._stencil with one patch spanning each axis: M points at spacing d
-along an axis are the patch (N, n, d) = (1, M, d), whose edge rows couple
-back to the same patch with weight 1.  One builder serves both dimensions and
-checks every axis the same way.
+and have nonpositive spectra.  A full lattice is the patch scheme at r = 1:
+M points at spacing d along an axis are q = M / n patches of n points, a
+multiple of the period, built by the stencil of assembly._stencil with edge
+rows that couple to the next patch with weight 1.  So it is block-circulant in
+the patch index like any patch operator, and the solvers take it through the
+same Bloch engine.  One builder serves both dimensions and checks every axis
+the same way.
 
 Index convention: physical lattice nodes are labelled from 1, so matrix row g
 describes node g+1 and
@@ -114,11 +116,13 @@ class DiffusivityProfile2D:
         return profile
 
 
-def _full_lattice(profile, sizes, spacings):
+def _full_lattice(profile, sizes, spacings, whole_rows: bool = False):
     """Full lattice with M_a points at spacing d_a along axis a, x first.
 
-    It is the stencil with one patch spanning each axis, so its one block row
-    holds every row.  A scalar spacing serves every axis.
+    Each patch holds one period p_a along every axis, so 1D storage is the
+    node order.  With `whole_rows` a patch spans the whole x axis instead:
+    patches of whole lattice rows, one period high, keep the row-major order
+    j*M_x + i in 2D.  A scalar spacing serves every axis.
     """
     sizes = [int(M) for M in sizes]
     spacings = [float(d) for d in np.broadcast_to(spacings, len(sizes))]
@@ -135,11 +139,17 @@ def _full_lattice(profile, sizes, spacings):
             )
     from .assembly import AssembledOperator, Layout, _stencil
 
-    one = np.ones(1)
-    shape, entries = _stencil([(1, M, d, one, one) for M, d in zip(sizes, spacings)],
-                              profile.bonds, False)
-    layout = Layout(shape=(1, *shape[1 + len(sizes) :]))  # without the one-patch axes
-    return AssembledOperator(layout, *entries, profile=profile)
+    points = list(profile.periods)
+    if whole_rows:
+        points[0] = sizes[0]
+    axes = []
+    for M, n, d in zip(sizes, points, spacings):
+        q = M // n
+        w_right, w_left = np.zeros(q), np.zeros(q)  # weight 1 on the next patch
+        w_right[1 % q] = w_left[-1] = 1.0
+        axes.append((q, n, d, w_right, w_left))
+    shape, entries = _stencil(axes, profile.bonds, False)
+    return AssembledOperator(Layout(shape, patch_axes=len(sizes)), *entries, profile=profile)
 
 
 def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1.0):
@@ -152,8 +162,8 @@ def full_lattice_operator_1d(profile: DiffusivityProfile1D, M: int, d: float = 1
         d: lattice spacing; all entries carry the 1/d^2 scaling.
 
     Returns:
-        AssembledOperator of the symmetric M x M operator, whose one block row
-        holds every row; `.matrix` rolls out the dense matrix.
+        AssembledOperator of the symmetric M x M operator on M / p patches of
+        one period; `.matrix` rolls out the dense matrix.
     """
     return _full_lattice(profile, [M], [d])
 
@@ -165,7 +175,7 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
     j*M_x + i.  Entry scalings are 1/d_x^2 for horizontal and 1/d_y^2 for
     vertical bonds; a scalar spacing serves both axes.
     """
-    return _full_lattice(profile, shape, spacing)
+    return _full_lattice(profile, shape, spacing, whole_rows=True)
 
 
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
@@ -174,10 +184,11 @@ def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
     The CSR matrix holds the stored entries of the operator, built in O(nnz)
     time and memory; no dense matrix is formed.
     """
-    op = _full_lattice(profile, shape, spacing)
+    op = _full_lattice(profile, shape, spacing, whole_rows=True)
+    rows, cols, values = op.triplets()
     import scipy.sparse  # only this builder needs scipy; keep it off the import path
 
-    return scipy.sparse.csr_matrix((op.values, (op.rows, op.cols)), shape=(op.dimension,) * 2)
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(op.dimension,) * 2)
 
 
 def random_lognormal_profile(p: int, sigma: float, seed: int) -> DiffusivityProfile1D:

@@ -22,8 +22,8 @@ eigen_general and timestep.evolve_exact cost O(N b^3) time instead of
 O(dim^3) and never hold a dim x dim matrix.  Blocks j and -j are complex
 conjugates, so only the half spectrum of rfftn is solved and the mirrored
 blocks contribute the same (symmetric case) or conjugate (general case)
-eigenvalues.  Raw arrays and full lattices have no patch axes and take the
-dense path; a full lattice rolls out its `.matrix` for it.
+eigenvalues.  A full lattice is a patch operator too (see microscale), so
+every solver here takes an AssembledOperator and has no dense path.
 
 A symmetric block is solved by a double precision eigh, and only its
 Layout.slow eigenvalues of smallest magnitude, the slow macro modes, are
@@ -54,7 +54,6 @@ from .assembly import (
     Layout,
     SymmetryReport,
     _bloch_batches,
-    _matrix_of,
     _patch_layout,
     symmetry_defect,
 )
@@ -120,11 +119,6 @@ def _bloch_eigh(op, layout: Layout):
         yield w, V
 
 
-def _default_n_macro(op) -> int | None:
-    layout = getattr(op, "layout", None)
-    return layout.n_macro if layout is not None else None
-
-
 @dataclass
 class SpectrumReport:
     """Eigenvalues sorted by ascending magnitude, split macro/micro.
@@ -163,21 +157,17 @@ class SpectrumReport:
 def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
     """Full real spectrum of a symmetric operator, sorted by magnitude.
 
-    Precondition: relative symmetry defect at most 1e-10.  Patch operators
-    are solved block by block in the patch wavenumber, others densely.
+    Precondition: relative symmetry defect at most 1e-10.  The operator is
+    solved block by block in the patch wavenumber.
     """
     symmetry = _require_symmetric(
         op, "this operator must not be fed to a symmetric eigensolver"
     )
     layout = _patch_layout(op)
-    if layout is None:
-        matrix = _matrix_of(op)
-        vals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    else:
-        w = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
-        vals = np.repeat(w, _mirror_counts(layout), axis=0).ravel()
+    w = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
+    vals = np.repeat(w, _mirror_counts(layout), axis=0).ravel()
     if n_macro is None:
-        n_macro = _default_n_macro(op) or vals.size
+        n_macro = layout.n_macro or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro, symmetry=symmetry)
 
 
@@ -211,18 +201,14 @@ def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     """Complex spectrum of a general operator, sorted by magnitude.
 
-    Patch operators are solved block by block in the patch wavenumber; wave
+    The operator is solved block by block in the patch wavenumber; wave
     operators are also deflated onto the zero-sum invariant subspace, so
-    their exact defective zero pair stays exactly zero in the report.  Raw
-    arrays and full lattices are solved densely.
+    their exact defective zero pair stays exactly zero in the report.
     """
     layout = _patch_layout(op)
-    if layout is None:
-        vals = np.linalg.eigvals(_matrix_of(op))
-    else:
-        vals = _bloch_eigenvalues(op, layout)
+    vals = _bloch_eigenvalues(op, layout)
     if n_macro is None:
-        n_macro = _default_n_macro(op) or vals.size
+        n_macro = layout.n_macro or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro)
 
 
@@ -231,12 +217,16 @@ def smallest_magnitude_eigenvalues(matrix, count: int):
 
     Shift-invert about sigma = 0.1, which for a negative semidefinite
     operator is never an eigenvalue, so the factorisation is always
-    nonsingular (sigma = 0 would hit the constant kernel mode).
+    nonsingular (sigma = 0 would hit the constant kernel mode).  ARPACK
+    starts from a seeded random vector, so repeated calls agree bit for bit;
+    the ones vector would not do, as it spans the kernel, an invariant
+    subspace.
     """
     import scipy.sparse.linalg  # only this solver needs scipy; keep it off the import path
 
+    start = np.random.default_rng(0).standard_normal(matrix.shape[0])
     vals = scipy.sparse.linalg.eigsh(
-        matrix, k=count, sigma=0.1, which="LM", return_eigenvectors=False
+        matrix, k=count, sigma=0.1, which="LM", v0=start, return_eigenvectors=False
     )
     return vals[np.argsort(np.abs(vals), kind="stable")]
 

@@ -7,30 +7,21 @@ evolve_rk4 is the classic fourth-order Runge-Kutta scheme for operators that
 need not be symmetric (the wave system), guarded by the explicit stability
 check dt <= 2.5 / rho(L), and it stores only every stride-th state.
 
-Both work in the patch wavenumber on a patch operator.  The state is
-transformed over the patch axes (rfftn), each Bloch block (see
-assembly._bloch_batches, which builds them from the stored first block row
-in batches) is advanced on its own, and only the stored states are
-transformed back.  evolve_exact propagates a block by its eigendecomposition.
-On a linear system one RK4 step is u <- R u with R = sum_{k<=4} (dt W)^k / k!,
-so evolve_rk4 builds R(j) for each block, raises it to the power `stride` by
-repeated squaring, both in extended precision (in double the error of the
-stored states grew 20- to 45-fold on the rk4-wave1d benchmark system), and
-applies that once per stored state: O(N b^3 log stride) set-up and
-O(N b^2) per stored state instead of four dim x dim matrix-vector products per
-step.  Block j = 0 holds the patch sums of the state, so the total mass after
-every step, stored or not, costs O(b) per step.  The stability limit of a
-patch operator is exact, 2.5 over the largest eigenvalue magnitude over the
-blocks, taken one batch of blocks at a time.
-
-Raw arrays and full lattices have no patch axes (a full lattice rolls out its
-`.matrix` once per call).  evolve_exact diagonalises them densely; evolve_rk4
-runs the plain RK4 loop, four matrix-vector products per step, and estimates
-rho by at most 100 steps of power iteration on L^2, whose dominant eigenvalue
-is real even when L has the dominant conjugate pair of an undamped wave
-operator.  L^2 is never formed: each step applies L twice to the iterate and
-stops once the estimate changes by at most 1e-9 relative.
-The deterministic start vector makes the estimate reproducible.
+Both work in the patch wavenumber; every operator, the full lattices of
+microscale included, is a patch operator.  The state is transformed over the
+patch axes (rfftn), each Bloch block (see assembly._bloch_batches, which
+builds them from the stored first block row in batches) is advanced on its
+own, and only the stored states are transformed back.  evolve_exact
+propagates a block by its eigendecomposition.  On a linear system one RK4
+step is u <- R u with R = sum_{k<=4} (dt W)^k / k!, so evolve_rk4 builds R(j)
+for each block, raises it to the power `stride` by repeated squaring, both in
+extended precision (in double the error of the stored states grew 20- to
+45-fold on the rk4-wave1d benchmark system), and applies that once per stored
+state: O(N b^3 log stride) set-up and O(N b^2) per stored state instead of
+four dim x dim matrix-vector products per step.  Block j = 0 holds the patch
+sums of the state, so the total mass after every step, stored or not, costs
+O(b) per step.  The stability limit is exact, 2.5 over the largest eigenvalue
+magnitude over the blocks, taken one batch of blocks at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _bloch_batches, _matrix_of, _patch_layout
+from .assembly import _bloch_batches, _patch_layout
 from .spectra import _bloch_eigh, _require_symmetric
 
 
@@ -104,21 +95,10 @@ def evolve_exact(op, u0, times) -> Trajectory:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < state.time):
         raise ValueError("cannot evolve backwards past the initial time")
-    elapsed = times - state.time
-    layout = _patch_layout(op)
     # exp(w t) of a spurious positive eigenvalue may overflow; the states are
     # checked below instead
     with np.errstate(over="ignore", invalid="ignore"):
-        if layout is not None:
-            states, top = _bloch_evolve(op, layout, state.values, elapsed)
-        else:
-            matrix = _matrix_of(op)
-            w, Q = np.linalg.eigh(0.5 * (matrix + matrix.T))
-            c = Q.T @ state.values
-            states = np.empty((times.size, state.values.size))
-            for row, t in enumerate(elapsed):
-                states[row] = Q @ (np.exp(w * t) * c)
-            top = float(w[-1]) if w.size else 0.0
+        states, top = _bloch_evolve(op, _patch_layout(op), state.values, times - state.time)
     if not np.all(np.isfinite(states)):
         raise StabilityError(
             f"exact evolution to t = {times[-1]:.6g} left the double range: "
@@ -163,34 +143,14 @@ def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
 def stability_limit(op) -> float:
     """Largest stable RK4 step, 2.5 / rho(L).
 
-    rho is exact on a patch operator, the largest eigenvalue magnitude over
-    its Bloch blocks, and a power iteration estimate otherwise.
+    rho is exact, the largest eigenvalue magnitude over the Bloch blocks.
     """
     layout = _patch_layout(op)
-    if layout is not None:
-        rho = max(
-            float(np.max(np.abs(np.linalg.eigvals(blocks.astype(complex)))))
-            for blocks in _bloch_batches(op, layout)
-        )
-        return 2.5 / rho if rho > 0.0 else float("inf")
-    matrix = _matrix_of(op)
-    dim = matrix.shape[0]
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    rho_sq = 0.0
-    for _ in range(100):
-        y = matrix @ (matrix @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            break
-        previous, rho_sq = rho_sq, norm
-        x = y / norm
-        if previous > 0 and abs(rho_sq - previous) <= 1e-9 * rho_sq:
-            break
-    if rho_sq == 0.0:
-        return float("inf")
-    return 2.5 / float(np.sqrt(rho_sq))
+    rho = max(
+        float(np.max(np.abs(np.linalg.eigvals(blocks.astype(complex)))))
+        for blocks in _bloch_batches(op, layout)
+    )
+    return 2.5 / rho if rho > 0.0 else float("inf")
 
 
 def _rk4_step_matrices(blocks: np.ndarray, dt: float) -> np.ndarray:
@@ -256,25 +216,7 @@ def evolve_rk4(
         )
     state = _as_state(u0)
     times = state.time + dt * np.arange(0, steps + 1, stride)
-    layout = _patch_layout(op)
-    if layout is not None:
-        states, mass = _bloch_rk4(op, layout, state.values, dt, steps, stride)
-        return Trajectory(times=times, states=states, mass=mass)
-    matrix = _matrix_of(op)
-    u = state.values.copy()
-    states = np.empty((times.size, u.size))
-    states[0] = u
-    mass = np.empty(steps + 1)
-    mass[0] = u.sum()
-    for s in range(1, steps + 1):
-        k1 = matrix @ u
-        k2 = matrix @ (u + 0.5 * dt * k1)
-        k3 = matrix @ (u + 0.5 * dt * k2)
-        k4 = matrix @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        mass[s] = u.sum()
-        if s % stride == 0:
-            states[s // stride] = u
+    states, mass = _bloch_rk4(op, _patch_layout(op), state.values, dt, steps, stride)
     return Trajectory(times=times, states=states, mass=mass)
 
 

@@ -171,26 +171,9 @@ def test_operators_are_block_circulant_in_the_patch_index():
                                   allow_incompatible=True)
         assert op.layout.patch_axes == 2
         np.testing.assert_array_equal(op.matrix, _rolled_from_first_block_row(op))
-    assert pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0, 2.0)), 8).layout.patch_axes == 0
-
-
-def test_tiled_symmetry_defect_equals_the_whole_matrix_maxima():
-    rng = np.random.default_rng(5)
-    grid = pt.build_grid_1d(L, 6, 4, 0.3)
-    counter = pt.assemble_patch_1d(  # the criterion-2 counterexample
-        grid, pt.DiffusivityProfile1D((1.0, 2.0, 3.0)), pt.CouplingSpec("spectral"),
-        allow_incompatible=True,
-    ).matrix
-    # 300 and 517 are not multiples of the 256-row tiles
-    for A in (rng.standard_normal((300, 300)), rng.lognormal(size=(517, 517)), counter):
-        report = pt.symmetry_defect(A)
-        assert report.defect == float(np.max(np.abs(A - A.T)))
-        assert report.scale == float(np.max(np.abs(A)))
-    assert pt.symmetry_defect(counter).relative > 1e-6
-    empty = pt.symmetry_defect(np.zeros((0, 0)))
-    assert (empty.defect, empty.scale, empty.relative) == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        pt.symmetry_defect(np.ones((3, 4)))
+    full = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0, 2.0)), 8)
+    assert full.layout.patch_axes == 1
+    np.testing.assert_array_equal(full.matrix, _rolled_from_first_block_row(full))
 
 
 def test_constant_vector_spans_the_kernel():

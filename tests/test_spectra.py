@@ -87,7 +87,7 @@ def test_bloch_wave_spectrum_matches_the_dense_deflation(base, epsilon):
 
 
 def test_spectrum_report_sorts_and_splits():
-    rep = pt.eigen_symmetric(np.diag([-2.0, 0.0, -100.0, -1.0]), n_macro=3)
+    rep = pt.SpectrumReport(eigenvalues=np.array([-2.0, 0.0, -100.0, -1.0]), n_macro=3)
     np.testing.assert_array_equal(rep.eigenvalues, [0.0, -1.0, -2.0, -100.0])
     np.testing.assert_array_equal(rep.macro, [0.0, -1.0, -2.0])
     np.testing.assert_array_equal(rep.micro, [-100.0])
@@ -96,16 +96,33 @@ def test_spectrum_report_sorts_and_splits():
 
 
 def test_spectrum_report_gap_guards():
-    rep = pt.eigen_symmetric(np.diag([0.0, -1.0]), n_macro=2)
+    rep = pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0]), n_macro=2)
     assert rep.gap_ratio == np.inf  # no micro modes left
     with pytest.raises(ValueError):
         pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0]), n_macro=5)
 
 
+def incompatible_operator():
+    """A single-phase operator whose period does not divide n: asymmetric."""
+    grid = pt.build_grid_1d(L, 6, 4, 0.3)
+    prof = pt.DiffusivityProfile1D((1.0, 2.0, 3.0))
+    return pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), allow_incompatible=True)
+
+
 def test_eigen_symmetric_rejects_asymmetry():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(pt.SymmetryPreconditionError):
-        pt.eigen_symmetric(A)
+        pt.eigen_symmetric(incompatible_operator())
+
+
+def test_solvers_take_assembled_operators_only():
+    raw = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0,)), 4).matrix
+    for solve in (pt.symmetry_defect, pt.eigen_symmetric, pt.eigen_general, pt.stability_limit):
+        with pytest.raises(TypeError, match="AssembledOperator"):
+            solve(raw)
+    with pytest.raises(TypeError, match="AssembledOperator"):
+        pt.evolve_exact(raw, np.ones(4), [0.0, 1.0])
+    with pytest.raises(TypeError, match="AssembledOperator"):
+        pt.evolve_rk4(raw, np.ones(4), 0.01, 3)
 
 
 def test_eigen_symmetric_default_macro_count_comes_from_layout():
@@ -149,8 +166,7 @@ def test_eigen_symmetric_reports_the_symmetry_it_checked():
     op = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0, 2.0)), pt.CouplingSpec("spectral"))
     assert pt.eigen_symmetric(op).symmetry == pt.symmetry_defect(op)
     assert pt.eigen_general(op).symmetry is None
-    bad = pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D((1.0, 2.0, 3.0)),
-                               pt.CouplingSpec("spectral"), allow_incompatible=True)
+    bad = incompatible_operator()
     with pytest.raises(pt.SymmetryPreconditionError) as failure:
         pt.eigen_symmetric(bad)
     assert failure.value.symmetry == pt.symmetry_defect(bad)
@@ -172,6 +188,14 @@ def test_smallest_magnitude_matches_dense_solver():
     dense = dense[np.argsort(np.abs(dense), kind="stable")][:7]
     small = pt.smallest_magnitude_eigenvalues(op.matrix, 7)
     np.testing.assert_allclose(small, dense, rtol=1e-10, atol=1e-10)
+
+
+def test_smallest_magnitude_eigenvalues_are_reproducible():
+    """ARPACK starts from a seeded vector, so two calls agree bit for bit."""
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    sparse = pt.full_lattice_operator_2d_sparse(prof, (30, 30), (0.1, 0.1))
+    first = pt.smallest_magnitude_eigenvalues(sparse, 12)
+    np.testing.assert_array_equal(pt.smallest_magnitude_eigenvalues(sparse, 12), first)
 
 
 def test_error_table_collapses_degenerate_pairs():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_spectra import patch_operators_1d, patch_operators_2d
+from test_spectra import (
+    dense_eigenvalues,
+    incompatible_operator,
+    patch_operators_1d,
+    patch_operators_2d,
+)
+from test_storage import full_lattices
 
 import patchtooth as pt
 
@@ -38,25 +44,27 @@ def make_operator():
 
 
 def test_exact_evolution_matches_scalar_decay():
-    A = np.diag([-1.0, -2.0])
-    u0 = np.array([3.0, 5.0])
+    """A sine mode of a constant lattice decays at -4 c sin^2(pi m / M) / d^2."""
+    c, M, m, d = 1.5, 12, 2, 0.5
+    op = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((c,)), M, d)
+    u0 = np.sin(2 * np.pi * m * np.arange(M) / M)
     times = np.array([0.0, 0.5, 1.0])
-    traj = pt.evolve_exact(A, u0, times)
-    want = u0[None, :] * np.exp(np.outer(times, [-1.0, -2.0]))
-    np.testing.assert_allclose(traj.states, want, rtol=1e-13)
+    traj = pt.evolve_exact(op, u0, times)
+    rate = -4 * c * np.sin(np.pi * m / M) ** 2 / d**2
+    np.testing.assert_allclose(traj.states, np.exp(rate * times)[:, None] * u0, atol=1e-14)
     np.testing.assert_array_equal(traj.times, times)
 
 
 def test_trajectory_rejects_unordered_times():
-    A = np.diag([-1.0])
+    op = make_operator()
     with pytest.raises(ValueError):
-        pt.evolve_exact(A, np.array([1.0]), [0.0, 0.5, 0.5])
+        pt.evolve_exact(op, np.ones(op.dimension), [0.0, 0.5, 0.5])
 
 
 def test_exact_evolution_requires_symmetry():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    op = incompatible_operator()
     with pytest.raises(pt.SymmetryPreconditionError):
-        pt.evolve_exact(A, np.array([1.0, 1.0]), [0.0, 1.0])
+        pt.evolve_exact(op, np.ones(op.dimension), [0.0, 1.0])
 
 
 def test_mass_is_conserved_by_the_exact_propagator():
@@ -78,12 +86,10 @@ def test_constant_state_is_stationary():
 
 
 def test_stability_limit_tracks_the_extreme_eigenvalue():
-    """Exact over the Bloch blocks of a patch operator (a diffusion operator
-    and its wave system), a power iteration estimate on a raw array."""
+    """Exact over the Bloch blocks of a diffusion operator and its wave system."""
     op = make_operator()
     lam = np.linalg.eigvalsh(0.5 * (op.matrix + op.matrix.T))
     assert pt.stability_limit(op) == pytest.approx(2.5 / abs(lam[0]), rel=1e-10)
-    assert pt.stability_limit(op.matrix) == pytest.approx(2.5 / abs(lam[0]), rel=2e-2)
     wave = pt.assemble_wave(op, epsilon=0.3)
     rho = np.max(np.abs(np.linalg.eigvals(wave.matrix)))
     assert pt.stability_limit(wave) == pytest.approx(2.5 / rho, rel=1e-10)
@@ -194,17 +200,40 @@ def test_bloch_rk4_matches_the_dense_loop(op, steps, stride_kind, fraction, seed
     assert np.max(np.abs(traj.mass - want.sum(axis=1))) <= 1e-12 * op.dimension * scale
 
 
-def test_rk4_on_a_raw_array_stores_every_stride_th_step_of_the_loop():
-    op = make_operator()
+def test_rk4_on_a_full_lattice_stores_every_stride_th_step_of_the_loop():
+    op = pt.full_lattice_operator_1d(pt.random_lognormal_profile(3, 0.8, 0), 24, 0.5)
     u0 = 1.0 + 0.3 * np.sin(np.arange(op.dimension))
     dt = pt.stability_limit(op) / 4.0
     want = dense_rk4(op.matrix, u0, dt, 10)
-    traj = pt.evolve_rk4(op.matrix, u0, dt, 10, stride=4)
-    np.testing.assert_array_equal(traj.states, want[::4])
+    traj = pt.evolve_rk4(op, u0, dt, 10, stride=4)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(traj.states - want[::4])) <= 1e-13 * scale
     np.testing.assert_array_equal(traj.times, dt * np.arange(11)[::4])
-    np.testing.assert_array_equal(traj.mass, want.sum(axis=1))
+    assert np.max(np.abs(traj.mass - want.sum(axis=1))) <= 1e-13 * op.dimension * scale
     sums, drift = pt.conserved_mass(traj)
     assert sums is traj.mass
-    assert drift == np.max(np.abs(want.sum(axis=1) - want[0].sum()))
+    assert drift == np.max(np.abs(traj.mass - traj.mass[0]))
     with pytest.raises(ValueError):
         pt.evolve_rk4(op, u0, dt, 10, stride=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_lattices(), st.integers(1, 12), st.floats(0.05, 1.0), st.integers(0, 999))
+def test_full_lattices_take_the_bloch_path_of_every_solver(op, steps, fraction, seed):
+    """Spectrum, stability limit, exact evolution and RK4 of a full lattice
+    against the dense oracles."""
+    dense = np.sort(dense_eigenvalues(op))
+    rho = np.max(np.abs(dense))
+    assert op.layout.patch_axes == len(op.profile.periods)
+    got = np.sort(pt.eigen_symmetric(op).eigenvalues)
+    assert np.max(np.abs(got - dense)) <= 1e-13 * rho
+    assert pt.stability_limit(op) == pytest.approx(2.5 / rho, rel=1e-12)
+    u0 = 1.0 + np.random.default_rng(seed).standard_normal(op.dimension)
+    times = np.array([0.0, 0.1, 1.0, 20.0]) / rho
+    want = dense_evolution(op, u0, times)
+    got = pt.evolve_exact(op, u0, times).states
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    dt = fraction * pt.stability_limit(op)
+    want = dense_rk4(op.matrix, u0, dt, steps)
+    traj = pt.evolve_rk4(op, u0, dt, steps)
+    assert np.max(np.abs(traj.states - want)) <= 1e-12 * np.max(np.abs(want))
