@@ -70,6 +70,8 @@ class Layout:
     over the axes of gcd(p_a, n_a), since crossing a patch edge along axis a
     moves phase l to (l + n_a) mod p_a, so the members fall into that many
     orbits (Bunder, Roberts & Kevrekidis, J. Comput. Phys. 337, 2017).
+    A patch operator has `n_macro` = slow x (number of patches) macroscale
+    modes; a full lattice leaves it None.
     """
 
     shape: tuple[int, ...]
@@ -201,7 +203,7 @@ def _patch_layout(op) -> Layout:
     return _state_layout(op.layout)
 
 
-def _bloch_batches(op: AssembledOperator, layout: Layout):
+def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
     """Bloch blocks H(j) of a patch operator in batches over j, each (k, b, b).
 
     H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
@@ -215,6 +217,8 @@ def _bloch_batches(op: AssembledOperator, layout: Layout):
     a block is indexed by (member, local point) in C order, and one batch
     holds at most about _BATCH_BYTES of blocks.  For a wave operator, given
     the layout of _patch_layout, each block is [[0, I], [A(j), eps B(j)]].
+    Given `select`, indices into that half spectrum, only those blocks are
+    built, in the order given; the lines are still transformed whole.
     """
     patches, b, _ = _blocking(layout)
     pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
@@ -223,6 +227,8 @@ def _bloch_batches(op: AssembledOperator, layout: Layout):
     axes = tuple(range(1, len(patches) + 1))
     spectra = np.fft.rfftn(lines.reshape(pairs.size, *patches), axes=axes)
     spectra = spectra.reshape(pairs.size, math.prod(spectra.shape[1:]))
+    if select is not None:
+        spectra = spectra[:, select]
     step = max(1, _BATCH_BYTES // (spectra.itemsize * b * b))
     for start in range(0, spectra.shape[1], step):
         batch = spectra[:, start : start + step]
@@ -394,13 +400,14 @@ def assemble_patch_1d(
     _raise_on_errors(diagnostics, allow_incompatible)
     shape, entries = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
     orbits = (math.gcd(p, g.n) for p, g in zip(profile.periods, grid.axes))
+    slow = math.prod(orbits) if ensemble else 1
     layout = Layout(
         shape=shape,
         ensemble=bool(ensemble),
-        n_macro=math.prod(g.N for g in grid.axes),
+        n_macro=slow * math.prod(g.N for g in grid.axes),
         diagnostics=tuple(tuple(item) for item in diagnostics),
         patch_axes=len(grid.axes),
-        slow=math.prod(orbits) if ensemble else 1,
+        slow=slow,
     )
     return AssembledOperator(layout, *entries, grid=grid, profile=profile, coupling=coupling)
 

@@ -296,6 +296,22 @@ def _validate_config(config: dict) -> None:
             )
         if sweep["parameter"] == "patches" and model != "diffusion1d":
             raise ConfigError("patch-count sweeps are 1D only")
+        if sweep["parameter"] == "patches":
+            N = (min(sweep["values"]),)
+        elif grid_is_2d:
+            N = (config["grid"]["x"]["N"], config["grid"]["y"]["N"])
+        else:
+            N = (config["grid"]["N"],)
+        # the classes {j, -j} of nonzero patch wavenumbers; j = -j (mod N)
+        # only at j = 0 and, along an axis of even N, at j = N / 2
+        limit = (math.prod(N) + math.prod(2 - N_a % 2 for N_a in N)) // 2 - 1
+        modes = sweep.get("modes", 3)
+        if modes > limit:
+            raise ConfigError(
+                f"at ['sweep']['modes']: {modes} wavenumbers asked for, but the "
+                f"{'smallest swept ' if sweep['parameter'] == 'patches' else ''}grid "
+                f"has {limit} distinct nonzero ones"
+            )
     if task == "simulate":
         sim = config.get("simulate", {})
         integrator = sim.get("integrator", "rk4" if model == "wave1d" else "exact")
@@ -355,6 +371,29 @@ def _check_representable(config: dict, grid, profile) -> None:
         raise ConfigError(
             "at ['profile']: the largest stencil entry, 2 max(diffusivity) / d^2 "
             "summed over the axes, is not a finite double"
+        )
+
+
+def _require_dynamic_range(grid, profile) -> None:
+    """Refuse a profile whose slowest macro mode would drown in round-off.
+
+    The solvers resolve an eigenvalue to about eps ||H||, with ||H|| estimated
+    by the largest stencil entry, 2 max(bonds) / d^2 summed over the axes.
+    The slowest nonzero macro eigenvalue is about the smallest over the axes
+    of K (2 pi / L)^2, K the harmonic mean of that axis's bonds.  Their ratio
+    must stay below 1e-4, so the macro modes keep four significant digits.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = sum(2.0 * np.max(b) / np.square(g.d) for g, b in zip(grid.axes, profile.bonds))
+        slowest = min(
+            b.size / np.sum(1.0 / b) * np.square(2.0 * np.pi / g.L)
+            for g, b in zip(grid.axes, profile.bonds)
+        )
+        ratio = np.finfo(float).eps * norm / slowest
+    if not ratio <= 1e-4:
+        raise ValueError(
+            f"dynamic range: eps * ||H|| is {ratio:.3g} times the slowest macro "
+            f"eigenvalue, about {slowest:.3g}; round-off would swamp the macro modes"
         )
 
 
@@ -554,20 +593,33 @@ def _require_compatible(config: dict, grid, profile, allow_incompatible: bool) -
     _raise_on_errors(geometry.validate_compatibility(grid, profile, ensemble), allow_incompatible)
 
 
-def _sweep_point(config: dict, base_grid, profile, parameter: str, value: int, modes: int):
+def _sweep_rows(config: dict, base_grid, profile, parameter: str, values, modes: int):
+    """The error table row of each swept value: wavenumbers 1..modes against spectral.
+
+    Only the Bloch blocks of those wavenumbers are solved; an order sweep
+    solves its spectral reference once.
+    """
     ens = bool(config.get("ensemble", False))
-    if parameter == "order":
-        grid = base_grid
-        test_coupling = CouplingSpec(scheme="lagrangian", order=value)
-    else:
-        r = geometry.ratio_for_spacing(base_grid.L, value, base_grid.n, base_grid.d)
-        grid = geometry.build_grid_1d(base_grid.L, value, base_grid.n, r)
-        test_coupling = _build_coupling(config)
     assemble = assemble_patch_2d if config["model"] == "diffusion2d" else assemble_patch_1d
-    test_op = assemble(grid, profile, test_coupling, ensemble=ens)
-    ref_op = assemble(grid, profile, CouplingSpec(scheme="spectral"), ensemble=ens)
-    table = error_table(eigen_symmetric(test_op), eigen_symmetric(ref_op), modes)
-    return list(table.relative_errors)
+
+    def spectrum(grid, coupling):
+        return eigen_symmetric(assemble(grid, profile, coupling, ensemble=ens), modes=modes)
+
+    spectral = CouplingSpec(scheme="spectral")
+    if parameter == "order":
+        ref = spectrum(base_grid, spectral)
+        pairs = ((spectrum(base_grid, CouplingSpec("lagrangian", v)), ref) for v in values)
+    else:
+        coupling = _build_coupling(config)
+        grids = (
+            geometry.build_grid_1d(
+                base_grid.L, v, base_grid.n,
+                geometry.ratio_for_spacing(base_grid.L, v, base_grid.n, base_grid.d),
+            )
+            for v in values
+        )
+        pairs = ((spectrum(g, coupling), spectrum(g, spectral)) for g in grids)
+    return [list(error_table(test, ref, modes).relative_errors) for test, ref in pairs]
 
 
 def _task_sweep(config: dict, grid, profile, out: Path) -> None:
@@ -578,7 +630,7 @@ def _task_sweep(config: dict, grid, profile, out: Path) -> None:
     # No base operator is assembled, so reject an incompatible base config
     # here, before any point is built.
     _require_compatible(config, grid, profile, allow_incompatible=False)
-    rows = [_sweep_point(config, grid, profile, parameter, v, modes) for v in values]
+    rows = _sweep_rows(config, grid, profile, parameter, values, modes)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)])
@@ -687,6 +739,8 @@ def run(config: dict, outdir=None) -> int:
     out = Path(outdir if outdir is not None else config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     try:
+        if config["task"] in ("eigen", "sweep", "check"):
+            _require_dynamic_range(grid, profile)
         _TASKS[config["task"]](config, grid, profile, out)
     except (
         SymmetryPreconditionError,

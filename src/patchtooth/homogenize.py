@@ -29,6 +29,7 @@ physical macroscale prediction is lambda_phys = -K2 q^2 + K4 d^2 q^4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,24 @@ class HomogenisedCoefficients:
     fit_residual: float
 
 
+@functools.lru_cache(maxsize=8)
+def _symbol_terms(values: bytes):
+    """Rows, columns, values and phases of the entries of the d = 1 lattice of three periods.
+
+    Cached by the profile's diffusivities, so the lattice is built once per
+    profile however many wavenumbers its symbol is taken at.
+    """
+    profile = DiffusivityProfile1D(np.frombuffer(values))
+    p = profile.period
+    op = _full_lattice(profile, [3 * p], [1.0])
+    phase = np.where(op.offsets == 2, -1, op.offsets) * p + op.cols - op.rows
+    t = np.argsort(phase == 0, kind="stable")  # the bond terms first, the diagonal last
+    terms = (op.rows[t], op.cols[t], op.values[t], phase[t])
+    for part in terms:
+        part.flags.writeable = False
+    return terms
+
+
 def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> FourierSymbol:
     """The p x p Bloch symbol of the diffusion operator at grid wavenumber k.
 
@@ -69,11 +88,9 @@ def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> FourierSymbol:
     one site in both axes puts it in the per-site gauge above.
     """
     p = profile.period
-    op = _full_lattice(profile, [3 * p], [1.0])
-    phase = np.where(op.offsets == 2, -1, op.offsets) * p + op.cols - op.rows
-    t = np.argsort(phase == 0, kind="stable")  # the bond terms first, the diagonal last
+    rows, cols, values, phase = _symbol_terms(profile.values.tobytes())
     S = np.zeros((p, p), dtype=complex)
-    np.add.at(S, (op.rows[t], op.cols[t]), op.values[t] * np.exp(1j * k * phase[t]))
+    np.add.at(S, (rows, cols), values * np.exp(1j * k * phase))
     return FourierSymbol(k=float(k), matrix=np.roll(S, 1, axis=(0, 1)))
 
 
@@ -86,6 +103,22 @@ def _sorted_branch_values(profile, k):
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
+def _zero_gap(profile) -> float | None:
+    """The k = 0 spectral gap, None for a single phase, which has no fast branch."""
+    return abs(_sorted_branch_values(profile, 0.0)[1]) if profile.period > 1 else None
+
+
+def _slow_value(profile, k: float, gap0: float | None) -> float:
+    vals = _sorted_branch_values(profile, k)
+    if gap0 is not None and abs(vals[1]) - abs(vals[0]) < 0.5 * gap0:
+        raise BranchSeparationError(
+            f"branch separation failure at k = {k:.6g}: slow and fast "
+            f"eigenvalues {vals[0]:.6g} and {vals[1]:.6g} are closer than "
+            f"half the k = 0 gap {gap0:.6g}"
+        )
+    return float(vals[0])
+
+
 def slow_branch(profile: DiffusivityProfile1D, k: float) -> float:
     """Slowest eigenvalue of the symbol at k, with a branch-separation guard.
 
@@ -93,17 +126,7 @@ def slow_branch(profile: DiffusivityProfile1D, k: float) -> float:
     fast branch; the guard requires the magnitude separation at k to be at
     least half the k = 0 spectral gap, and raises otherwise.
     """
-    p = profile.period
-    vals = _sorted_branch_values(profile, k)
-    if p > 1:
-        gap0 = abs(_sorted_branch_values(profile, 0.0)[1])
-        if abs(vals[1]) - abs(vals[0]) < 0.5 * gap0:
-            raise BranchSeparationError(
-                f"branch separation failure at k = {k:.6g}: slow and fast "
-                f"eigenvalues {vals[0]:.6g} and {vals[1]:.6g} are closer than "
-                f"half the k = 0 gap {gap0:.6g}"
-            )
-    return float(vals[0])
+    return _slow_value(profile, k, _zero_gap(profile))
 
 
 def harmonic_mean_diffusivity(profile: DiffusivityProfile1D) -> float:
@@ -137,7 +160,8 @@ def extract_coefficients(
         raise ValueError("fewer fit nodes than fitted powers")
     K2 = harmonic_mean_diffusivity(profile)
     ks = node_spacing * np.arange(1, node_count + 1)
-    lam = np.array([slow_branch(profile, k) for k in ks])
+    gap0 = _zero_gap(profile)
+    lam = np.array([_slow_value(profile, k, gap0) for k in ks])
     if not np.all(np.isfinite(lam)):
         raise FitResidualError("the slow-branch samples are not all finite")
     V = ks[:, None] ** powers[None, :]

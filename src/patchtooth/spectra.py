@@ -1,10 +1,11 @@
 """Eigen-spectral verification of assembled operators.
 
-The spectrum of a patch operator splits into N_macro macroscale modes (one
-per patch, approximating the homogenised continuum) and fast microscale
-modes, separated by a wide gap.  Reports sort eigenvalues by ascending
-magnitude and record the kernel quality, the gap ratio, and mode-by-mode
-error tables against a reference operator.
+The spectrum of a patch operator splits into N_macro macroscale modes (g
+per patch, approximating the homogenised continuum; g = 1 for a single
+phase, see Layout.slow) and fast microscale modes, separated by a wide gap.
+Reports sort eigenvalues by ascending magnitude and record the kernel
+quality, the gap ratio, and mode-by-mode error tables against a reference
+operator.
 
 eigen_symmetric refuses operators whose relative symmetry defect exceeds
 1e-10: feeding an asymmetric matrix to a symmetric eigensolver silently
@@ -34,6 +35,18 @@ microscale mode of the patch interior, at least about ||H|| / n^2, so the
 same error is already a small relative one: on the benchmark operators the
 fast eigenvalues lie within 19 eps relative of their Rayleigh quotients.
 The refinement costs O(b^2 g) per block for g slow modes, not O(b^3).
+
+eigen_symmetric labels every eigenvalue by its Bloch block and its rank
+among the block's g slow modes (-1 for a fast mode).  A block's label is its
+wavenumber: the half-spectrum j, with j and -j counted once, numbered in
+ascending continuum |k|^2, so in 1D it is |j|.  error_table pairs the test
+and reference modes of a label: row k is wavenumber k, and for g > 1 it
+reports the worst rank.  A caller that reads only wavenumbers 1..m passes
+modes=m, and only those blocks are solved, O(m b^3) work where the full
+spectrum costs O(N b^3); each of them must hold its slow modes clearly below
+its fast ones, or the labels would pair arbitrary modes and the solve
+raises.  The errors are bitwise those of the full solve, since each block is
+the same batched eigh of the same rfftn lines.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -92,22 +105,24 @@ def _mirror_counts(layout: Layout) -> np.ndarray:
     return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
 
 
-def _bloch_eigh(op, layout: Layout):
+def _bloch_eigh(op, layout: Layout, select=None):
     """Eigenpairs of the Hermitian parts of the Bloch blocks, one batch at a time.
 
-    Yields (w, V) of shapes (k, b) and (k, b, b) for each batch of
-    assembly._bloch_batches, with the eigenvectors and eigenvalues of a
-    double precision eigh.  Only the layout.slow eigenvalues of smallest
-    magnitude in each block are replaced, by the Rayleigh quotients of their
-    eigenvectors against the extended precision block.  Such a quotient's
-    error is quadratic in the eigenvector error, so the slow macro modes,
-    small differences of O(1/d^2) entries, keep their relative accuracy
-    instead of an absolute error of eps * ||H||.  The fast modes are
-    microscale modes of magnitude at least about ||H|| / n^2, where that
-    error is already a small relative one: refining them would cost O(b^3)
-    extended precision work per block for no accuracy that matters.
+    Yields (w, V, slow) of shapes (k, b), (k, b, b) and (k, g) for each batch
+    of assembly._bloch_batches (only the blocks `select` names, if given),
+    with the eigenvectors and eigenvalues of a double precision eigh.  Only
+    the g = layout.slow eigenvalues of smallest magnitude in each block, at
+    the indices `slow` in ascending magnitude, are replaced, by the Rayleigh
+    quotients of their eigenvectors against the extended precision block.
+    Such a quotient's error is quadratic in the eigenvector error, so the
+    slow macro modes, small differences of O(1/d^2) entries, keep their
+    relative accuracy instead of an absolute error of eps * ||H||.  The fast
+    modes are microscale modes of magnitude at least about ||H|| / n^2,
+    where that error is already a small relative one: refining them would
+    cost O(b^3) extended precision work per block for no accuracy that
+    matters.
     """
-    for blocks in _bloch_batches(op, layout):
+    for blocks in _bloch_batches(op, layout, select):
         H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
         w, V = np.linalg.eigh(H.astype(complex))
         slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, : layout.slow]
@@ -116,7 +131,64 @@ def _bloch_eigh(op, layout: Layout):
         rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
         rayleigh = rayleigh.real.astype(float)
         np.put_along_axis(w, slow, rayleigh, axis=1)
-        yield w, V
+        yield w, V, slow
+
+
+def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
+    """The wavenumber label of each half-spectrum Bloch block, in rfftn order.
+
+    Each patch axis a of N_a patches folds j_a into (-N_a/2, N_a/2]; j and
+    -j form one class, represented by the larger of the two, x component
+    first.  The classes are numbered 0, 1, 2, ... in ascending continuum
+    |k|^2 = sum_a (2 pi j_a / L_a)^2, ties broken by the larger
+    representative first (x component, then y).  So in 1D the label is |j|,
+    and in 2D on a square domain (1, 0) comes before (0, 1), and (1, 1)
+    before (1, -1).  An operator without a grid, a full lattice, takes L_a
+    as its points along axis a, the length at unit spacing.
+    """
+    k = layout.patch_axes
+    patches = layout.shape[1 : 1 + k]
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    N = np.array(patches[::-1])[:, None]  # x first from here on
+    j = np.indices(half).reshape(k, -1)[::-1]
+
+    def fold(x):
+        x = x % N
+        return np.where(2 * x <= N, x, x - N)
+
+    plus, minus = fold(j), fold(-j)
+    first = np.argmax(plus != minus, axis=0)  # the first component that differs
+    larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
+    classes, inverse = np.unique(np.where(larger, plus, minus), axis=1, return_inverse=True)
+    if op.grid is not None:
+        lengths = np.array([g.L for g in op.grid.axes])
+    else:
+        lengths = N[:, 0] * np.array(layout.shape[1 + k :][::-1])
+    ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
+    order = np.lexsort((*-classes[::-1], ksq))
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.arange(order.size)
+    return place[inverse.reshape(-1)]
+
+
+def _require_separated(w: np.ndarray, ranks: np.ndarray, labels: np.ndarray) -> None:
+    """Raise unless every block's slow modes lie below half its smallest fast one.
+
+    Rank labels pair the g slow modes of a block only while they are the g
+    smallest by a clear margin; where a fast mode meets a slow one, which of
+    them is ranked slow is arbitrary.
+    """
+    mags = np.abs(w)
+    slow = np.max(np.where(ranks >= 0, mags, 0.0), axis=1)
+    fast = np.min(np.where(ranks < 0, mags, np.inf), axis=1)
+    mixed = np.flatnonzero(~(slow <= 0.5 * fast))
+    if mixed.size:
+        at = mixed[0]
+        raise ValueError(
+            f"the Bloch block of wavenumber {labels[at]} does not separate its "
+            f"{np.count_nonzero(ranks[at] >= 0)} slow modes from its fast ones: "
+            f"largest slow magnitude {slow[at]:.6g}, smallest fast {fast[at]:.6g}"
+        )
 
 
 @dataclass
@@ -124,12 +196,17 @@ class SpectrumReport:
     """Eigenvalues sorted by ascending magnitude, split macro/micro.
 
     `symmetry` is the symmetry measurement a symmetric solve was checked
-    against, None when no check was made.
+    against, None when no check was made.  `wavenumbers` and `ranks`, when
+    given, label each eigenvalue by its Bloch block and by its rank among
+    that block's slow modes, -1 for a fast mode; they are sorted along with
+    the eigenvalues.
     """
 
     eigenvalues: np.ndarray
     n_macro: int
     symmetry: SymmetryReport | None = None
+    wavenumbers: np.ndarray | None = None
+    ranks: np.ndarray | None = None
     macro: np.ndarray = field(init=False)
     micro: np.ndarray = field(init=False)
     gap_ratio: float = field(init=False)
@@ -140,6 +217,13 @@ class SpectrumReport:
         order = np.argsort(np.abs(ev), kind="stable")
         ev = ev[order]
         self.eigenvalues = ev
+        if (self.wavenumbers is None) != (self.ranks is None):
+            raise ValueError("wavenumbers and ranks label the eigenvalues together")
+        if self.wavenumbers is not None:
+            labels = [np.asarray(part, dtype=np.intp) for part in (self.wavenumbers, self.ranks)]
+            if any(part.shape != ev.shape for part in labels):
+                raise ValueError("need one wavenumber and one rank per eigenvalue")
+            self.wavenumbers, self.ranks = (part[order] for part in labels)
         if not 0 < self.n_macro <= ev.size:
             raise ValueError(
                 f"macro mode count {self.n_macro} outside 1..{ev.size}"
@@ -154,21 +238,51 @@ class SpectrumReport:
             self.gap_ratio = float(np.abs(self.micro[0])) / macro_scale
 
 
-def eigen_symmetric(op, n_macro: int | None = None) -> SpectrumReport:
-    """Full real spectrum of a symmetric operator, sorted by magnitude.
+def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) -> SpectrumReport:
+    """Real spectrum of a symmetric operator, sorted by magnitude and labelled.
 
     Precondition: relative symmetry defect at most 1e-10.  The operator is
-    solved block by block in the patch wavenumber.
+    solved block by block in the patch wavenumber, and each eigenvalue is
+    labelled by its block's wavenumber (see _wavenumber_labels) and its rank
+    among the block's Layout.slow slow modes.  Without `modes` every block is
+    solved.  With it only the blocks of wavenumbers 1..modes are, O(modes
+    b^3) work, and each of them must hold its slow modes below half its
+    smallest fast one, or a ValueError names the block.
     """
     symmetry = _require_symmetric(
         op, "this operator must not be fed to a symmetric eigensolver"
     )
     layout = _patch_layout(op)
-    w = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
-    vals = np.repeat(w, _mirror_counts(layout), axis=0).ravel()
-    if n_macro is None:
+    labels, counts = _wavenumber_labels(op, layout), _mirror_counts(layout)
+    select = None
+    if modes is not None:
+        if not 1 <= modes <= labels.max(initial=0):
+            raise ValueError(
+                f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
+            )
+        select = np.flatnonzero((labels >= 1) & (labels <= modes))
+        labels, counts = labels[select], counts[select]
+    w, ranks = [], []
+    for vals, _, slow in _bloch_eigh(op, layout, select):
+        rank = np.full(vals.shape, -1, dtype=np.intp)
+        np.put_along_axis(rank, slow, np.arange(layout.slow), axis=1)
+        w.append(vals)
+        ranks.append(rank)
+    w, ranks = np.concatenate(w), np.concatenate(ranks)
+    if modes is not None:
+        _require_separated(w, ranks, labels)
+    vals = np.repeat(w, counts, axis=0).ravel()
+    if n_macro is None and modes is not None:
+        n_macro = layout.slow * int(np.sum(counts))  # the labelled slow modes
+    elif n_macro is None:
         n_macro = layout.n_macro or vals.size
-    return SpectrumReport(eigenvalues=vals, n_macro=n_macro, symmetry=symmetry)
+    return SpectrumReport(
+        eigenvalues=vals,
+        n_macro=n_macro,
+        symmetry=symmetry,
+        wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
+        ranks=np.repeat(ranks, counts, axis=0).ravel(),
+    )
 
 
 def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
@@ -241,49 +355,52 @@ class ErrorTable:
     relative_errors: np.ndarray
 
 
-def _unique_macro_modes(report: SpectrumReport) -> np.ndarray:
-    """Nonzero macro eigenvalues with near-degenerate pairs collapsed.
-
-    Drops kernel modes (magnitude below 1e-7 of the macro scale), then merges
-    consecutive eigenvalues within 0.5% relative into their mean; the wave
-    pairs +-k collapse to one entry per wavenumber magnitude.
-    """
-    macro = np.real(np.asarray(report.macro))
-    mags = np.abs(macro)
-    scale = float(mags.max()) if macro.size else 0.0
-    if scale == 0.0:
-        return np.array([])
-    keep = macro[mags > 1e-7 * scale]
-    keep = keep[np.argsort(np.abs(keep), kind="stable")]
-    groups: list[list[float]] = []
-    for lam in keep:
-        if groups:
-            mean = float(np.mean(groups[-1]))
-            if abs(lam - mean) <= 0.005 * max(abs(lam), abs(mean)):
-                groups[-1].append(float(lam))
-                continue
-        groups.append([float(lam)])
-    return np.array([np.mean(g) for g in groups])
+def _slow_modes(report: SpectrumReport, count: int, role: str) -> np.ndarray:
+    """The (count, g) slow modes of wavenumbers 1..count by rank, each the mean of its copies."""
+    if report.wavenumbers is None:
+        raise ValueError(f"the {role} spectrum carries no wavenumber labels to pair by")
+    keep = (report.ranks >= 0) & (report.wavenumbers >= 1) & (report.wavenumbers <= count)
+    wavenumbers, ranks = report.wavenumbers[keep], report.ranks[keep]
+    g = int(ranks.max(initial=-1)) + 1
+    key = (wavenumbers - 1) * g + ranks
+    copies = np.bincount(key, minlength=count * g)
+    if copies.size == 0 or np.any(copies == 0):
+        raise ValueError(
+            f"need the slow modes of wavenumbers 1..{count}; the {role} spectrum has "
+            f"{np.unique(wavenumbers).size} of them"
+        )
+    sums = np.bincount(key, weights=np.real(report.eigenvalues[keep]), minlength=count * g)
+    return (sums / copies).reshape(count, g)
 
 
 def error_table(test: SpectrumReport, reference: SpectrumReport, count: int) -> ErrorTable:
-    """Relative errors of the first `count` distinct nonzero macro modes."""
+    """Relative errors of the slow modes of wavenumbers 1..count, paired by label.
+
+    Row k is wavenumber k: each of its slow modes is paired with the
+    reference mode of the same wavenumber and rank, and a label that occurs
+    more than once, as blocks j and -j do, stands for the mean of its copies
+    (bitwise equal copies in 1D).  With g > 1 slow modes per block a row
+    reports the rank of largest relative error, so it bounds every slow mode
+    of its wavenumber.  Both spectra must be labelled, as eigen_symmetric
+    labels them, on the same grid.
+    """
     if count < 1:
         raise ValueError("need at least one table row")
-    test_modes = _unique_macro_modes(test)
-    ref_modes = _unique_macro_modes(reference)
-    if test_modes.size < count or ref_modes.size < count:
+    t = _slow_modes(test, count, "test")
+    rf = _slow_modes(reference, count, "reference")
+    if t.shape != rf.shape:
         raise ValueError(
-            f"need {count} distinct nonzero macro modes, have "
-            f"{test_modes.size} (test) and {ref_modes.size} (reference)"
+            f"{t.shape[1]} slow modes per wavenumber in the test spectrum, "
+            f"{rf.shape[1]} in the reference"
         )
-    t = test_modes[:count]
-    rf = ref_modes[:count]
+    errors = np.abs(t - rf) / np.abs(rf)
+    worst = np.argmax(errors, axis=1)[:, None]
+    t, rf, errors = (np.take_along_axis(part, worst, axis=1)[:, 0] for part in (t, rf, errors))
     return ErrorTable(
         indices=np.arange(1, count + 1),
         test_values=t,
         reference_values=rf,
-        relative_errors=np.abs(t - rf) / np.abs(rf),
+        relative_errors=errors,
     )
 
 

@@ -132,7 +132,7 @@ def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
     u_hat = _bloch_modes(u0, layout)
     modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
     start, top = 0, -np.inf
-    for w, V in _bloch_eigh(op, layout):
+    for w, V, _ in _bloch_eigh(op, layout):
         batch = slice(start, start + w.shape[0])
         c = V.conj().swapaxes(1, 2) @ u_hat[batch, :, None]
         modes[batch] = V @ (np.exp(w[:, :, None] * elapsed) * c)

@@ -95,23 +95,44 @@ GRID_2D = {
         ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
           "grid": {"x": GRID_2D["x"], "y": dict(GRID_2D["y"], L=1e-170)}},
          "['grid']['y']: the lattice spacing"),
+        ({"task": "sweep", "sweep": {"parameter": "patches", "values": [8, 6, 7], "modes": 4}},
+         "['sweep']['modes']: 4 wavenumbers asked for, but the smallest swept grid has 3"),
+        ({"model": "diffusion2d", "grid": GRID_2D, "task": "sweep",
+          "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "sweep": {"parameter": "order", "values": [1], "modes": 7}},
+         "['sweep']['modes']: 7 wavenumbers asked for, but the grid has 6"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
          "unindexable-2d-N", "unindexable-ensemble", "lognormal-draws-inf",
          "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows",
-         "spacing-squared-underflows", "2d-spacing-squared-underflows"],
+         "spacing-squared-underflows", "2d-spacing-squared-underflows",
+         "sweep-modes-beyond-the-grid", "2d-sweep-modes-beyond-the-grid"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
     holds are config faults, not numerical precondition failures.  So are
     grids with more unknowns than an array can index or a spacing whose 1/d^2
     overflows, diffusivities that are drawn infinite and profiles whose
-    stencil entries overflow."""
+    stencil entries overflow.  So is a sweep that asks for more wavenumbers
+    than its smallest grid has: N // 2 in 1D, 6 on the 3 x 4 grid."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
     assert key in err
+
+
+def test_a_profile_beyond_the_dynamic_range_exits_2(tmp_path, capsys):
+    """sigma = 1000 draws bonds of 4e54 and 4e-58: round-off of the 6.5e56
+    stencil entries swamps a slowest macro mode of about 8e-58, which once
+    gave an eigen run with a max_eigenvalue of 3e41 and exit 0."""
+    config = base_config(profile={"kind": "lognormal", "period": 2, "sigma": 1000, "seed": 0})
+    assert cli.run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "numerical precondition failed: dynamic range: eps * ||H|| is " in err
+    ratio = float(err.split("||H|| is ")[1].split()[0])
+    assert ratio > 1e90
+    assert not any(tmp_path.iterdir())
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -187,6 +208,19 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
     calls.update(assemble_patch_1d=0)
     assert cli.run(base_config(task="homogenize"), tmp_path / "homogenize") == 0
     assert calls["assemble_patch_1d"] == 0
+
+
+def test_ensemble_eigen_counts_every_member_orbit(tmp_path):
+    """p = 4 and n = 6 give g = gcd(p, n) = 2 slow modes per Bloch block, so
+    an ensemble on N = 9 patches has 2 * 9 macro modes."""
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3},
+        profile={"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0},
+        ensemble=True,
+    )
+    assert cli.run(config, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_macro"] == 2 * 9
 
 
 def test_eigen_task_matches_the_library(tmp_path):
@@ -450,6 +484,33 @@ def test_homogenize_task_frozen_rationals(tmp_path):
     assert len(branch) == 9
 
 
+def test_homogenize_builds_one_lattice_per_run(tmp_path, monkeypatch):
+    """The symbol's lattice of three periods is built once per profile, not
+    once per symbol: 16 symbols and 2 k = 0 gaps in a run."""
+    from patchtooth import homogenize
+
+    calls = []
+    original = homogenize._full_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homogenize, "_full_lattice", counted)
+    homogenize._symbol_terms.cache_clear()
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 6, "n": 6, "r": 0.3},
+        profile={"kind": "inline", "values": [1.0, 2.0, 4.0]},
+        task="homogenize",
+    )
+    assert cli.run(config, tmp_path / "first") == 0
+    assert len(calls) == 1
+    assert cli.run(config, tmp_path / "again") == 0
+    assert len(calls) == 1
+    for name in ("homogenize.json", "slow_branch.csv"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+
 def test_order_sweep_reproduces_the_decay_curve(tmp_path):
     config = base_config(
         grid={"L": 2 * np.pi, "N": 20, "n": 5, "r": 0.1},
@@ -481,12 +542,9 @@ def test_patches_sweep_reports_slopes(tmp_path):
     assert summary["slopes"][0] == pytest.approx(-4.110, abs=0.02)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: an ensemble operator has members*N macro modes but "
-    "n_macro defaults to N, so the sweep finds too few distinct modes and exits 2",
-)
 def test_ensemble_patches_sweep_finds_its_macro_modes(tmp_path):
+    """p = 4 and n = 6 give g = 2 member orbits, so each Bloch block holds two
+    slow modes; a row pairs them by rank and reports the worse of the two."""
     config = base_config(
         grid={"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3},
         profile={"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0},
@@ -496,6 +554,10 @@ def test_ensemble_patches_sweep_finds_its_macro_modes(tmp_path):
         sweep={"parameter": "patches", "values": [9, 13, 17], "modes": 3},
     )
     assert cli.run(config, tmp_path) == 0
+    rows = [[float(x) for x in row[1:]] for row in read_csv(tmp_path / "sweep.csv")[1:]]
+    errors = np.array(rows)
+    assert errors.shape == (3, 3)
+    assert np.all(np.diff(errors, axis=0) < 0)  # every wavenumber converges in N
 
 
 def test_check_task_consistency_at_full_size(tmp_path):

@@ -104,7 +104,7 @@ def test_fit_residual_guard(monkeypatch):
     # NaN compares false with every tolerance, so it must not slip through
     from patchtooth import homogenize
 
-    monkeypatch.setattr(homogenize, "slow_branch", lambda profile, k: float("nan"))
+    monkeypatch.setattr(homogenize, "_slow_value", lambda profile, k, gap0: float("nan"))
     with pytest.raises(pt.FitResidualError, match="not all finite"):
         pt.extract_coefficients(KAPPA123)
 

@@ -199,8 +199,10 @@ def test_smallest_magnitude_eigenvalues_are_reproducible():
 
 
 def test_error_table_collapses_degenerate_pairs():
-    ref = pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0, -1.0, -2.0, -50.0]), n_macro=4)
-    test = pt.SpectrumReport(eigenvalues=np.array([0.0, -1.01, -1.01, -2.1, -50.0]), n_macro=4)
+    """Blocks j and -j carry one label, so the pair at wavenumber 1 is one row."""
+    labels = {"wavenumbers": [0, 1, 1, 2, 0], "ranks": [0, 0, 0, 0, -1]}
+    ref = pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0, -1.0, -2.0, -50.0]), n_macro=4, **labels)
+    test = pt.SpectrumReport(eigenvalues=np.array([0.0, -1.01, -1.01, -2.1, -50.0]), n_macro=4, **labels)
     table = pt.error_table(test, ref, 2)
     np.testing.assert_array_equal(table.indices, [1, 2])
     np.testing.assert_allclose(table.reference_values, [-1.0, -2.0])
@@ -212,11 +214,118 @@ def test_error_table_collapses_degenerate_pairs():
 
 
 def test_error_table_drops_near_zero_modes():
-    ref = pt.SpectrumReport(eigenvalues=np.array([1e-13, -3.0, -9.0]), n_macro=3)
-    test = pt.SpectrumReport(eigenvalues=np.array([-2e-13, -3.3, -9.0]), n_macro=3)
+    """The kernel mode is wavenumber 0, which no row reads."""
+    labels = {"wavenumbers": [0, 1, 2], "ranks": [0, 0, 0]}
+    ref = pt.SpectrumReport(eigenvalues=np.array([1e-13, -3.0, -9.0]), n_macro=3, **labels)
+    test = pt.SpectrumReport(eigenvalues=np.array([-2e-13, -3.3, -9.0]), n_macro=3, **labels)
     table = pt.error_table(test, ref, 1)
     assert table.reference_values[0] == pytest.approx(-3.0)
     assert table.relative_errors[0] == pytest.approx(0.1)
+
+
+@st.composite
+def sweep_points(draw):
+    """Test and spectral reference operators of one sweep point, and a row count.
+
+    1D or 2D grids, single phase or ensembles (g = gcd(p, n) > 1 slow modes
+    per block in 1D for (p, n) = (4, 6), (2, 4), (3, 6), and in 2D for
+    p = 2 and an even n), and a Lagrangian or spectral test coupling.
+    """
+    two_d = draw(st.booleans())
+    axes = range(2 if two_d else 1)
+    ensemble = draw(st.booleans())
+    N = [draw(st.integers(2, 5 if two_d else 9)) for _ in axes]
+    periods = [draw(st.integers(1, 2 if two_d else 4)) for _ in axes]
+    if ensemble and two_d:
+        n = [draw(st.integers(2, 4)) for _ in axes]
+    elif ensemble:
+        pair = draw(st.sampled_from([(4, 6), (2, 4), (3, 6), (5, 4), (3, 4), (2, 3)]))
+        periods, n = [pair[0]], [pair[1]]
+    else:
+        n = [p * draw(st.integers(-(-2 // p), (4 if two_d else 6) // p)) for p in periods]
+    orders = (min(N) - 1) // 2
+    if orders >= 1 and draw(st.booleans()):
+        coupling = pt.CouplingSpec("lagrangian", draw(st.integers(1, orders)))
+    else:
+        coupling = pt.CouplingSpec("spectral")
+    r = [draw(st.floats(0.05, 0.3)) for _ in axes]
+    seed = draw(st.integers(0, 999))
+    if two_d:
+        grid = pt.build_grid_2d(L, N[0], n[0], r[0], 1.5 * L, N[1], n[1], r[1])
+        prof = pt.random_lognormal_profile_2d(*periods, 0.8, seed)
+    else:
+        grid = pt.build_grid_1d(L, N[0], n[0], r[0])
+        prof = pt.random_lognormal_profile(periods[0], 0.8, seed)
+    test, ref = (
+        pt.assemble_patch_1d(grid, prof, c, ensemble=ensemble)
+        for c in (coupling, pt.CouplingSpec("spectral"))
+    )
+    classes = (np.prod(N) + np.prod([2 - N_a % 2 for N_a in N])) // 2 - 1
+    return test, ref, draw(st.integers(1, int(classes)))
+
+
+@settings(max_examples=150)
+@given(sweep_points())
+def test_selected_blocks_give_the_full_solve_errors_bitwise(point):
+    test, ref, modes = point
+    try:
+        selected = [pt.eigen_symmetric(op, modes=modes) for op in (test, ref)]
+    except ValueError as exc:
+        assert "does not separate" in str(exc)
+        assume(False)
+    full = [pt.eigen_symmetric(op) for op in (test, ref)]
+    for part, whole in zip(selected, full):
+        # the selected blocks are the full solve's blocks of wavenumbers 1..modes
+        read = (whole.wavenumbers >= 1) & (whole.wavenumbers <= modes)
+        np.testing.assert_array_equal(np.sort(part.eigenvalues), np.sort(whole.eigenvalues[read]))
+        assert part.n_macro == np.count_nonzero(read & (whole.ranks >= 0))
+    got, want = pt.error_table(*selected, modes), pt.error_table(*full, modes)
+    for name in ("relative_errors", "test_values", "reference_values"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_wavenumbers_follow_the_continuum_order():
+    """On L_x = 2 pi, L_y = 3 pi the continuum |k|^2 of (j_x, j_y) is
+    j_x^2 + (j_y / 1.5)^2: (0, 1), (1, 0), then (1, 1) and (1, -1), then (0, 2).
+    A constant diffusivity puts the slow modes of wavenumber k at -|k|^2."""
+    grid = pt.build_grid_2d(L, 5, 2, 0.05, 1.5 * L, 6, 2, 0.05)
+    prof = pt.DiffusivityProfile2D(np.ones((1, 1)), np.ones((1, 1)))
+    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
+    rep = pt.eigen_symmetric(op, modes=5)
+    slow = rep.ranks == 0
+    want = {1: 1 / 2.25, 2: 1.0, 3: 1 + 1 / 2.25, 4: 1 + 1 / 2.25, 5: 4 / 2.25}
+    for k, ksq in want.items():
+        got = rep.eigenvalues[slow & (rep.wavenumbers == k)]
+        # (0, 1) and (0, 2) stand alone in the half spectrum, the rest pair with -j
+        assert got.size == 2
+        np.testing.assert_allclose(got, -ksq, rtol=1e-3)
+
+
+def test_selected_blocks_must_separate_slow_from_fast():
+    """At r = 0.5 a fast mode of the p = 3, n = 4 ensemble meets the slow one
+    of wavenumber 2, so rank labels would pair arbitrary modes."""
+    grid = pt.build_grid_1d(L, 6, 4, 0.5)
+    op = pt.assemble_patch_1d(
+        grid, pt.random_lognormal_profile(3, 1.0, 0), pt.CouplingSpec("spectral"), ensemble=True
+    )
+    assert pt.eigen_symmetric(op, modes=1).n_macro == 2
+    with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
+        pt.eigen_symmetric(op, modes=3)
+    with pytest.raises(ValueError, match="wavenumbers 1..4; the grid has 3"):
+        pt.eigen_symmetric(op, modes=4)
+
+
+def test_error_table_reports_the_worst_rank():
+    """With g = 2 slow modes per block a row is the worse of the two ranks."""
+    labels = {"wavenumbers": [0, 0, 1, 1, 1, 1], "ranks": [0, 1, 0, 0, 1, 1]}
+    ref = pt.SpectrumReport(np.array([0.0, 0.0, -1.0, -1.0, -1.5, -1.5]), n_macro=6, **labels)
+    test = pt.SpectrumReport(np.array([0.0, 0.0, -1.1, -1.1, -1.5003, -1.5003]), n_macro=6, **labels)
+    table = pt.error_table(test, ref, 1)
+    np.testing.assert_allclose(table.relative_errors, [0.1], rtol=1e-12)
+    np.testing.assert_array_equal(table.reference_values, [-1.0])
+    unlabelled = pt.SpectrumReport(ref.eigenvalues, n_macro=6)
+    with pytest.raises(ValueError, match="no wavenumber labels"):
+        pt.error_table(test, unlabelled, 1)
 
 
 def test_convergence_slope_recovers_power_laws():

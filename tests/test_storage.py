@@ -161,7 +161,7 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(setup):
     op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble)
     layout = _patch_layout(op)
     slow = layout.slow
-    got = np.concatenate([w for w, _ in _bloch_eigh(op, layout)])
+    got = np.concatenate([w for w, *_ in _bloch_eigh(op, layout)])
     oracle = np.concatenate([w for w, _ in rayleigh_bloch_eigh(op, layout)])
     magnitudes = np.sort(np.abs(got), axis=1)
     apart = np.ones(got.shape[0], dtype=bool)
