@@ -13,12 +13,13 @@ scheme, and a task.  Tasks:
                 assembled full lattice when the grid has one (r = 1)
 
 Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
-non-finite numbers or integers beyond the double range, inconsistent inline
-profiles, grids with more unknowns than an array can index or a lattice
-spacing whose 1/d^2 is not finite, diffusivities that are not finite or whose
-stencil entries overflow), 2 numerical precondition failure (incompatible
-single-phase assembly, lost symmetry, branch separation, unstable step, a run
-that runs out of memory and the like).
+integer fields given as non-integers, non-finite numbers or integers beyond
+the double range, inconsistent inline profiles, grids with more unknowns
+than an array can index or a lattice spacing whose 1/d^2 is not finite,
+diffusivities that are not finite or whose stencil entries overflow), 2
+numerical precondition failure (incompatible single-phase assembly, lost
+symmetry, a profile beyond the solvers' dynamic range, branch separation,
+unstable step, a run that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.
@@ -34,7 +35,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import geometry
@@ -247,17 +247,79 @@ def _unusable_numbers(value, path=""):
             yield from _unusable_numbers(item, f"{path}[{key!r}]")
 
 
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _schema_problem(value, schema: dict, path: tuple = ()):
+    """The first (path, message) by which a parsed config breaks `schema`, or None.
+
+    Knows the keywords SCHEMA uses, with their JSON Schema (draft 2020-12)
+    meaning, except that an integer is a JSON integer: 1.0 is not one.  A
+    bool is no number.  An object's missing and unexpected keys are reported
+    before its values.  When every oneOf branch fails, the problem of the
+    branch that got deepest into the value is reported.
+    """
+    kind = schema.get("type")
+    if kind and (
+        isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind])
+    ):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected, not {value!r}"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is below the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, f"{value!r} is not greater than {schema['exclusiveMinimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return path, f"{value!r} is above the maximum of {schema['maximum']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} has fewer than {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} has more than {schema['maxItems']} items"
+        for index, item in enumerate(value):
+            if problem := _schema_problem(item, schema.get("items", {}), (*path, index)):
+                return problem
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"the key {key!r} is required"
+        if schema.get("additionalProperties", True) is False:
+            for key in value:
+                if key not in properties:
+                    return path, f"the key {key!r} is not allowed here"
+        for key, sub in properties.items():
+            if key in value and (problem := _schema_problem(value[key], sub, (*path, key))):
+                return problem
+    if "oneOf" in schema:
+        problems = [_schema_problem(value, branch, path) for branch in schema["oneOf"]]
+        if None not in problems:
+            return max(problems, key=lambda problem: len(problem[0]))
+        if problems.count(None) > 1:
+            return path, "more than one of the allowed forms fits"
+    return None
+
+
 def _validate_config(config: dict) -> None:
     # JSON parsers accept NaN, Infinity and integers of any size, and NaN
     # passes every schema bound.
     for path, problem in _unusable_numbers(config):
         raise ConfigError(f"at {path or '(top level)'}: {problem}")
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: len(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        path = "".join(f"[{part!r}]" for part in best.absolute_path) or "(top level)"
-        raise ConfigError(f"at {path}: {best.message}")
+    if problem := _schema_problem(config, SCHEMA):
+        path, message = problem
+        where = "".join(f"[{part!r}]" for part in path) or "(top level)"
+        raise ConfigError(f"at {where}: {message}")
 
     model = config["model"]
     grid_is_2d = "x" in config["grid"]
@@ -371,29 +433,6 @@ def _check_representable(config: dict, grid, profile) -> None:
         raise ConfigError(
             "at ['profile']: the largest stencil entry, 2 max(diffusivity) / d^2 "
             "summed over the axes, is not a finite double"
-        )
-
-
-def _require_dynamic_range(grid, profile) -> None:
-    """Refuse a profile whose slowest macro mode would drown in round-off.
-
-    The solvers resolve an eigenvalue to about eps ||H||, with ||H|| estimated
-    by the largest stencil entry, 2 max(bonds) / d^2 summed over the axes.
-    The slowest nonzero macro eigenvalue is about the smallest over the axes
-    of K (2 pi / L)^2, K the harmonic mean of that axis's bonds.  Their ratio
-    must stay below 1e-4, so the macro modes keep four significant digits.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        norm = sum(2.0 * np.max(b) / np.square(g.d) for g, b in zip(grid.axes, profile.bonds))
-        slowest = min(
-            b.size / np.sum(1.0 / b) * np.square(2.0 * np.pi / g.L)
-            for g, b in zip(grid.axes, profile.bonds)
-        )
-        ratio = np.finfo(float).eps * norm / slowest
-    if not ratio <= 1e-4:
-        raise ValueError(
-            f"dynamic range: eps * ||H|| is {ratio:.3g} times the slowest macro "
-            f"eigenvalue, about {slowest:.3g}; round-off would swamp the macro modes"
         )
 
 
@@ -739,8 +778,6 @@ def run(config: dict, outdir=None) -> int:
     out = Path(outdir if outdir is not None else config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if config["task"] in ("eigen", "sweep", "check"):
-            _require_dynamic_range(grid, profile)
         _TASKS[config["task"]](config, grid, profile, out)
     except (
         SymmetryPreconditionError,

@@ -10,7 +10,9 @@ operator.
 eigen_symmetric refuses operators whose relative symmetry defect exceeds
 1e-10: feeding an asymmetric matrix to a symmetric eigensolver silently
 produces garbage, so the precondition is enforced rather than documented.
-The report it returns carries that symmetry measurement.
+The report it returns carries that symmetry measurement.  Both solvers also
+refuse a patch operator whose diffusivities span so wide a range that the
+round-off of its largest stencil entry would swamp the slowest macro mode.
 
 Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
@@ -91,6 +93,32 @@ def _require_symmetric(op, consequence: str) -> SymmetryReport:
             report,
         )
     return report
+
+
+def _require_dynamic_range(grid, profile) -> None:
+    """Refuse a profile whose slowest macro mode would drown in round-off.
+
+    The solvers resolve an eigenvalue to about eps ||H||, with ||H|| estimated
+    by the largest stencil entry, 2 max(bonds) / d^2 summed over the axes.
+    The slowest nonzero macro eigenvalue is about the smallest over the axes
+    of K (2 pi / L)^2, K the harmonic mean of that axis's bonds.  Their ratio
+    must stay below 1e-4, so the macro modes keep four significant digits.
+    An operator without a patch grid (a full lattice) is not checked.
+    """
+    if grid is None:
+        return
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = sum(2.0 * np.max(b) / np.square(g.d) for g, b in zip(grid.axes, profile.bonds))
+        slowest = min(
+            b.size / np.sum(1.0 / b) * np.square(2.0 * np.pi / g.L)
+            for g, b in zip(grid.axes, profile.bonds)
+        )
+        ratio = np.finfo(float).eps * norm / slowest
+    if not ratio <= 1e-4:
+        raise ValueError(
+            f"dynamic range: eps * ||H|| is {ratio:.3g} times the slowest macro "
+            f"eigenvalue, about {slowest:.3g}; round-off would swamp the macro modes"
+        )
 
 
 def _mirror_counts(layout: Layout) -> np.ndarray:
@@ -241,7 +269,8 @@ class SpectrumReport:
 def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) -> SpectrumReport:
     """Real spectrum of a symmetric operator, sorted by magnitude and labelled.
 
-    Precondition: relative symmetry defect at most 1e-10.  The operator is
+    Preconditions: the profile's dynamic range (see _require_dynamic_range)
+    and a relative symmetry defect at most 1e-10.  The operator is
     solved block by block in the patch wavenumber, and each eigenvalue is
     labelled by its block's wavenumber (see _wavenumber_labels) and its rank
     among the block's Layout.slow slow modes.  Without `modes` every block is
@@ -249,10 +278,11 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     b^3) work, and each of them must hold its slow modes below half its
     smallest fast one, or a ValueError names the block.
     """
+    layout = _patch_layout(op)
+    _require_dynamic_range(op.grid, op.profile)
     symmetry = _require_symmetric(
         op, "this operator must not be fed to a symmetric eigensolver"
     )
-    layout = _patch_layout(op)
     labels, counts = _wavenumber_labels(op, layout), _mirror_counts(layout)
     select = None
     if modes is not None:
@@ -318,8 +348,10 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     The operator is solved block by block in the patch wavenumber; wave
     operators are also deflated onto the zero-sum invariant subspace, so
     their exact defective zero pair stays exactly zero in the report.
+    Precondition: the profile's dynamic range (see _require_dynamic_range).
     """
     layout = _patch_layout(op)
+    _require_dynamic_range(op.grid, op.profile)
     vals = _bloch_eigenvalues(op, layout)
     if n_macro is None:
         n_macro = layout.n_macro or vals.size

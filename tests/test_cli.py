@@ -1,5 +1,6 @@
 """End-to-end driver tests: validation, artefacts, determinism."""
 
+import copy
 import csv
 import io
 import json
@@ -8,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patchtooth as pt
 from patchtooth import cli
@@ -54,6 +58,153 @@ GRID_2D = {
     "x": {"L": 2 * np.pi, "N": 3, "n": 2, "r": 0.4},
     "y": {"L": 2 * np.pi, "N": 4, "n": 2, "r": 0.4},
 }
+
+# Valid configs that between them use every section and keyword of the schema.
+SCHEMA_SAMPLES = [
+    base_config(
+        profile={"kind": "lognormal", "period": 2, "sigma": 1.0, "seed": 0},
+        coupling={"scheme": "lagrangian", "order": 2},
+        ensemble=False, allow_incompatible=False, out="out",
+        eigen={"n_macro": 3},
+        homogenize={"node_spacing": 0.02, "node_count": 8},
+        sweep={"parameter": "patches", "values": [6, 7, 8], "modes": 2},
+        simulate={"integrator": "exact", "t_final": 0.1, "snapshots": 4, "stride": 1,
+                  "initial": {"kind": "random", "seed": 0}},
+    ),
+    base_config(
+        model="diffusion2d", grid=GRID_2D, task="sweep",
+        profile={"kind": "inline", "kx": [[1.0, 2.0]], "ky": [[1.0, 2.0]], "periods": [2, 1]},
+        sweep={"parameter": "order", "values": [1, 2]},
+        simulate={"initial": {"kind": "sine", "modes": [1, 0], "amplitude": 1.0, "offset": 0.5}},
+    ),
+    base_config(
+        model="wave1d", task="simulate", epsilon=0.02,
+        profile={"kind": "inline", "values": [1.0, 2.0], "period": 2},
+        simulate={"integrator": "rk4", "dt": 1e-3, "steps": 10, "allow_unstable": True,
+                  "initial": {"kind": "constant", "value": 1.0, "mode": 1}},
+    ),
+]
+
+# jsonschema with the one stated difference: an integer is a JSON integer.
+STRICT_SCHEMA = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)(cli.SCHEMA)
+
+
+def _nodes(value, path=()):
+    """The path of every value in a parsed config, the config itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, (*path, key))
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+@st.composite
+def mutated_configs(draw):
+    """A schema sample after up to two of these: drop a key, add an unknown
+    key, swap a value's type, push a number across a bound, empty an array,
+    change a kind or scheme."""
+    config = copy.deepcopy(draw(st.sampled_from(SCHEMA_SAMPLES)))
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = list(_nodes(config))
+        mutation = draw(st.sampled_from(
+            ["drop", "add", "swap", "swap", "bound", "bound", "empty", "kind"]))
+        if mutation == "drop":
+            paths = [p for p in nodes if p and isinstance(_at(config, p[:-1]), dict)]
+        elif mutation == "add":
+            paths = [p for p in nodes if isinstance(_at(config, p), dict)]
+        elif mutation == "swap":
+            paths = nodes[1:]
+        elif mutation == "bound":
+            paths = [p for p in nodes if type(_at(config, p)) in (int, float)]
+        elif mutation == "empty":
+            paths = [p for p in nodes if isinstance(_at(config, p), list)]
+        else:
+            paths = [p for p in nodes if p and p[-1] in ("kind", "scheme")]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = _at(config, path[:-1])
+        if mutation == "drop":
+            del parent[path[-1]]
+        elif mutation == "add":
+            _at(config, path)["unknown"] = 1
+        elif mutation == "swap":
+            parent[path[-1]] = draw(st.sampled_from(
+                [True, False, None, "text", 2, 2.0, 3.0, -1.5, [], {}, [1], {"a": 1}]))
+        elif mutation == "bound":
+            parent[path[-1]] = draw(st.sampled_from([-1, 0, 0.0, 1e-300, 0.5, 1, 1.0, 1.5, 2, 2.0]))
+        elif mutation == "empty":
+            parent[path[-1]] = []
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                ["inline", "lognormal", "sine", "constant", "random", "spectral", "lagrangian",
+                 "other"]))
+    return config
+
+
+def _error_paths(errors):
+    """The absolute path of each jsonschema error and of every error in its context."""
+    for error in errors:
+        yield tuple(error.absolute_path)
+        yield from _error_paths(error.context)
+
+
+def test_the_schema_samples_are_valid():
+    for config in SCHEMA_SAMPLES:
+        assert cli._schema_problem(config, cli.SCHEMA) is None
+        jsonschema.Draft202012Validator(cli.SCHEMA).validate(config)
+
+
+@settings(max_examples=400)
+@given(mutated_configs())
+def test_the_validator_agrees_with_jsonschema(config):
+    """The validator rejects exactly what jsonschema rejects, but for integral
+    floats in integer fields, and names a path jsonschema names too."""
+    problem = cli._schema_problem(config, cli.SCHEMA)
+    errors = list(STRICT_SCHEMA.iter_errors(config))
+    assert (problem is None) == (not errors)
+    if problem is None:
+        return
+    path, message = problem
+    assert path in set(_error_paths(errors))
+    if jsonschema.Draft202012Validator(cli.SCHEMA).is_valid(config):
+        value = _at(config, path)
+        assert type(value) is float and value.is_integer(), problem
+        assert message == f"{value!r} is not of type 'integer'"
+
+
+def test_one_of_takes_exactly_one_branch():
+    """No branch of SCHEMA's oneOf lists can fit together with another, so
+    the mutated configs never reach this case."""
+    one_of = {"oneOf": [{"type": "integer"}, {"type": "number"}]}
+    assert cli._schema_problem(1.5, one_of) is None
+    assert cli._schema_problem(1, one_of) == ((), "more than one of the allowed forms fits")
+    assert cli._schema_problem("1", one_of) == ((), "'1' is not of type 'integer'")
+
+
+def test_the_schema_uses_only_the_keywords_the_validator_knows():
+    known = {"type", "enum", "const", "minimum", "exclusiveMinimum", "maximum", "items",
+             "minItems", "maxItems", "properties", "required", "additionalProperties", "oneOf"}
+
+    def keywords(schema):
+        yield from schema
+        assert schema.get("additionalProperties", False) is False
+        subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+        for sub in subs + ([schema["items"]] if "items" in schema else []):
+            yield from keywords(sub)
+
+    assert set(keywords(cli.SCHEMA)) - {"$schema"} <= known
 
 
 @pytest.mark.parametrize(
@@ -101,13 +252,21 @@ GRID_2D = {
           "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
           "sweep": {"parameter": "order", "values": [1], "modes": 7}},
          "['sweep']['modes']: 7 wavenumbers asked for, but the grid has 6"),
+        ({"profile": {"kind": "lognormal", "period": 2, "sigma": 1.0, "seed": 1.0}},
+         "['profile']['seed']"),
+        ({"profile": {"kind": "lognormal", "period": 2.0, "sigma": 1.0, "seed": 1}},
+         "['profile']['period']"),
+        ({"eigen": {"n_macro": 3.0}}, "['eigen']['n_macro']"),
+        ({"task": "homogenize", "homogenize": {"node_count": 4.0}},
+         "['homogenize']['node_count']"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
          "unindexable-2d-N", "unindexable-ensemble", "lognormal-draws-inf",
          "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows",
          "spacing-squared-underflows", "2d-spacing-squared-underflows",
-         "sweep-modes-beyond-the-grid", "2d-sweep-modes-beyond-the-grid"],
+         "sweep-modes-beyond-the-grid", "2d-sweep-modes-beyond-the-grid",
+         "float-seed", "float-period", "float-n_macro", "float-node_count"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
@@ -115,7 +274,8 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     grids with more unknowns than an array can index or a spacing whose 1/d^2
     overflows, diffusivities that are drawn infinite and profiles whose
     stencil entries overflow.  So is a sweep that asks for more wavenumbers
-    than its smallest grid has: N // 2 in 1D, 6 on the 3 x 4 grid."""
+    than its smallest grid has: N // 2 in 1D, 6 on the 3 x 4 grid.  So is an
+    integer field given as a float, even an integral one."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -643,17 +803,22 @@ def test_task_override_and_missing_config(tmp_path, capsys):
     assert cli.main(["--config", str(broken)]) == 1
 
 
+def _src_env():
+    """The environment of a child interpreter that imports patchtooth from src/."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point_runs(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "patchtooth", "--config", str(path), "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "eigenvalues.csv").exists()
@@ -661,11 +826,29 @@ def test_module_entry_point_runs(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy():
     """scipy serves only the sparse full lattice and the shift-invert solver,
-    which import it when called."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, patchtooth.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    which import it when called; jsonschema and its dependencies serve only
+    the tests."""
+    code = (
+        "import sys, patchtooth.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing', 'attrs', 'rpds')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_runs_without_jsonschema(tmp_path):
+    """A runtime-only install has no jsonschema; None in sys.modules makes
+    any import of it fail."""
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    code = (
+        "import sys; sys.modules['jsonschema'] = None; from patchtooth import cli; "
+        f"sys.exit(cli.main(['--config', {str(path)!r}, '--out', {str(out)!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["eigenvalues.csv", "summary.json"]

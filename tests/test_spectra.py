@@ -114,6 +114,21 @@ def test_eigen_symmetric_rejects_asymmetry():
         pt.eigen_symmetric(incompatible_operator())
 
 
+@pytest.mark.parametrize("wave", [False, True])
+def test_solvers_refuse_a_profile_beyond_the_dynamic_range(wave):
+    """sigma = 1000 draws bonds of 4e54 and 4e-58: round-off of the stencil
+    swamps the slowest macro mode, and the library once returned a largest
+    eigenvalue of +3.05e41 for this negative semidefinite operator."""
+    grid = pt.build_grid_1d(L, 6, 4, 0.3)
+    profile = pt.random_lognormal_profile(2, 1000, 0)
+    op = pt.assemble_patch_1d(grid, profile, pt.CouplingSpec("spectral"))
+    solve = pt.eigen_symmetric
+    if wave:
+        op, solve = pt.assemble_wave(op), pt.eigen_general
+    with pytest.raises(ValueError, match=r"dynamic range: eps \* \|\|H\|\| is 3.41e\+98 times"):
+        solve(op)
+
+
 def test_solvers_take_assembled_operators_only():
     raw = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0,)), 4).matrix
     for solve in (pt.symmetry_defect, pt.eigen_symmetric, pt.eigen_general, pt.stability_limit):
