@@ -106,6 +106,25 @@ def _blocking(layout: Layout) -> tuple[tuple[int, ...], int, int]:
     return patches, layout.members * points, points
 
 
+def _orbits(layout: Layout, periods) -> np.ndarray:
+    """The unknowns of a Bloch block grouped by member orbit, (slow, b / slow).
+
+    A member's orbit is its phase reduced mod gcd(p_a, n_a) on each axis
+    (see Layout.slow).  No stored entry couples two orbits, so every Bloch
+    block is block diagonal over them, each diagonal block with one slow
+    mode.  A single phase is one orbit of every unknown.
+    """
+    _, b, points = _blocking(layout)
+    if layout.slow == 1:
+        return np.arange(b)[None]
+    n = layout.shape[1 + layout.patch_axes :][::-1]  # x first, as the periods
+    gcds = [math.gcd(p, m) for p, m in zip(periods, n)]
+    phase = np.unravel_index(np.arange(layout.members), periods)
+    orbit = np.ravel_multi_index([ph % c for ph, c in zip(phase, gcds)], gcds)
+    members = np.argsort(orbit, kind="stable").reshape(layout.slow, -1)
+    return (members[:, :, None] * points + np.arange(points)).reshape(layout.slow, -1)
+
+
 def _patch_sum(a, b, patches, sign: int = 1) -> np.ndarray:
     """Flat index of patch a + sign * b, taken mod N along each patch axis.
 

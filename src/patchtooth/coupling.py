@@ -16,7 +16,9 @@ values at a fractional patch shift r,
 with k running over the integers centred on zero.  For even N the unpaired
 Nyquist mode k = N/2 would make the result complex; its term is replaced by
 the real part cos(pi (r - m)) / N, which agrees with the odd-N formula in the
-limit and keeps the interpolant real.
+limit and keeps the interpolant real.  The sum is the periodic sinc
+(Dirichlet) kernel, evaluated in closed form (Trefethen, Spectral Methods in
+MATLAB, SIAM 2000, ch. 3).
 
 Lagrangian weights of order P expand the fractional shift operator
 
@@ -82,20 +84,27 @@ def _check_args(N: int, r: float):
 
 
 def spectral_weights(N: int, r: float) -> InterpolationWeights:
-    """Fourier interpolation weights for a fractional patch shift r."""
+    """Fourier interpolation weights for a fractional patch shift r, in O(N).
+
+    The sum over k has the closed form of the periodic sinc (Dirichlet)
+    kernel at x = r - m, w[m] = sin(pi x) / (N sin(pi x / N)) for odd N and
+    sin(pi x) / (N tan(pi x / N)) for even N, where the tangent carries the
+    half-weighted Nyquist term; both are N-periodic in x and tend to 1 as
+    x -> 0.  Each offset m is taken in (-N/2, N/2], so that |x| stays below
+    N/2 + 1 and the denominator away from its other zeros, and sin(pi x) is
+    evaluated as (-1)^m sin(pi r) through the nearer of r and 1 - r, both
+    exact.  At r = 1 every weight but w[1] has the factor sin(pi) = 0, and
+    w[1] is the limit 1: the exact one-hot shift.  A single patch copies
+    itself, w = [1], for every r.
+    """
     _check_args(N, r)
     m = np.arange(N)
-    if N % 2 == 1:
-        ks = np.arange(-(N // 2), N // 2 + 1)
-        w = np.exp(2j * np.pi * np.outer(r - m, ks) / N).sum(axis=1) / N
-    else:
-        ks = np.arange(-(N // 2) + 1, N // 2)
-        w = np.exp(2j * np.pi * np.outer(r - m, ks) / N).sum(axis=1) / N
-        w = w + np.cos(np.pi * (r - m)) / N
-    residue = np.max(np.abs(w.imag))
-    if residue > 1e-13:
-        raise RuntimeError(f"spectral weights not real, residue {residue:g}")
-    w_right = w.real.copy()
+    offset = np.where(2 * m > N, m - N, m)
+    x = r - offset
+    numerator = np.where(offset % 2 == 0, 1.0, -1.0) * np.sin(np.pi * min(r, 1.0 - r))
+    kernel = np.sin if N % 2 == 1 else np.tan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_right = np.where((x == 0.0) | (N == 1), 1.0, numerator / (N * kernel(np.pi * x / N)))
     # Mirroring rather than re-evaluating at -r keeps the pair bitwise
     # symmetric, which the assembled operator inherits.
     w_left = w_right[(-m) % N].copy()

@@ -12,7 +12,8 @@ eigen_symmetric refuses operators whose relative symmetry defect exceeds
 produces garbage, so the precondition is enforced rather than documented.
 The report it returns carries that symmetry measurement.  Both solvers also
 refuse a patch operator whose diffusivities span so wide a range that the
-round-off of its largest stencil entry would swamp the slowest macro mode.
+round-off of its largest stencil entry would swamp the slowest macro mode,
+full lattices included.
 
 Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
@@ -28,15 +29,22 @@ blocks contribute the same (symmetric case) or conjugate (general case)
 eigenvalues.  A full lattice is a patch operator too (see microscale), so
 every solver here takes an AssembledOperator and has no dense path.
 
-A symmetric block is solved by a double precision eigh, and only its
-Layout.slow eigenvalues of smallest magnitude, the slow macro modes, are
-refined as Rayleigh quotients against the extended precision block.  A slow
-eigenvalue is a small difference of O(1/d^2) entries, so the absolute error
-eps * ||H|| of eigh would be a large relative one.  A fast eigenvalue is a
-microscale mode of the patch interior, at least about ||H|| / n^2, so the
-same error is already a small relative one: on the benchmark operators the
-fast eigenvalues lie within 19 eps relative of their Rayleigh quotients.
-The refinement costs O(b^2 g) per block for g slow modes, not O(b^3).
+eigen_symmetric solves each symmetric block by a double precision eigvalsh,
+which computes no eigenvectors, and refines only its Layout.slow slow macro
+modes as Rayleigh quotients against the extended precision block.  A
+phase-shift ensemble's block is block diagonal over its g member orbits,
+each with one slow mode, its eigenvalue of smallest magnitude, so it is
+solved as g blocks of size b / g; each slow eigenvector comes from two steps
+of shifted inverse iteration (Parlett, The Symmetric Eigenvalue Problem, SIAM
+1998, ch. 4).  A slow eigenvalue is a small difference of O(1/d^2) entries,
+so the absolute error eps * ||H|| of eigvalsh would be a large relative one.
+A fast eigenvalue is a microscale mode of the patch interior, at least about
+||H|| / n^2, so the same error is already a small relative one: on the
+benchmark operators the fast eigenvalues lie within 19 eps relative of their
+Rayleigh quotients.  Per block that is g eigvalsh and 2g LU factorizations
+of size b / g, O(b^3 / g^2) work, where eigh of the whole block with its
+eigenvectors is several times O(b^3).  Only timestep.evolve_exact, which
+needs every eigenvector, takes that eigh.
 
 eigen_symmetric labels every eigenvalue by its Bloch block and its rank
 among the block's g slow modes (-1 for a fast mode).  A block's label is its
@@ -48,7 +56,8 @@ modes=m, and only those blocks are solved, O(m b^3) work where the full
 spectrum costs O(N b^3); each of them must hold its slow modes clearly below
 its fast ones, or the labels would pair arbitrary modes and the solve
 raises.  The errors are bitwise those of the full solve, since each block is
-the same batched eigh of the same rfftn lines.
+the same batched solve of the same rfftn lines, and the start vector of
+inverse iteration is the same in every batch.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -61,6 +70,7 @@ zero-sum complement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +79,7 @@ from .assembly import (
     Layout,
     SymmetryReport,
     _bloch_batches,
+    _orbits,
     _patch_layout,
     symmetry_defect,
 )
@@ -95,7 +106,20 @@ def _require_symmetric(op, consequence: str) -> SymmetryReport:
     return report
 
 
-def _require_dynamic_range(grid, profile) -> None:
+def _axis_lengths(op, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Length L_a and spacing d_a of each lattice axis, x first.
+
+    An operator without a grid, a full lattice, takes L_a as its points
+    along axis a at unit spacing d_a = 1.
+    """
+    if op.grid is not None:
+        return np.array([g.L for g in op.grid.axes]), np.array([g.d for g in op.grid.axes])
+    k = layout.patch_axes
+    points = np.multiply(layout.shape[1 : 1 + k], layout.shape[1 + k :])[::-1]
+    return points.astype(float), np.ones(k)
+
+
+def _require_dynamic_range(op, layout: Layout) -> None:
     """Refuse a profile whose slowest macro mode would drown in round-off.
 
     The solvers resolve an eigenvalue to about eps ||H||, with ||H|| estimated
@@ -103,15 +127,15 @@ def _require_dynamic_range(grid, profile) -> None:
     The slowest nonzero macro eigenvalue is about the smallest over the axes
     of K (2 pi / L)^2, K the harmonic mean of that axis's bonds.  Their ratio
     must stay below 1e-4, so the macro modes keep four significant digits.
-    An operator without a patch grid (a full lattice) is not checked.
+    It does not depend on the scale of d and L, so a full lattice is checked
+    at the unit spacing of _axis_lengths.
     """
-    if grid is None:
-        return
+    lengths, spacings = _axis_lengths(op, layout)
+    bonds = op.profile.bonds
     with np.errstate(over="ignore", divide="ignore"):
-        norm = sum(2.0 * np.max(b) / np.square(g.d) for g, b in zip(grid.axes, profile.bonds))
+        norm = sum(2.0 * np.max(b) / np.square(d) for d, b in zip(spacings, bonds))
         slowest = min(
-            b.size / np.sum(1.0 / b) * np.square(2.0 * np.pi / g.L)
-            for g, b in zip(grid.axes, profile.bonds)
+            b.size / np.sum(1.0 / b) * np.square(2.0 * np.pi / L) for L, b in zip(lengths, bonds)
         )
         ratio = np.finfo(float).eps * norm / slowest
     if not ratio <= 1e-4:
@@ -133,33 +157,90 @@ def _mirror_counts(layout: Layout) -> np.ndarray:
     return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
 
 
-def _bloch_eigh(op, layout: Layout, select=None):
-    """Eigenpairs of the Hermitian parts of the Bloch blocks, one batch at a time.
+@functools.lru_cache(maxsize=8)
+def _start_vector(b: int) -> np.ndarray:
+    """A fixed pseudo-random start vector of length b, read-only."""
+    x = np.random.default_rng(0).standard_normal(b)
+    x.flags.writeable = False
+    return x
 
-    Yields (w, V, slow) of shapes (k, b), (k, b, b) and (k, g) for each batch
-    of assembly._bloch_batches (only the blocks `select` names, if given),
-    with the eigenvectors and eigenvalues of a double precision eigh.  Only
-    the g = layout.slow eigenvalues of smallest magnitude in each block, at
-    the indices `slow` in ascending magnitude, are replaced, by the Rayleigh
-    quotients of their eigenvectors against the extended precision block.
-    Such a quotient's error is quadratic in the eigenvector error, so the
-    slow macro modes, small differences of O(1/d^2) entries, keep their
-    relative accuracy instead of an absolute error of eps * ||H||.  The fast
-    modes are microscale modes of magnitude at least about ||H|| / n^2,
-    where that error is already a small relative one: refining them would
-    cost O(b^3) extended precision work per block for no accuracy that
-    matters.
+
+def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
+    """The eigenvector of the one slow eigenvalue of each Hermitian block.
+
+    Two steps of shifted inverse iteration, one batched solve each, from
+    _start_vector(b), the same in every block and batch, against
+    H - (w_s + 1e-12 max|w|) I with w_s = w[slow].  On the nonpositive
+    spectra of these operators the shift sits just beside w_s on the side
+    towards zero, away from the larger fast modes; the offset keeps the
+    shifted block nonsingular, and a zero block takes it from max|w| = 1.
+    Each step shrinks a fast component by 1e-12 ||H|| over its distance from
+    the shift.  Returns the unit vectors, (k, b, 1).
     """
+    k, b = w.shape
+    scale = np.max(np.abs(w), axis=1, initial=0.0)
+    shift = np.take_along_axis(w, slow, axis=1) + 1e-12 * np.where(scale > 0, scale, 1.0)[:, None]
+    shifted = H.copy()
+    diagonal = np.arange(b)
+    shifted[:, diagonal, diagonal] -= shift
+    X = np.broadcast_to(_start_vector(b)[:, None], (k, b, 1))
+    for _ in range(2):
+        X = np.linalg.solve(shifted, X)
+        X = X / np.linalg.norm(X, axis=1, keepdims=True)
+    return X
+
+
+def _refined_eigh(H: np.ndarray, g: int, vectors: bool = True):
+    """Eigenvalues of a stack of Hermitian blocks, the g slowest of each refined.
+
+    H is (k, b, b) in extended precision.  Returns (w, V, slow) of shapes
+    (k, b), (k, b, b) and (k, g): the eigenvalues and eigenvectors of a
+    double precision eigh.  Only the g eigenvalues of smallest magnitude in
+    each block, at the indices `slow` in ascending magnitude, are replaced,
+    by the Rayleigh quotients of their eigenvectors against H.  With
+    vectors=False each block must hold one slow mode, g = 1: w comes from
+    eigvalsh, V is None, and the slow eigenvector from _slow_vector, O(b^3)
+    work less than eigh's eigenvectors.  Such a quotient's error is
+    quadratic in the eigenvector error, so the slow macro modes, small
+    differences of O(1/d^2) entries, keep their relative accuracy instead
+    of an absolute error of eps * ||H||.  The fast modes are microscale
+    modes of magnitude at least about ||H|| / n^2, where that error is
+    already a small relative one: refining them would cost O(b^3) extended
+    precision work per block for no accuracy that matters.
+    """
+    Hd = H.astype(complex)
+    w, V = np.linalg.eigh(Hd) if vectors else (np.linalg.eigvalsh(Hd), None)
+    slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :g]
+    Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(Hd, w, slow)
+    # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
+    rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
+    np.put_along_axis(w, slow, rayleigh.real.astype(float), axis=1)
+    return w, V, slow
+
+
+def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = True):
+    """_refined_eigh of the Hermitian parts of the Bloch blocks, one batch at a time.
+
+    Yields (w, V, slow) for each batch of assembly._bloch_batches (only the
+    blocks `select` names, if given), refining the layout.slow slow modes.
+    With vectors=False each block is split into its g member orbits
+    (assembly._orbits), g blocks of one slow mode each: its eigenvalues come
+    orbit by orbit, and `slow` holds the orbits' slow modes in ascending
+    magnitude.
+    """
+    orbits = None if vectors else _orbits(layout, op.profile.periods)
     for blocks in _bloch_batches(op, layout, select):
         H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
-        w, V = np.linalg.eigh(H.astype(complex))
-        slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, : layout.slow]
-        Vs = np.take_along_axis(V, slow[:, None, :], axis=2)
-        # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
-        rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
-        rayleigh = rayleigh.real.astype(float)
-        np.put_along_axis(w, slow, rayleigh, axis=1)
-        yield w, V, slow
+        if vectors:
+            yield _refined_eigh(H, layout.slow)
+            continue
+        k, (g, m) = H.shape[0], orbits.shape
+        if g > 1:
+            H = H[:, orbits[:, :, None], orbits[:, None, :]].reshape(k * g, m, m)
+        w, _, slow = _refined_eigh(H, 1, vectors=False)
+        w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
+        order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
+        yield w, None, np.take_along_axis(slow, order, axis=1)
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
@@ -171,8 +252,7 @@ def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
     |k|^2 = sum_a (2 pi j_a / L_a)^2, ties broken by the larger
     representative first (x component, then y).  So in 1D the label is |j|,
     and in 2D on a square domain (1, 0) comes before (0, 1), and (1, 1)
-    before (1, -1).  An operator without a grid, a full lattice, takes L_a
-    as its points along axis a, the length at unit spacing.
+    before (1, -1).  Each axis has the length of _axis_lengths.
     """
     k = layout.patch_axes
     patches = layout.shape[1 : 1 + k]
@@ -188,10 +268,7 @@ def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
     first = np.argmax(plus != minus, axis=0)  # the first component that differs
     larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
     classes, inverse = np.unique(np.where(larger, plus, minus), axis=1, return_inverse=True)
-    if op.grid is not None:
-        lengths = np.array([g.L for g in op.grid.axes])
-    else:
-        lengths = N[:, 0] * np.array(layout.shape[1 + k :][::-1])
+    lengths = _axis_lengths(op, layout)[0]
     ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
     order = np.lexsort((*-classes[::-1], ksq))
     place = np.empty(order.size, dtype=np.intp)
@@ -279,7 +356,7 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     smallest fast one, or a ValueError names the block.
     """
     layout = _patch_layout(op)
-    _require_dynamic_range(op.grid, op.profile)
+    _require_dynamic_range(op, layout)
     symmetry = _require_symmetric(
         op, "this operator must not be fed to a symmetric eigensolver"
     )
@@ -293,7 +370,7 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
         select = np.flatnonzero((labels >= 1) & (labels <= modes))
         labels, counts = labels[select], counts[select]
     w, ranks = [], []
-    for vals, _, slow in _bloch_eigh(op, layout, select):
+    for vals, _, slow in _bloch_eigh(op, layout, select, vectors=False):
         rank = np.full(vals.shape, -1, dtype=np.intp)
         np.put_along_axis(rank, slow, np.arange(layout.slow), axis=1)
         w.append(vals)
@@ -351,7 +428,7 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     Precondition: the profile's dynamic range (see _require_dynamic_range).
     """
     layout = _patch_layout(op)
-    _require_dynamic_range(op.grid, op.profile)
+    _require_dynamic_range(op, layout)
     vals = _bloch_eigenvalues(op, layout)
     if n_macro is None:
         n_macro = layout.n_macro or vals.size

@@ -770,9 +770,10 @@ def test_check_compares_full_lattices_of_any_size(tmp_path):
     """The reference spectrum is a Bloch solve, so lattices above 4,096 points
     (4,100 in 1D, 66 x 64 in 2D) are compared too.
 
-    The 1D error, 1.1e-5, is the patch operator's zero mode under the kernel
-    floor: its spectral weights at r = 1 miss the one-hot weights by about
-    N eps (2.3e-14 at N = 1025), which lifts that mode to 2.8e-8.
+    At r = 1 the spectral weights are the exact one-hot shift, so each patch
+    operator is the full lattice: the errors read 4.0e-11 in 1D and 0 in 2D.
+    They read 1.1e-5 and 1.3e-7 while the weights were N-term exponential
+    sums, which missed the one-hot weights by about N eps.
     """
     grid_2d = {
         "x": {"L": 2 * np.pi, "N": 22, "n": 3, "r": 1.0},
@@ -789,7 +790,7 @@ def test_check_compares_full_lattices_of_any_size(tmp_path):
         payload = json.loads((out / "check.json").read_text())
         assert payload["dimension"] > 4096
         assert payload["consistency"]["available"] is True
-        assert payload["consistency"]["max_relative_error"] <= 1e-4
+        assert payload["consistency"]["max_relative_error"] <= 1e-9
 
 
 def test_task_override_and_missing_config(tmp_path, capsys):

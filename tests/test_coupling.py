@@ -2,15 +2,15 @@
 
 Two independent oracles pin the weight generators down:
 
-* spectral weights equal the periodic sinc (Dirichlet kernel) evaluated at
-  u = r - m, with the even-N variant carrying the Nyquist cosine correction
-  folded into a cotangent,
+* spectral weights equal their definition, the N-term exponential sums with
+  the Nyquist term of even N halved into a cosine, and the exact one-hot
+  shift at r = 1,
 * Lagrangian weights of order P equal the degree-2P polynomial that
   interpolates the 2P+1 neighbouring samples, built here with
   scipy.interpolate.lagrange.
 """
 
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,22 +21,39 @@ from scipy.interpolate import lagrange
 import patchtooth as pt
 
 
-def periodic_sinc(N, u):
-    if abs(u - round(u)) < 1e-12:
-        return 1.0 if round(u) % N == 0 else 0.0
-    if N % 2 == 1:
-        return math.sin(math.pi * u) / (N * math.sin(math.pi * u / N))
-    return math.sin(math.pi * u) * math.cos(math.pi * u / N) / (
-        N * math.sin(math.pi * u / N)
-    )
+def exponential_sum_weights(N, r):
+    """w[m] = (1/N) sum_k exp(2 pi i k (r - m) / N) over the centred k, the
+    Nyquist term of even N halved into a cosine (oracle: the definition)."""
+    m = np.arange(N)[:, None]
+    ks = np.arange(-(N // 2), N // 2 + 1) if N % 2 else np.arange(-(N // 2) + 1, N // 2)
+    w = np.exp(2j * np.pi * (r - m) * ks / N).sum(axis=1).real / N
+    return w if N % 2 else w + np.cos(np.pi * (r - m[:, 0])) / N
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 6, 9, 12])
-@pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.85])
+@pytest.mark.parametrize("N", [*range(1, 40), 100, 101, 1024, 1025])
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.85, 1 - 1e-6, 1.0])
 def test_spectral_weights_match_dirichlet_kernel(N, r):
-    w = pt.spectral_weights(N, r)
-    want = np.array([periodic_sinc(N, r - m) for m in range(N)])
-    np.testing.assert_allclose(w.w_right, want, rtol=0, atol=1e-12)
+    """The closed form agrees with the exponential sums within their own
+    round-off, a few N eps.  At r = 1 it is the exact one-hot shift, which
+    the sums miss by up to 2.3e-14 at N = 1025."""
+    w = pt.spectral_weights(N, r).w_right
+    if r == 1.0:
+        np.testing.assert_array_equal(w, np.eye(N)[1 % N])
+    else:
+        np.testing.assert_allclose(w, exponential_sum_weights(N, r), rtol=0, atol=4 * N * 2.3e-16)
+
+
+def test_spectral_weights_take_linear_memory():
+    """N = 10^4 patches within 1 MB of traced allocations (0.53 MB measured;
+    the N x N exponential sums needed about 3 GB)."""
+    tracemalloc.start()
+    try:
+        weights = pt.spectral_weights(10**4, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.w_right.shape == (10**4,)
+    assert peak < 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def test_spectral_left_weights_are_the_exact_mirror():

@@ -129,6 +129,15 @@ def test_solvers_refuse_a_profile_beyond_the_dynamic_range(wave):
         solve(op)
 
 
+def test_full_lattices_are_held_to_the_dynamic_range():
+    """A full lattice has no grid; its points along each axis at unit spacing
+    give the same ratio, 3.07e97 here.  Unchecked, this negative semidefinite
+    operator had a largest eigenvalue of +6.2e35."""
+    op = pt.full_lattice_operator_1d(pt.random_lognormal_profile(2, 1000, 0), 24, L / 24)
+    with pytest.raises(ValueError, match=r"dynamic range: eps \* \|\|H\|\| is 3.07e\+97 times"):
+        pt.eigen_symmetric(op)
+
+
 def test_solvers_take_assembled_operators_only():
     raw = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0,)), 4).matrix
     for solve in (pt.symmetry_defect, pt.eigen_symmetric, pt.eigen_general, pt.stability_limit):
