@@ -22,17 +22,22 @@ symmetry, a profile beyond the solvers' dynamic range, branch separation,
 unstable step, a run that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
-so identical configs reproduce artefacts byte for byte.
+so identical configs reproduce artefacts byte for byte.  One bulk formatter,
+_text, produces that text for every CSV, a block of values at a time.  Each
+artefact is written under a temporary name and renamed into place when
+complete, so a failed run leaves no half-written file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -229,10 +234,6 @@ SCHEMA = {
     "required": ["model", "grid", "profile", "coupling", "task"],
     "additionalProperties": False,
 }
-
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _unusable_numbers(value, path=""):
@@ -456,23 +457,245 @@ def _assemble(config: dict, grid, profile):
     return op
 
 
+# %.17g text in bulk.  A value's digits are D = round-half-even(|x| 10^(16 - X)),
+# 10^16 <= D < 10^17, with X its decimal exponent after rounding.  |x| 10^s is
+# taken as a double-double: Dekker's exact product of |x| and the double
+# nearest 10^s, plus |x| times the remainder of 10^s.  Its error is below
+# 2^-104 of the product: 2^-47 for the digits (below 2^57), 2^-44 for the
+# tenfold products a one-off exponent gives.  So a fraction farther than
+# _MARGIN from 1/2 rounds exactly.  The rest (non-finite values, magnitudes
+# outside [_LEAST, _BEYOND), fractions too close to 1/2, exact ties among
+# them) take '%.17g' itself.  This needs IEEE binary64 arithmetic without
+# fused multiply-add, which numpy's one-operation ufuncs give.
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's factor: splits a double into 26-bit halves
+_LEAST, _BEYOND = 1e-100, 1e100
+_X_MIN, _X_MAX = -101, 100  # the decimal exponents of that range
+_MARGIN = 0.5 - 2.0**-40
+_S_MIN = 16 - _X_MAX - 1  # the powers 10^s the exponent search can ask for
+
+
+def _rounded_digits(a: np.ndarray, X: np.ndarray):
+    """round-half-even(a 10^(16 - X)) as int64, and where that rounding is undecided."""
+    s = 16 - X - _S_MIN
+    hi, lo, top, bottom = (row[s] for row in _tables().powers)
+    product = a * hi
+    upper = _SPLIT * a - (_SPLIT * a - a)
+    lower = a - upper
+    error = ((upper * top - product) + upper * bottom + lower * top) + lower * bottom
+    rest = error + a * lo
+    whole = np.rint(rest)
+    undecided = np.abs(rest - whole) > _MARGIN
+    return product.astype(np.int64) + whole.astype(np.int64), undecided
+
+
+def _decimal(a: np.ndarray):
+    """Decimal exponent X, the 17 digits D and the undecided flags of positive doubles."""
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D, undecided = _rounded_digits(a, X)
+    # log10 may be one off near powers of ten
+    up = np.flatnonzero(D >= 10**17)
+    if up.size:
+        X[up] += 1
+        D[up], undecided_up = _rounded_digits(a[up], X[up])
+        undecided[up] |= undecided_up
+    # D = 10^16 can also be the carry of X - 1's rounding
+    down = np.flatnonzero(D <= 10**16)
+    if down.size:
+        D_down, undecided_down = _rounded_digits(a[down], X[down] - 1)
+        keep = D_down < 10**17
+        down = down[keep]
+        X[down] -= 1
+        D[down] = D_down[keep]
+        undecided[down] |= undecided_down[keep]
+    return X, D, undecided
+
+
+# A value's text is put together in five little-endian 64-bit words: the
+# sign and the "0.000" lead of -4 <= X < 0; three words of digits, the point
+# among them; the exponent and the end of the value's column.  Each word's
+# text is NUL-padded on the right.
+_WORD = np.dtype("<u8")
+_TEXT_WORDS = 5
+_BLOCK_BYTES = 2**17  # formatted text per block of values, which bounds the writers' memory
+_BLOCK_VALUES = _BLOCK_BYTES // (_TEXT_WORDS * _WORD.itemsize)
+
+
+@functools.cache
+def _tables() -> types.SimpleNamespace:
+    """The formatter's lookup tables, built on first use."""
+    powers = []  # hi, lo, hi's upper and lower 26-bit halves of 10^s = hi + lo, from _S_MIN up
+    for s in range(_S_MIN, 18 - _X_MIN):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        hi = num / den  # exact integers, so both divisions round correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        top = _SPLIT * hi - (_SPLIT * hi - hi)
+        powers.append((hi, lo, top, hi - top))
+    chunks = np.arange(10**4)
+    # for a chunk of four of the digits d1..d16, the count of those up to its last nonzero one
+    last = sum(chunks % 10**k != 0 for k in range(1, 5))
+    exponents = [b"" if -4 <= X < 17 else b"e%+03d" % X for X in range(_X_MIN, _X_MAX + 1)]
+    return types.SimpleNamespace(
+        powers=np.array(powers).T.copy(),
+        # the four ASCII digits of 0..9999 in the low bytes of a word
+        spread=sum((chunks // 10 ** (3 - k) % 10 + 48) << 8 * k for k in range(4)).astype(_WORD),
+        ends=np.array([np.where(last > 0, 4 * k + last, 0) for k in range(4)], np.int8),
+        # by 2 (X - _X_MIN) + sign: the sign and the lead
+        heads=np.array(
+            [int.from_bytes(sign + (b"0." + b"0" * (-X - 1) if -4 <= X < 0 else b""), "little")
+             for X in range(_X_MIN, _X_MAX + 1) for sign in (b"", b"-")],
+            _WORD,
+        ),
+        # by X - _X_MIN: the exponent, and its length in bits
+        tails=np.array([int.from_bytes(e, "little") for e in exponents], _WORD),
+        tail_bits=np.array([8 * len(e) for e in exponents], _WORD),
+        # per digit word, by q: the mask of the digits before the q-th
+        # (q = 24: all), and the point put at the q-th
+        before=np.array([[2 ** (8 * min(max(q - 8 * w, 0), 8)) - 1 for q in range(25)]
+                         for w in range(3)], _WORD),
+        dots=np.array([[ord(".") << 8 * (q - 8 * w) if 0 <= q - 8 * w < 8 else 0 for q in range(25)]
+                       for w in range(3)], _WORD),
+    )
+
+
+def _text(values, ends) -> np.ndarray:
+    """The '%.17g' text of each double, followed by the end of its column.
+
+    `values` has one column per item of `ends` along its last axis.  A row's
+    texts come as 64-bit words along that axis, _TEXT_WORDS per value, NUL
+    bytes (anywhere in them) being padding.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    x = values.ravel()
+    negative = np.signbit(x)
+    a = np.abs(x)
+    zero = a == 0
+    with np.errstate(invalid="ignore"):
+        bulk = (a >= _LEAST) & (a < _BEYOND)
+    X, D, slow = _decimal(np.where(bulk, a, 1.0))
+    X[zero] = D[zero] = 0
+    slow |= ~(bulk | zero)
+
+    # D's digits d0..d16: d0, then four chunks of four
+    high, low = np.divmod(D, 10**8)
+    high, low = high.astype(np.uint32), low.astype(np.uint32)
+    first, high = np.divmod(high, 10**8)
+    chunks = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    t = _tables()
+    digits = functools.reduce(np.maximum, (t.ends[k][c] for k, c in enumerate(chunks)))
+    digits += 1
+    fixed = (X >= 0) & (X < 17)
+    kept = np.where(fixed, np.maximum(digits, X + 1), digits)
+    # the point follows digit X in fixed notation, d0 in exponent notation
+    point = np.where(fixed, X + 1, np.where((X >= -4) & (X < 0), 24, 1))
+    point[kept <= point] = 24
+
+    words = np.empty((x.size, _TEXT_WORDS), _WORD)
+    index = X - _X_MIN
+    words[:, 0] = t.heads[2 * index + negative]
+    c1, c2, c3, c4 = (t.spread[c] for c in chunks)
+    digit_words = (
+        first.astype(_WORD) + 48 | c1 << 8 | c2 << 40,
+        c2 >> 24 | c3 << 8 | c4 << 40,
+        c4 >> 24,
+    )
+    carry = 0
+    for w, word in enumerate(digit_words):
+        word &= t.before[w][kept]
+        before = t.before[w][point]
+        after = word & ~before
+        words[:, w + 1] = word & before | t.dots[w][point] | after << 8 | carry
+        carry = after >> 56
+    end_words = np.array([int.from_bytes(end, "little") for end in ends], _WORD)
+    tails = t.tails[index].reshape(-1, len(ends))
+    words[:, 4] = (tails | end_words << t.tail_bits[index].reshape(tails.shape)).ravel()
+
+    text = words.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        text[i] = 0
+        one = b"%.17g" % x[i] + ends[i % len(ends)]
+        text[i, : len(one)] = np.frombuffer(one, np.uint8)
+    return words.reshape(*values.shape[:-1], -1)
+
+
+def _field(strings) -> np.ndarray:
+    """Byte strings as NUL-padded 64-bit words along a new last axis."""
+    strings = np.asarray(strings, dtype="S")
+    width = -(-strings.itemsize // 8)
+    return strings.astype(f"S{8 * width}").view(_WORD).reshape(*strings.shape, width)
+
+
+def _rows(fields) -> bytes:
+    """The text of `fields` side by side, without its NUL bytes.
+
+    Each field is 64-bit words of text along its last axis; the fields
+    broadcast against each other over the others.
+    """
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    rows = np.empty((*shape, sum(f.shape[-1] for f in fields)), _WORD)
+    column = 0
+    for f in fields:
+        for word in np.moveaxis(f, -1, 0):
+            rows[..., column] = word
+            column += 1
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _comma_rows(columns: np.ndarray) -> np.ndarray:
+    """Each row of a 2D array of doubles as text, a comma after each value."""
+    step = max(1, _BLOCK_VALUES // columns.shape[1])
+    rows = []
+    for start in range(0, len(columns), step):
+        text = _text(columns[start : start + step], [b","] * columns.shape[1])
+        rows += (r.replace(b"\0", b"") for r in text.view(f"S{8 * text.shape[1]}").ravel().tolist())
+    return np.array(rows, dtype="S")
+
+
+def _write_file(path: Path, chunks) -> None:
+    """Write the byte strings of `chunks` to `path`.
+
+    They go to a temporary file beside it, which replaces `path` only once
+    complete and is removed if anything fails, so no half-written artefact
+    is left under the name.
+    """
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: list, blocks) -> None:
+    """Write the header, then the rows of each block of fields (see _rows).
+
+    The bytes are those csv.writer writes: no field needs quoting, and
+    lines end in \\r\\n.
+    """
+    head = (",".join(header) + "\r\n").encode()
+    _write_file(path, itertools.chain([head], map(_rows, blocks)))
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_file(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _write_eigen_csv(path: Path, values: np.ndarray) -> None:
-    """eigenvalues.csv: rank, real, imag, magnitude per eigenvalue.
+    """eigenvalues.csv: rank, real, imag, magnitude per eigenvalue."""
+    step = _BLOCK_VALUES // 4
 
-    The bytes are those csv.writer writes with _fmt fields: one %-format per row.
-    """
-    columns = (values.real.tolist(), values.imag.tolist(), np.abs(values).tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("rank,real,imag,magnitude\r\n")
-        fh.writelines(
-            "%d,%.17g,%.17g,%.17g\r\n" % row for row in zip(range(1, values.size + 1), *columns)
-        )
+    def blocks():
+        for start in range(0, values.size, step):
+            part = values[start : start + step]
+            rank = np.arange(start + 1, start + 1 + part.size)
+            columns = np.stack([rank, part.real, part.imag, np.abs(part)], axis=1)
+            yield [_text(columns, [b",", b",", b",", b"\r\n"])]
+
+    _write_csv(path, ["rank", "real", "imag", "magnitude"], blocks())
 
 
 def _task_eigen(config: dict, grid, profile, out: Path) -> None:
@@ -534,40 +757,39 @@ def _initial_state(config: dict, op) -> StateVector:
 def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> None:
     """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown.
 
-    The bytes are those csv.writer writes (no field needs quoting, \r\n line
-    ends).  Each unknown's label text is built once; a whole snapshot is then
-    one %-format of its time and %.17g values.
+    The times and each unknown's labels are formatted once; the values go
+    block by block.
     """
     layout = op.layout
+    member, *index = np.indices(layout.shape).reshape(len(layout.shape), -1)
     if isinstance(op.grid, geometry.PatchGrid2D):
-        xs, ys = _positions(op.grid.x), _positions(op.grid.y)
+        J, I, j, i = index
         names = ["I", "J", "i", "j", "x", "y"]
-
-        def label(J, I, j, i):
-            return [I, J, i + 1, j + 1, _fmt(xs[I, i]), _fmt(ys[J, j])]
+        columns = [I, J, i + 1, j + 1, _positions(op.grid.x)[I, i], _positions(op.grid.y)[J, j]]
     else:
-        pos = _positions(op.grid)
+        I, i = index
         names = ["patch", "interior", "position"]
-
-        def label(I, i):
-            return [I, i + 1, _fmt(pos[I, i])]
-
+        columns = [I, i + 1, _positions(op.grid)[I, i]]
+    if layout.ensemble:
+        columns.insert(0, member)
+    labels = _comma_rows(np.stack(columns, axis=1))
     wave = layout.half is not None
+    if wave:
+        labels = [field + label for field in (b"u,", b"v,") for label in labels.tolist()]
     header = (["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
               + names + ["value"])
-    # one label per unknown, in state order
-    labels = [
-        ",".join(map(str, ([e] if layout.ensemble else []) + label(*idx)))
-        for e, *idx in np.ndindex(layout.shape)
-    ]
-    fields = ("u,", "v,") if wave else ("",)
-    row = "".join(f"%s,{field}{lab}," + "%.17g\r\n" for field in fields for lab in labels)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for t, values in zip(times, states):
-            args = [_fmt(t)] * (2 * values.size)
-            args[1::2] = values.tolist()
-            fh.write(row % tuple(args))
+    stamps, labels = _field(_comma_rows(times[:, None])), _field(labels)
+    unknowns = min(len(labels), _BLOCK_VALUES)
+    snapshots = max(1, _BLOCK_VALUES // len(labels))
+
+    def blocks():
+        for t in range(0, len(stamps), snapshots):
+            for u in range(0, len(labels), unknowns):
+                values = states[t : t + snapshots, u : u + unknowns, None]
+                yield [stamps[t : t + snapshots, None], labels[u : u + unknowns],
+                       _text(values, [b"\r\n"])]
+
+    _write_csv(path, header, blocks())
 
 
 def _task_simulate(config: dict, grid, profile, out: Path) -> None:
@@ -618,12 +840,9 @@ def _task_homogenize(config: dict, grid, profile, out: Path) -> None:
         "d": coeffs.d,
         "fit_residual": coeffs.fit_residual,
     })
-    with open(out / "slow_branch.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "eigenvalue"])
-        for m in range(1, count + 1):
-            k = spacing * m
-            writer.writerow([_fmt(k), _fmt(slow_branch(profile, k))])
+    ks = [spacing * m for m in range(1, count + 1)]
+    branch = _text([[k, slow_branch(profile, k)] for k in ks], [b",", b"\r\n"])
+    _write_csv(out / "slow_branch.csv", ["k", "eigenvalue"], [[branch]])
 
 
 def _require_compatible(config: dict, grid, profile, allow_incompatible: bool) -> None:
@@ -670,11 +889,12 @@ def _task_sweep(config: dict, grid, profile, out: Path) -> None:
     # here, before any point is built.
     _require_compatible(config, grid, profile, allow_incompatible=False)
     rows = _sweep_rows(config, grid, profile, parameter, values, modes)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)])
-        for value, errs in zip(values, rows):
-            writer.writerow([value] + [_fmt(e) for e in errs])
+    errors = _text(rows, [b","] * (modes - 1) + [b"\r\n"])
+    _write_csv(
+        out / "sweep.csv",
+        [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
+        [[_field([f"{value},".encode() for value in values]), errors]],
+    )
     summary = {"parameter": parameter, "values": values, "modes": modes}
     if parameter == "patches" and len(values) >= 3:
         slopes = []

@@ -39,6 +39,11 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
+def fmt(x):
+    """The writer's number format, spelled out apart from the program."""
+    return "%.17g" % float(x)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -418,10 +423,112 @@ def test_eigen_csv_bytes_match_the_csv_writer(tmp_path, dtype):
     writer.writerow(["rank", "real", "imag", "magnitude"])
     for rank, lam in enumerate(values, start=1):
         writer.writerow(
-            [rank, cli._fmt(np.real(lam)), cli._fmt(np.imag(lam)), cli._fmt(np.abs(lam))]
+            [rank, fmt(np.real(lam)), fmt(np.imag(lam)), fmt(np.abs(lam))]
         )
     cli._write_eigen_csv(tmp_path / "eigenvalues.csv", values)
     assert (tmp_path / "eigenvalues.csv").read_bytes() == out.getvalue().encode()
+
+
+def texts(values):
+    """The writer's text of each double, one string per value."""
+    words = cli._text(np.asarray(values, dtype=np.float64)[:, None], [b"\n"])
+    return bytes(words.view(np.uint8)).replace(b"\0", b"").decode().splitlines()
+
+
+def exact_ties():
+    """Dyadic a / 2^b whose exact expansion has 18 significant digits, the
+    last a 5: halfway between two 17-digit decimals."""
+    for b in range(2, 80):
+        low, high = -(-(10**17) // 5**b), min(10**18 // 5**b, 2**53)
+        for a in {low | 1, (low + high) // 2 | 1, (high - 1) | 1}:
+            if low <= a < high:
+                yield a / 2**b
+
+
+def neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+FORMAT_CASES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    *(y for k in range(-323, 309) for y in neighbours(float(f"1e{k}"))),
+    *neighbours(1e16), *neighbours(1e17), *neighbours(-1e16), *neighbours(-1e17),
+    *exact_ties(), *(-t for t in exact_ties()),
+]
+
+
+def test_the_formatter_writes_percent_17g_at_edge_cases():
+    values = np.array(FORMAT_CASES)
+    assert texts(values) == [fmt(x) for x in values]
+
+
+@pytest.mark.parametrize("towards", [-np.inf, np.inf])
+def test_the_formatter_takes_a_log10_one_ulp_off(monkeypatch, towards):
+    """The decimal exponent starts from floor(log10 |x|), which a less
+    accurate log10 can put one too low or too high near powers of ten."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), towards))
+    values = np.array(FORMAT_CASES)
+    assert texts(values) == [fmt(x) for x in values]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_the_formatter_writes_percent_17g(floats, patterns):
+    """Any double, NaN, infinities and subnormals too, by value and by bit pattern."""
+    values = np.concatenate([floats, np.array(patterns, dtype=np.uint64).view(np.float64)])
+    assert texts(values) == [fmt(x) for x in values]
+
+
+def test_sweep_csv_bytes_match_the_csv_writer(tmp_path, monkeypatch):
+    rows = [[1e-300, np.nan, -np.inf], [0.0, 2.5e17, 1 / 3], [-0.0, 1e300, 123456.75]]
+    monkeypatch.setattr(cli, "_sweep_rows", lambda *args: rows)
+    config = base_config(task="sweep", sweep={"parameter": "patches", "values": [6, 8, 10]})
+    assert cli.run(config, tmp_path) == 0
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["patches", "err_mode_1", "err_mode_2", "err_mode_3"])
+    for value, errs in zip([6, 8, 10], rows):
+        writer.writerow([value] + [fmt(e) for e in errs])
+    assert (tmp_path / "sweep.csv").read_bytes() == out.getvalue().encode()
+
+
+def test_slow_branch_csv_bytes_match_the_csv_writer(tmp_path, monkeypatch):
+    eigenvalues = iter([-1e-300, np.nan, np.inf, -0.0, 0.1, -2e-5, 7e22, 1 / 3])
+    monkeypatch.setattr(cli, "slow_branch", lambda profile, k: next(eigenvalues))
+    config = base_config(task="homogenize")
+    assert cli.run(config, tmp_path) == 0
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["k", "eigenvalue"])
+    for m, lam in zip(range(1, 9), [-1e-300, np.nan, np.inf, -0.0, 0.1, -2e-5, 7e22, 1 / 3]):
+        writer.writerow([fmt(0.02 * m), fmt(lam)])
+    assert (tmp_path / "slow_branch.csv").read_bytes() == out.getvalue().encode()
+
+
+def test_a_failed_write_leaves_no_artefact(tmp_path, monkeypatch):
+    """Running out of memory in the middle of trajectory.csv exits 2 and
+    leaves neither the file nor its temporary copy, which did hold the
+    blocks written before."""
+    original = cli._text
+    value_blocks = []
+
+    def failing(values, ends):
+        if ends == [b"\r\n"]:
+            value_blocks.append(values.size)
+            if len(value_blocks) == 2:
+                (partial,) = tmp_path.iterdir()
+                assert partial.name != "trajectory.csv" and partial.stat().st_size > 0
+                raise MemoryError
+        return original(values, ends)
+
+    monkeypatch.setattr(cli, "_text", failing)
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 480)  # 20 snapshots, more than a write buffer holds
+    config = base_config(task="simulate", simulate={"integrator": "rk4", "dt": 1e-4, "steps": 100})
+    assert cli.run(config, tmp_path) == 2
+    assert len(value_blocks) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_task_writes_positions_and_conserves_mass(tmp_path):
@@ -505,13 +612,13 @@ def reference_trajectory_csv(op, times, states):
         names = ["I", "J", "i", "j", "x", "y"]
 
         def label(J, I, j, i):
-            return [I, J, i + 1, j + 1, cli._fmt(xs[I, i]), cli._fmt(ys[J, j])]
+            return [I, J, i + 1, j + 1, fmt(xs[I, i]), fmt(ys[J, j])]
     else:
         pos = cli._positions(op.grid)
         names = ["patch", "interior", "position"]
 
         def label(I, i):
-            return [I, i + 1, cli._fmt(pos[I, i])]
+            return [I, i + 1, fmt(pos[I, i])]
 
     wave = layout.half is not None
     fields = ("u", "v") if wave else (None,)
@@ -522,9 +629,9 @@ def reference_trajectory_csv(op, times, states):
     labels = [([e] if layout.ensemble else []) + label(*idx) for e, *idx in np.ndindex(layout.shape)]
     for t, state in zip(times, states):
         for name, vec in zip(fields, np.split(state, len(fields))):
-            head = [cli._fmt(t)] if name is None else [cli._fmt(t), name]
+            head = [fmt(t)] if name is None else [fmt(t), name]
             for lab, value in zip(labels, vec.tolist()):
-                writer.writerow(head + lab + [cli._fmt(value)])
+                writer.writerow(head + lab + [fmt(value)])
     return out.getvalue().encode()
 
 
@@ -828,11 +935,11 @@ def test_module_entry_point_runs(tmp_path):
 def test_importing_the_cli_loads_no_scipy():
     """scipy serves only the sparse full lattice and the shift-invert solver,
     which import it when called; jsonschema and its dependencies serve only
-    the tests."""
+    the tests, and the CSV artefacts need no csv module."""
     code = (
         "import sys, patchtooth.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing', 'attrs', 'rpds')))"
+        "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing', 'attrs', 'rpds', 'csv')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_src_env())
