@@ -62,7 +62,6 @@ from .microscale import (
     DiffusivityProfile2D,
     full_lattice_operator_1d,
     full_lattice_operator_2d,
-    full_lattice_operator_2d_sparse,
     random_lognormal_profile,
     random_lognormal_profile_2d,
 )
@@ -74,7 +73,6 @@ from .spectra import (
     eigen_general,
     eigen_symmetric,
     error_table,
-    smallest_magnitude_eigenvalues,
 )
 from .timestep import (
     StabilityError,
@@ -124,7 +122,6 @@ __all__ = [
     "fourier_symbol",
     "full_lattice_operator_1d",
     "full_lattice_operator_2d",
-    "full_lattice_operator_2d_sparse",
     "harmonic_mean_diffusivity",
     "lagrangian_weights",
     "predict_macroscale_eigenvalues",
@@ -132,7 +129,6 @@ __all__ = [
     "random_lognormal_profile_2d",
     "ratio_for_spacing",
     "slow_branch",
-    "smallest_magnitude_eigenvalues",
     "spectral_weights",
     "stability_limit",
     "symmetry_defect",

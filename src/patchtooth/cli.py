@@ -46,7 +46,6 @@ from . import geometry
 from .assembly import (
     _raise_on_errors,
     assemble_patch_1d,
-    assemble_patch_2d,
     assemble_wave,
     symmetry_defect,
 )
@@ -312,6 +311,13 @@ def _schema_problem(value, schema: dict, path: tuple = ()):
     return None
 
 
+def _integrator(config: dict) -> str:
+    """The simulate task's integrator: the one named, else rk4 for the wave
+    system and exact otherwise."""
+    default = "rk4" if config["model"] == "wave1d" else "exact"
+    return config.get("simulate", {}).get("integrator", default)
+
+
 def _validate_config(config: dict) -> None:
     # JSON parsers accept NaN, Infinity and integers of any size, and NaN
     # passes every schema bound.
@@ -377,7 +383,7 @@ def _validate_config(config: dict) -> None:
             )
     if task == "simulate":
         sim = config.get("simulate", {})
-        integrator = sim.get("integrator", "rk4" if model == "wave1d" else "exact")
+        integrator = _integrator(config)
         if model == "wave1d" and integrator == "exact":
             raise ConfigError("the wave system is not symmetric; use the rk4 integrator")
         if integrator == "exact" and "t_final" not in sim:
@@ -443,15 +449,11 @@ def _build_coupling(config: dict) -> CouplingSpec:
 
 
 def _assemble(config: dict, grid, profile):
+    # assemble_patch_1d assembles 2D grids too; assemble_patch_2d is the same function
     coupling = _build_coupling(config)
     ens = bool(config.get("ensemble", False))
     allow = bool(config.get("allow_incompatible", False))
-    if config["model"] == "diffusion2d":
-        op = assemble_patch_2d(grid, profile, coupling, ensemble=ens,
-                               allow_incompatible=allow)
-    else:
-        op = assemble_patch_1d(grid, profile, coupling, ensemble=ens,
-                               allow_incompatible=allow)
+    op = assemble_patch_1d(grid, profile, coupling, ensemble=ens, allow_incompatible=allow)
     if config["model"] == "wave1d":
         op = assemble_wave(op, epsilon=float(config.get("epsilon", 0.02)))
     return op
@@ -795,7 +797,7 @@ def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> 
 def _task_simulate(config: dict, grid, profile, out: Path) -> None:
     op = _assemble(config, grid, profile)
     sim = config.get("simulate", {})
-    integrator = sim.get("integrator", "rk4" if config["model"] == "wave1d" else "exact")
+    integrator = _integrator(config)
     state = _initial_state(config, op)
     stride = int(sim.get("stride", 1))
     if integrator == "exact":
@@ -858,10 +860,10 @@ def _sweep_rows(config: dict, base_grid, profile, parameter: str, values, modes:
     solves its spectral reference once.
     """
     ens = bool(config.get("ensemble", False))
-    assemble = assemble_patch_2d if config["model"] == "diffusion2d" else assemble_patch_1d
 
     def spectrum(grid, coupling):
-        return eigen_symmetric(assemble(grid, profile, coupling, ensemble=ens), modes=modes)
+        op = assemble_patch_1d(grid, profile, coupling, ensemble=ens)
+        return eigen_symmetric(op, modes=modes)
 
     spectral = CouplingSpec(scheme="spectral")
     if parameter == "order":
@@ -1035,9 +1037,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
-    if args.task is not None:
-        config = dict(config)
-        config["task"] = args.task
+    if args.task is not None and isinstance(config, dict):
+        # any other JSON value fails validation in run(), as a config error
+        config = {**config, "task": args.task}
     return run(config, outdir=args.out)
 
 

@@ -178,19 +178,6 @@ def full_lattice_operator_2d(profile: DiffusivityProfile2D, shape, spacing=(1.0,
     return _full_lattice(profile, shape, spacing, whole_rows=True)
 
 
-def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
-    """Sparse CSR variant of full_lattice_operator_2d for large lattices.
-
-    The CSR matrix holds the stored entries of the operator, built in O(nnz)
-    time and memory; no dense matrix is formed.
-    """
-    op = _full_lattice(profile, shape, spacing, whole_rows=True)
-    rows, cols, values = op.triplets()
-    import scipy.sparse  # only this builder needs scipy; keep it off the import path
-
-    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(op.dimension,) * 2)
-
-
 def random_lognormal_profile(p: int, sigma: float, seed: int) -> DiffusivityProfile1D:
     """Seeded log-normal profile, values[l] = exp(sigma * z_l), z standard normal.
 

@@ -29,22 +29,25 @@ blocks contribute the same (symmetric case) or conjugate (general case)
 eigenvalues.  A full lattice is a patch operator too (see microscale), so
 every solver here takes an AssembledOperator and has no dense path.
 
-eigen_symmetric solves each symmetric block by a double precision eigvalsh,
-which computes no eigenvectors, and refines only its Layout.slow slow macro
-modes as Rayleigh quotients against the extended precision block.  A
-phase-shift ensemble's block is block diagonal over its g member orbits,
-each with one slow mode, its eigenvalue of smallest magnitude, so it is
-solved as g blocks of size b / g; each slow eigenvector comes from two steps
-of shifted inverse iteration (Parlett, The Symmetric Eigenvalue Problem, SIAM
-1998, ch. 4).  A slow eigenvalue is a small difference of O(1/d^2) entries,
+Both symmetric solvers, eigen_symmetric and timestep.evolve_exact, take one
+path.  A phase-shift ensemble's block is block diagonal over its g member
+orbits, each with one slow mode, its eigenvalue of smallest magnitude, so
+every symmetric block is solved as g blocks of size b / g (g = 1 for a
+single phase), and only the slow mode of each is refined, as a Rayleigh
+quotient against the extended precision block.  eigen_symmetric takes a
+double precision eigvalsh, which computes no eigenvectors, and each slow
+eigenvector from two steps of shifted inverse iteration (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); evolve_exact, which needs
+every eigenvector, takes eigh of the orbit blocks and refines with eigh's
+own slow vector.  No two slow modes share an orbit block, so neither path
+mixes them.  A slow eigenvalue is a small difference of O(1/d^2) entries,
 so the absolute error eps * ||H|| of eigvalsh would be a large relative one.
 A fast eigenvalue is a microscale mode of the patch interior, at least about
 ||H|| / n^2, so the same error is already a small relative one: on the
 benchmark operators the fast eigenvalues lie within 19 eps relative of their
-Rayleigh quotients.  Per block that is g eigvalsh and 2g LU factorizations
-of size b / g, O(b^3 / g^2) work, where eigh of the whole block with its
-eigenvectors is several times O(b^3).  Only timestep.evolve_exact, which
-needs every eigenvector, takes that eigh.
+Rayleigh quotients.  Per block eigen_symmetric does g eigvalsh and 2g LU
+factorizations of size b / g, evolve_exact g eigh: O(b^3 / g^2) work, where
+eigh of the whole block with its eigenvectors is several times O(b^3).
 
 eigen_symmetric labels every eigenvalue by its Bloch block and its rank
 among the block's g slow modes (-1 for a fast mode).  A block's label is its
@@ -190,27 +193,26 @@ def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
     return X
 
 
-def _refined_eigh(H: np.ndarray, g: int, vectors: bool = True):
-    """Eigenvalues of a stack of Hermitian blocks, the g slowest of each refined.
+def _refined_eigh(H: np.ndarray, vectors: bool):
+    """Eigenvalues of a stack of Hermitian blocks of one slow mode each, that mode refined.
 
     H is (k, b, b) in extended precision.  Returns (w, V, slow) of shapes
-    (k, b), (k, b, b) and (k, g): the eigenvalues and eigenvectors of a
-    double precision eigh.  Only the g eigenvalues of smallest magnitude in
-    each block, at the indices `slow` in ascending magnitude, are replaced,
-    by the Rayleigh quotients of their eigenvectors against H.  With
-    vectors=False each block must hold one slow mode, g = 1: w comes from
-    eigvalsh, V is None, and the slow eigenvector from _slow_vector, O(b^3)
-    work less than eigh's eigenvectors.  Such a quotient's error is
-    quadratic in the eigenvector error, so the slow macro modes, small
-    differences of O(1/d^2) entries, keep their relative accuracy instead
-    of an absolute error of eps * ||H||.  The fast modes are microscale
-    modes of magnitude at least about ||H|| / n^2, where that error is
-    already a small relative one: refining them would cost O(b^3) extended
-    precision work per block for no accuracy that matters.
+    (k, b), (k, b, b) and (k, 1): the eigenvalues of a double precision
+    eigvalsh, or of eigh with its eigenvectors V when `vectors` (else V is
+    None), with the eigenvalue of smallest magnitude, at the index `slow`,
+    replaced by the Rayleigh quotient of its eigenvector against H.  That
+    eigenvector is eigh's own, or from _slow_vector, O(b^3) work less than
+    eigh's eigenvectors.  Such a quotient's error is quadratic in the
+    eigenvector error, so the slow macro mode, a small difference of
+    O(1/d^2) entries, keeps its relative accuracy instead of an absolute
+    error of eps * ||H||.  The fast modes are microscale modes of magnitude
+    at least about ||H|| / n^2, where that error is already a small
+    relative one: refining them would cost O(b^3) extended precision work
+    per block for no accuracy that matters.
     """
     Hd = H.astype(complex)
     w, V = np.linalg.eigh(Hd) if vectors else (np.linalg.eigvalsh(Hd), None)
-    slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :g]
+    slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :1]
     Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(Hd, w, slow)
     # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
     rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
@@ -218,29 +220,28 @@ def _refined_eigh(H: np.ndarray, g: int, vectors: bool = True):
     return w, V, slow
 
 
-def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = True):
+def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
     """_refined_eigh of the Hermitian parts of the Bloch blocks, one batch at a time.
 
-    Yields (w, V, slow) for each batch of assembly._bloch_batches (only the
-    blocks `select` names, if given), refining the layout.slow slow modes.
-    With vectors=False each block is split into its g member orbits
-    (assembly._orbits), g blocks of one slow mode each: its eigenvalues come
-    orbit by orbit, and `slow` holds the orbits' slow modes in ascending
-    magnitude.
+    Each block is split into its g member orbits (assembly._orbits), g
+    blocks of size m = b / g with one slow mode each.  Yields (w, V, slow)
+    for each batch of k blocks of assembly._bloch_batches (only the blocks
+    `select` names, if given): w (k, b) holds each block's eigenvalues orbit
+    by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
+    `vectors` (else None), and slow the (k, g) indices into w of the
+    orbits' slow modes in ascending magnitude.
     """
-    orbits = None if vectors else _orbits(layout, op.profile.periods)
+    orbits = _orbits(layout, op.profile.periods)
+    g, m = orbits.shape
     for blocks in _bloch_batches(op, layout, select):
         H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
-        if vectors:
-            yield _refined_eigh(H, layout.slow)
-            continue
-        k, (g, m) = H.shape[0], orbits.shape
+        k = H.shape[0]
         if g > 1:
             H = H[:, orbits[:, :, None], orbits[:, None, :]].reshape(k * g, m, m)
-        w, _, slow = _refined_eigh(H, 1, vectors=False)
+        w, V, slow = _refined_eigh(H, vectors)
         w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
         order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
-        yield w, None, np.take_along_axis(slow, order, axis=1)
+        yield w, V, np.take_along_axis(slow, order, axis=1)
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
@@ -370,7 +371,7 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
         select = np.flatnonzero((labels >= 1) & (labels <= modes))
         labels, counts = labels[select], counts[select]
     w, ranks = [], []
-    for vals, _, slow in _bloch_eigh(op, layout, select, vectors=False):
+    for vals, _, slow in _bloch_eigh(op, layout, select):
         rank = np.full(vals.shape, -1, dtype=np.intp)
         np.put_along_axis(rank, slow, np.arange(layout.slow), axis=1)
         w.append(vals)
@@ -433,25 +434,6 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     if n_macro is None:
         n_macro = layout.n_macro or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro)
-
-
-def smallest_magnitude_eigenvalues(matrix, count: int):
-    """Smallest-|lambda| eigenvalues of a large sparse symmetric operator.
-
-    Shift-invert about sigma = 0.1, which for a negative semidefinite
-    operator is never an eigenvalue, so the factorisation is always
-    nonsingular (sigma = 0 would hit the constant kernel mode).  ARPACK
-    starts from a seeded random vector, so repeated calls agree bit for bit;
-    the ones vector would not do, as it spans the kernel, an invariant
-    subspace.
-    """
-    import scipy.sparse.linalg  # only this solver needs scipy; keep it off the import path
-
-    start = np.random.default_rng(0).standard_normal(matrix.shape[0])
-    vals = scipy.sparse.linalg.eigsh(
-        matrix, k=count, sigma=0.1, which="LM", v0=start, return_eigenvectors=False
-    )
-    return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
 @dataclass

@@ -12,7 +12,9 @@ microscale included, is a patch operator.  The state is transformed over the
 patch axes (rfftn), each Bloch block (see assembly._bloch_batches, which
 builds them from the stored first block row in batches) is advanced on its
 own, and only the stored states are transformed back.  evolve_exact
-propagates a block by its eigendecomposition.  On a linear system one RK4
+propagates a block member orbit by member orbit, by the eigendecomposition of
+each orbit's diagonal block, the one symmetric solve path of spectra
+(_bloch_eigh): no stored entry couples two orbits.  On a linear system one RK4
 step is u <- R u with R = sum_{k<=4} (dt W)^k / k!, so evolve_rk4 builds R(j)
 for each block, raises it to the power `stride` by repeated squaring, both in
 extended precision (in double the error of the stored states grew 20- to
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _bloch_batches, _patch_layout
+from .assembly import _bloch_batches, _orbits, _patch_layout
 from .spectra import _bloch_eigh, _require_symmetric
 
 
@@ -127,15 +129,21 @@ def _bloch_states(modes: np.ndarray, layout) -> np.ndarray:
 
 
 def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
-    """States exp(A t) u0, one row per elapsed time t, block by block, and
-    the largest eigenvalue."""
+    """States exp(A t) u0, one row per elapsed time t, orbit block by orbit
+    block, and the largest eigenvalue."""
+    orbits = _orbits(layout, op.profile.periods).ravel()
     u_hat = _bloch_modes(u0, layout)
     modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
     start, top = 0, -np.inf
-    for w, V, _ in _bloch_eigh(op, layout):
+    for w, V, _ in _bloch_eigh(op, layout, vectors=True):
         batch = slice(start, start + w.shape[0])
-        c = V.conj().swapaxes(1, 2) @ u_hat[batch, :, None]
-        modes[batch] = V @ (np.exp(w[:, :, None] * elapsed) * c)
+        # one matrix of V per member orbit of a block, as _bloch_eigh splits them;
+        # the gather comes out column-major, and the matmul of a strided
+        # operand rounds differently from that of a C-ordered one
+        u = np.ascontiguousarray(u_hat[batch][:, orbits]).reshape(V.shape[0], -1, 1)
+        c = V.conj().swapaxes(1, 2) @ u
+        z = V @ (np.exp(w.reshape(V.shape[:2])[:, :, None] * elapsed) * c)
+        modes[batch][:, orbits] = z.reshape(w.shape + elapsed.shape)
         start, top = batch.stop, max(top, float(np.max(w)))
     return _bloch_states(np.moveaxis(modes, 2, 0), layout), top
 

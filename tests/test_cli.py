@@ -911,6 +911,17 @@ def test_task_override_and_missing_config(tmp_path, capsys):
     assert cli.main(["--config", str(broken)]) == 1
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "x", [["model", "diffusion1d"], ["task", "check"]]])
+def test_task_override_of_a_config_that_is_not_an_object_exits_1(tmp_path, capsys, payload):
+    """--task overrides a key only of a JSON object; any other config, a list
+    of pairs included, is reported as what it is."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "--task", "eigen"]) == 1
+    assert "is not of type 'object'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def _src_env():
     """The environment of a child interpreter that imports patchtooth from src/."""
     env = dict(os.environ)
@@ -933,9 +944,8 @@ def test_module_entry_point_runs(tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    """scipy serves only the sparse full lattice and the shift-invert solver,
-    which import it when called; jsonschema and its dependencies serve only
-    the tests, and the CSV artefacts need no csv module."""
+    """scipy and jsonschema, with its dependencies, serve only the tests, and
+    the CSV artefacts need no csv module."""
     code = (
         "import sys, patchtooth.cli; "
         "print(sorted(m for m in sys.modules "

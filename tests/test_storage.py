@@ -43,18 +43,6 @@ def couplings(draw, N):
     return pt.CouplingSpec("lagrangian", draw(st.integers(1, orders)))
 
 
-def rayleigh_bloch_eigh(op, layout):
-    """Eigenpairs of the Bloch blocks, every eigenvalue a Rayleigh quotient (oracle).
-
-    The engine refined all b eigenvalues of each block this way before it
-    refined only the slow ones.
-    """
-    for blocks in _bloch_batches(op, layout):
-        H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
-        V = np.linalg.eigh(H.astype(complex))[1]
-        yield np.sum(V.conj() * (H @ V), axis=1).real.astype(float), V
-
-
 def member_orbits(op, layout):
     """The unknowns of a Bloch block grouped by the connected components of
     the members that stored entries couple (oracle for assembly._orbits)."""
@@ -230,8 +218,8 @@ def nyquist_ensembles(draw):
 # from its fast ones.  At a Nyquist wavenumber of a coarse 2D grid with
 # spectral coupling a slow mode may still meet a fast one; which of the two is
 # refined is then arbitrary, and both are within eps * ||H||.  Degenerate slow
-# modes lie in different member orbits, which the eigenvalue-only path solves
-# as separate blocks.
+# modes lie in different member orbits, which both paths solve as separate
+# blocks.
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -244,22 +232,24 @@ def nyquist_ensembles(draw):
 )
 def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     layout = _patch_layout(op)
-    g = layout.slow
-    # eigh path (timestep.evolve_exact): each slow eigenvalue is the
-    # oracle's Rayleigh quotient of eigh's own vector, bit for bit
-    got = np.concatenate([w for w, *_ in _bloch_eigh(op, layout)])
-    oracle = np.concatenate([w for w, _ in rayleigh_bloch_eigh(op, layout)])
-    magnitudes = np.sort(np.abs(got), axis=1)
-    apart = np.ones(got.shape[0], dtype=bool)
-    if got.shape[1] > g:
-        apart = magnitudes[:, g - 1] < (1 - 1e-9) * magnitudes[:, g]
-        assert np.all(apart | nyquist_blocks(layout))
-    order = np.argsort(np.abs(got), axis=1, kind="stable")[:, :g]
-    refined = np.take_along_axis(got, order, axis=1)
-    want = np.take_along_axis(oracle, order, axis=1)
-    np.testing.assert_array_equal(refined[apart], want[apart])
-    scale = magnitudes[~apart, -1:]
-    assert np.all(np.abs(refined[~apart] - want[~apart]) <= 1e-14 * scale)
+    want, alone, top = orbit_slow_values(op, layout)
+    assert np.all(alone | nyquist_blocks(layout)[:, None])
+    scale = np.broadcast_to(top[:, None], want.shape)
+
+    def slow_values(vectors):
+        blocks = [
+            np.take_along_axis(w, slow, axis=1)
+            for w, _, slow in _bloch_eigh(op, layout, vectors=vectors)
+        ]
+        # `slow` lists each block's slow modes in ascending magnitude, their ranks
+        assert all(np.all(np.diff(np.abs(values), axis=1) >= 0) for values in blocks)
+        return np.sort(np.concatenate(blocks), axis=1)
+
+    # eigh path (timestep.evolve_exact): each member orbit's slow eigenvalue
+    # is the oracle's Rayleigh quotient of eigh's own vector, bit for bit
+    refined = slow_values(vectors=True)
+    np.testing.assert_array_equal(refined[alone], want[alone])
+    assert np.all(np.abs(refined - want)[~alone] <= 1e-14 * scale[~alone])
     # eigenvalue-only path (eigen_symmetric): each member orbit's slow
     # eigenvalue, by inverse iteration, agreed with the oracle's within
     # 7.4e-15 relative in 19,999 of 20,000 random examples.  The other read
@@ -268,15 +258,7 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     # extended precision round-off.  A zero mode, or an orbit whose slow
     # mode meets a fast one, agrees within 1e-14 of the block's largest
     # magnitude.
-    blocks = [
-        np.take_along_axis(w, slow, axis=1)
-        for w, _, slow in _bloch_eigh(op, layout, vectors=False)
-    ]
-    # `slow` lists each block's slow modes in ascending magnitude, their ranks
-    assert all(np.all(np.diff(np.abs(values), axis=1) >= 0) for values in blocks)
-    refined = np.sort(np.concatenate(blocks), axis=1)
-    want, alone, top = orbit_slow_values(op, layout)
-    scale = np.broadcast_to(top[:, None], want.shape)
+    refined = slow_values(vectors=False)
     relative = alone & (np.abs(want) > 1e-10 * scale)
     error = np.abs(refined - want)
     assert np.all(error[relative] <= 2e-14 * np.abs(want[relative]))
@@ -292,18 +274,25 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     st.integers(0, 4),
     st.sampled_from(["zero", "random"]),
     st.integers(0, 999),
+    st.booleans(),
 )
-def test_refined_eigh_takes_zero_empty_and_scalar_blocks(k, b, kind, seed):
+def test_refined_eigh_takes_zero_empty_and_scalar_blocks(k, b, kind, seed, vectors):
     """Stacks of no blocks, of 0 x 0 and 1 x 1 blocks, and of zero blocks,
-    whose inverse iteration shift is 1e-12 from an offset scale of 1."""
+    whose inverse iteration shift is 1e-12 from an offset scale of 1, on
+    either path."""
     H = np.zeros((k, b, b), dtype=np.clongdouble)
     if kind == "random":
         X = np.random.default_rng(seed).standard_normal((2, k, b, b))
         H[:] = X[0] + 1j * X[1]
         H = 0.5 * (H + H.conj().swapaxes(1, 2))
     want = np.linalg.eigvalsh(H.astype(complex))
-    w, V, slow = _refined_eigh(H, 1, vectors=False)
-    assert V is None
+    w, V, slow = _refined_eigh(H, vectors)
+    if vectors:
+        assert V.shape == (k, b, b)
+        np.testing.assert_allclose(V.conj().swapaxes(1, 2) @ V, np.eye(b)[None].repeat(k, 0),
+                                   rtol=0, atol=1e-13 * max(1.0, b))
+    else:
+        assert V is None
     assert w.shape == (k, b) and slow.shape == (k, min(1, b))
     np.testing.assert_allclose(np.sort(w, axis=1), want, rtol=0, atol=1e-13 * max(1.0, b))
     if kind == "zero":

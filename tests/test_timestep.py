@@ -10,7 +10,7 @@ from test_spectra import (
     patch_operators_1d,
     patch_operators_2d,
 )
-from test_storage import full_lattices
+from test_storage import degenerate_ensembles, full_lattices
 
 import patchtooth as pt
 
@@ -154,13 +154,18 @@ def test_state_vector_coerces_values():
 
 
 @settings(max_examples=50)
-@given(st.one_of(patch_operators_1d(), patch_operators_2d()), st.integers(0, 999))
+@given(
+    st.one_of(patch_operators_1d(), patch_operators_2d(), degenerate_ensembles()),
+    st.integers(0, 999),
+)
 def test_bloch_evolution_matches_the_dense_propagator(op, seed):
     """Agreement to 1e-12 over times up to 20 / rho(A).
 
     Either solver's eigenvalues carry an absolute error near eps * rho(A), so
     their propagators differ by about t * eps * rho(A); scaling the times by
-    rho keeps that far below the tolerance while the fast modes decay.
+    rho keeps that far below the tolerance while the fast modes decay.  The
+    ensembles with g > 1 member orbits are propagated orbit block by orbit
+    block.
     """
     rho = max(float(np.max(np.abs(op.matrix))), 1.0)
     u0 = 1.0 + np.random.default_rng(seed).standard_normal(op.dimension)
