@@ -16,10 +16,13 @@ Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
 integer fields given as non-integers, non-finite numbers or integers beyond
 the double range, inconsistent inline profiles, grids with more unknowns
 than an array can index or a lattice spacing whose 1/d^2 is not finite,
-diffusivities that are not finite or whose stencil entries overflow), 2
-numerical precondition failure (incompatible single-phase assembly, lost
-symmetry, a profile beyond the solvers' dynamic range, branch separation,
-unstable step, a run that runs out of memory and the like).
+diffusivities that are not finite or whose stencil entries overflow, a
+Lagrangian stencil wider than the patch count of a grid the run assembles,
+swept patch counts whose spacing needs r > 1 or that do not increase where
+slopes are fitted), 2 numerical precondition failure (incompatible
+single-phase assembly, lost symmetry, a profile beyond the solvers' dynamic
+range, branch separation, unstable step, a run that runs out of memory and
+the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.  One bulk formatter,
@@ -38,6 +41,7 @@ import math
 import os
 import sys
 import types
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -141,17 +145,18 @@ _INITIAL = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["sine", "constant", "random"]},
-        "mode": {"type": "integer", "minimum": 0},
+        "mode": {"type": "integer", "minimum": 0, "default": 1},
         "modes": {
             "type": "array",
             "items": {"type": "integer", "minimum": 0},
             "minItems": 2,
             "maxItems": 2,
+            "default": [1, 1],
         },
-        "amplitude": {"type": "number"},
-        "offset": {"type": "number"},
-        "value": {"type": "number"},
-        "seed": {"type": "integer", "minimum": 0},
+        "amplitude": {"type": "number", "default": 1.0},
+        "offset": {"type": "number", "default": 0.0},
+        "value": {"type": "number", "default": 1.0},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
     },
     "required": ["kind"],
     "additionalProperties": False,
@@ -183,36 +188,38 @@ SCHEMA = {
             "required": ["scheme"],
             "additionalProperties": False,
         },
-        "ensemble": {"type": "boolean"},
-        "allow_incompatible": {"type": "boolean"},
-        "epsilon": {"type": "number", "minimum": 0},
+        "ensemble": {"type": "boolean", "default": False},
+        "allow_incompatible": {"type": "boolean", "default": False},
+        "epsilon": {"type": "number", "minimum": 0, "default": 0.02},
         "task": {"enum": ["eigen", "simulate", "homogenize", "sweep", "check"]},
         "eigen": {
             "type": "object",
             "properties": {"n_macro": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
+            "additionalProperties": False, "default": {},
         },
         "simulate": {
             "type": "object",
             "properties": {
+                # the default integrator is rk4 for wave1d and exact otherwise (_resolve)
                 "integrator": {"enum": ["exact", "rk4"]},
                 "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "snapshots": {"type": "integer", "minimum": 1},
+                "snapshots": {"type": "integer", "minimum": 1, "default": 10},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "steps": {"type": "integer", "minimum": 1},
-                "stride": {"type": "integer", "minimum": 1},
-                "allow_unstable": {"type": "boolean"},
-                "initial": _INITIAL,
+                "stride": {"type": "integer", "minimum": 1, "default": 1},
+                "allow_unstable": {"type": "boolean", "default": False},
+                "initial": {**_INITIAL, "default": {"kind": "sine"}},
             },
-            "additionalProperties": False,
+            "additionalProperties": False, "default": {},
         },
         "homogenize": {
             "type": "object",
             "properties": {
-                "node_spacing": {"type": "number", "exclusiveMinimum": 0},
-                "node_count": {"type": "integer", "minimum": 2},
+                "node_spacing": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
+                # extract_coefficients fits five powers of k
+                "node_count": {"type": "integer", "minimum": 5, "default": 8},
             },
-            "additionalProperties": False,
+            "additionalProperties": False, "default": {},
         },
         "sweep": {
             "type": "object",
@@ -223,12 +230,12 @@ SCHEMA = {
                     "items": {"type": "integer", "minimum": 1},
                     "minItems": 1,
                 },
-                "modes": {"type": "integer", "minimum": 1},
+                "modes": {"type": "integer", "minimum": 1, "default": 3},
             },
             "required": ["parameter", "values"],
             "additionalProperties": False,
         },
-        "out": {"type": "string"},
+        "out": {"type": "string", "default": "."},
     },
     "required": ["model", "grid", "profile", "coupling", "task"],
     "additionalProperties": False,
@@ -311,14 +318,43 @@ def _schema_problem(value, schema: dict, path: tuple = ()):
     return None
 
 
-def _integrator(config: dict) -> str:
-    """The simulate task's integrator: the one named, else rk4 for the wave
-    system and exact otherwise."""
-    default = "rk4" if config["model"] == "wave1d" else "exact"
-    return config.get("simulate", {}).get("integrator", default)
+def _with_defaults(value, schema: dict):
+    """A copy of `value` with the `default` of each property `schema` gives one
+    filled in where the key is absent, at every depth."""
+    if not isinstance(value, dict):
+        return value
+    properties = schema.get("properties", {})
+    filled = {key: sub["default"] for key, sub in properties.items() if "default" in sub} | value
+    return {key: _with_defaults(item, properties.get(key, {})) for key, item in filled.items()}
 
 
-def _validate_config(config: dict) -> None:
+@dataclass(frozen=True)
+class _Run:
+    """A checked config: what it builds, and what it asks for with every default filled in.
+
+    `section` is the task's own section (None for check); `swept_grids` a patch sweep's grids.
+    """
+
+    model: str
+    task: str
+    grid: geometry.PatchGrid1D | geometry.PatchGrid2D
+    profile: DiffusivityProfile1D | DiffusivityProfile2D
+    coupling: CouplingSpec
+    ensemble: bool
+    allow_incompatible: bool
+    epsilon: float
+    out: str
+    section: dict | None
+    swept_grids: tuple
+
+
+def _resolve(config) -> _Run:
+    """Check a parsed config and build its run; raises ConfigError naming the key at fault.
+
+    SCHEMA states the format: keys, types, bounds and defaults.  The checks
+    run in a fixed order, the schema's first, so a config with several
+    faults always reports the same one.
+    """
     # JSON parsers accept NaN, Infinity and integers of any size, and NaN
     # passes every schema bound.
     for path, problem in _unusable_numbers(config):
@@ -327,101 +363,128 @@ def _validate_config(config: dict) -> None:
         path, message = problem
         where = "".join(f"[{part!r}]" for part in path) or "(top level)"
         raise ConfigError(f"at {where}: {message}")
+    config = _with_defaults(config, SCHEMA)
 
-    model = config["model"]
-    grid_is_2d = "x" in config["grid"]
+    model, task, spec, g = config["model"], config["task"], config["profile"], config["grid"]
+    grid_is_2d = "x" in g
     if (model == "diffusion2d") != grid_is_2d:
         raise ConfigError(
             f"model {model} and grid shape disagree: "
             f"{'2D' if grid_is_2d else '1D'} grid supplied"
         )
-    profile = config["profile"]
-    profile_is_2d = "kx" in profile or "periods" in profile
+    profile_is_2d = "kx" in spec or "periods" in spec
     if (model == "diffusion2d") != profile_is_2d:
         raise ConfigError(
             f"model {model} and profile shape disagree: "
             f"{'2D' if profile_is_2d else '1D'} profile supplied"
         )
-    if profile["kind"] == "lognormal" and not profile_is_2d and "period" not in profile:
+    if spec["kind"] == "lognormal" and not profile_is_2d and "period" not in spec:
         raise ConfigError("a 1D lognormal profile needs a period")
-    if config["coupling"]["scheme"] == "lagrangian" and "order" not in config["coupling"]:
+    scheme, order = config["coupling"]["scheme"], config["coupling"].get("order")
+    if scheme == "lagrangian" and order is None:
         raise ConfigError("lagrangian coupling needs an order")
-    if config["coupling"]["scheme"] == "spectral" and "order" in config["coupling"]:
+    if scheme == "spectral" and order is not None:
         raise ConfigError("spectral coupling takes no order")
 
-    task = config["task"]
+    section = config.get(task)
     if task == "homogenize" and model != "diffusion1d":
         raise ConfigError("homogenize works on the 1D diffusion symbol only")
     if task == "sweep":
         if model == "wave1d":
             raise ConfigError("sweep compares symmetric spectra; wave model unsupported")
-        if "sweep" not in config:
+        if section is None:
             raise ConfigError("the sweep task needs a sweep section")
-        sweep = config["sweep"]
-        if sweep["parameter"] == "order" and config["coupling"]["scheme"] != "spectral":
+        patches = section["parameter"] == "patches"
+        if not patches and scheme != "spectral":
             raise ConfigError(
                 "an order sweep varies the Lagrangian order against the "
                 "spectral reference; set coupling.scheme to spectral"
             )
-        if sweep["parameter"] == "patches" and model != "diffusion1d":
+        if patches and model != "diffusion1d":
             raise ConfigError("patch-count sweeps are 1D only")
-        if sweep["parameter"] == "patches":
-            N = (min(sweep["values"]),)
-        elif grid_is_2d:
-            N = (config["grid"]["x"]["N"], config["grid"]["y"]["N"])
+        if patches:
+            N = (min(section["values"]),)
         else:
-            N = (config["grid"]["N"],)
+            N = tuple(axis["N"] for axis in (g["x"], g["y"])) if grid_is_2d else (g["N"],)
         # the classes {j, -j} of nonzero patch wavenumbers; j = -j (mod N)
         # only at j = 0 and, along an axis of even N, at j = N / 2
         limit = (math.prod(N) + math.prod(2 - N_a % 2 for N_a in N)) // 2 - 1
-        modes = sweep.get("modes", 3)
-        if modes > limit:
+        if section["modes"] > limit:
             raise ConfigError(
-                f"at ['sweep']['modes']: {modes} wavenumbers asked for, but the "
-                f"{'smallest swept ' if sweep['parameter'] == 'patches' else ''}grid "
+                f"at ['sweep']['modes']: {section['modes']} wavenumbers asked for, but the "
+                f"{'smallest swept ' if patches else ''}grid "
                 f"has {limit} distinct nonzero ones"
             )
     if task == "simulate":
-        sim = config.get("simulate", {})
-        integrator = _integrator(config)
-        if model == "wave1d" and integrator == "exact":
+        section.setdefault("integrator", "rk4" if model == "wave1d" else "exact")
+        if model == "wave1d" and section["integrator"] == "exact":
             raise ConfigError("the wave system is not symmetric; use the rk4 integrator")
-        if integrator == "exact" and "t_final" not in sim:
+        if section["integrator"] == "exact" and "t_final" not in section:
             raise ConfigError("exact integration needs t_final")
-        if integrator == "rk4" and not ("dt" in sim and "steps" in sim):
+        if section["integrator"] == "rk4" and not ("dt" in section and "steps" in section):
             raise ConfigError("rk4 integration needs dt and steps")
 
-
-def _build_profile(config: dict):
-    spec = config["profile"]
     try:
         if spec["kind"] == "inline":
-            if "kx" in spec:
-                return DiffusivityProfile2D.from_json(spec)
-            return DiffusivityProfile1D.from_json(spec)
-        if "periods" in spec:
-            px, py = spec["periods"]
-            return random_lognormal_profile_2d(px, py, spec["sigma"], spec["seed"])
-        return random_lognormal_profile(spec["period"], spec["sigma"], spec["seed"])
+            profile = (DiffusivityProfile2D if "kx" in spec else DiffusivityProfile1D).from_json(spec)
+        elif "periods" in spec:
+            profile = random_lognormal_profile_2d(*spec["periods"], spec["sigma"], spec["seed"])
+        else:
+            profile = random_lognormal_profile(spec["period"], spec["sigma"], spec["seed"])
     except ValueError as exc:
         raise ConfigError(f"at ['profile']: {exc}") from exc
+    if grid_is_2d:
+        grid = geometry.build_grid_2d(*(g[axis][key] for axis in "xy" for key in "LNnr"))
+    else:
+        grid = geometry.build_grid_1d(*(g[key] for key in "LNnr"))
+    _check_representable(grid, profile, config["ensemble"])
+    coupling = CouplingSpec(scheme=scheme, order=order)
+
+    swept_grids = ()
+    if task == "sweep" and patches:
+        values = section["values"]
+        for v in values:
+            try:
+                r = geometry.ratio_for_spacing(grid.L, v, grid.n, grid.d)
+            except ValueError as exc:
+                raise ConfigError(f"at ['sweep']['values']: N = {v}: {exc}") from exc
+            swept_grids += (geometry.build_grid_1d(grid.L, v, grid.n, r),)
+        if len(values) >= 3 and any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(
+                "at ['sweep']['values']: the patch counts of a sweep with fitted "
+                "convergence slopes (three or more values) must strictly increase"
+            )
+    # the Lagrangian stencil of each grid the run assembles must fit in its patch count
+    if task in ("eigen", "simulate", "check"):
+        stencils = [("['coupling']['order']", coupling, grid)]
+    elif task == "sweep" and patches:
+        stencils = [("['sweep']['values']", coupling, min(swept_grids, key=lambda s: s.N))]
+    elif task == "sweep":
+        stencils = [("['sweep']['values']", CouplingSpec("lagrangian", v), grid)
+                    for v in section["values"]]
+    else:
+        stencils = []
+    for key, stencil, assembled in stencils:
+        if stencil.scheme == "lagrangian":
+            for axis in assembled.axes:
+                try:
+                    weights_for(stencil, axis.N, axis.r)
+                except ValueError as exc:
+                    raise ConfigError(f"at {key}: {exc}") from exc
+
+    return _Run(
+        model=model, task=task, grid=grid, profile=profile, coupling=coupling,
+        ensemble=config["ensemble"], allow_incompatible=config["allow_incompatible"],
+        epsilon=float(config["epsilon"]), out=config["out"], section=section,
+        swept_grids=swept_grids,
+    )
 
 
-def _build_grid(config: dict):
-    g = config["grid"]
-    if "x" in g:
-        return geometry.build_grid_2d(
-            g["x"]["L"], g["x"]["N"], g["x"]["n"], g["x"]["r"],
-            g["y"]["L"], g["y"]["N"], g["y"]["n"], g["y"]["r"],
-        )
-    return geometry.build_grid_1d(g["L"], g["N"], g["n"], g["r"])
-
-
-def _check_representable(config: dict, grid, profile) -> None:
+def _check_representable(grid, profile, ensemble: bool) -> None:
     """Reject a grid whose unknowns (members x N * n per axis) no array can index
     or whose lattice spacing d has no finite 1/d^2, and a profile whose largest
     stencil entry, 2 max(bonds) / d^2 summed over the axes, overflows."""
-    count = math.prod(profile.periods) if config.get("ensemble", False) else 1
+    count = math.prod(profile.periods) if ensemble else 1
     limit = np.iinfo(np.intp).max
     sections = ["['grid']['x']", "['grid']['y']"] if len(grid.axes) > 1 else ["['grid']"]
     for section, g in zip(sections, grid.axes):
@@ -443,19 +506,12 @@ def _check_representable(config: dict, grid, profile) -> None:
         )
 
 
-def _build_coupling(config: dict) -> CouplingSpec:
-    c = config["coupling"]
-    return CouplingSpec(scheme=c["scheme"], order=c.get("order"))
-
-
-def _assemble(config: dict, grid, profile):
+def _assemble(run: _Run):
     # assemble_patch_1d assembles 2D grids too; assemble_patch_2d is the same function
-    coupling = _build_coupling(config)
-    ens = bool(config.get("ensemble", False))
-    allow = bool(config.get("allow_incompatible", False))
-    op = assemble_patch_1d(grid, profile, coupling, ensemble=ens, allow_incompatible=allow)
-    if config["model"] == "wave1d":
-        op = assemble_wave(op, epsilon=float(config.get("epsilon", 0.02)))
+    op = assemble_patch_1d(run.grid, run.profile, run.coupling, ensemble=run.ensemble,
+                           allow_incompatible=run.allow_incompatible)
+    if run.model == "wave1d":
+        op = assemble_wave(op, epsilon=run.epsilon)
     return op
 
 
@@ -700,10 +756,10 @@ def _write_eigen_csv(path: Path, values: np.ndarray) -> None:
     _write_csv(path, ["rank", "real", "imag", "magnitude"], blocks())
 
 
-def _task_eigen(config: dict, grid, profile, out: Path) -> None:
-    op = _assemble(config, grid, profile)
-    n_macro = config.get("eigen", {}).get("n_macro")
-    if config["model"] == "wave1d":
+def _task_eigen(run: _Run, out: Path) -> None:
+    op = _assemble(run)
+    n_macro = run.section.get("n_macro")
+    if run.model == "wave1d":
         report = eigen_general(op, n_macro=n_macro)
         sym = symmetry_defect(op)
         extra = {"max_real_part": float(np.max(np.real(report.eigenvalues)))}
@@ -713,7 +769,7 @@ def _task_eigen(config: dict, grid, profile, out: Path) -> None:
         extra = {"max_eigenvalue": float(np.max(np.real(report.eigenvalues)))}
     _write_eigen_csv(out / "eigenvalues.csv", report.eigenvalues)
     _write_json(out / "summary.json", {
-        "model": config["model"],
+        "model": run.model,
         "dimension": op.dimension,
         "n_macro": int(report.n_macro),
         "zero_mode_magnitude": report.zero_mode_magnitude,
@@ -728,28 +784,27 @@ def _positions(grid: geometry.PatchGrid1D) -> np.ndarray:
     return np.array([grid.positions(I) for I in range(grid.N)])
 
 
-def _initial_state(config: dict, op) -> StateVector:
+def _initial_state(init: dict, op) -> StateVector:
     """One member's start values, repeated for every member; v = 0 for a wave.
 
-    A sine start is offset + amplitude * the product over the axes of sin(2 pi m x / L).
+    `init` is the simulate section's `initial`, defaults filled in.  A sine
+    start is offset + amplitude * the product over the axes of sin(2 pi m x / L).
     """
-    init = config.get("simulate", {}).get("initial", {"kind": "sine"})
     layout = op.layout
-    kind = init.get("kind", "sine")
     size = math.prod(layout.shape[1:])
-    if kind == "constant":
-        per_member = np.full(size, float(init.get("value", 1.0)))
-    elif kind == "random":
-        per_member = np.random.default_rng(int(init.get("seed", 0))).standard_normal(size)
+    if init["kind"] == "constant":
+        per_member = np.full(size, float(init["value"]))
+    elif init["kind"] == "random":
+        per_member = np.random.default_rng(init["seed"]).standard_normal(size)
     else:
         axes = op.grid.axes
-        modes = init.get("modes", (1, 1)) if len(axes) > 1 else [int(init.get("mode", 1))]
+        modes = init["modes"] if len(axes) > 1 else [init["mode"]]
         sines = [np.sin(2.0 * np.pi * m * _positions(g) / g.L) for g, m in zip(axes, modes)]
         # (N_y, n_y, N_x, n_x) from the outer product, then (patches..., points...) order
         product = functools.reduce(np.multiply.outer, sines[::-1])
         k = product.ndim
         product = product.transpose([*range(0, k, 2), *range(1, k, 2)])
-        per_member = float(init.get("offset", 0.0)) + float(init.get("amplitude", 1.0)) * product
+        per_member = float(init["offset"]) + float(init["amplitude"]) * product
     u = np.tile(per_member.ravel(), layout.members)
     if layout.half is not None:
         u = np.concatenate([u, np.zeros_like(u)])
@@ -794,33 +849,27 @@ def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> 
     _write_csv(path, header, blocks())
 
 
-def _task_simulate(config: dict, grid, profile, out: Path) -> None:
-    op = _assemble(config, grid, profile)
-    sim = config.get("simulate", {})
-    integrator = _integrator(config)
-    state = _initial_state(config, op)
-    stride = int(sim.get("stride", 1))
-    if integrator == "exact":
-        t_final = float(sim["t_final"])
-        snapshots = int(sim.get("snapshots", 10))
-        times = np.linspace(0.0, t_final, snapshots + 1)
+def _task_simulate(run: _Run, out: Path) -> None:
+    op = _assemble(run)
+    sim = run.section
+    state = _initial_state(sim["initial"], op)
+    if sim["integrator"] == "exact":
+        times = np.linspace(0.0, float(sim["t_final"]), sim["snapshots"] + 1)
         traj = evolve_exact(op, state, times)
         final_time = traj.times[-1]
-        stored = slice(None, None, stride)
+        stored = slice(None, None, sim["stride"])
     else:
-        dt, steps = float(sim["dt"]), int(sim["steps"])
-        traj = evolve_rk4(
-            op, state, dt, steps,
-            allow_unstable=bool(sim.get("allow_unstable", False)), stride=stride,
-        )
+        dt, steps = float(sim["dt"]), sim["steps"]
+        traj = evolve_rk4(op, state, dt, steps, allow_unstable=sim["allow_unstable"],
+                          stride=sim["stride"])
         final_time = state.time + dt * steps
         stored = slice(None)
     _write_trajectory(out / "trajectory.csv", op, traj.times[stored], traj.states[stored])
     # one sum per step (rk4) or per snapshot (exact)
     sums, drift = conserved_mass(traj)
     _write_json(out / "summary.json", {
-        "model": config["model"],
-        "integrator": integrator,
+        "model": run.model,
+        "integrator": sim["integrator"],
         "snapshots": int(sums.size),
         "initial_mass": float(sums[0]),
         "mass_drift": drift,
@@ -828,13 +877,11 @@ def _task_simulate(config: dict, grid, profile, out: Path) -> None:
     })
 
 
-def _task_homogenize(config: dict, grid, profile, out: Path) -> None:
+def _task_homogenize(run: _Run, out: Path) -> None:
     # The outputs depend on the profile and d only, so nothing is assembled.
-    _require_compatible(config, grid, profile, bool(config.get("allow_incompatible", False)))
-    params = config.get("homogenize", {})
-    spacing = float(params.get("node_spacing", 0.02))
-    count = int(params.get("node_count", 8))
-    coeffs = extract_coefficients(profile, grid.d, node_spacing=spacing, node_count=count)
+    _require_compatible(run, run.allow_incompatible)
+    spacing, count = float(run.section["node_spacing"]), run.section["node_count"]
+    coeffs = extract_coefficients(run.profile, run.grid.d, node_spacing=spacing, node_count=count)
     _write_json(out / "homogenize.json", {
         "K2": coeffs.K2,
         "K4": coeffs.K4,
@@ -843,54 +890,44 @@ def _task_homogenize(config: dict, grid, profile, out: Path) -> None:
         "fit_residual": coeffs.fit_residual,
     })
     ks = [spacing * m for m in range(1, count + 1)]
-    branch = _text([[k, slow_branch(profile, k)] for k in ks], [b",", b"\r\n"])
+    branch = _text([[k, slow_branch(run.profile, k)] for k in ks], [b",", b"\r\n"])
     _write_csv(out / "slow_branch.csv", ["k", "eigenvalue"], [[branch]])
 
 
-def _require_compatible(config: dict, grid, profile, allow_incompatible: bool) -> None:
+def _require_compatible(run: _Run, allow_incompatible: bool) -> None:
     """Reject an incompatible grid and profile as the assembler would, without assembling."""
-    ensemble = bool(config.get("ensemble", False))
-    _raise_on_errors(geometry.validate_compatibility(grid, profile, ensemble), allow_incompatible)
+    diagnostics = geometry.validate_compatibility(run.grid, run.profile, run.ensemble)
+    _raise_on_errors(diagnostics, allow_incompatible)
 
 
-def _sweep_rows(config: dict, base_grid, profile, parameter: str, values, modes: int):
+def _sweep_rows(run: _Run):
     """The error table row of each swept value: wavenumbers 1..modes against spectral.
 
     Only the Bloch blocks of those wavenumbers are solved; an order sweep
     solves its spectral reference once.
     """
-    ens = bool(config.get("ensemble", False))
+    modes = run.section["modes"]
 
     def spectrum(grid, coupling):
-        op = assemble_patch_1d(grid, profile, coupling, ensemble=ens)
+        op = assemble_patch_1d(grid, run.profile, coupling, ensemble=run.ensemble)
         return eigen_symmetric(op, modes=modes)
 
     spectral = CouplingSpec(scheme="spectral")
-    if parameter == "order":
-        ref = spectrum(base_grid, spectral)
-        pairs = ((spectrum(base_grid, CouplingSpec("lagrangian", v)), ref) for v in values)
+    if run.section["parameter"] == "order":
+        ref = spectrum(run.grid, spectral)
+        orders = run.section["values"]
+        pairs = ((spectrum(run.grid, CouplingSpec("lagrangian", v)), ref) for v in orders)
     else:
-        coupling = _build_coupling(config)
-        grids = (
-            geometry.build_grid_1d(
-                base_grid.L, v, base_grid.n,
-                geometry.ratio_for_spacing(base_grid.L, v, base_grid.n, base_grid.d),
-            )
-            for v in values
-        )
-        pairs = ((spectrum(g, coupling), spectrum(g, spectral)) for g in grids)
+        pairs = ((spectrum(g, run.coupling), spectrum(g, spectral)) for g in run.swept_grids)
     return [list(error_table(test, ref, modes).relative_errors) for test, ref in pairs]
 
 
-def _task_sweep(config: dict, grid, profile, out: Path) -> None:
-    sweep = config["sweep"]
-    parameter = sweep["parameter"]
-    values = list(sweep["values"])
-    modes = int(sweep.get("modes", 3))
+def _task_sweep(run: _Run, out: Path) -> None:
+    parameter, values, modes = (run.section[key] for key in ("parameter", "values", "modes"))
     # No base operator is assembled, so reject an incompatible base config
     # here, before any point is built.
-    _require_compatible(config, grid, profile, allow_incompatible=False)
-    rows = _sweep_rows(config, grid, profile, parameter, values, modes)
+    _require_compatible(run, allow_incompatible=False)
+    rows = _sweep_rows(run)
     errors = _text(rows, [b","] * (modes - 1) + [b"\r\n"])
     _write_csv(
         out / "sweep.csv",
@@ -899,14 +936,10 @@ def _task_sweep(config: dict, grid, profile, out: Path) -> None:
     )
     summary = {"parameter": parameter, "values": values, "modes": modes}
     if parameter == "patches" and len(values) >= 3:
-        slopes = []
-        for k in range(modes):
-            errs = [rows[i][k] for i in range(len(values))]
-            if all(e > 0 for e in errs):
-                slopes.append(convergence_slope(values, errs))
-            else:
-                slopes.append(None)
-        summary["slopes"] = slopes
+        summary["slopes"] = [
+            convergence_slope(values, errs) if all(e > 0 for e in errs) else None
+            for errs in zip(*rows)
+        ]
     _write_json(out / "summary.json", summary)
 
 
@@ -926,8 +959,8 @@ def _full_lattice_reference(op):
     return _full_lattice(op.profile, sizes, [g.d for g in axes]), None
 
 
-def _task_check(config: dict, grid, profile, out: Path) -> None:
-    op = _assemble(config, grid, profile)
+def _task_check(run: _Run, out: Path) -> None:
+    op = _assemble(run)
     wave = op.layout.half is not None
     if wave:
         sym, report = symmetry_defect(op), eigen_general(op)
@@ -945,7 +978,7 @@ def _task_check(config: dict, grid, profile, out: Path) -> None:
         kernel_vec = np.ones(dim)
     kernel_residual = float(np.max(np.abs(op.matvec(kernel_vec))))
     payload = {
-        "model": config["model"],
+        "model": run.model,
         "dimension": dim,
         "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
         "kernel_residual": kernel_residual,
@@ -991,16 +1024,13 @@ _TASKS = {
 def run(config: dict, outdir=None) -> int:
     """Validate a config, execute its task, write artefacts; returns exit code."""
     try:
-        _validate_config(config)
-        profile, grid = _build_profile(config), _build_grid(config)
-        _check_representable(config, grid, profile)
+        resolved = _resolve(config)
+        out = Path(outdir if outdir is not None else resolved.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _TASKS[resolved.task](resolved, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = Path(outdir if outdir is not None else config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        _TASKS[config["task"]](config, grid, profile, out)
     except (
         SymmetryPreconditionError,
         BranchSeparationError,
@@ -1025,11 +1055,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (default: config's 'out' or '.')")
-    parser.add_argument(
-        "--task", default=None,
-        choices=["eigen", "simulate", "homogenize", "sweep", "check"],
-        help="override the task named in the config",
-    )
+    parser.add_argument("--task", default=None, choices=SCHEMA["properties"]["task"]["enum"],
+                        help="override the task named in the config")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:

@@ -198,18 +198,33 @@ def test_one_of_takes_exactly_one_branch():
     assert cli._schema_problem("1", one_of) == ((), "'1' is not of type 'integer'")
 
 
+def _subschemas(schema):
+    """`schema` and every schema nested in it."""
+    yield schema
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        yield from _subschemas(sub)
+
+
 def test_the_schema_uses_only_the_keywords_the_validator_knows():
+    """`default` is an annotation, which JSON Schema does not validate."""
     known = {"type", "enum", "const", "minimum", "exclusiveMinimum", "maximum", "items",
-             "minItems", "maxItems", "properties", "required", "additionalProperties", "oneOf"}
-
-    def keywords(schema):
-        yield from schema
+             "minItems", "maxItems", "properties", "required", "additionalProperties", "oneOf",
+             "default"}
+    for schema in _subschemas(cli.SCHEMA):
         assert schema.get("additionalProperties", False) is False
-        subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
-        for sub in subs + ([schema["items"]] if "items" in schema else []):
-            yield from keywords(sub)
+        assert set(schema) - {"$schema"} <= known
 
-    assert set(keywords(cli.SCHEMA)) - {"$schema"} <= known
+
+def test_every_schema_default_fits_its_schema():
+    for sub in _subschemas(cli.SCHEMA):
+        if "default" not in sub:
+            continue
+        assert cli._schema_problem(sub["default"], sub) is None, sub
+        STRICT_SCHEMA.evolve(schema=sub).validate(sub["default"])
+    # so a valid config stays valid with its defaults filled in
+    for config in SCHEMA_SAMPLES + [base_config()]:
+        assert cli._schema_problem(cli._with_defaults(config, cli.SCHEMA), cli.SCHEMA) is None
 
 
 @pytest.mark.parametrize(
@@ -264,6 +279,30 @@ def test_the_schema_uses_only_the_keywords_the_validator_knows():
         ({"eigen": {"n_macro": 3.0}}, "['eigen']['n_macro']"),
         ({"task": "homogenize", "homogenize": {"node_count": 4.0}},
          "['homogenize']['node_count']"),
+        ({"grid": {"L": 2 * np.pi, "N": 3, "n": 4, "r": 0.3},
+          "coupling": {"scheme": "lagrangian", "order": 2}},
+         "['coupling']['order']: stencil width 2P+1 = 5 exceeds patch count N = 3"),
+        ({"model": "diffusion2d", "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "grid": GRID_2D, "coupling": {"scheme": "lagrangian", "order": 2}, "task": "check"},
+         "['coupling']['order']: stencil width 2P+1 = 5 exceeds patch count N = 3"),
+        ({"model": "wave1d", "coupling": {"scheme": "lagrangian", "order": 3}, "task": "simulate",
+          "simulate": {"dt": 1e-4, "steps": 2}},
+         "['coupling']['order']: stencil width 2P+1 = 7 exceeds patch count N = 6"),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
+          "sweep": {"parameter": "order", "values": [1, 2, 5]}},
+         "['sweep']['values']: stencil width 2P+1 = 11 exceeds patch count N = 9"),
+        ({"coupling": {"scheme": "lagrangian", "order": 4}, "task": "sweep",
+          "sweep": {"parameter": "patches", "values": [7, 9], "modes": 1}},
+         "['sweep']['values']: stencil width 2P+1 = 9 exceeds patch count N = 7"),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
+          "sweep": {"parameter": "patches", "values": [9, 40000]}},
+         "['sweep']['values']: N = 40000: spacing d = "),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
+          "coupling": {"scheme": "lagrangian", "order": 1},
+          "sweep": {"parameter": "patches", "values": [9, 9, 17]}},
+         "['sweep']['values']: the patch counts of a sweep with fitted convergence slopes"),
+        ({"task": "homogenize", "homogenize": {"node_count": 4}},
+         "['homogenize']['node_count']: 4 is below the minimum of 5"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
@@ -271,7 +310,11 @@ def test_the_schema_uses_only_the_keywords_the_validator_knows():
          "lognormal-2d-draws-0", "diffusivity-sum-overflows", "stencil-overflows",
          "spacing-squared-underflows", "2d-spacing-squared-underflows",
          "sweep-modes-beyond-the-grid", "2d-sweep-modes-beyond-the-grid",
-         "float-seed", "float-period", "float-n_macro", "float-node_count"],
+         "float-seed", "float-period", "float-n_macro", "float-node_count",
+         "order-beyond-the-grid", "2d-order-beyond-the-grid", "wave-order-beyond-the-grid",
+         "swept-order-beyond-the-grid", "swept-patches-below-the-order",
+         "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
+         "node_count-below-the-fitted-powers"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
@@ -280,7 +323,10 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     overflows, diffusivities that are drawn infinite and profiles whose
     stencil entries overflow.  So is a sweep that asks for more wavenumbers
     than its smallest grid has: N // 2 in 1D, 6 on the 3 x 4 grid.  So is an
-    integer field given as a float, even an integral one."""
+    integer field given as a float, even an integral one.  So is a Lagrangian
+    stencil wider than a grid the run assembles, a swept patch count whose
+    spacing needs r > 1, swept counts that do not increase where slopes are
+    fitted, and fewer homogenize fit nodes than the five fitted powers."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -301,15 +347,20 @@ def test_a_profile_beyond_the_dynamic_range_exits_2(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    """A MemoryError in a task is a numerical precondition failure, not a traceback."""
+    """A MemoryError in a task, or in building what the config describes (a
+    lognormal period of 10^12 draws 8 TB), is a numerical precondition
+    failure, not a traceback."""
 
     def exhausted(*args):
         raise MemoryError("Unable to allocate 22.4 GiB for an array")
 
     monkeypatch.setattr(cli, "_assemble", exhausted)
-    assert cli.run(base_config(), tmp_path) == 2
-    err = capsys.readouterr().err
-    assert "numerical precondition failed: out of memory: Unable to allocate 22.4 GiB" in err
+    monkeypatch.setattr(cli, "random_lognormal_profile", exhausted)
+    profile = {"kind": "lognormal", "period": 10**12, "sigma": 1.0, "seed": 0}
+    for config in (base_config(), base_config(profile=profile)):
+        assert cli.run(config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "numerical precondition failed: out of memory: Unable to allocate 22.4 GiB" in err
 
 
 def test_cross_field_validation(tmp_path):
@@ -338,7 +389,9 @@ def test_incompatible_sweep_exits_2_with_the_assembly_message(tmp_path, capsys, 
     if parameter == "homogenize":
         task = {"task": "homogenize"}
     else:
-        task = {"task": "sweep", "sweep": {"parameter": parameter, "values": [6, 7, 8], "modes": 1}}
+        # orders above 2 do not fit the N = 6 grid, a config fault reported first
+        values = [1, 2] if parameter == "order" else [6, 7, 8]
+        task = {"task": "sweep", "sweep": {"parameter": parameter, "values": values, "modes": 1}}
     assert cli.run(base_config(profile=profile, **task), tmp_path / "task") == 2
     assert capsys.readouterr().err == want
     if parameter == "homogenize":
@@ -649,9 +702,8 @@ def reference_trajectory_csv(op, times, states):
     ids=["1d", "1d-ensemble", "2d", "2d-ensemble", "wave"],
 )
 def test_trajectory_bytes_match_the_csv_writer(tmp_path, overrides):
-    config = base_config(task="simulate", **overrides)
-    grid, profile = cli._build_grid(config), cli._build_profile(config)
-    op = cli._assemble(config, grid, profile)
+    simulate = {"integrator": "rk4", "dt": 1e-4, "steps": 1}
+    op = cli._assemble(cli._resolve(base_config(task="simulate", simulate=simulate, **overrides)))
     rng = np.random.default_rng(5)
     # values of every magnitude and sign, an exact zero and the non-finite ones
     states = rng.standard_normal((3, op.dimension)) * 10.0 ** rng.integers(-300, 300, (3, op.dimension))
@@ -690,10 +742,10 @@ def test_sine_start_is_the_product_over_the_axes(tmp_path):
         profile={"kind": "inline", "kx": [[1.3, 0.8, 2.0]], "ky": [[0.7, 1.4, 0.5]]},
         task="simulate", simulate={"integrator": "exact", "t_final": 0.1, "initial": init},
     )
-    grid, profile = cli._build_grid(config), cli._build_profile(config)
-    op = cli._assemble(config, grid, profile)
-    u = cli._initial_state(config, op).values.reshape(op.layout.shape)
-    gx, gy = grid.x, grid.y
+    run = cli._resolve(config)
+    op = cli._assemble(run)
+    u = cli._initial_state(run.section["initial"], op).values.reshape(op.layout.shape)
+    gx, gy = run.grid.x, run.grid.y
     for e, J, I, j, i in np.ndindex(op.layout.shape):
         x, y = gx.positions(I)[i], gy.positions(J)[j]
         want = 1.5 + 0.7 * np.sin(2 * np.pi * 2 * x / gx.L) * np.sin(2 * np.pi * y / gy.L)
@@ -705,9 +757,9 @@ def test_constant_start_fills_every_unknown(tmp_path):
     for model in ("diffusion1d", "wave1d"):
         config = base_config(model=model, task="simulate",
                              simulate={"integrator": "rk4", "dt": 1e-4, "steps": 2, "initial": init})
-        grid, profile = cli._build_grid(config), cli._build_profile(config)
-        op = cli._assemble(config, grid, profile)
-        u = cli._initial_state(config, op).values
+        run = cli._resolve(config)
+        op = cli._assemble(run)
+        u = cli._initial_state(run.section["initial"], op).values
         want = np.full(6 * 4, 2.5)
         if model == "wave1d":
             want = np.concatenate([want, np.zeros(6 * 4)])  # the velocity starts at rest
