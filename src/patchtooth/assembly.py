@@ -51,7 +51,7 @@ from .coupling import CouplingSpec, weights_for
 from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
 
 # Bytes of extended-precision numbers one batch of Bloch blocks may hold.
-_BATCH_BYTES = 2**24
+_BATCH_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,10 @@ def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
     the layout of _patch_layout, each block is [[0, I], [A(j), eps B(j)]].
     Given `select`, indices into that half spectrum, only those blocks are
     built, in the order given; the lines are still transformed whole.
+
+    Each batch is built in place, a new array that the caller owns and may
+    overwrite: no reference to it is kept here, so a caller that drops a
+    batch before asking for the next holds one batch of blocks at a time.
     """
     patches, b, _ = _blocking(layout)
     pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
@@ -245,15 +249,19 @@ def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
     lines[line, op.offsets] = op.values
     axes = tuple(range(1, len(patches) + 1))
     spectra = np.fft.rfftn(lines.reshape(pairs.size, *patches), axes=axes)
+    del lines
     spectra = spectra.reshape(pairs.size, math.prod(spectra.shape[1:]))
     if select is not None:
         spectra = spectra[:, select]
     step = max(1, _BATCH_BYTES // (spectra.itemsize * b * b))
+
+    def batch(columns):
+        blocks = np.zeros((columns.shape[1], b * b), dtype=columns.dtype)
+        blocks[:, pairs] = columns.T
+        return np.conj(blocks, out=blocks).reshape(-1, b, b)
+
     for start in range(0, spectra.shape[1], step):
-        batch = spectra[:, start : start + step]
-        blocks = np.zeros((batch.shape[1], b * b), dtype=spectra.dtype)
-        blocks[:, pairs] = batch.T
-        yield np.conj(blocks).reshape(-1, b, b)
+        yield batch(spectra[:, start : start + step])
 
 
 @dataclass

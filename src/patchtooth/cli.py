@@ -19,10 +19,10 @@ than an array can index or a lattice spacing whose 1/d^2 is not finite,
 diffusivities that are not finite or whose stencil entries overflow, a
 Lagrangian stencil wider than the patch count of a grid the run assembles,
 swept patch counts whose spacing needs r > 1 or that do not increase where
-slopes are fitted), 2 numerical precondition failure (incompatible
-single-phase assembly, lost symmetry, a profile beyond the solvers' dynamic
-range, branch separation, unstable step, a run that runs out of memory and
-the like).
+slopes are fitted, a patch sweep with spectral coupling), 2 numerical
+precondition failure (incompatible single-phase assembly, lost symmetry, a
+profile beyond the solvers' dynamic range, branch separation, unstable step,
+a run that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.  One bulk formatter,
@@ -471,6 +471,11 @@ def _resolve(config) -> _Run:
                     weights_for(stencil, axis.N, axis.r)
                 except ValueError as exc:
                     raise ConfigError(f"at {key}: {exc}") from exc
+    if task == "sweep" and patches and scheme == "spectral":
+        raise ConfigError(
+            "at ['coupling']['scheme']: a patch sweep measures the Lagrangian scheme "
+            "against the spectral reference; set coupling.scheme to lagrangian"
+        )
 
     return _Run(
         model=model, task=task, grid=grid, profile=profile, coupling=coupling,

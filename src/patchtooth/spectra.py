@@ -19,15 +19,18 @@ Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
-n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_batches
-builds them from the stored first block row, a bounded batch of wavenumbers
-at a time, and the solvers consume them batch by batch: eigen_symmetric,
-eigen_general and timestep.evolve_exact cost O(N b^3) time instead of
-O(dim^3) and never hold a dim x dim matrix.  Blocks j and -j are complex
-conjugates, so only the half spectrum of rfftn is solved and the mirrored
-blocks contribute the same (symmetric case) or conjugate (general case)
-eigenvalues.  A full lattice is a patch operator too (see microscale), so
-every solver here takes an AssembledOperator and has no dense path.
+n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_batches builds
+them from the stored first block row, a batch of wavenumbers at a time of at
+most about 4 MB of extended precision blocks, and the solvers consume them
+batch by batch: eigen_symmetric, eigen_general and timestep.evolve_exact
+cost O(N b^3) time instead of O(dim^3) and never hold a dim x dim matrix.  A
+batch is handed over to the solver, and the symmetric solvers form its
+Hermitian part in place: besides the batch, only its conjugate is alive
+while the two are summed.  Blocks j and -j are complex conjugates, so only
+the half spectrum of rfftn is solved and the mirrored blocks contribute the
+same (symmetric case) or conjugate (general case) eigenvalues.  A full
+lattice is a patch operator too (see microscale), so every solver here
+takes an AssembledOperator and has no dense path.
 
 Both symmetric solvers, eigen_symmetric and timestep.evolve_exact, take one
 path.  A phase-shift ensemble's block is block diagonal over its g member
@@ -178,17 +181,17 @@ def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
     towards zero, away from the larger fast modes; the offset keeps the
     shifted block nonsingular, and a zero block takes it from max|w| = 1.
     Each step shrinks a fast component by 1e-12 ||H|| over its distance from
-    the shift.  Returns the unit vectors, (k, b, 1).
+    the shift.  H is shifted in place, so it must be a copy the caller no
+    longer reads.  Returns the unit vectors, (k, b, 1).
     """
     k, b = w.shape
     scale = np.max(np.abs(w), axis=1, initial=0.0)
     shift = np.take_along_axis(w, slow, axis=1) + 1e-12 * np.where(scale > 0, scale, 1.0)[:, None]
-    shifted = H.copy()
     diagonal = np.arange(b)
-    shifted[:, diagonal, diagonal] -= shift
+    H[:, diagonal, diagonal] -= shift
     X = np.broadcast_to(_start_vector(b)[:, None], (k, b, 1))
     for _ in range(2):
-        X = np.linalg.solve(shifted, X)
+        X = np.linalg.solve(H, X)
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
     return X
 
@@ -213,6 +216,7 @@ def _refined_eigh(H: np.ndarray, vectors: bool):
     Hd = H.astype(complex)
     w, V = np.linalg.eigh(Hd) if vectors else (np.linalg.eigvalsh(Hd), None)
     slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :1]
+    # _slow_vector shifts Hd in place; nothing reads it after eigvalsh
     Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(Hd, w, slow)
     # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
     rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
@@ -229,12 +233,15 @@ def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
     `select` names, if given): w (k, b) holds each block's eigenvalues orbit
     by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
     `vectors` (else None), and slow the (k, g) indices into w of the
-    orbits' slow modes in ascending magnitude.
+    orbits' slow modes in ascending magnitude.  The Hermitian part
+    0.5 (B + B^H) of each block B is formed in place in the batch, which
+    _bloch_batches hands over, bit for bit as that expression forms it.
     """
     orbits = _orbits(layout, op.profile.periods)
     g, m = orbits.shape
-    for blocks in _bloch_batches(op, layout, select):
-        H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+    for H in _bloch_batches(op, layout, select):
+        H += H.conj().swapaxes(1, 2)
+        H *= 0.5
         k = H.shape[0]
         if g > 1:
             H = H[:, orbits[:, :, None], orbits[:, None, :]].reshape(k * g, m, m)
@@ -268,13 +275,17 @@ def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
     plus, minus = fold(j), fold(-j)
     first = np.argmax(plus != minus, axis=0)  # the first component that differs
     larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
-    classes, inverse = np.unique(np.where(larger, plus, minus), axis=1, return_inverse=True)
+    represented = np.where(larger, plus, minus)
+    # one integer key per class; the lexsort below fixes the order of the classes
+    key = np.ravel_multi_index(tuple(represented % N), patches[::-1])
+    _, at, inverse = np.unique(key, return_index=True, return_inverse=True)
+    classes = represented[:, at]
     lengths = _axis_lengths(op, layout)[0]
     ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
     order = np.lexsort((*-classes[::-1], ksq))
     place = np.empty(order.size, dtype=np.intp)
     place[order] = np.arange(order.size)
-    return place[inverse.reshape(-1)]
+    return place[inverse]
 
 
 def _require_separated(w: np.ndarray, ranks: np.ndarray, labels: np.ndarray) -> None:

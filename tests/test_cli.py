@@ -303,6 +303,9 @@ def test_every_schema_default_fits_its_schema():
          "['sweep']['values']: the patch counts of a sweep with fitted convergence slopes"),
         ({"task": "homogenize", "homogenize": {"node_count": 4}},
          "['homogenize']['node_count']: 4 is below the minimum of 5"),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
+          "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
+         "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
@@ -314,7 +317,7 @@ def test_every_schema_default_fits_its_schema():
          "order-beyond-the-grid", "2d-order-beyond-the-grid", "wave-order-beyond-the-grid",
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
-         "node_count-below-the-fitted-powers"],
+         "node_count-below-the-fitted-powers", "spectral-patch-sweep"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
@@ -326,7 +329,9 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     integer field given as a float, even an integral one.  So is a Lagrangian
     stencil wider than a grid the run assembles, a swept patch count whose
     spacing needs r > 1, swept counts that do not increase where slopes are
-    fitted, and fewer homogenize fit nodes than the five fitted powers."""
+    fitted, and fewer homogenize fit nodes than the five fitted powers.  So
+    is a patch sweep with spectral coupling, which would measure the
+    spectral operator against itself."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -392,6 +397,8 @@ def test_incompatible_sweep_exits_2_with_the_assembly_message(tmp_path, capsys, 
         # orders above 2 do not fit the N = 6 grid, a config fault reported first
         values = [1, 2] if parameter == "order" else [6, 7, 8]
         task = {"task": "sweep", "sweep": {"parameter": parameter, "values": values, "modes": 1}}
+        if parameter == "patches":
+            task["coupling"] = {"scheme": "lagrangian", "order": 1}
     assert cli.run(base_config(profile=profile, **task), tmp_path / "task") == 2
     assert capsys.readouterr().err == want
     if parameter == "homogenize":
@@ -421,7 +428,9 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
         assert calls["symmetry_defect"] == 1, task
     calls.update(assemble_patch_1d=0)
     sweep = {"parameter": "patches", "values": [6, 7, 8], "modes": 1}
-    assert cli.run(base_config(task="sweep", sweep=sweep), tmp_path / "sweep") == 0
+    lagrangian = {"scheme": "lagrangian", "order": 1}
+    config = base_config(task="sweep", sweep=sweep, coupling=lagrangian)
+    assert cli.run(config, tmp_path / "sweep") == 0
     assert calls["assemble_patch_1d"] == 6  # a test and a reference operator per point
     calls.update(assemble_patch_1d=0)
     assert cli.run(base_config(task="homogenize"), tmp_path / "homogenize") == 0
@@ -537,7 +546,10 @@ def test_the_formatter_writes_percent_17g(floats, patterns):
 def test_sweep_csv_bytes_match_the_csv_writer(tmp_path, monkeypatch):
     rows = [[1e-300, np.nan, -np.inf], [0.0, 2.5e17, 1 / 3], [-0.0, 1e300, 123456.75]]
     monkeypatch.setattr(cli, "_sweep_rows", lambda *args: rows)
-    config = base_config(task="sweep", sweep={"parameter": "patches", "values": [6, 8, 10]})
+    config = base_config(
+        task="sweep", sweep={"parameter": "patches", "values": [6, 8, 10]},
+        coupling={"scheme": "lagrangian", "order": 1},
+    )
     assert cli.run(config, tmp_path) == 0
     out = io.StringIO(newline="")
     writer = csv.writer(out)

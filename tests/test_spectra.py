@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import full_lattice_operator_2d_sparse, smallest_magnitude_eigenvalues
 
 import patchtooth as pt
+from patchtooth.assembly import _patch_layout
+from patchtooth.spectra import _axis_lengths, _wavenumber_labels
 
 L = 2 * np.pi
 
@@ -325,6 +327,62 @@ def test_wavenumbers_follow_the_continuum_order():
         # (0, 1) and (0, 2) stand alone in the half spectrum, the rest pair with -j
         assert got.size == 2
         np.testing.assert_allclose(got, -ksq, rtol=1e-3)
+
+
+def labels_by_unique_columns(op, layout):
+    """The wavenumber labels with the classes found by np.unique over the
+    columns of their representatives (oracle)."""
+    k = layout.patch_axes
+    patches = layout.shape[1 : 1 + k]
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    N = np.array(patches[::-1])[:, None]
+    j = np.indices(half).reshape(k, -1)[::-1]
+
+    def fold(x):
+        x = x % N
+        return np.where(2 * x <= N, x, x - N)
+
+    plus, minus = fold(j), fold(-j)
+    first = np.argmax(plus != minus, axis=0)
+    larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
+    classes, inverse = np.unique(np.where(larger, plus, minus), axis=1, return_inverse=True)
+    lengths = _axis_lengths(op, layout)[0]
+    ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
+    order = np.lexsort((*-classes[::-1], ksq))
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.arange(order.size)
+    return place[inverse.reshape(-1)]
+
+
+@st.composite
+def labelled_operators(draw):
+    """Patch operators and full lattices in 1D and 2D, of odd and even patch
+    counts, on square and non-square domains."""
+    two_d = draw(st.booleans())
+    if draw(st.booleans()):
+        if two_d:
+            shape = [draw(st.integers(3, 12)) for _ in range(2)]
+            prof = pt.DiffusivityProfile2D(np.ones((1, 1)), np.ones((1, 1)))
+            return pt.full_lattice_operator_2d(prof, shape, (0.3, draw(st.sampled_from([0.3, 0.45]))))
+        return pt.full_lattice_operator_1d(pt.DiffusivityProfile1D(np.ones(1)),
+                                           draw(st.integers(3, 40)), 0.3)
+    coupling = pt.CouplingSpec("spectral")
+    if two_d:
+        Nx, Ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        grid = pt.build_grid_2d(L, Nx, 1, 0.3, draw(st.sampled_from([1.0, 1.5])) * L, Ny, 1, 0.3)
+        prof = pt.DiffusivityProfile2D(np.ones((1, 1)), np.ones((1, 1)))
+        return pt.assemble_patch_2d(grid, prof, coupling)
+    grid = pt.build_grid_1d(L, draw(st.integers(1, 40)), 1, 0.3)
+    return pt.assemble_patch_1d(grid, pt.DiffusivityProfile1D(np.ones(1)), coupling)
+
+
+@settings(max_examples=150)
+@given(labelled_operators())
+def test_wavenumber_labels_match_the_unique_columns(op):
+    layout = _patch_layout(op)
+    np.testing.assert_array_equal(
+        _wavenumber_labels(op, layout), labels_by_unique_columns(op, layout)
+    )
 
 
 def test_selected_blocks_must_separate_slow_from_fast():

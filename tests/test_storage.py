@@ -343,16 +343,22 @@ def test_the_slow_count_is_the_number_of_member_orbits(periods, n, slow):
 
 
 def test_batches_bound_the_blocks_alive_at_once(monkeypatch):
-    """Small batches give the same blocks, in the same order."""
+    """Small batches give the same blocks, in the same order.  Each batch is
+    the caller's to overwrite: doing so as they come leaves the batches after
+    it and a fresh pass unchanged."""
     grid = pt.build_grid_2d(L, 5, 2, 0.3, L, 4, 2, 0.4)
     prof = pt.random_lognormal_profile_2d(2, 1, 0.5, 3)
     op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
     layout = _patch_layout(op)
     whole = list(_bloch_batches(op, layout))
     monkeypatch.setattr("patchtooth.assembly._BATCH_BYTES", 1)
-    single = list(_bloch_batches(op, layout))
+    single = [batch.copy() for batch in _bloch_batches(op, layout)]
     assert len(whole) == 1 and len(single) == 4 * 3  # N_y x (N_x // 2 + 1)
     np.testing.assert_array_equal(np.concatenate(single), whole[0])
+    for got, want in zip(_bloch_batches(op, layout), single, strict=True):
+        np.testing.assert_array_equal(got, want)
+        got[...] = np.nan
+    np.testing.assert_array_equal(np.concatenate(list(_bloch_batches(op, layout))), whole[0])
 
 
 def test_the_stored_form_needs_no_dense_matrix():
@@ -373,3 +379,42 @@ def test_the_stored_form_needs_no_dense_matrix():
     assert report.defect == 0.0
     assert np.max(np.abs(residual)) <= 1e-12 * report.scale
     assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def traced_peak(solve, op):
+    """The peak of traced allocations while `solve(op)` runs, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = solve(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_a_symmetric_solve_holds_one_copy_of_its_blocks():
+    """eigen_symmetric on the eigen2d-ens benchmark operator (2D, 9 x 9
+    patches of 3 x 3 points, 4 members, spectral) peaks below 3 times the
+    bytes of its Bloch blocks: each batch is one extended precision copy,
+    its Hermitian part formed in place.  It read 4.4 times when the batch,
+    its conjugate, their sum and the Hermitian part were alive at once."""
+    grid = pt.build_grid_2d(L, 9, 3, 0.3, L, 9, 3, 0.3)
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+    blocks = sum(batch.nbytes for batch in _bloch_batches(op, _patch_layout(op)))
+    peak, report = traced_peak(pt.eigen_symmetric, op)
+    assert report.eigenvalues.size == op.dimension == 2916
+    assert peak < 3 * blocks, f"{peak / blocks:.2f} x {blocks} bytes"
+
+
+def test_a_large_2d_spectrum_stays_within_40_mb():
+    """eigen_symmetric on 41 x 41 patches of 8 x 8 points (dim 107,584,
+    108 MB of Bloch blocks) stays below 40 MB of traced allocations: batches
+    of about 4 MB, each one copy.  It read 97.5 MB with 16 MB batches of
+    four or five copies each."""
+    grid = pt.build_grid_2d(L, 41, 8, 0.2, L, 41, 8, 0.2)
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
+    peak, report = traced_peak(pt.eigen_symmetric, op)
+    assert report.eigenvalues.size == op.dimension == 107_584
+    assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MB"
