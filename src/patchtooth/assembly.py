@@ -264,6 +264,46 @@ def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
         yield batch(spectra[:, start : start + step])
 
 
+def _mirror_counts(layout: Layout) -> np.ndarray:
+    """Full-spectrum blocks each half-spectrum block stands for: 1 or 2.
+
+    Block -j is the conjugate of block j.  It lies outside the half spectrum
+    unless the halved wavenumber j_last satisfies j_last = -j_last (mod N).
+    """
+    n_last = layout.shape[layout.patch_axes]
+    j = np.arange(n_last // 2 + 1)
+    counts = np.where((j == 0) | (2 * j == n_last), 1, 2)
+    return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
+
+
+def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
+    """Eigenvalues of every Bloch block, those of the mirrored blocks as conjugates.
+
+    The one general Bloch eigensolve, of spectra.eigen_general and
+    timestep.stability_limit.  The wave system W = [[0, I], [A, eps B]] is
+    solved on S = {1.u = 0, 1.v = 0}, plus the exact zero pair (see spectra).
+    """
+    wave = op.layout.half is not None
+    counts = _mirror_counts(layout)
+    head, tail, solved = [], [], []
+    for W in _bloch_batches(op, layout):
+        W = W.astype(complex)
+        if wave and not solved:
+            # Block j = 0 is real; S meets it in the zero-sum vectors of u and
+            # of v, spanned by the right singular vectors of the ones row
+            # after the first.
+            b = W.shape[1] // 2
+            Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
+            P = np.zeros((2 * b, 2 * (b - 1)))
+            P[:b, : b - 1] = Q
+            P[b:, b - 1 :] = Q
+            head, tail = [np.linalg.eigvals(P.T @ W[0].real @ P)], [[0.0, 0.0]]
+            W, counts = W[1:], counts[1:]
+        solved.append(np.linalg.eigvals(W))
+    solved = np.concatenate(solved)
+    return np.concatenate([*head, solved.ravel(), np.conj(solved[counts == 2]).ravel(), *tail])
+
+
 @dataclass
 class SymmetryReport:
     defect: float

@@ -19,16 +19,19 @@ than an array can index or a lattice spacing whose 1/d^2 is not finite,
 diffusivities that are not finite or whose stencil entries overflow, a
 Lagrangian stencil wider than the patch count of a grid the run assembles,
 swept patch counts whose spacing needs r > 1 or that do not increase where
-slopes are fitted, a patch sweep with spectral coupling), 2 numerical
-precondition failure (incompatible single-phase assembly, lost symmetry, a
-profile beyond the solvers' dynamic range, branch separation, unstable step,
-a run that runs out of memory and the like).
+slopes are fitted, a patch sweep with spectral coupling, an eigen n_macro
+beyond the operator's dimension), 2 numerical precondition failure
+(incompatible single-phase assembly, lost symmetry, a profile beyond the
+solvers' dynamic range, branch separation, unstable step, an RK4 run that
+leaves the double range, a run that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
-so identical configs reproduce artefacts byte for byte.  One bulk formatter,
-_text, produces that text for every CSV, a block of values at a time.  Each
-artefact is written under a temporary name and renamed into place when
-complete, so a failed run leaves no half-written file.
+so identical configs reproduce artefacts byte for byte.  Every CSV goes
+through one table writer, _write_table: a task hands it a header and numeric
+columns, and the writer formats them (_text, a block of values at a time)
+and ends the rows.  JSON artefacts are strict: a gap ratio with no gap is
+null.  Each artefact is written under a temporary name and renamed into
+place when complete, so a failed run leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -54,12 +57,7 @@ from .assembly import (
     symmetry_defect,
 )
 from .coupling import CouplingSpec, weights_for
-from .homogenize import (
-    BranchSeparationError,
-    FitResidualError,
-    extract_coefficients,
-    slow_branch,
-)
+from .homogenize import extract_coefficients, slow_branch
 from .microscale import (
     DiffusivityProfile1D,
     DiffusivityProfile2D,
@@ -74,7 +72,7 @@ from .spectra import (
     eigen_symmetric,
     error_table,
 )
-from .timestep import StabilityError, StateVector, conserved_mass, evolve_exact, evolve_rk4
+from .timestep import StateVector, conserved_mass, evolve_exact, evolve_rk4
 
 
 class ConfigError(ValueError):
@@ -437,7 +435,7 @@ def _resolve(config) -> _Run:
         grid = geometry.build_grid_2d(*(g[axis][key] for axis in "xy" for key in "LNnr"))
     else:
         grid = geometry.build_grid_1d(*(g[key] for key in "LNnr"))
-    _check_representable(grid, profile, config["ensemble"])
+    unknowns = _check_representable(grid, profile, config["ensemble"])
     coupling = CouplingSpec(scheme=scheme, order=order)
 
     swept_grids = ()
@@ -476,6 +474,12 @@ def _resolve(config) -> _Run:
             "at ['coupling']['scheme']: a patch sweep measures the Lagrangian scheme "
             "against the spectral reference; set coupling.scheme to lagrangian"
         )
+    dimension = 2 * unknowns if model == "wave1d" else unknowns
+    if task == "eigen" and section.get("n_macro", 1) > dimension:
+        raise ConfigError(
+            f"at ['eigen']['n_macro']: {section['n_macro']} macro modes asked for, "
+            f"but the operator has {dimension} eigenvalues"
+        )
 
     return _Run(
         model=model, task=task, grid=grid, profile=profile, coupling=coupling,
@@ -485,10 +489,10 @@ def _resolve(config) -> _Run:
     )
 
 
-def _check_representable(grid, profile, ensemble: bool) -> None:
-    """Reject a grid whose unknowns (members x N * n per axis) no array can index
-    or whose lattice spacing d has no finite 1/d^2, and a profile whose largest
-    stencil entry, 2 max(bonds) / d^2 summed over the axes, overflows."""
+def _check_representable(grid, profile, ensemble: bool) -> int:
+    """The count of unknowns (members x N * n per axis).  Rejects a grid whose count no
+    array can index or whose lattice spacing d has no finite 1/d^2, and a profile
+    whose largest stencil entry, 2 max(bonds) / d^2 summed over the axes, overflows."""
     count = math.prod(profile.periods) if ensemble else 1
     limit = np.iinfo(np.intp).max
     sections = ["['grid']['x']", "['grid']['y']"] if len(grid.axes) > 1 else ["['grid']"]
@@ -509,6 +513,7 @@ def _check_representable(grid, profile, ensemble: bool) -> None:
             "at ['profile']: the largest stencil entry, 2 max(diffusivity) / d^2 "
             "summed over the axes, is not a finite double"
         )
+    return count
 
 
 def _assemble(run: _Run):
@@ -682,13 +687,6 @@ def _text(values, ends) -> np.ndarray:
     return words.reshape(*values.shape[:-1], -1)
 
 
-def _field(strings) -> np.ndarray:
-    """Byte strings as NUL-padded 64-bit words along a new last axis."""
-    strings = np.asarray(strings, dtype="S")
-    width = -(-strings.itemsize // 8)
-    return strings.astype(f"S{8 * width}").view(_WORD).reshape(*strings.shape, width)
-
-
 def _rows(fields) -> bytes:
     """The text of `fields` side by side, without its NUL bytes.
 
@@ -696,23 +694,30 @@ def _rows(fields) -> bytes:
     broadcast against each other over the others.
     """
     shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
-    rows = np.empty((*shape, sum(f.shape[-1] for f in fields)), _WORD)
-    column = 0
-    for f in fields:
-        for word in np.moveaxis(f, -1, 0):
-            rows[..., column] = word
-            column += 1
+    rows = np.concatenate([np.broadcast_to(f, (*shape, f.shape[-1])) for f in fields], axis=-1)
     return rows.tobytes().translate(None, b"\0")
 
 
-def _comma_rows(columns: np.ndarray) -> np.ndarray:
-    """Each row of a 2D array of doubles as text, a comma after each value."""
-    step = max(1, _BLOCK_VALUES // columns.shape[1])
-    rows = []
-    for start in range(0, len(columns), step):
-        text = _text(columns[start : start + step], [b","] * columns.shape[1])
+def _compact(field: np.ndarray, ends: list) -> np.ndarray:
+    """Each row of a field as one byte string: its columns' text, each followed by its end."""
+    if field.dtype.kind == "S":
+        return functools.reduce(np.char.add, map(np.char.add, np.moveaxis(field, -1, 0), ends))
+    flat, rows = field.reshape(-1, field.shape[-1]), []
+    step = max(1, _BLOCK_VALUES // flat.shape[1])
+    for start in range(0, len(flat), step):
+        text = _text(flat[start : start + step], ends)
         rows += (r.replace(b"\0", b"") for r in text.view(f"S{8 * text.shape[1]}").ravel().tolist())
-    return np.array(rows, dtype="S")
+    return np.array(rows, dtype="S").reshape(field.shape[:-1])
+
+
+def _cut(words: np.ndarray, part: tuple) -> np.ndarray:
+    """A block of a repeating field's words, cut only along the axes it does not repeat on."""
+    return words[tuple(p if n > 1 else slice(None) for p, n in zip(part, words.shape))]
+
+
+def _format(fields: tuple, ends: list, part: tuple) -> np.ndarray:
+    """The text words of a block of fields that fill the table, side by side."""
+    return _text(np.concatenate([f[part] for f in fields], axis=-1), ends)
 
 
 def _write_file(path: Path, chunks) -> None:
@@ -733,54 +738,66 @@ def _write_file(path: Path, chunks) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list, blocks) -> None:
-    """Write the header, then the rows of each block of fields (see _rows).
+def _write_table(path: Path, header: list, fields: list) -> None:
+    """Write a CSV file: the header, then a row per index of the fields' broadcast shape.
 
-    The bytes are those csv.writer writes: no field needs quoting, and
-    lines end in \\r\\n.
+    Each field holds its columns along its last axis: doubles, written as
+    '%.17g' text (an integer-valued one as that integer), or byte strings,
+    written as they are.  Over their other axes, at most two, the fields
+    broadcast against each other.  The bytes are those csv.writer writes: no
+    field needs quoting, and lines end in \\r\\n.
     """
-    head = (",".join(header) + "\r\n").encode()
-    _write_file(path, itertools.chain([head], map(_rows, blocks)))
+    fields = [np.asarray(f) for f in fields]
+    outer, inner = (1, 1, *np.broadcast_shapes(*(f.shape[:-1] for f in fields)))[-2:]
+    fields = [f.reshape((1,) * (3 - f.ndim) + f.shape) for f in fields]
+    ends = [[b","] * f.shape[-1] for f in fields]
+    ends[-1][-1] = b"\r\n"
+    # Adjacent fields of a kind are formatted together: those that repeat along a row
+    # axis (kind: their row shape) once, as a string per row of their own; those that
+    # fill the table (kind None) a block of about _BLOCK_VALUES values at a time.
+    kinds = [None if f.dtype.kind != "S" and f.shape[:2] == (outer, inner) else f.shape[:2]
+             for f in fields]
+    parts, width = [], 0
+    for kind, group in itertools.groupby(zip(kinds, fields, ends), lambda item: item[0]):
+        _, group, group_ends = zip(*group)
+        if kind is None:
+            width += sum(f.shape[-1] for f in group)
+            parts.append(functools.partial(_format, group, sum(group_ends, [])))
+        else:
+            strings = functools.reduce(np.char.add, map(_compact, group, group_ends))
+            words = strings.astype(f"S{8 * -(-strings.itemsize // 8)}").view(_WORD)
+            parts.append(functools.partial(_cut, words.reshape(*strings.shape, -1)))
+    rows = max(1, _BLOCK_VALUES // max(1, width))
+    step, across = max(1, rows // inner), min(inner, rows)
+    blocks = (_rows([part((slice(a, a + step), slice(c, c + across))) for part in parts])
+              for a, c in itertools.product(range(0, outer, step), range(0, inner, across)))
+    _write_file(path, itertools.chain([(",".join(header) + "\r\n").encode()], blocks))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_file(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
-
-
-def _write_eigen_csv(path: Path, values: np.ndarray) -> None:
-    """eigenvalues.csv: rank, real, imag, magnitude per eigenvalue."""
-    step = _BLOCK_VALUES // 4
-
-    def blocks():
-        for start in range(0, values.size, step):
-            part = values[start : start + step]
-            rank = np.arange(start + 1, start + 1 + part.size)
-            columns = np.stack([rank, part.real, part.imag, np.abs(part)], axis=1)
-            yield [_text(columns, [b",", b",", b",", b"\r\n"])]
-
-    _write_csv(path, ["rank", "real", "imag", "magnitude"], blocks())
+    """Write strict JSON: a value that is not a finite double raises a ValueError."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_file(path, [(text + "\n").encode()])
 
 
 def _task_eigen(run: _Run, out: Path) -> None:
     op = _assemble(run)
-    n_macro = run.section.get("n_macro")
-    if run.model == "wave1d":
-        report = eigen_general(op, n_macro=n_macro)
-        sym = symmetry_defect(op)
-        extra = {"max_real_part": float(np.max(np.real(report.eigenvalues)))}
-    else:
-        report = eigen_symmetric(op, n_macro=n_macro)
-        sym = report.symmetry
-        extra = {"max_eigenvalue": float(np.max(np.real(report.eigenvalues)))}
-    _write_eigen_csv(out / "eigenvalues.csv", report.eigenvalues)
+    wave = run.model == "wave1d"
+    report = (eigen_general if wave else eigen_symmetric)(op, n_macro=run.section.get("n_macro"))
+    sym = symmetry_defect(op) if wave else report.symmetry
+    values = report.eigenvalues
+    columns = (np.arange(1.0, values.size + 1), values.real, values.imag, np.abs(values))
+    _write_table(out / "eigenvalues.csv", ["rank", "real", "imag", "magnitude"],
+                 [column[:, None] for column in columns])
     _write_json(out / "summary.json", {
         "model": run.model,
         "dimension": op.dimension,
         "n_macro": int(report.n_macro),
         "zero_mode_magnitude": report.zero_mode_magnitude,
-        "gap_ratio": report.gap_ratio,
+        # infinite when every mode is macro or the macro scale is zero; JSON has no infinity
+        "gap_ratio": report.gap_ratio if math.isfinite(report.gap_ratio) else None,
         "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
-        **extra,
+        "max_real_part" if wave else "max_eigenvalue": float(np.max(values.real)),
     })
 
 
@@ -817,11 +834,7 @@ def _initial_state(init: dict, op) -> StateVector:
 
 
 def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> None:
-    """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown.
-
-    The times and each unknown's labels are formatted once; the values go
-    block by block.
-    """
+    """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown."""
     layout = op.layout
     member, *index = np.indices(layout.shape).reshape(len(layout.shape), -1)
     if isinstance(op.grid, geometry.PatchGrid2D):
@@ -834,24 +847,15 @@ def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> 
         columns = [I, i + 1, _positions(op.grid)[I, i]]
     if layout.ensemble:
         columns.insert(0, member)
-    labels = _comma_rows(np.stack(columns, axis=1))
+    labels = np.stack(columns, axis=1)[None]
     wave = layout.half is not None
+    header = ["t", *["field"] * wave, *["member"] * layout.ensemble, *names, "value"]
+    # a table row per snapshot (and wave field: u, then v) and a column per unknown
+    values = states.reshape(-1, len(member))[:, :, None]
+    fields = [np.repeat(times, len(values) // len(times))[:, None, None], labels, values]
     if wave:
-        labels = [field + label for field in (b"u,", b"v,") for label in labels.tolist()]
-    header = (["t"] + (["field"] if wave else []) + (["member"] if layout.ensemble else [])
-              + names + ["value"])
-    stamps, labels = _field(_comma_rows(times[:, None])), _field(labels)
-    unknowns = min(len(labels), _BLOCK_VALUES)
-    snapshots = max(1, _BLOCK_VALUES // len(labels))
-
-    def blocks():
-        for t in range(0, len(stamps), snapshots):
-            for u in range(0, len(labels), unknowns):
-                values = states[t : t + snapshots, u : u + unknowns, None]
-                yield [stamps[t : t + snapshots, None], labels[u : u + unknowns],
-                       _text(values, [b"\r\n"])]
-
-    _write_csv(path, header, blocks())
+        fields.insert(1, np.tile([[[b"u"]], [[b"v"]]], (len(times), 1, 1)))
+    _write_table(path, header, fields)
 
 
 def _task_simulate(run: _Run, out: Path) -> None:
@@ -895,8 +899,8 @@ def _task_homogenize(run: _Run, out: Path) -> None:
         "fit_residual": coeffs.fit_residual,
     })
     ks = [spacing * m for m in range(1, count + 1)]
-    branch = _text([[k, slow_branch(run.profile, k)] for k in ks], [b",", b"\r\n"])
-    _write_csv(out / "slow_branch.csv", ["k", "eigenvalue"], [[branch]])
+    _write_table(out / "slow_branch.csv", ["k", "eigenvalue"],
+                 [np.array([[k, slow_branch(run.profile, k)] for k in ks])])
 
 
 def _require_compatible(run: _Run, allow_incompatible: bool) -> None:
@@ -933,12 +937,8 @@ def _task_sweep(run: _Run, out: Path) -> None:
     # here, before any point is built.
     _require_compatible(run, allow_incompatible=False)
     rows = _sweep_rows(run)
-    errors = _text(rows, [b","] * (modes - 1) + [b"\r\n"])
-    _write_csv(
-        out / "sweep.csv",
-        [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
-        [[_field([f"{value},".encode() for value in values]), errors]],
-    )
+    _write_table(out / "sweep.csv", [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
+                 [np.array(values, dtype=float)[:, None], np.array(rows)])
     summary = {"parameter": parameter, "values": values, "modes": modes}
     if parameter == "patches" and len(values) >= 3:
         summary["slopes"] = [
@@ -967,35 +967,34 @@ def _full_lattice_reference(op):
 def _task_check(run: _Run, out: Path) -> None:
     op = _assemble(run)
     wave = op.layout.half is not None
+    kernel_vec = np.ones(op.dimension)
     if wave:
         sym, report = symmetry_defect(op), eigen_general(op)
+        kernel_vec[op.layout.half :] = 0.0  # v = 0
     else:
         try:
             report = eigen_symmetric(op)
             sym = report.symmetry
         except SymmetryPreconditionError as exc:
             report, sym = None, exc.symmetry
-    dim = op.dimension
-    if wave:
-        half = op.layout.half
-        kernel_vec = np.concatenate([np.ones(half), np.zeros(half)])
-    else:
-        kernel_vec = np.ones(dim)
-    kernel_residual = float(np.max(np.abs(op.matvec(kernel_vec))))
     payload = {
         "model": run.model,
-        "dimension": dim,
+        "dimension": op.dimension,
         "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
-        "kernel_residual": kernel_residual,
+        "kernel_residual": float(np.max(np.abs(op.matvec(kernel_vec)))),
         "diagnostics": [list(item) for item in op.layout.diagnostics],
     }
-    if wave:
-        payload["max_real_part"] = float(np.max(np.real(report.eigenvalues)))
+    if report is None:
+        payload["note"] = (
+            "operator is not symmetric; spectral diagnostics skipped "
+            "(rerun without allow_incompatible for a usable operator)"
+        )
+    else:
+        top = float(np.max(report.eigenvalues.real))
+        payload["max_real_part" if wave else "max_eigenvalue"] = top
         payload["zero_mode_magnitude"] = report.zero_mode_magnitude
-    elif report is not None:
-        payload["max_eigenvalue"] = float(np.max(np.real(report.eigenvalues)))
-        payload["zero_mode_magnitude"] = report.zero_mode_magnitude
-        payload["gap_ratio"] = report.gap_ratio
+    if report is not None and not wave:
+        payload["gap_ratio"] = report.gap_ratio if math.isfinite(report.gap_ratio) else None
         full, reason = _full_lattice_reference(op)
         if full is None:
             payload["consistency"] = {"available": False, "reason": reason}
@@ -1009,11 +1008,6 @@ def _task_check(run: _Run, out: Path) -> None:
                 np.max(np.abs(patch_vals - full_vals) / np.maximum(np.abs(full_vals), 1e-9 * scale))
             )
             payload["consistency"] = {"available": True, "max_relative_error": err}
-    else:
-        payload["note"] = (
-            "operator is not symmetric; spectral diagnostics skipped "
-            "(rerun without allow_incompatible for a usable operator)"
-        )
     _write_json(out / "check.json", payload)
 
 
@@ -1036,14 +1030,9 @@ def run(config: dict, outdir=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (
-        SymmetryPreconditionError,
-        BranchSeparationError,
-        FitResidualError,
-        StabilityError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    # every precondition error of the solvers (symmetry, branch separation,
+    # fit residual, stability, dynamic range) is a ValueError or RuntimeError
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

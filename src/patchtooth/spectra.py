@@ -71,7 +71,7 @@ constant vector), which general eigensolvers scatter into small complex
 pairs.  Since the complement S = {1.u = 0, 1.v = 0} is invariant, the
 spectrum is computed on S and the exact pair {0, 0} appended.  Every Bloch
 block j != 0 already lies in S; only block j = 0 is projected onto its
-zero-sum complement.
+zero-sum complement (assembly._bloch_eigenvalues).
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ from .assembly import (
     Layout,
     SymmetryReport,
     _bloch_batches,
+    _bloch_eigenvalues,
+    _mirror_counts,
     _orbits,
     _patch_layout,
     symmetry_defect,
@@ -149,18 +151,6 @@ def _require_dynamic_range(op, layout: Layout) -> None:
             f"dynamic range: eps * ||H|| is {ratio:.3g} times the slowest macro "
             f"eigenvalue, about {slowest:.3g}; round-off would swamp the macro modes"
         )
-
-
-def _mirror_counts(layout: Layout) -> np.ndarray:
-    """Full-spectrum blocks each half-spectrum block stands for: 1 or 2.
-
-    Block -j is the conjugate of block j.  It lies outside the half spectrum
-    unless the halved wavenumber j_last satisfies j_last = -j_last (mod N).
-    """
-    n_last = layout.shape[layout.patch_axes]
-    j = np.arange(n_last // 2 + 1)
-    counts = np.where((j == 0) | (2 * j == n_last), 1, 2)
-    return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
 
 
 @functools.lru_cache(maxsize=8)
@@ -402,33 +392,6 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
         wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
         ranks=np.repeat(ranks, counts, axis=0).ravel(),
     )
-
-
-def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
-    """Eigenvalues of every Bloch block, those of the mirrored blocks as conjugates.
-
-    The wave system W = [[0, I], [A, eps B]] is solved on S, plus the exact
-    zero pair.
-    """
-    wave = op.layout.half is not None
-    counts = _mirror_counts(layout)
-    head, tail, solved = [], [], []
-    for W in _bloch_batches(op, layout):
-        W = W.astype(complex)
-        if wave and not solved:
-            # Block j = 0 is real; S meets it in the zero-sum vectors of u and
-            # of v, spanned by the right singular vectors of the ones row
-            # after the first.
-            b = W.shape[1] // 2
-            Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
-            P = np.zeros((2 * b, 2 * (b - 1)))
-            P[:b, : b - 1] = Q
-            P[b:, b - 1 :] = Q
-            head, tail = [np.linalg.eigvals(P.T @ W[0].real @ P)], [[0.0, 0.0]]
-            W, counts = W[1:], counts[1:]
-        solved.append(np.linalg.eigvals(W))
-    solved = np.concatenate(solved)
-    return np.concatenate([*head, solved.ravel(), np.conj(solved[counts == 2]).ravel(), *tail])
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:

@@ -23,7 +23,8 @@ state: O(N b^3 log stride) set-up and O(N b^2) per stored state instead of
 four dim x dim matrix-vector products per step.  Block j = 0 holds the patch
 sums of the state, so the total mass after every step, stored or not, costs
 O(b) per step.  The stability limit is exact, 2.5 over the largest eigenvalue
-magnitude over the blocks, taken one batch of blocks at a time.
+magnitude over the blocks of assembly._bloch_eigenvalues; allow_unstable waives
+it, but a run that leaves the double range raises, as evolve_exact does.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _bloch_batches, _orbits, _patch_layout
+from .assembly import _bloch_batches, _bloch_eigenvalues, _orbits, _patch_layout
 from .spectra import _bloch_eigh, _require_symmetric
 
 
@@ -151,13 +152,9 @@ def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
 def stability_limit(op) -> float:
     """Largest stable RK4 step, 2.5 / rho(L).
 
-    rho is exact, the largest eigenvalue magnitude over the Bloch blocks.
+    rho is exact, the largest magnitude of assembly._bloch_eigenvalues.
     """
-    layout = _patch_layout(op)
-    rho = max(
-        float(np.max(np.abs(np.linalg.eigvals(blocks.astype(complex)))))
-        for blocks in _bloch_batches(op, layout)
-    )
+    rho = float(np.max(np.abs(_bloch_eigenvalues(op, _patch_layout(op)))))
     return 2.5 / rho if rho > 0.0 else float("inf")
 
 
@@ -208,7 +205,8 @@ def evolve_rk4(
     steps // stride + 1 snapshots at times t0 + dt * (0, stride, 2 stride,
     ...); Trajectory.mass holds the total of the initial state and after
     each of the `steps` steps.  Raises StabilityError when dt exceeds 2.5 / rho(L) unless
-    allow_unstable is set (useful for demonstrating the blow-up).
+    allow_unstable is set, and, even then, at the time a step's mass or a
+    stored state leaves the double range.
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
@@ -224,7 +222,16 @@ def evolve_rk4(
         )
     state = _as_state(u0)
     times = state.time + dt * np.arange(0, steps + 1, stride)
-    states, mass = _bloch_rk4(op, _patch_layout(op), state.values, dt, steps, stride)
+    # an unstable step may overflow; the states and masses are checked below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, mass = _bloch_rk4(op, _patch_layout(op), state.values, dt, steps, stride)
+    finite = np.isfinite(mass)  # per step; the stored states are steps 0, stride, ...
+    finite[::stride] &= np.all(np.isfinite(states), axis=1)
+    if not finite.all():
+        raise StabilityError(
+            f"RK4 run left the double range at t = {state.time + dt * np.argmin(finite):.6g} "
+            f"(dt = {dt:.6g}, stability limit {limit:.6g})"
+        )
     return Trajectory(times=times, states=states, mass=mass)
 
 

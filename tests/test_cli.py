@@ -306,6 +306,10 @@ def test_every_schema_default_fits_its_schema():
         ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
           "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
          "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
+        ({"eigen": {"n_macro": 1000}},
+         "['eigen']['n_macro']: 1000 macro modes asked for, but the operator has 24 eigenvalues"),
+        ({"model": "wave1d", "eigen": {"n_macro": 49}},
+         "['eigen']['n_macro']: 49 macro modes asked for, but the operator has 48 eigenvalues"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
@@ -317,7 +321,8 @@ def test_every_schema_default_fits_its_schema():
          "order-beyond-the-grid", "2d-order-beyond-the-grid", "wave-order-beyond-the-grid",
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
-         "node_count-below-the-fitted-powers", "spectral-patch-sweep"],
+         "node_count-below-the-fitted-powers", "spectral-patch-sweep",
+         "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
@@ -331,7 +336,8 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     spacing needs r > 1, swept counts that do not increase where slopes are
     fitted, and fewer homogenize fit nodes than the five fitted powers.  So
     is a patch sweep with spectral coupling, which would measure the
-    spectral operator against itself."""
+    spectral operator against itself, and an eigen n_macro beyond the
+    operator's dimension (twice the unknowns for the wave system)."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -470,25 +476,33 @@ def test_eigen_task_matches_the_library(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_eigen_csv_bytes_match_the_csv_writer(tmp_path, dtype):
+def test_eigen_csv_bytes_match_the_csv_writer(tmp_path, monkeypatch, dtype):
+    """The eigen task's table, of 40 eigenvalues and of more than a block of
+    the writer's values, so that rows cross the block edges."""
     rng = np.random.default_rng(3)
-    values = (rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)).astype(dtype)
-    if dtype is complex:
-        values.imag = rng.standard_normal(40)
-        values[:4] = [
-            complex(0.0, -0.0), complex(-0.0, 0.0), complex(-1.5, -0.0), complex(1e-300, 1e308)
-        ]
-    else:
-        values[:3] = [-0.0, 0.0, 1 / 3]
-    out = io.StringIO(newline="")
-    writer = csv.writer(out)
-    writer.writerow(["rank", "real", "imag", "magnitude"])
-    for rank, lam in enumerate(values, start=1):
-        writer.writerow(
-            [rank, fmt(np.real(lam)), fmt(np.imag(lam)), fmt(np.abs(lam))]
-        )
-    cli._write_eigen_csv(tmp_path / "eigenvalues.csv", values)
-    assert (tmp_path / "eigenvalues.csv").read_bytes() == out.getvalue().encode()
+    for size in (40, cli._BLOCK_VALUES + 5):
+        values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).astype(dtype)
+        if dtype is complex:
+            values.imag = rng.standard_normal(size)
+            values[:4] = [
+                complex(0.0, -0.0), complex(-0.0, 0.0), complex(-1.5, -0.0), complex(1e-300, 1e308)
+            ]
+        else:
+            values[:3] = [-0.0, 0.0, 1 / 3]
+        symmetry = pt.SymmetryReport(defect=0.0, scale=1.0, relative=0.0)
+        report = pt.SpectrumReport(eigenvalues=values, n_macro=1, symmetry=symmetry)
+        for solver in ("eigen_symmetric", "eigen_general"):
+            monkeypatch.setattr(cli, solver, lambda op, n_macro: report)
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(["rank", "real", "imag", "magnitude"])
+        for rank, lam in enumerate(report.eigenvalues, start=1):
+            writer.writerow(
+                [rank, fmt(np.real(lam)), fmt(np.imag(lam)), fmt(np.abs(lam))]
+            )
+        model = "wave1d" if dtype is complex else "diffusion1d"
+        assert cli.run(base_config(model=model), tmp_path / str(size)) == 0
+        assert (tmp_path / str(size) / "eigenvalues.csv").read_bytes() == out.getvalue().encode()
 
 
 def texts(values):
@@ -649,6 +663,43 @@ def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsy
     assert "largest eigenvalue" in err
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_an_unstable_rk4_run_that_overflows_exits_2_without_artefacts(tmp_path, capsys):
+    """allow_unstable waives the step-size guard only.  A wave run at 3.3
+    times the stability limit whose states leave the double range is a
+    numerical failure, not a trajectory of nan rows with a NaN mass drift."""
+    config = base_config(
+        model="wave1d", grid={"L": 2 * np.pi, "N": 8, "n": 4, "r": 0.3}, task="simulate",
+        simulate={"integrator": "rk4", "dt": 0.2, "steps": 4000, "stride": 1000,
+                  "allow_unstable": True},
+    )
+    assert cli.run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "numerical precondition failed: RK4 run left the double range at t = " in err
+    assert not any(tmp_path.iterdir())
+
+
+def strict_json(path):
+    """A JSON artefact parsed strictly: NaN and Infinity are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_an_infinite_gap_ratio_is_written_as_null(tmp_path):
+    """Every mode is macro (n_macro = dim, or one point per patch), so there is
+    no gap: summary.json and check.json stay strict JSON, the ratio null."""
+    assert cli.run(base_config(eigen={"n_macro": 24}), tmp_path / "eigen") == 0
+    assert strict_json(tmp_path / "eigen" / "summary.json")["gap_ratio"] is None
+    config = base_config(task="check", grid={"L": 2 * np.pi, "N": 6, "n": 1, "r": 0.3},
+                         profile={"kind": "inline", "values": [1.0]})
+    assert cli.run(config, tmp_path / "check") == 0
+    assert strict_json(tmp_path / "check" / "check.json")["gap_ratio"] is None
+    assert cli.run(base_config(), tmp_path / "finite") == 0
+    assert strict_json(tmp_path / "finite" / "summary.json")["gap_ratio"] > 1.0
 
 
 def test_simulate_rk4_summary_counts_every_step(tmp_path):

@@ -128,6 +128,18 @@ def test_rk4_guards_against_unstable_steps():
     assert traj.times.size == 6
 
 
+def test_an_unstable_rk4_run_that_overflows_raises_naming_the_time():
+    """allow_unstable waives the step-size guard only: states that leave the
+    double range raise StabilityError, stored every step or every 50th, and
+    nothing warns on the way."""
+    op = make_operator()
+    dt = 3.0 * pt.stability_limit(op)
+    u0 = 1.0 + 0.3 * np.sin(np.arange(op.dimension))
+    for stride in (1, 50):
+        with pytest.raises(pt.StabilityError, match=r"left the double range at t = \d"):
+            pt.evolve_rk4(op, u0, dt, 2000, allow_unstable=True, stride=stride)
+
+
 def test_wave_energy_decays_under_damping():
     grid = pt.build_grid_1d(L, 5, 4, 0.5)
     prof = pt.DiffusivityProfile1D((1.0, 2.0))
