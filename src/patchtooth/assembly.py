@@ -50,7 +50,8 @@ from . import geometry
 from .coupling import CouplingSpec, weights_for
 from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
 
-# Bytes of extended-precision numbers one batch of Bloch blocks may hold.
+# Bytes of extended-precision numbers that one batch of dense Bloch blocks,
+# or one chunk of pair lines transformed together, may hold.
 _BATCH_BYTES = 2**22
 
 
@@ -222,46 +223,74 @@ def _patch_layout(op) -> Layout:
     return _state_layout(op.layout)
 
 
-def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
-    """Bloch blocks H(j) of a patch operator in batches over j, each (k, b, b).
+def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
+    """The Bloch blocks H(j) at their stored (row, col) pairs, in batches over j.
 
     H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
     the first block row, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the
     FFT taken over the patch axes.  Each (row, col) pair of the stored
     entries is laid out as one line over the offsets and transformed by
     rfftn, in extended precision (np.longdouble, plain double where the
-    platform has no wider type): O(pairs K log K) work and memory for K
-    patches, never the dense b x b x K first block row.  j runs over the half
-    spectrum of rfftn (the last patch axis halved), in rfftn's output order;
-    a block is indexed by (member, local point) in C order, and one batch
-    holds at most about _BATCH_BYTES of blocks.  For a wave operator, given
-    the layout of _patch_layout, each block is [[0, I], [A(j), eps B(j)]].
-    Given `select`, indices into that half spectrum, only those blocks are
-    built, in the order given; the lines are still transformed whole.
+    platform has no wider type): O(pairs K log K) work for K patches, never
+    the dense b x b x K first block row.  The lines are transformed a chunk
+    of pairs at a time, at most about _BATCH_BYTES of lines per chunk (one
+    chunk when they all fit), into one spectrum of the pairs that holds only
+    the `select`ed columns when `select` is given.  j runs over the half
+    spectrum of rfftn (the last patch axis halved), in rfftn's output order,
+    or over `select`, indices into it, in the order given.
+
+    Returns (pairs, batches): the sorted flat indices row * b + col of the
+    pairs in a block indexed by (member, local point) in C order, and a
+    generator of read-only (k, pairs) views of the entries H(j)[row, col],
+    each batch as many blocks as one of _bloch_batches.  Every other entry
+    of H(j) is zero.
+    """
+    patches, b, _ = _blocking(layout)
+    K = math.prod(patches)
+    pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    columns = math.prod(half) if select is None else len(select)
+    spectrum = np.empty((pairs.size, columns), dtype=np.clongdouble)
+    chunk = max(1, _BATCH_BYTES // (K * np.dtype(np.longdouble).itemsize))
+    axes = tuple(range(1, len(patches) + 1))
+    for start in range(0, pairs.size, chunk):
+        stop = min(start + chunk, pairs.size)
+        # the entries of this chunk's lines; all of them when one chunk holds every line
+        at = slice(None) if stop - start == pairs.size else (line >= start) & (line < stop)
+        lines = np.zeros((stop - start, K), dtype=np.longdouble)
+        lines[line[at] - start, op.offsets[at]] = op.values[at]
+        lines = lines.reshape(-1, *patches)
+        if select is None:
+            np.fft.rfftn(lines, axes=axes, out=spectrum[start:stop].reshape(-1, *half))
+        else:
+            transformed = np.fft.rfftn(lines, axes=axes).reshape(stop - start, -1)
+            spectrum[start:stop] = transformed[:, select]
+    np.conj(spectrum, out=spectrum)  # H(j) takes exp(+2 pi i j.m / N), rfftn the conjugate
+    spectrum.flags.writeable = False
+    step = max(1, _BATCH_BYTES // (spectrum.itemsize * b * b))
+    return pairs, (spectrum[:, start : start + step].T for start in range(0, columns, step))
+
+
+def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
+    """Bloch blocks H(j) of a patch operator in batches over j, each (k, b, b).
+
+    The dense view of _bloch_entries: each block holds its entries at the
+    stored pairs and zeros elsewhere, a block indexed by (member, local
+    point) in C order, one batch at most about _BATCH_BYTES of blocks.  For
+    a wave operator, given the layout of _patch_layout, each block is
+    [[0, I], [A(j), eps B(j)]].
 
     Each batch is built in place, a new array that the caller owns and may
     overwrite: no reference to it is kept here, so a caller that drops a
     batch before asking for the next holds one batch of blocks at a time.
     """
-    patches, b, _ = _blocking(layout)
-    pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
-    lines = np.zeros((pairs.size, math.prod(patches)), dtype=np.longdouble)
-    lines[line, op.offsets] = op.values
-    axes = tuple(range(1, len(patches) + 1))
-    spectra = np.fft.rfftn(lines.reshape(pairs.size, *patches), axes=axes)
-    del lines
-    spectra = spectra.reshape(pairs.size, math.prod(spectra.shape[1:]))
-    if select is not None:
-        spectra = spectra[:, select]
-    step = max(1, _BATCH_BYTES // (spectra.itemsize * b * b))
-
-    def batch(columns):
-        blocks = np.zeros((columns.shape[1], b * b), dtype=columns.dtype)
-        blocks[:, pairs] = columns.T
-        return np.conj(blocks, out=blocks).reshape(-1, b, b)
-
-    for start in range(0, spectra.shape[1], step):
-        yield batch(spectra[:, start : start + step])
+    b = _blocking(layout)[1]
+    pairs, batches = _bloch_entries(op, layout, select)
+    for entries in batches:
+        blocks = np.zeros((entries.shape[0], b * b), dtype=entries.dtype)
+        blocks.imag = -0.0  # the zeros too are conjugates of the transform's: 0 - 0j
+        blocks[:, pairs] = entries
+        yield blocks.reshape(-1, b, b)
 
 
 def _mirror_counts(layout: Layout) -> np.ndarray:

@@ -19,26 +19,33 @@ Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
-n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_batches builds
-them from the stored first block row, a batch of wavenumbers at a time of at
-most about 4 MB of extended precision blocks, and the solvers consume them
-batch by batch: eigen_symmetric, eigen_general and timestep.evolve_exact
-cost O(N b^3) time instead of O(dim^3) and never hold a dim x dim matrix.  A
-batch is handed over to the solver, and the symmetric solvers form its
-Hermitian part in place: besides the batch, only its conjugate is alive
-while the two are summed.  Blocks j and -j are complex conjugates, so only
-the half spectrum of rfftn is solved and the mirrored blocks contribute the
-same (symmetric case) or conjugate (general case) eigenvalues.  A full
-lattice is a patch operator too (see microscale), so every solver here
-takes an AssembledOperator and has no dense path.
+n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_entries
+transforms the stored first block row into the entries of every block at
+its stored (row, col) pairs, in extended precision, and hands them out a
+batch of wavenumbers at a time; the solvers consume them batch by batch:
+eigen_symmetric, eigen_general and timestep.evolve_exact cost O(N b^3) time
+instead of O(dim^3) and never hold a dim x dim matrix.  eigen_general
+(through assembly._bloch_eigenvalues) and timestep.evolve_rk4 read the dense
+extended precision view of assembly._bloch_batches, at most about 4 MB of
+blocks per batch.  The symmetric solvers read the pair entries only
+(a block of the eigen2d-ens benchmark stores 180 of its 1,296 entries): they
+form the Hermitian part on the pairs and their mirrors, and the only dense
+blocks they hold are the double precision ones of the eigensolve.  Blocks j
+and -j are complex conjugates, so only the half spectrum of rfftn is solved
+and the mirrored blocks contribute the same (symmetric case) or conjugate
+(general case) eigenvalues.  A full lattice is a patch operator too (see
+microscale), so every solver here takes an AssembledOperator and has no
+dense path.
 
 Both symmetric solvers, eigen_symmetric and timestep.evolve_exact, take one
 path.  A phase-shift ensemble's block is block diagonal over its g member
 orbits, each with one slow mode, its eigenvalue of smallest magnitude, so
 every symmetric block is solved as g blocks of size b / g (g = 1 for a
 single phase), and only the slow mode of each is refined, as a Rayleigh
-quotient against the extended precision block.  eigen_symmetric takes a
-double precision eigvalsh, which computes no eigenvectors, and each slow
+quotient against the extended precision block, taken from its stored pairs
+bit for bit as a dense extended precision matmul would sum it: O(pairs)
+extended precision work per block.  eigen_symmetric takes a double
+precision eigvalsh, which computes no eigenvectors, and each slow
 eigenvector from two steps of shifted inverse iteration (Parlett, The
 Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); evolve_exact, which needs
 every eigenvector, takes eigh of the orbit blocks and refines with eigh's
@@ -84,7 +91,7 @@ import numpy as np
 from .assembly import (
     Layout,
     SymmetryReport,
-    _bloch_batches,
+    _bloch_entries,
     _bloch_eigenvalues,
     _mirror_counts,
     _orbits,
@@ -186,32 +193,86 @@ def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
     return X
 
 
-def _refined_eigh(H: np.ndarray, vectors: bool):
+def _refined_eigh(H: np.ndarray, product, vectors: bool):
     """Eigenvalues of a stack of Hermitian blocks of one slow mode each, that mode refined.
 
-    H is (k, b, b) in extended precision.  Returns (w, V, slow) of shapes
-    (k, b), (k, b, b) and (k, 1): the eigenvalues of a double precision
-    eigvalsh, or of eigh with its eigenvectors V when `vectors` (else V is
-    None), with the eigenvalue of smallest magnitude, at the index `slow`,
-    replaced by the Rayleigh quotient of its eigenvector against H.  That
-    eigenvector is eigh's own, or from _slow_vector, O(b^3) work less than
-    eigh's eigenvectors.  Such a quotient's error is quadratic in the
-    eigenvector error, so the slow macro mode, a small difference of
-    O(1/d^2) entries, keeps its relative accuracy instead of an absolute
-    error of eps * ||H||.  The fast modes are microscale modes of magnitude
-    at least about ||H|| / n^2, where that error is already a small
-    relative one: refining them would cost O(b^3) extended precision work
-    per block for no accuracy that matters.
+    H is (k, b, b) in double precision, and product(X) returns the
+    extended precision block times X, (k, b, 1), for X of that shape.
+    Returns (w, V, slow) of shapes (k, b), (k, b, b) and (k, 1): the
+    eigenvalues of eigvalsh, or of eigh with its eigenvectors V when
+    `vectors` (else V is None), with the eigenvalue of smallest magnitude,
+    at the index `slow`, replaced by the Rayleigh quotient of its
+    eigenvector against the extended precision block.  That eigenvector is
+    eigh's own, or from _slow_vector, O(b^3) work less than eigh's
+    eigenvectors.  Such a quotient's error is quadratic in the eigenvector
+    error, so the slow macro mode, a small difference of O(1/d^2) entries,
+    keeps its relative accuracy instead of an absolute error of eps * ||H||.
+    The fast modes are microscale modes of magnitude at least about
+    ||H|| / n^2, where that error is already a small relative one: refining
+    them would cost O(b^3) extended precision work per block for no accuracy
+    that matters.  H may be overwritten.
     """
-    Hd = H.astype(complex)
-    w, V = np.linalg.eigh(Hd) if vectors else (np.linalg.eigvalsh(Hd), None)
+    w, V = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
     slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :1]
-    # _slow_vector shifts Hd in place; nothing reads it after eigvalsh
-    Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(Hd, w, slow)
+    # _slow_vector shifts H in place; nothing reads it after eigvalsh
+    Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(H, w, slow)
     # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
-    rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
+    rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ product(Vs), axis1=1, axis2=2)
     np.put_along_axis(w, slow, rayleigh.real.astype(float), axis=1)
     return w, V, slow
+
+
+def _locate(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index of each wanted key in the sorted `keys`, keys.size where it is missing."""
+    at = np.searchsorted(keys, wanted)
+    return np.where(keys.take(at, mode="clip") == wanted, at, keys.size)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_plan(pairs: bytes, orbits: bytes, g: int) -> tuple:
+    """Where the entries of a Bloch block's Hermitian part go, from its pairs.
+
+    `pairs` and `orbits` are the bytes of the sorted pair indices of
+    assembly._bloch_entries and of the (g, m) assembly._orbits.  They are
+    the same for every solve of one operator, and for every operator of one
+    stencil in a patch sweep, so each plan is made once.  The Hermitian part
+    lives on the union of the pairs and their mirrors, the pairs themselves
+    when every mirror is stored.  Returns read-only index arrays over that
+    union, sorted like the pairs: `take`, the stored pair of each union
+    entry, pairs.size where none is stored (None when the union is the
+    pairs); `mirror`, the union index of its mirror; `dense`, its place in
+    the g orbit blocks of m x m, rows and columns numbered orbit by orbit;
+    `slots`, its place in the (b, width) slots of the rows, each row's
+    entries in column order; and `gather`, the orbit-numbered column of each
+    slot, 0 where a slot is empty, shaped (b, width, 1).
+    """
+    pairs = np.frombuffer(pairs, dtype=np.intp)
+    orbits = np.frombuffer(orbits, dtype=np.intp).reshape(g, -1)
+    m = orbits.shape[1]
+    b = g * m
+    rows, cols = np.divmod(pairs, b)
+    mirror = _locate(pairs, cols * b + rows)
+    take = None
+    if np.any(mirror == pairs.size):  # some pair lacks its mirror: work on the union
+        union = np.union1d(pairs, cols * b + rows)
+        take = _locate(pairs, union)
+        rows, cols = np.divmod(union, b)
+        mirror = _locate(union, cols * b + rows)
+    # the rank of each entry among its row's, which are sorted by column
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    width = int(rank.max(initial=-1)) + 1
+    if g > 1:  # rows and columns numbered orbit by orbit, in the same order within one
+        place = np.empty(b, dtype=np.intp)
+        place[orbits.ravel()] = np.arange(b)
+        rows, cols = place[rows], place[cols]
+    slots = rows * width + rank
+    gather = np.zeros(b * width, dtype=np.intp)
+    gather[slots] = cols
+    plan = (take, mirror, rows * m + cols % m, slots, gather.reshape(b, width, 1))
+    for index in plan:
+        if index is not None:
+            index.flags.writeable = False
+    return plan
 
 
 def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
@@ -219,24 +280,46 @@ def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
 
     Each block is split into its g member orbits (assembly._orbits), g
     blocks of size m = b / g with one slow mode each.  Yields (w, V, slow)
-    for each batch of k blocks of assembly._bloch_batches (only the blocks
+    for each batch of k blocks of assembly._bloch_entries (only the blocks
     `select` names, if given): w (k, b) holds each block's eigenvalues orbit
     by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
     `vectors` (else None), and slow the (k, g) indices into w of the
-    orbits' slow modes in ascending magnitude.  The Hermitian part
-    0.5 (B + B^H) of each block B is formed in place in the batch, which
-    _bloch_batches hands over, bit for bit as that expression forms it.
+    orbits' slow modes in ascending magnitude.
+
+    The Hermitian part 0.5 (B + B^H) of each block B is formed on the
+    stored pairs and their mirrors only (see _pair_plan), in extended
+    precision, bit for bit as that expression forms it on the dense block,
+    whose other entries are zero; no stored entry couples two orbits.  It is
+    scattered into double precision orbit blocks for the eigensolve.  Each
+    Rayleigh quotient is taken from the pair entries in extended precision:
+    the entries of a row sit in slots of one matmul, in column order, which
+    sums their products from zero as the dense extended precision matmul
+    sums the whole row; the zero entries it leaves out change none of those
+    sums.
     """
     orbits = _orbits(layout, op.profile.periods)
     g, m = orbits.shape
-    for H in _bloch_batches(op, layout, select):
-        H += H.conj().swapaxes(1, 2)
+    b = g * m
+    pairs, batches = _bloch_entries(op, layout, select)
+    plan = _pair_plan(pairs.astype(np.intp, copy=False).tobytes(), orbits.tobytes(), g)
+    take, mirror, dense, slots, gather = plan
+    width = gather.shape[1]
+    for E in batches:
+        k = E.shape[0]
+        if take is not None:  # the dense entries on the union, conj(0j) where none is stored
+            E = np.concatenate([E, np.conj(np.zeros((k, 1), E.dtype))], axis=1)[:, take]
+        H = E + np.conj(E[:, mirror])
         H *= 0.5
-        k = H.shape[0]
-        if g > 1:
-            H = H[:, orbits[:, :, None], orbits[:, None, :]].reshape(k * g, m, m)
-        w, V, slow = _refined_eigh(H, vectors)
-        w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
+        Hd = np.zeros((k, g * m * m), dtype=complex)
+        Hd[:, dense] = H
+        Hs = np.zeros((k, b, 1, width), dtype=H.dtype)
+        Hs.reshape(k, -1)[:, slots] = H
+
+        def product(X):
+            return (Hs @ X.reshape(k, b)[:, gather]).reshape(k * g, m, 1)
+
+        w, V, slow = _refined_eigh(Hd.reshape(k * g, m, m), product, vectors)
+        w, slow = w.reshape(k, b), slow.reshape(k, g) + m * np.arange(g)
         order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
         yield w, V, np.take_along_axis(slow, order, axis=1)
 

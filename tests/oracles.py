@@ -1,10 +1,16 @@
-"""Sparse reference solvers, independent of the Bloch path the package takes.
+"""Reference solvers, independent of the paths the package takes.
 
 The package solves every operator exactly by its Bloch blocks, so it needs no
-sparse matrices and no ARPACK.  These two helpers give the tests (acceptance
+sparse matrices and no ARPACK.  Two helpers give the tests (acceptance
 criterion 4 among them) a reference that shares none of that code: the full
 lattice as a scipy CSR matrix and its smallest-magnitude eigenvalues by
 shift-invert ARPACK.
+
+_refined_eigh and _bloch_eigh are the symmetric Bloch solve as it was when
+it read every block densely in extended precision: it forms the Hermitian
+part of each whole block from assembly._bloch_batches and takes each slow
+quotient with a dense extended precision matmul.  The package forms it on
+the stored pairs only and must agree with this bit for bit.
 """
 
 import numpy as np
@@ -12,6 +18,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import patchtooth as pt
+from patchtooth.assembly import Layout, _bloch_batches, _orbits
+from patchtooth.spectra import _slow_vector
 
 
 def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
@@ -40,3 +48,58 @@ def smallest_magnitude_eigenvalues(matrix, count: int):
         matrix, k=count, sigma=0.1, which="LM", v0=start, return_eigenvectors=False
     )
     return vals[np.argsort(np.abs(vals), kind="stable")]
+
+
+def _refined_eigh(H: np.ndarray, vectors: bool):
+    """Eigenvalues of a stack of Hermitian blocks of one slow mode each, that mode refined.
+
+    H is (k, b, b) in extended precision.  Returns (w, V, slow) of shapes
+    (k, b), (k, b, b) and (k, 1): the eigenvalues of a double precision
+    eigvalsh, or of eigh with its eigenvectors V when `vectors` (else V is
+    None), with the eigenvalue of smallest magnitude, at the index `slow`,
+    replaced by the Rayleigh quotient of its eigenvector against H.  That
+    eigenvector is eigh's own, or from _slow_vector, O(b^3) work less than
+    eigh's eigenvectors.  Such a quotient's error is quadratic in the
+    eigenvector error, so the slow macro mode, a small difference of
+    O(1/d^2) entries, keeps its relative accuracy instead of an absolute
+    error of eps * ||H||.  The fast modes are microscale modes of magnitude
+    at least about ||H|| / n^2, where that error is already a small
+    relative one: refining them would cost O(b^3) extended precision work
+    per block for no accuracy that matters.
+    """
+    Hd = H.astype(complex)
+    w, V = np.linalg.eigh(Hd) if vectors else (np.linalg.eigvalsh(Hd), None)
+    slow = np.argsort(np.abs(w), axis=1, kind="stable")[:, :1]
+    # _slow_vector shifts Hd in place; nothing reads it after eigvalsh
+    Vs = np.take_along_axis(V, slow[:, None, :], axis=2) if vectors else _slow_vector(Hd, w, slow)
+    # the diagonal of Vs^H H Vs; the matmul sums each quotient in row order
+    rayleigh = np.diagonal(Vs.conj().swapaxes(1, 2) @ (H @ Vs), axis1=1, axis2=2)
+    np.put_along_axis(w, slow, rayleigh.real.astype(float), axis=1)
+    return w, V, slow
+
+
+def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
+    """_refined_eigh of the Hermitian parts of the Bloch blocks, one batch at a time.
+
+    Each block is split into its g member orbits (assembly._orbits), g
+    blocks of size m = b / g with one slow mode each.  Yields (w, V, slow)
+    for each batch of k blocks of assembly._bloch_batches (only the blocks
+    `select` names, if given): w (k, b) holds each block's eigenvalues orbit
+    by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
+    `vectors` (else None), and slow the (k, g) indices into w of the
+    orbits' slow modes in ascending magnitude.  The Hermitian part
+    0.5 (B + B^H) of each block B is formed in place in the batch, which
+    _bloch_batches hands over, bit for bit as that expression forms it.
+    """
+    orbits = _orbits(layout, op.profile.periods)
+    g, m = orbits.shape
+    for H in _bloch_batches(op, layout, select):
+        H += H.conj().swapaxes(1, 2)
+        H *= 0.5
+        k = H.shape[0]
+        if g > 1:
+            H = H[:, orbits[:, :, None], orbits[:, None, :]].reshape(k * g, m, m)
+        w, V, slow = _refined_eigh(H, vectors)
+        w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
+        order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
+        yield w, V, np.take_along_axis(slow, order, axis=1)

@@ -3,6 +3,7 @@ eigenvalues against the dense matrix."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import patchtooth as pt
-from patchtooth.assembly import _bloch_batches, _orbits, _patch_layout
+from patchtooth.assembly import _bloch_batches, _mirror_counts, _orbits, _patch_layout
 from patchtooth.spectra import _bloch_eigh, _refined_eigh
 
 L = 2 * np.pi
@@ -268,6 +270,58 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     assert np.max(np.abs(spectrum - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+@st.composite
+def mirrorless_operators(draw):
+    """A patch operator with every entry of some stored pairs dropped, so
+    that their mirrors stand alone: a stored pattern that is not symmetric."""
+    grid, prof, coupling, ensemble = draw(patch_setups(compatible=True))
+    op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ensemble)
+    upper = np.unique(op.rows * op.dimension + op.cols)  # one key per pair
+    upper = upper[upper // op.dimension < upper % op.dimension]
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    dropped = upper[rng.random(upper.size) < 0.5]
+    dropped = np.append(dropped, upper[rng.integers(upper.size)])
+    keep = ~np.isin(op.rows * op.dimension + op.cols, dropped)
+    return replace(
+        op, rows=op.rows[keep], offsets=op.offsets[keep], cols=op.cols[keep], values=op.values[keep]
+    )
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+    reason="without a wider long double both paths sum in double, in orders of their own",
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        patch_setups(compatible=True).map(lambda s: pt.assemble_patch_1d(*s[:3], ensemble=s[3])),
+        degenerate_ensembles(),
+        mirrorless_operators(),
+    ),
+    st.data(),
+)
+def test_the_pair_path_is_the_dense_solve_bit_for_bit(op, data):
+    """_bloch_eigh forms the Hermitian parts on the stored pairs and their
+    mirrors and takes the slow quotients from the pair entries; every batch's
+    w, slow and V (on the vectors path) are the bytes of the dense oracle's,
+    on the whole half spectrum or on a selection of its blocks."""
+    layout = _patch_layout(op)
+    blocks = _mirror_counts(layout).size
+    select = data.draw(
+        st.none() | st.lists(st.integers(0, blocks - 1), min_size=1, unique=True).map(np.array)
+    )
+    vectors = data.draw(st.booleans())
+    got = _bloch_eigh(op, layout, select, vectors)
+    want = oracles._bloch_eigh(op, layout, select, vectors)
+    for batch, dense in zip(got, want, strict=True):
+        for part, oracle in zip(batch, dense, strict=True):
+            if oracle is None:
+                assert part is None
+            else:
+                assert part.dtype == oracle.dtype and part.shape == oracle.shape
+                assert part.tobytes() == oracle.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 3),
@@ -286,7 +340,7 @@ def test_refined_eigh_takes_zero_empty_and_scalar_blocks(k, b, kind, seed, vecto
         H[:] = X[0] + 1j * X[1]
         H = 0.5 * (H + H.conj().swapaxes(1, 2))
     want = np.linalg.eigvalsh(H.astype(complex))
-    w, V, slow = _refined_eigh(H, vectors)
+    w, V, slow = _refined_eigh(H.astype(complex), lambda X: H @ X, vectors)
     if vectors:
         assert V.shape == (k, b, b)
         np.testing.assert_allclose(V.conj().swapaxes(1, 2) @ V, np.eye(b)[None].repeat(k, 0),
@@ -392,29 +446,48 @@ def traced_peak(solve, op):
     return peak, result
 
 
-def test_a_symmetric_solve_holds_one_copy_of_its_blocks():
-    """eigen_symmetric on the eigen2d-ens benchmark operator (2D, 9 x 9
-    patches of 3 x 3 points, 4 members, spectral) peaks below 3 times the
-    bytes of its Bloch blocks: each batch is one extended precision copy,
-    its Hermitian part formed in place.  It read 4.4 times when the batch,
-    its conjugate, their sum and the Hermitian part were alive at once."""
+def eigen2d_ens_operator():
+    """The eigen2d-ens benchmark operator: 2D, 9 x 9 patches of 3 x 3
+    points, 4 members, spectral coupling."""
     grid = pt.build_grid_2d(L, 9, 3, 0.3, L, 9, 3, 0.3)
     prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
-    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+    return pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+
+
+def test_a_symmetric_solve_holds_one_copy_of_its_blocks():
+    """eigen_symmetric on the eigen2d-ens benchmark operator peaks below 3
+    times the bytes of its extended precision Bloch blocks.  It read 4.4
+    times when the batch, its conjugate, their sum and the Hermitian part
+    were alive at once."""
+    op = eigen2d_ens_operator()
     blocks = sum(batch.nbytes for batch in _bloch_batches(op, _patch_layout(op)))
     peak, report = traced_peak(pt.eigen_symmetric, op)
     assert report.eigenvalues.size == op.dimension == 2916
     assert peak < 3 * blocks, f"{peak / blocks:.2f} x {blocks} bytes"
 
 
-def test_a_large_2d_spectrum_stays_within_40_mb():
+def test_a_symmetric_solve_reads_its_blocks_on_the_stored_pairs():
+    """eigen_symmetric on the eigen2d-ens benchmark operator stays below
+    2.5 MB of traced allocations: the Hermitian parts are formed on the 180
+    stored pairs of each 36 x 36 block, and only the double precision orbit
+    blocks of the eigensolve are dense.  It read 2.13 MB so; 4.06 MB when
+    each batch was a dense extended precision copy of its blocks."""
+    op = eigen2d_ens_operator()
+    peak, report = traced_peak(pt.eigen_symmetric, op)
+    assert report.eigenvalues.size == op.dimension == 2916
+    assert peak < 2.5 * 2**20, f"{peak / 2**20:.2f} MB"
+
+
+def test_a_large_2d_spectrum_transforms_its_lines_in_chunks():
     """eigen_symmetric on 41 x 41 patches of 8 x 8 points (dim 107,584,
-    108 MB of Bloch blocks) stays below 40 MB of traced allocations: batches
-    of about 4 MB, each one copy.  It read 97.5 MB with 16 MB batches of
-    four or five copies each."""
+    108 MB of Bloch blocks) stays below 20 MB of traced allocations: the
+    lines of the 320 stored pairs are transformed about 4 MB at a time into
+    one 8.8 MB spectrum, and the blocks are solved in batches of 32.  It
+    read 16.4 MB so; 25.1 MB when the lines were transformed whole, and
+    97.5 MB with 16 MB batches of four or five copies each."""
     grid = pt.build_grid_2d(L, 41, 8, 0.2, L, 41, 8, 0.2)
     prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
     op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
     peak, report = traced_peak(pt.eigen_symmetric, op)
     assert report.eigenvalues.size == op.dimension == 107_584
-    assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MB"
+    assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
