@@ -267,8 +267,13 @@ def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
             spectrum[start:stop] = transformed[:, select]
     np.conj(spectrum, out=spectrum)  # H(j) takes exp(+2 pi i j.m / N), rfftn the conjugate
     spectrum.flags.writeable = False
-    step = max(1, _BATCH_BYTES // (spectrum.itemsize * b * b))
+    step = _batch_blocks(b)
     return pairs, (spectrum[:, start : start + step].T for start in range(0, columns, step))
+
+
+def _batch_blocks(b: int) -> int:
+    """Blocks of size b in one batch: at most about _BATCH_BYTES of extended precision blocks."""
+    return max(1, _BATCH_BYTES // (np.dtype(np.clongdouble).itemsize * b * b))
 
 
 def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):

@@ -67,6 +67,7 @@ from .microscale import (
 )
 from .spectra import (
     SymmetryPreconditionError,
+    _selected_spectra,
     convergence_slope,
     eigen_general,
     eigen_symmetric,
@@ -912,22 +913,29 @@ def _require_compatible(run: _Run, allow_incompatible: bool) -> None:
 def _sweep_rows(run: _Run):
     """The error table row of each swept value: wavenumbers 1..modes against spectral.
 
-    Only the Bloch blocks of those wavenumbers are solved; an order sweep
-    solves its spectral reference once.
+    Every operator of the sweep is assembled first: the test and the
+    spectral reference of each swept grid, or the reference and then each
+    order of an order sweep, which solves its reference once.  One
+    _selected_spectra call then solves only the Bloch blocks of those
+    wavenumbers, one batched solve per plan group (the operators whose
+    blocks store the same (row, col) pairs: all of them on a 1D sweep), and
+    names the first operator in that order that fails.
     """
     modes = run.section["modes"]
-
-    def spectrum(grid, coupling):
-        op = assemble_patch_1d(grid, run.profile, coupling, ensemble=run.ensemble)
-        return eigen_symmetric(op, modes=modes)
-
     spectral = CouplingSpec(scheme="spectral")
-    if run.section["parameter"] == "order":
-        ref = spectrum(run.grid, spectral)
-        orders = run.section["values"]
-        pairs = ((spectrum(run.grid, CouplingSpec("lagrangian", v)), ref) for v in orders)
+    order = run.section["parameter"] == "order"
+    if order:
+        points = [(run.grid, spectral)]
+        points += [(run.grid, CouplingSpec("lagrangian", v)) for v in run.section["values"]]
     else:
-        pairs = ((spectrum(g, run.coupling), spectrum(g, spectral)) for g in run.swept_grids)
+        points = [(g, c) for g in run.swept_grids for c in (run.coupling, spectral)]
+    ops = [assemble_patch_1d(g, run.profile, c, ensemble=run.ensemble) for g, c in points]
+    reports = _selected_spectra(ops, modes)
+    if order:
+        ref, *tests = reports
+        pairs = [(test, ref) for test in tests]
+    else:
+        pairs = zip(reports[::2], reports[1::2])
     return [list(error_table(test, ref, modes).relative_errors) for test, ref in pairs]
 
 

@@ -70,7 +70,11 @@ spectrum costs O(N b^3); each of them must hold its slow modes clearly below
 its fast ones, or the labels would pair arbitrary modes and the solve
 raises.  The errors are bitwise those of the full solve, since each block is
 the same batched solve of the same rfftn lines, and the start vector of
-inverse iteration is the same in every batch.
+inverse iteration is the same in every batch.  A sweep hands all its
+operators to one modes solve, _selected_spectra, which stacks the selected
+blocks of the operators that share a stored pair pattern and solves each
+stack in batches: the same per-batch solve, _solve_batch, with one call
+where one per operator was mostly per-call overhead on a few small blocks.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -91,6 +95,7 @@ import numpy as np
 from .assembly import (
     Layout,
     SymmetryReport,
+    _batch_blocks,
     _bloch_entries,
     _bloch_eigenvalues,
     _mirror_counts,
@@ -275,14 +280,19 @@ def _pair_plan(pairs: bytes, orbits: bytes, g: int) -> tuple:
     return plan
 
 
-def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
-    """_refined_eigh of the Hermitian parts of the Bloch blocks, one batch at a time.
+def _plan_key(pairs: np.ndarray, orbits: np.ndarray) -> tuple:
+    """The arguments of _pair_plan for the pairs of _bloch_entries and the orbits of _orbits."""
+    return pairs.astype(np.intp, copy=False).tobytes(), orbits.tobytes(), orbits.shape[0]
 
-    Each block is split into its g member orbits (assembly._orbits), g
-    blocks of size m = b / g with one slow mode each.  Yields (w, V, slow)
-    for each batch of k blocks of assembly._bloch_entries (only the blocks
-    `select` names, if given): w (k, b) holds each block's eigenvalues orbit
-    by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
+
+def _solve_batch(E: np.ndarray, plan: tuple, g: int, vectors: bool):
+    """_refined_eigh of the Hermitian parts of a batch of Bloch blocks, orbit by orbit.
+
+    E is (k, pairs): the extended precision entries of k blocks at the
+    stored pairs that `plan`, of _pair_plan, places in blocks of g member
+    orbits (assembly._orbits) of size m = b / g, one slow mode each.
+    Returns (w, V, slow): w (k, b) holds each block's eigenvalues orbit by
+    orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
     `vectors` (else None), and slow the (k, g) indices into w of the
     orbits' slow modes in ascending magnitude.
 
@@ -295,33 +305,48 @@ def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
     the entries of a row sit in slots of one matmul, in column order, which
     sums their products from zero as the dense extended precision matmul
     sums the whole row; the zero entries it leaves out change none of those
-    sums.
+    sums.  Every step acts on each block alone (LAPACK and the extended
+    precision matmuls take one matrix at a time), so a block's results do
+    not depend on the batch it is solved in.
+    """
+    take, mirror, dense, slots, gather = plan
+    b, width = gather.shape[:2]
+    m = b // g
+    k = E.shape[0]
+    if take is not None:  # the dense entries on the union, conj(0j) where none is stored
+        E = np.concatenate([E, np.conj(np.zeros((k, 1), E.dtype))], axis=1)[:, take]
+    H = E + np.conj(E[:, mirror])
+    H *= 0.5
+    Hd = np.zeros((k, g * m * m), dtype=complex)
+    Hd[:, dense] = H
+    Hs = np.zeros((k, b, 1, width), dtype=H.dtype)
+    Hs.reshape(k, -1)[:, slots] = H
+
+    def product(X):
+        return (Hs @ X.reshape(k, b)[:, gather]).reshape(k * g, m, 1)
+
+    w, V, slow = _refined_eigh(Hd.reshape(k * g, m, m), product, vectors)
+    w, slow = w.reshape(k, b), slow.reshape(k, g) + m * np.arange(g)
+    order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
+    return w, V, np.take_along_axis(slow, order, axis=1)
+
+
+def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
+    """_solve_batch of each batch of assembly._bloch_entries, one batch at a time.
+
+    Yields (w, V, slow) of _solve_batch for each batch of the Bloch blocks
+    (only the blocks `select` names, if given), each block split into its
+    g member orbits.  This is the symmetric solve of one operator's whole
+    spectrum, for eigen_symmetric without `modes` and for
+    timestep.evolve_exact; _selected_spectra feeds the same per-batch solve
+    with the selected blocks of several operators at once.
     """
     orbits = _orbits(layout, op.profile.periods)
-    g, m = orbits.shape
-    b = g * m
     pairs, batches = _bloch_entries(op, layout, select)
-    plan = _pair_plan(pairs.astype(np.intp, copy=False).tobytes(), orbits.tobytes(), g)
-    take, mirror, dense, slots, gather = plan
-    width = gather.shape[1]
+    key = _plan_key(pairs, orbits)
+    plan = _pair_plan(*key)
     for E in batches:
-        k = E.shape[0]
-        if take is not None:  # the dense entries on the union, conj(0j) where none is stored
-            E = np.concatenate([E, np.conj(np.zeros((k, 1), E.dtype))], axis=1)[:, take]
-        H = E + np.conj(E[:, mirror])
-        H *= 0.5
-        Hd = np.zeros((k, g * m * m), dtype=complex)
-        Hd[:, dense] = H
-        Hs = np.zeros((k, b, 1, width), dtype=H.dtype)
-        Hs.reshape(k, -1)[:, slots] = H
-
-        def product(X):
-            return (Hs @ X.reshape(k, b)[:, gather]).reshape(k * g, m, 1)
-
-        w, V, slow = _refined_eigh(Hd.reshape(k * g, m, m), product, vectors)
-        w, slow = w.reshape(k, b), slow.reshape(k, g) + m * np.arange(g)
-        order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
-        yield w, V, np.take_along_axis(slow, order, axis=1)
+        yield _solve_batch(E, plan, key[2], vectors)
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
@@ -428,6 +453,101 @@ class SpectrumReport:
             self.gap_ratio = float(np.abs(self.micro[0])) / macro_scale
 
 
+def _symmetric_layout(op) -> tuple[Layout, SymmetryReport]:
+    """The state layout and symmetry of an operator that passes eigen_symmetric's preconditions."""
+    layout = _patch_layout(op)
+    _require_dynamic_range(op, layout)
+    symmetry = _require_symmetric(
+        op, "this operator must not be fed to a symmetric eigensolver"
+    )
+    return layout, symmetry
+
+
+def _ranks(w: np.ndarray, slow: np.ndarray) -> np.ndarray:
+    """The rank of each eigenvalue in w (k, b) among its block's slow modes `slow`, -1 if fast."""
+    ranks = np.full(w.shape, -1, dtype=np.intp)
+    np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
+    return ranks
+
+
+def _joined(batches) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues w and slow indices of _solve_batch's batches, joined along the blocks."""
+    w, slow = zip(*((w, slow) for w, _, slow in batches))
+    return np.concatenate(w), np.concatenate(slow)
+
+
+def _labelled_report(w, ranks, labels, counts, n_macro, symmetry) -> SpectrumReport:
+    """The report of half-spectrum blocks w (k, b) of the given labels, each
+    block standing for `counts` blocks of the full spectrum."""
+    return SpectrumReport(
+        eigenvalues=np.repeat(w, counts, axis=0).ravel(),
+        n_macro=n_macro,
+        symmetry=symmetry,
+        wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
+        ranks=np.repeat(ranks, counts, axis=0).ravel(),
+    )
+
+
+def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[SpectrumReport]:
+    """eigen_symmetric(op, n_macro, modes) of each operator, their blocks solved together.
+
+    Each operator's preconditions, wavenumber labels and selected entries of
+    assembly._bloch_entries are taken in list order.  Operators that share a
+    _pair_plan, such as those of one stencil on every grid of a patch sweep,
+    have their entries stacked, and _solve_batch solves the stack
+    assembly._batch_blocks blocks at a time: one call for the 96 blocks of
+    the sweep1d-patches benchmark, where one call per operator spent most of
+    its time on per-call overhead around 3 blocks of 10 x 10.  Every block
+    is solved alone within a batch, so each report is bitwise the one its
+    operator gets on its own.  _require_separated checks the reports in
+    list order.  An operator that fails a precondition ends the list: those
+    before it are solved and checked first, so the error raised is always
+    that of the first operator that fails, as one call per operator would
+    raise it.
+    """
+    solves, groups, failure = [], {}, None
+    for op in ops:
+        try:
+            layout, symmetry = _symmetric_layout(op)
+            labels = _wavenumber_labels(op, layout)
+            if not 1 <= modes <= labels.max(initial=0):
+                raise ValueError(
+                    f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
+                )
+        except ValueError as exc:
+            failure = exc
+            break
+        select = np.flatnonzero((labels >= 1) & (labels <= modes))
+        pairs, batches = _bloch_entries(op, layout, select)
+        key = _plan_key(pairs, _orbits(layout, op.profile.periods))
+        members, entries = groups.setdefault(key, ([], []))
+        members.append(len(solves))
+        entries.extend(batches)
+        solves.append((layout, symmetry, labels[select], _mirror_counts(layout)[select]))
+    solved = [None] * len(solves)
+    for key, (members, entries) in groups.items():
+        plan = _pair_plan(*key)
+        stack = np.concatenate(entries)
+        step = _batch_blocks(plan[4].shape[0])
+        w, slow = _joined(
+            _solve_batch(stack[start : start + step], plan, key[2], vectors=False)
+            for start in range(0, len(stack), step)
+        )
+        bounds = np.cumsum([solves[i][2].size for i in members])[:-1]
+        for i, w_i, slow_i in zip(members, np.split(w, bounds), np.split(slow, bounds)):
+            solved[i] = w_i, slow_i
+    reports = []
+    for (layout, symmetry, labels, counts), (w, slow) in zip(solves, solved):
+        ranks = _ranks(w, slow)
+        _require_separated(w, ranks, labels)
+        # by default the labelled slow modes are the macro modes
+        count = layout.slow * int(np.sum(counts)) if n_macro is None else n_macro
+        reports.append(_labelled_report(w, ranks, labels, counts, count, symmetry))
+    if failure is not None:
+        raise failure
+    return reports
+
+
 def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) -> SpectrumReport:
     """Real spectrum of a symmetric operator, sorted by magnitude and labelled.
 
@@ -436,45 +556,19 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     solved block by block in the patch wavenumber, and each eigenvalue is
     labelled by its block's wavenumber (see _wavenumber_labels) and its rank
     among the block's Layout.slow slow modes.  Without `modes` every block is
-    solved.  With it only the blocks of wavenumbers 1..modes are, O(modes
-    b^3) work, and each of them must hold its slow modes below half its
+    solved, by _bloch_eigh.  With it only the blocks of wavenumbers
+    1..modes are, O(modes b^3) work, by _selected_spectra of this one
+    operator, and each of them must hold its slow modes below half its
     smallest fast one, or a ValueError names the block.
     """
-    layout = _patch_layout(op)
-    _require_dynamic_range(op, layout)
-    symmetry = _require_symmetric(
-        op, "this operator must not be fed to a symmetric eigensolver"
-    )
+    if modes is not None:
+        return _selected_spectra([op], modes, n_macro)[0]
+    layout, symmetry = _symmetric_layout(op)
+    w, slow = _joined(_bloch_eigh(op, layout))
+    if n_macro is None:
+        n_macro = layout.n_macro or op.dimension
     labels, counts = _wavenumber_labels(op, layout), _mirror_counts(layout)
-    select = None
-    if modes is not None:
-        if not 1 <= modes <= labels.max(initial=0):
-            raise ValueError(
-                f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
-            )
-        select = np.flatnonzero((labels >= 1) & (labels <= modes))
-        labels, counts = labels[select], counts[select]
-    w, ranks = [], []
-    for vals, _, slow in _bloch_eigh(op, layout, select):
-        rank = np.full(vals.shape, -1, dtype=np.intp)
-        np.put_along_axis(rank, slow, np.arange(layout.slow), axis=1)
-        w.append(vals)
-        ranks.append(rank)
-    w, ranks = np.concatenate(w), np.concatenate(ranks)
-    if modes is not None:
-        _require_separated(w, ranks, labels)
-    vals = np.repeat(w, counts, axis=0).ravel()
-    if n_macro is None and modes is not None:
-        n_macro = layout.slow * int(np.sum(counts))  # the labelled slow modes
-    elif n_macro is None:
-        n_macro = layout.n_macro or vals.size
-    return SpectrumReport(
-        eigenvalues=vals,
-        n_macro=n_macro,
-        symmetry=symmetry,
-        wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
-        ranks=np.repeat(ranks, counts, axis=0).ravel(),
-    )
+    return _labelled_report(w, _ranks(w, slow), labels, counts, n_macro, symmetry)
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:

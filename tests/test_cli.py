@@ -942,6 +942,64 @@ def test_ensemble_patches_sweep_finds_its_macro_modes(tmp_path):
     assert np.all(np.diff(errors, axis=0) < 0)  # every wavenumber converges in N
 
 
+def test_a_patches_sweep_solves_its_blocks_in_one_call(tmp_path, monkeypatch):
+    """Every operator of a patch sweep shares one pair plan, so the selected
+    blocks of all of them go through a single eigvalsh; its table is the one
+    that one eigen_symmetric call per operator gives."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3},
+        profile={"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0},
+        coupling={"scheme": "lagrangian", "order": 2},
+        ensemble=True,
+        task="sweep",
+        sweep={"parameter": "patches", "values": [9, 13, 17], "modes": 3},
+    )
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert cli.run(config, tmp_path) == 0
+    # 3 grids x 2 couplings x 3 wavenumbers, each block split into g = 2 orbits
+    assert calls == [(36, 12, 12)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["patches", "err_mode_1", "err_mode_2", "err_mode_3"])
+    prof = pt.random_lognormal_profile(4, 1.0, 0)
+    d = pt.build_grid_1d(2 * np.pi, 9, 6, 0.3).d
+    for N in (9, 13, 17):
+        grid = pt.build_grid_1d(2 * np.pi, N, 6, pt.ratio_for_spacing(2 * np.pi, N, 6, d))
+        test, ref = (
+            pt.eigen_symmetric(pt.assemble_patch_1d(grid, prof, c, ensemble=True), modes=3)
+            for c in (pt.CouplingSpec("lagrangian", 2), pt.CouplingSpec("spectral"))
+        )
+        writer.writerow([N] + [fmt(e) for e in pt.error_table(test, ref, 3).relative_errors])
+    assert (tmp_path / "sweep.csv").read_bytes() == out.getvalue().encode()
+
+
+def test_a_sweep_names_its_first_failing_operator(tmp_path, capsys):
+    """On a coarse g = 1 ensemble (p = 5, n = 4 at r = 0.3) every operator
+    of this order sweep mixes a fast mode into the slow ones of wavenumber 3,
+    each at magnitudes of its own.  The spectral reference comes first, and
+    its block has two equal smallest magnitudes: the batched solve names
+    that operator's block, as one solve per operator would."""
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3},
+        profile={"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": 0},
+        ensemble=True,
+        task="sweep",
+        sweep={"parameter": "order", "values": [1, 2], "modes": 3},
+    )
+    assert cli.run(config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "the Bloch block of wavenumber 3 does not separate" in err
+    assert "largest slow magnitude 8.68838, smallest fast 8.68838" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_check_task_consistency_at_full_size(tmp_path):
     config = base_config(
         grid={"L": 2 * np.pi, "N": 6, "n": 4, "r": 1.0},

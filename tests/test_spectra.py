@@ -1,5 +1,7 @@
 """Spectrum reports, deflated wave spectra, error tables, slopes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import full_lattice_operator_2d_sparse, smallest_magnitude_eigenvalues
+from test_storage import degenerate_ensembles, mirrorless_operators
 
 import patchtooth as pt
 from patchtooth.assembly import _patch_layout
-from patchtooth.spectra import _axis_lengths, _wavenumber_labels
+from patchtooth.spectra import _axis_lengths, _selected_spectra, _wavenumber_labels
 
 L = 2 * np.pi
 
@@ -312,6 +315,64 @@ def test_selected_blocks_give_the_full_solve_errors_bitwise(point):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+@st.composite
+def operator_lists(draw):
+    """1 to 6 operators in 1D and 2D drawn from a pool of at most 6, repeats
+    included, so that several share a pair plan and several plans occur, and
+    a row count that may exceed the wavenumbers of some of them."""
+    pool = draw(st.lists(
+        st.one_of(
+            sweep_points().map(lambda point: point[:2]),
+            degenerate_ensembles().map(lambda op: (op,)),
+            mirrorless_operators().map(lambda op: (op,)),
+        ),
+        min_size=1, max_size=3,
+    ))
+    pool = [op for ops in pool for op in ops]
+    ops = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    classes = min(int(_wavenumber_labels(op, _patch_layout(op)).max(initial=0)) for op in ops)
+    return ops, draw(st.integers(1, max(classes, 1) + 1))
+
+
+def measured_symmetry(op, consequence):
+    """The symmetry measurement without its tolerance, so that an operator
+    whose stored pattern is not symmetric (mirrorless_operators) is solved."""
+    return pt.symmetry_defect(op)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_lists(), st.sampled_from([1, 5000, 2**22]))
+def test_a_batch_of_operators_reports_each_as_a_call_of_its_own_would(case, batch_bytes):
+    """_selected_spectra stacks the selected blocks of the operators that
+    share a pair plan; a batch of 1 or 5000 bytes splits each stack into
+    batches of one block or a few.  Each report is the one-operator call's,
+    bit for bit, and a failing list raises the error of the first operator
+    whose own call fails.  Both calls measure the symmetry of mirrorless
+    operators without refusing them, which exercises the union plans."""
+    ops, modes = case
+    with (
+        mock.patch("patchtooth.assembly._BATCH_BYTES", batch_bytes),
+        mock.patch("patchtooth.spectra._require_symmetric", measured_symmetry),
+    ):
+        alone = []
+        for op in ops:
+            try:
+                alone.append(pt.eigen_symmetric(op, modes=modes))
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as batched:
+                    _selected_spectra(ops, modes)
+                assert str(batched.value) == str(exc)
+                return
+        together = _selected_spectra(ops, modes)
+    assert len(together) == len(ops)
+    for got, want in zip(together, alone):
+        for name in ("eigenvalues", "wavenumbers", "ranks"):
+            part, oracle = getattr(got, name), getattr(want, name)
+            assert part.dtype == oracle.dtype and part.tobytes() == oracle.tobytes()
+        assert got.n_macro == want.n_macro
+        assert got.symmetry == want.symmetry
+
+
 def test_wavenumbers_follow_the_continuum_order():
     """On L_x = 2 pi, L_y = 3 pi the continuum |k|^2 of (j_x, j_y) is
     j_x^2 + (j_y / 1.5)^2: (0, 1), (1, 0), then (1, 1) and (1, -1), then (0, 2).
@@ -397,6 +458,23 @@ def test_selected_blocks_must_separate_slow_from_fast():
         pt.eigen_symmetric(op, modes=3)
     with pytest.raises(ValueError, match="wavenumbers 1..4; the grid has 3"):
         pt.eigen_symmetric(op, modes=4)
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_operator():
+    """A later operator's precondition fault (too few wavenumbers on N = 4)
+    waits until the blocks of the operators before it are solved and
+    checked, so the mixed block of the first operator is the error raised."""
+    prof = pt.random_lognormal_profile(3, 1.0, 0)
+    mixed, short = (
+        pt.assemble_patch_1d(pt.build_grid_1d(L, N, 4, 0.5), prof, pt.CouplingSpec("spectral"),
+                             ensemble=True)
+        for N in (6, 4)
+    )
+    with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
+        _selected_spectra([mixed, short], 3)
+    with pytest.raises(ValueError, match="wavenumbers 1..3; the grid has 2"):
+        _selected_spectra([short, mixed], 3)
+    assert [report.n_macro for report in _selected_spectra([short, mixed], 1)] == [2, 2]
 
 
 def test_error_table_reports_the_worst_rank():
