@@ -73,8 +73,8 @@ the same batched solve of the same rfftn lines, and the start vector of
 inverse iteration is the same in every batch.  A sweep hands all its
 operators to one modes solve, _selected_spectra, which stacks the selected
 blocks of the operators that share a stored pair pattern and solves each
-stack in batches: the same per-batch solve, _solve_batch, with one call
-where one per operator was mostly per-call overhead on a few small blocks.
+stack in batches by the same per-batch solve, _solve_batch: a solve of a
+few small blocks costs mostly per-call overhead.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -496,14 +496,13 @@ def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[Spect
     _pair_plan, such as those of one stencil on every grid of a patch sweep,
     have their entries stacked, and _solve_batch solves the stack
     assembly._batch_blocks blocks at a time: one call for the 96 blocks of
-    the sweep1d-patches benchmark, where one call per operator spent most of
-    its time on per-call overhead around 3 blocks of 10 x 10.  Every block
-    is solved alone within a batch, so each report is bitwise the one its
-    operator gets on its own.  _require_separated checks the reports in
-    list order.  An operator that fails a precondition ends the list: those
-    before it are solved and checked first, so the error raised is always
-    that of the first operator that fails, as one call per operator would
-    raise it.
+    the sweep1d-patches benchmark, since a call on an operator's 3 blocks of
+    10 x 10 costs mostly per-call overhead.  Every block is solved alone
+    within a batch, so each report is bitwise the one its operator gets on
+    its own.  _require_separated checks the reports in list order.  An
+    operator that fails a precondition ends the list: those before it are
+    solved and checked first, so the error raised is always that of the
+    first operator that fails, as one call per operator would raise it.
     """
     solves, groups, failure = [], {}, None
     for op in ops:
