@@ -9,20 +9,20 @@ scheme, and a task.  Tasks:
     homogenize  K2, K4, beta of the profile plus slow-branch samples
     sweep       error tables against the spectral reference over coupling
                 order or patch count (fixed microscale spacing)
-    check       operator health report, optionally consistency against the
-                assembled full lattice when the grid has one (r = 1)
+    check       eigen's spectrum fields (one step, _spectrum), kernel residual,
+                diagnostics, and consistency against the assembled full
+                lattice when the grid has one (r = 1)
 
-Exit codes: 0 success, 1 malformed config (schema, cross-field semantics,
-integer fields given as non-integers, non-finite numbers or integers beyond
-the double range, inconsistent inline profiles, grids with more unknowns
-than an array can index or a lattice spacing whose 1/d^2 is not finite,
-diffusivities that are not finite or whose stencil entries overflow, a
-Lagrangian stencil wider than the patch count of a grid the run assembles,
-swept patch counts whose spacing needs r > 1 or that do not increase where
-slopes are fitted, a patch sweep with spectral coupling, an eigen n_macro
-beyond the operator's dimension), 2 numerical precondition failure
-(incompatible single-phase assembly, lost symmetry, a profile beyond the
-solvers' dynamic range, branch separation, unstable step, an RK4 run that
+Exit codes: 0 success; 1 a malformed config, and the message names the key
+at fault: schema, cross-field rules, integers given as non-integers, numbers
+no finite double holds, inconsistent inline profiles, grids with more
+unknowns than an array can index or with no finite 1/d^2, diffusivities that
+are not finite or whose stencil entries overflow, a Lagrangian stencil wider
+than a grid the run assembles, swept patch counts that need r > 1 or do not
+increase where slopes are fitted, a patch sweep with spectral coupling, an
+eigen n_macro beyond the operator's dimension; 2 a numerical precondition
+failure (incompatible single-phase assembly, lost symmetry, a profile beyond
+the solvers' dynamic range, branch separation, unstable step, an RK4 run that
 leaves the double range, a run that runs out of memory and the like).
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
@@ -44,7 +44,7 @@ import math
 import os
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -366,41 +366,34 @@ def _resolve(config) -> _Run:
 
     model, task, spec, g = config["model"], config["task"], config["profile"], config["grid"]
     grid_is_2d = "x" in g
-    if (model == "diffusion2d") != grid_is_2d:
-        raise ConfigError(
-            f"model {model} and grid shape disagree: "
-            f"{'2D' if grid_is_2d else '1D'} grid supplied"
-        )
     profile_is_2d = "kx" in spec or "periods" in spec
-    if (model == "diffusion2d") != profile_is_2d:
-        raise ConfigError(
-            f"model {model} and profile shape disagree: "
-            f"{'2D' if profile_is_2d else '1D'} profile supplied"
-        )
+    for key, is_2d in (("grid", grid_is_2d), ("profile", profile_is_2d)):
+        if (model == "diffusion2d") != is_2d:
+            raise ConfigError(f"at [{key!r}]: model {model} and {key} shape disagree: "
+                              f"{'2D' if is_2d else '1D'} {key} supplied")
     if spec["kind"] == "lognormal" and not profile_is_2d and "period" not in spec:
-        raise ConfigError("a 1D lognormal profile needs a period")
-    scheme, order = config["coupling"]["scheme"], config["coupling"].get("order")
-    if scheme == "lagrangian" and order is None:
-        raise ConfigError("lagrangian coupling needs an order")
-    if scheme == "spectral" and order is not None:
-        raise ConfigError("spectral coupling takes no order")
+        raise ConfigError("at ['profile']: a 1D lognormal profile needs a period")
+    try:
+        coupling = CouplingSpec(**config["coupling"])
+    except ValueError as exc:
+        raise ConfigError(f"at ['coupling']: {exc}") from exc
 
     section = config.get(task)
     if task == "homogenize" and model != "diffusion1d":
-        raise ConfigError("homogenize works on the 1D diffusion symbol only")
+        raise ConfigError("at ['task']: homogenize works on the 1D diffusion symbol only")
     if task == "sweep":
         if model == "wave1d":
-            raise ConfigError("sweep compares symmetric spectra; wave model unsupported")
+            raise ConfigError("at ['task']: sweep compares symmetric spectra; wave model unsupported")
         if section is None:
-            raise ConfigError("the sweep task needs a sweep section")
+            raise ConfigError("at ['sweep']: the sweep task needs a sweep section")
         patches = section["parameter"] == "patches"
-        if not patches and scheme != "spectral":
+        if not patches and coupling.scheme != "spectral":
             raise ConfigError(
-                "an order sweep varies the Lagrangian order against the "
-                "spectral reference; set coupling.scheme to spectral"
+                "at ['coupling']['scheme']: an order sweep varies the Lagrangian order "
+                "against the spectral reference; set coupling.scheme to spectral"
             )
         if patches and model != "diffusion1d":
-            raise ConfigError("patch-count sweeps are 1D only")
+            raise ConfigError("at ['sweep']['parameter']: patch-count sweeps are 1D only")
         if patches:
             N = (min(section["values"]),)
         else:
@@ -417,11 +410,12 @@ def _resolve(config) -> _Run:
     if task == "simulate":
         section.setdefault("integrator", "rk4" if model == "wave1d" else "exact")
         if model == "wave1d" and section["integrator"] == "exact":
-            raise ConfigError("the wave system is not symmetric; use the rk4 integrator")
+            raise ConfigError("at ['simulate']['integrator']: the wave system is not "
+                              "symmetric; use the rk4 integrator")
         if section["integrator"] == "exact" and "t_final" not in section:
-            raise ConfigError("exact integration needs t_final")
+            raise ConfigError("at ['simulate']: exact integration needs t_final")
         if section["integrator"] == "rk4" and not ("dt" in section and "steps" in section):
-            raise ConfigError("rk4 integration needs dt and steps")
+            raise ConfigError("at ['simulate']: rk4 integration needs dt and steps")
 
     try:
         if spec["kind"] == "inline":
@@ -437,7 +431,6 @@ def _resolve(config) -> _Run:
     else:
         grid = geometry.build_grid_1d(*(g[key] for key in "LNnr"))
     unknowns = _check_representable(grid, profile, config["ensemble"])
-    coupling = CouplingSpec(scheme=scheme, order=order)
 
     swept_grids = ()
     if task == "sweep" and patches:
@@ -470,7 +463,7 @@ def _resolve(config) -> _Run:
                     weights_for(stencil, axis.N, axis.r)
                 except ValueError as exc:
                     raise ConfigError(f"at {key}: {exc}") from exc
-    if task == "sweep" and patches and scheme == "spectral":
+    if task == "sweep" and patches and coupling.scheme == "spectral":
         raise ConfigError(
             "at ['coupling']['scheme']: a patch sweep measures the Lagrangian scheme "
             "against the spectral reference; set coupling.scheme to lagrangian"
@@ -781,24 +774,33 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_file(path, [(text + "\n").encode()])
 
 
+def _spectrum(op, n_macro=None):
+    """The spectrum report of an operator, and the fields eigen and check write of it.
+
+    The wave system takes the general solve, and its symmetry is measured
+    on its own; any other operator takes the symmetric solve, which raises
+    SymmetryPreconditionError on one that is not symmetric.
+    """
+    wave = op.layout.half is not None
+    report = (eigen_general if wave else eigen_symmetric)(op, n_macro=n_macro)
+    return report, {
+        "symmetry": asdict(symmetry_defect(op) if wave else report.symmetry),
+        "max_real_part" if wave else "max_eigenvalue": float(np.max(report.eigenvalues.real)),
+        "zero_mode_magnitude": report.zero_mode_magnitude,
+        # infinite when every mode is macro or the macro scale is zero; JSON has no infinity
+        "gap_ratio": report.gap_ratio if math.isfinite(report.gap_ratio) else None,
+    }
+
+
 def _task_eigen(run: _Run, out: Path) -> None:
     op = _assemble(run)
-    wave = run.model == "wave1d"
-    report = (eigen_general if wave else eigen_symmetric)(op, n_macro=run.section.get("n_macro"))
-    sym = symmetry_defect(op) if wave else report.symmetry
+    report, spectrum = _spectrum(op, run.section.get("n_macro"))
     values = report.eigenvalues
     columns = (np.arange(1.0, values.size + 1), values.real, values.imag, np.abs(values))
     _write_table(out / "eigenvalues.csv", ["rank", "real", "imag", "magnitude"],
                  [column[:, None] for column in columns])
     _write_json(out / "summary.json", {
-        "model": run.model,
-        "dimension": op.dimension,
-        "n_macro": int(report.n_macro),
-        "zero_mode_magnitude": report.zero_mode_magnitude,
-        # infinite when every mode is macro or the macro scale is zero; JSON has no infinity
-        "gap_ratio": report.gap_ratio if math.isfinite(report.gap_ratio) else None,
-        "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
-        "max_real_part" if wave else "max_eigenvalue": float(np.max(values.real)),
+        "model": run.model, "dimension": op.dimension, "n_macro": int(report.n_macro), **spectrum,
     })
 
 
@@ -888,8 +890,10 @@ def _task_simulate(run: _Run, out: Path) -> None:
 
 
 def _task_homogenize(run: _Run, out: Path) -> None:
-    # The outputs depend on the profile and d only, so nothing is assembled.
-    _require_compatible(run, run.allow_incompatible)
+    # The outputs depend on the profile and d only, so nothing is assembled; an
+    # incompatible config is still rejected as the assembler would reject it.
+    diagnostics = geometry.validate_compatibility(run.grid, run.profile, run.ensemble)
+    _raise_on_errors(diagnostics, run.allow_incompatible)
     spacing, count = float(run.section["node_spacing"]), run.section["node_count"]
     coeffs = extract_coefficients(run.profile, run.grid.d, node_spacing=spacing, node_count=count)
     _write_json(out / "homogenize.json", {
@@ -902,12 +906,6 @@ def _task_homogenize(run: _Run, out: Path) -> None:
     ks = [spacing * m for m in range(1, count + 1)]
     _write_table(out / "slow_branch.csv", ["k", "eigenvalue"],
                  [np.array([[k, slow_branch(run.profile, k)] for k in ks])])
-
-
-def _require_compatible(run: _Run, allow_incompatible: bool) -> None:
-    """Reject an incompatible grid and profile as the assembler would, without assembling."""
-    diagnostics = geometry.validate_compatibility(run.grid, run.profile, run.ensemble)
-    _raise_on_errors(diagnostics, allow_incompatible)
 
 
 def _sweep_rows(run: _Run):
@@ -941,9 +939,6 @@ def _sweep_rows(run: _Run):
 
 def _task_sweep(run: _Run, out: Path) -> None:
     parameter, values, modes = (run.section[key] for key in ("parameter", "values", "modes"))
-    # No base operator is assembled, so reject an incompatible base config
-    # here, before any point is built.
-    _require_compatible(run, allow_incompatible=False)
     rows = _sweep_rows(run)
     _write_table(out / "sweep.csv", [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
                  [np.array(values, dtype=float)[:, None], np.array(rows)])
@@ -957,9 +952,7 @@ def _task_sweep(run: _Run, out: Path) -> None:
 
 
 def _full_lattice_reference(op):
-    """Assembled full-lattice counterpart, or (None, reason) if there is none."""
-    if op.layout.half is not None:
-        return None, "full-lattice comparison is defined for diffusion models"
+    """Assembled full-lattice counterpart of a diffusion operator, or (None, reason)."""
     if op.layout.ensemble:
         return None, "ensemble runs have no single full-lattice counterpart"
     axes = op.grid.axes
@@ -975,34 +968,25 @@ def _full_lattice_reference(op):
 def _task_check(run: _Run, out: Path) -> None:
     op = _assemble(run)
     wave = op.layout.half is not None
+    try:
+        report, payload = _spectrum(op)
+    except SymmetryPreconditionError as exc:
+        report, payload = None, {
+            "symmetry": asdict(exc.symmetry),
+            "note": "operator is not symmetric; spectral diagnostics skipped "
+                    "(rerun without allow_incompatible for a usable operator)",
+        }
     kernel_vec = np.ones(op.dimension)
     if wave:
-        sym, report = symmetry_defect(op), eigen_general(op)
         kernel_vec[op.layout.half :] = 0.0  # v = 0
-    else:
-        try:
-            report = eigen_symmetric(op)
-            sym = report.symmetry
-        except SymmetryPreconditionError as exc:
-            report, sym = None, exc.symmetry
-    payload = {
+        del payload["gap_ratio"]  # check.json gives the wave system no gap ratio
+    payload.update({
         "model": run.model,
         "dimension": op.dimension,
-        "symmetry": {"defect": sym.defect, "scale": sym.scale, "relative": sym.relative},
         "kernel_residual": float(np.max(np.abs(op.matvec(kernel_vec)))),
         "diagnostics": [list(item) for item in op.layout.diagnostics],
-    }
-    if report is None:
-        payload["note"] = (
-            "operator is not symmetric; spectral diagnostics skipped "
-            "(rerun without allow_incompatible for a usable operator)"
-        )
-    else:
-        top = float(np.max(report.eigenvalues.real))
-        payload["max_real_part" if wave else "max_eigenvalue"] = top
-        payload["zero_mode_magnitude"] = report.zero_mode_magnitude
+    })
     if report is not None and not wave:
-        payload["gap_ratio"] = report.gap_ratio if math.isfinite(report.gap_ratio) else None
         full, reason = _full_lattice_reference(op)
         if full is None:
             payload["consistency"] = {"available": False, "reason": reason}

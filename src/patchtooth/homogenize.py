@@ -153,8 +153,6 @@ def extract_coefficients(
     """
     if d <= 0:
         raise ValueError("lattice spacing must be positive")
-    if node_count < 2:
-        raise ValueError("need at least two fit nodes")
     powers = np.array([2, 4, 6, 8, 10])
     if node_count < powers.size:
         raise ValueError("fewer fit nodes than fitted powers")

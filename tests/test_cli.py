@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -310,6 +311,37 @@ def test_every_schema_default_fits_its_schema():
          "['eigen']['n_macro']: 1000 macro modes asked for, but the operator has 24 eigenvalues"),
         ({"model": "wave1d", "eigen": {"n_macro": 49}},
          "['eigen']['n_macro']: 49 macro modes asked for, but the operator has 48 eigenvalues"),
+        ({"model": "diffusion2d"}, "['grid']: model diffusion2d and grid shape disagree"),
+        ({"model": "diffusion2d", "grid": GRID_2D},
+         "['profile']: model diffusion2d and profile shape disagree"),
+        ({"profile": {"kind": "lognormal", "sigma": 1.0, "seed": 0}},
+         "['profile']: a 1D lognormal profile needs a period"),
+        ({"coupling": {"scheme": "lagrangian"}}, "['coupling']: lagrangian coupling needs an order"),
+        ({"coupling": {"scheme": "spectral", "order": 2}},
+         "['coupling']: spectral coupling takes no order"),
+        ({"model": "diffusion2d", "grid": GRID_2D, "task": "homogenize",
+          "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]}},
+         "['task']: homogenize works on the 1D diffusion symbol only"),
+        ({"model": "wave1d", "task": "sweep", "sweep": {"parameter": "order", "values": [1]}},
+         "['task']: sweep compares symmetric spectra"),
+        ({"task": "sweep"}, "['sweep']: the sweep task needs a sweep section"),
+        ({"coupling": {"scheme": "lagrangian", "order": 1}, "task": "sweep",
+          "sweep": {"parameter": "order", "values": [1]}},
+         "['coupling']['scheme']: an order sweep varies the Lagrangian order"),
+        ({"model": "diffusion2d", "grid": GRID_2D, "task": "sweep",
+          "profile": {"kind": "inline", "kx": [[1.0]], "ky": [[1.0]]},
+          "sweep": {"parameter": "patches", "values": [3, 4]}},
+         "['sweep']['parameter']: patch-count sweeps are 1D only"),
+        ({"model": "wave1d", "task": "simulate",
+          "simulate": {"integrator": "exact", "t_final": 1.0}},
+         "['simulate']['integrator']: the wave system is not symmetric"),
+        ({"task": "simulate", "simulate": {"integrator": "exact"}},
+         "['simulate']: exact integration needs t_final"),
+        ({"task": "simulate", "simulate": {"integrator": "rk4", "dt": 0.1}},
+         "['simulate']: rk4 integration needs dt and steps"),
+        ({"model": "wave1d", "task": "simulate"}, "['simulate']: rk4 integration needs dt and steps"),
+        ({"model": "diffusion2d", "coupling": {"scheme": "lagrangian"}, "task": "sweep"},
+         "['grid']: model diffusion2d and grid shape disagree"),
     ],
     ids=["period", "kx-ky-shapes", "ragged-kx", "nan-diffusivity", "infinite-L",
          "huge-N", "huge-2d-N", "unindexable-N", "unindexable-N-1e300", "unindexable-n",
@@ -322,7 +354,12 @@ def test_every_schema_default_fits_its_schema():
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
          "node_count-below-the-fitted-powers", "spectral-patch-sweep",
-         "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator"],
+         "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator",
+         "model-vs-grid", "model-vs-profile", "lognormal-without-period",
+         "lagrangian-without-order", "spectral-with-order", "2d-homogenize", "wave-sweep",
+         "sweep-without-section", "lagrangian-order-sweep", "2d-patch-sweep", "exact-wave",
+         "exact-without-t_final", "rk4-without-steps", "wave-rk4-by-default-without-dt",
+         "several-faults-report-the-first"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
     """Inconsistent inline profiles, non-finite numbers and integers no double
@@ -337,7 +374,9 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     fitted, and fewer homogenize fit nodes than the five fitted powers.  So
     is a patch sweep with spectral coupling, which would measure the
     spectral operator against itself, and an eigen n_macro beyond the
-    operator's dimension (twice the unknowns for the wave system)."""
+    operator's dimension (twice the unknowns for the wave system).  Every
+    cross-field rule names its key too, and the checks run in a fixed order,
+    so a config with several faults reports the first."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
     err = capsys.readouterr().err
     assert "config error" in err
@@ -1071,6 +1110,48 @@ def test_check_compares_full_lattices_of_any_size(tmp_path):
         assert payload["dimension"] > 4096
         assert payload["consistency"]["available"] is True
         assert payload["consistency"]["max_relative_error"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "overrides, fixed, spectral",
+    [
+        ({"model": "wave1d"}, {}, ["max_real_part", "zero_mode_magnitude"]),
+        ({"profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}, "allow_incompatible": True},
+         {"note": "operator is not symmetric; spectral diagnostics skipped "
+                  "(rerun without allow_incompatible for a usable operator)"},
+         []),
+        ({"grid": {"L": 2 * np.pi, "N": 6, "n": 6, "r": 1.0}, "ensemble": True,
+          "profile": {"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0}},
+         {"consistency": {"available": False,
+                          "reason": "ensemble runs have no single full-lattice counterpart"}},
+         ["max_eigenvalue", "zero_mode_magnitude", "gap_ratio"]),
+        ({}, {"consistency": {"available": False, "reason": "patches only tile the lattice at r = 1"}},
+         ["max_eigenvalue", "zero_mode_magnitude", "gap_ratio"]),
+    ],
+    ids=["wave", "allow-incompatible", "ensemble-at-r-1", "single-phase-below-r-1"],
+)
+def test_check_writes_the_fields_its_operator_allows(tmp_path, overrides, fixed, spectral):
+    """The wave system has a general spectrum and no gap ratio or full
+    lattice; an incompatible operator has no symmetric spectrum, only a note;
+    an ensemble, or patches that do not tile the lattice, no consistency."""
+    config = base_config(task="check", **overrides)
+    assert cli.run(config, tmp_path) == 0
+    payload = strict_json(tmp_path / "check.json")
+    op = cli._assemble(cli._resolve(config))
+    common = {"model", "dimension", "symmetry", "kernel_residual", "diagnostics"}
+    assert set(payload) == common | set(fixed) | set(spectral)
+    assert {key: payload[key] for key in fixed} == fixed
+    assert payload["symmetry"] == dataclasses.asdict(pt.symmetry_defect(op))
+    assert payload["diagnostics"] == [list(item) for item in op.layout.diagnostics]
+    if spectral:
+        report = (pt.eigen_general if config["model"] == "wave1d" else pt.eigen_symmetric)(op)
+        top = float(np.max(report.eigenvalues.real))
+        library = {"max_real_part": top, "max_eigenvalue": top, "gap_ratio": report.gap_ratio,
+                   "zero_mode_magnitude": report.zero_mode_magnitude}
+        assert {key: payload[key] for key in spectral} == {key: library[key] for key in spectral}
+    # the kernel is the constant u, with v = 0 for the wave system: a v of
+    # ones would leave 1 in every row of the upper half
+    assert payload["kernel_residual"] <= 1e-12
 
 
 def test_task_override_and_missing_config(tmp_path, capsys):

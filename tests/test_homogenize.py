@@ -109,6 +109,12 @@ def test_fit_residual_guard(monkeypatch):
         pt.extract_coefficients(KAPPA123)
 
 
+@pytest.mark.parametrize("node_count", [0, 1, 4])
+def test_fewer_fit_nodes_than_fitted_powers_raise(node_count):
+    with pytest.raises(ValueError, match="fewer fit nodes than fitted powers"):
+        pt.extract_coefficients(KAPPA123, node_count=node_count)
+
+
 def test_predicted_macroscale_eigenvalues():
     coeffs = pt.HomogenisedCoefficients(K2=2.0, K4=0.5, beta=1.0, d=0.1, fit_residual=0.0)
     got = pt.predict_macroscale_eigenvalues(coeffs, [1.0, 2.0])
