@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .homogenize import (
     BranchSeparationError,
-    FitResidualError,
     FourierSymbol,
     HomogenisedCoefficients,
     extract_coefficients,
@@ -93,7 +92,6 @@ __all__ = [
     "DiffusivityProfile1D",
     "DiffusivityProfile2D",
     "ErrorTable",
-    "FitResidualError",
     "FourierSymbol",
     "HomogenisedCoefficients",
     "InterpolationWeights",

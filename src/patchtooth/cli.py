@@ -6,7 +6,7 @@ scheme, and a task.  Tasks:
 
     eigen       full spectrum, macro/micro split, gap and kernel diagnostics
     simulate    time integration, trajectory CSV with physical positions
-    homogenize  K2, K4, beta of the profile plus slow-branch samples
+    homogenize  K2, K4 (a Taylor series), beta of the profile, slow-branch samples
     sweep       error tables against the spectral reference over coupling
                 order or patch count (fixed microscale spacing)
     check       eigen's spectrum fields (one step, _spectrum), kernel residual,
@@ -19,11 +19,13 @@ no finite double holds, inconsistent inline profiles, grids with more
 unknowns than an array can index or with no finite 1/d^2, diffusivities that
 are not finite or whose stencil entries overflow, a Lagrangian stencil wider
 than a grid the run assembles, swept patch counts that need r > 1 or do not
-increase where slopes are fitted, a patch sweep with spectral coupling, an
-eigen n_macro beyond the operator's dimension; 2 a numerical precondition
-failure (incompatible single-phase assembly, lost symmetry, a profile beyond
-the solvers' dynamic range, branch separation, unstable step, an RK4 run that
-leaves the double range, a run that runs out of memory and the like).
+increase where slopes are fitted, a patch sweep with spectral coupling, a
+sweep with allow_incompatible, an eigen n_macro beyond the operator's
+dimension; 2 a numerical precondition failure (incompatible single-phase
+assembly, lost symmetry, a profile beyond the solvers' dynamic range, branch
+separation, a homogenised series swamped by round-off, unstable step, an RK4
+run that leaves the double range, a run that runs out of memory and the
+like); 3 a programming bug, any other exception, with its traceback.
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.  Every CSV goes
@@ -43,6 +45,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -215,7 +218,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "node_spacing": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
-                # extract_coefficients fits five powers of k
+                # the slow_branch.csv samples k = node_spacing * (1..node_count)
                 "node_count": {"type": "integer", "minimum": 5, "default": 8},
             },
             "additionalProperties": False, "default": {},
@@ -384,6 +387,9 @@ def _resolve(config) -> _Run:
     if task == "sweep":
         if model == "wave1d":
             raise ConfigError("at ['task']: sweep compares symmetric spectra; wave model unsupported")
+        if config["allow_incompatible"]:
+            raise ConfigError("at ['allow_incompatible']: a sweep's symmetric solves need "
+                              "compatible operators; the waiver does not apply to a sweep")
         if section is None:
             raise ConfigError("at ['sweep']: the sweep task needs a sweep section")
         patches = section["parameter"] == "patches"
@@ -894,18 +900,12 @@ def _task_homogenize(run: _Run, out: Path) -> None:
     # incompatible config is still rejected as the assembler would reject it.
     diagnostics = geometry.validate_compatibility(run.grid, run.profile, run.ensemble)
     _raise_on_errors(diagnostics, run.allow_incompatible)
+    coeffs = extract_coefficients(run.profile, run.grid.d)
     spacing, count = float(run.section["node_spacing"]), run.section["node_count"]
-    coeffs = extract_coefficients(run.profile, run.grid.d, node_spacing=spacing, node_count=count)
-    _write_json(out / "homogenize.json", {
-        "K2": coeffs.K2,
-        "K4": coeffs.K4,
-        "beta": coeffs.beta,
-        "d": coeffs.d,
-        "fit_residual": coeffs.fit_residual,
-    })
     ks = [spacing * m for m in range(1, count + 1)]
-    _write_table(out / "slow_branch.csv", ["k", "eigenvalue"],
-                 [np.array([[k, slow_branch(run.profile, k)] for k in ks])])
+    branch = np.array([[k, slow_branch(run.profile, k)] for k in ks])
+    _write_json(out / "homogenize.json", asdict(coeffs))
+    _write_table(out / "slow_branch.csv", ["k", "eigenvalue"], [branch])
 
 
 def _sweep_rows(run: _Run):
@@ -1023,7 +1023,8 @@ def run(config: dict, outdir=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     # every precondition error of the solvers (symmetry, branch separation,
-    # fit residual, stability, dynamic range) is a ValueError or RuntimeError
+    # the homogenised series, stability, dynamic range), and some bugs, is a
+    # ValueError or RuntimeError
     except (ValueError, RuntimeError) as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 2
@@ -1031,6 +1032,9 @@ def run(config: dict, outdir=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"numerical precondition failed: out of memory{detail}", file=sys.stderr)
         return 2
+    except Exception:  # a bug in the program, not in the config
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -13,11 +13,16 @@ slowest eigenvalue branch lambda(k) carries the macroscale physics:
 
     lambda(k) = -K2 k^2 + K4 k^4 + O(k^6).
 
-K2 is the harmonic mean of the diffusivities, K2 = p / sum(1/values); K4 is
-extracted numerically by fitting even powers of k to the slow branch at small
-wavenumbers.  The fitted k^2 coefficient is cross-checked against the closed
-form, and the fit residual against the leading term guards both against
-contamination from a fast branch.
+K2 is the harmonic mean of the diffusivities, K2 = p / sum(1/values).  Both
+coefficients are derivatives of lambda at k = 0 (Conca & Vanninathan, SIAM J.
+Appl. Math. 57, 1997), and extract_coefficients sums the Taylor series of the
+symbol, S(k) = sum_m S_m k^m, by the discrete cell problems.  With psi_0 = e =
+1/sqrt(p), which S_0 annihilates, and lambda_0 = 0, each order m >= 1 gives
+
+    r_m = sum_{j=1..m} S_j psi_{m-j},    lambda_m = <e, r_m>,
+    S_0 psi_m = sum_{j=1..m} lambda_j psi_{m-j} - r_m,    <e, psi_m> = 0,
+
+so K2 = -lambda_2 and K4 = lambda_4, and no wavenumber is sampled.
 
 beta = 2 pi^2 min(values) / (p^2 d^2) is a convenient scale for the fast
 decay rates: for p >= 3 all microscale eigenvalues of the physical operator
@@ -30,6 +35,7 @@ physical macroscale prediction is lambda_phys = -K2 q^2 + K4 d^2 q^4.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +45,6 @@ from .microscale import DiffusivityProfile1D, _full_lattice
 
 class BranchSeparationError(RuntimeError):
     """Slow and first fast eigenvalue branch are too close to distinguish."""
-
-
-class FitResidualError(RuntimeError):
-    """Polynomial fit of the slow branch left a residual beyond round-off."""
 
 
 @dataclass
@@ -57,7 +59,6 @@ class HomogenisedCoefficients:
     K4: float
     beta: float
     d: float
-    fit_residual: float
 
 
 @functools.lru_cache(maxsize=8)
@@ -103,30 +104,24 @@ def _sorted_branch_values(profile, k):
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
-def _zero_gap(profile) -> float | None:
-    """The k = 0 spectral gap, None for a single phase, which has no fast branch."""
-    return abs(_sorted_branch_values(profile, 0.0)[1]) if profile.period > 1 else None
-
-
-def _slow_value(profile, k: float, gap0: float | None) -> float:
-    vals = _sorted_branch_values(profile, k)
-    if gap0 is not None and abs(vals[1]) - abs(vals[0]) < 0.5 * gap0:
-        raise BranchSeparationError(
-            f"branch separation failure at k = {k:.6g}: slow and fast "
-            f"eigenvalues {vals[0]:.6g} and {vals[1]:.6g} are closer than "
-            f"half the k = 0 gap {gap0:.6g}"
-        )
-    return float(vals[0])
-
-
 def slow_branch(profile: DiffusivityProfile1D, k: float) -> float:
     """Slowest eigenvalue of the symbol at k, with a branch-separation guard.
 
     The slow branch is only meaningful while it stays clearly below the first
     fast branch; the guard requires the magnitude separation at k to be at
-    least half the k = 0 spectral gap, and raises otherwise.
+    least half the k = 0 spectral gap, and raises otherwise.  A single phase
+    has no fast branch.
     """
-    return _slow_value(profile, k, _zero_gap(profile))
+    vals = _sorted_branch_values(profile, k)
+    if profile.period > 1:
+        gap0 = abs(_sorted_branch_values(profile, 0.0)[1])
+        if abs(vals[1]) - abs(vals[0]) < 0.5 * gap0:
+            raise BranchSeparationError(
+                f"branch separation failure at k = {k:.6g}: slow and fast "
+                f"eigenvalues {vals[0]:.6g} and {vals[1]:.6g} are closer than "
+                f"half the k = 0 gap {gap0:.6g}"
+            )
+    return float(vals[0])
 
 
 def harmonic_mean_diffusivity(profile: DiffusivityProfile1D) -> float:
@@ -134,60 +129,44 @@ def harmonic_mean_diffusivity(profile: DiffusivityProfile1D) -> float:
     return profile.period / float(np.sum(1.0 / profile.values))
 
 
-def extract_coefficients(
-    profile: DiffusivityProfile1D,
-    d: float = 1.0,
-    node_spacing: float = 0.02,
-    node_count: int = 8,
-) -> HomogenisedCoefficients:
-    """Extract K2 (closed form), K4 (small-k fit), and the decay scale beta.
+def extract_coefficients(profile: DiffusivityProfile1D, d: float = 1.0) -> HomogenisedCoefficients:
+    """K2 (closed form), K4 = lambda_4 of the series above, and the decay scale beta.
 
-    The slow branch is sampled at k = node_spacing * (1..node_count) and fitted
-    with even powers k^2 .. k^10 in a column-scaled least-squares
-    problem.  Two guards apply: the fitted K2 must match the harmonic mean to
-    1e-9 relative, and the fit residual must stay below 1e-10 of the leading
-    k^2 term.  Either failure signals fast-branch contamination and raises.
-    Samples or a beta that are not finite raise as well, and so does a fit
-    that is not: NaN would pass a guard written as err > tol, so the guards
-    read not err <= tol.
+    S_m sums v (i phase)^m / m! over the entries of _symbol_terms; the roll
+    of fourier_symbol only permutes sites, which keeps lambda and e.  Each
+    psi_m solves the bordered system [[S_0, e], [e^T, 0]] [psi_m; mu] =
+    [rhs; 0], as a pseudoinverse of S_0 would cut off the singular values of
+    the smallest diffusivities.  The series' -lambda_2 must match K2 to 1e-9
+    relative, or round-off has swamped it, and beta must be finite: either
+    failure raises ValueError (the guards read not err <= tol, so NaN fails).
     """
     if d <= 0:
         raise ValueError("lattice spacing must be positive")
-    powers = np.array([2, 4, 6, 8, 10])
-    if node_count < powers.size:
-        raise ValueError("fewer fit nodes than fitted powers")
+    p = profile.period
+    rows, cols, values, phase = _symbol_terms(profile.values.tobytes())
+    S = np.zeros((5, p, p), dtype=complex)
+    for m in range(5):
+        np.add.at(S[m], (rows, cols), values * (1j * phase) ** m / math.factorial(m))
+    e = np.full(p, p**-0.5)
+    bordered = np.zeros((p + 1, p + 1), dtype=complex)
+    bordered[:p, :p], bordered[:p, p], bordered[p, :p] = S[0], e, e
+    psi, lam = [e.astype(complex)], [0.0]
+    for m in range(1, 5):
+        r = sum(S[j] @ psi[m - j] for j in range(1, m + 1))
+        lam.append(e @ r)
+        rhs = sum(lam[j] * psi[m - j] for j in range(1, m + 1)) - r
+        psi.append(np.linalg.solve(bordered, np.append(rhs, 0))[:p])
     K2 = harmonic_mean_diffusivity(profile)
-    ks = node_spacing * np.arange(1, node_count + 1)
-    gap0 = _zero_gap(profile)
-    lam = np.array([_slow_value(profile, k, gap0) for k in ks])
-    if not np.all(np.isfinite(lam)):
-        raise FitResidualError("the slow-branch samples are not all finite")
-    V = ks[:, None] ** powers[None, :]
-    col_scale = np.linalg.norm(V, axis=0)
-    coef_scaled, *_ = np.linalg.lstsq(V / col_scale, lam, rcond=None)
-    coef = coef_scaled / col_scale
-    K2_fit = -coef[0]
-    if not abs(K2_fit - K2) <= 1e-9 * abs(K2):
-        raise FitResidualError(
-            f"fitted k^2 coefficient {K2_fit:.12g} disagrees with the harmonic "
-            f"mean {K2:.12g} beyond 1e-9 relative"
+    if not abs(-lam[2].real - K2) <= 1e-9 * K2:
+        raise ValueError(
+            f"series k^2 coefficient {-lam[2].real:.12g} disagrees with the harmonic mean "
+            f"{K2:.12g} beyond 1e-9 relative: round-off of the diffusivities' contrast"
         )
-    residual = float(np.linalg.norm(V @ coef - lam))
-    leading = float(np.abs(coef[0]) * np.linalg.norm(ks**2))
-    if not residual <= 1e-10 * leading:
-        raise FitResidualError(
-            f"fit residual {residual:.3e} exceeds 1e-10 of the leading term "
-            f"{leading:.3e}; the slow branch looks contaminated"
-        )
-    beta = 2.0 * np.pi**2 * float(np.min(profile.values)) / (
-        profile.period**2 * d * d
-    )
+    beta = 2.0 * np.pi**2 * float(np.min(profile.values)) / (p**2 * d * d)
     if not np.isfinite(beta):
-        raise FitResidualError(f"the decay scale beta = {beta} is not finite")
-    return HomogenisedCoefficients(
-        K2=float(K2), K4=float(coef[1]), beta=float(beta), d=float(d),
-        fit_residual=residual,
-    )
+        raise ValueError(f"the decay scale beta = {beta} is not finite")
+    return HomogenisedCoefficients(K2=float(K2), K4=float(lam[4].real), beta=float(beta),
+                                   d=float(d))
 
 
 def predict_macroscale_eigenvalues(coeffs: HomogenisedCoefficients, wavenumbers):

@@ -11,8 +11,12 @@ it read every block densely in extended precision: it forms the Hermitian
 part of each whole block from assembly._bloch_batches and takes each slow
 quotient with a dense extended precision matmul.  The package forms it on
 the stored pairs only and must agree with this bit for bit.
+
+quartic_coefficient reads K4 off the slow branch of the 1D symbol in 60-digit
+arithmetic, without the Taylor series the package sums.
 """
 
+import mpmath
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
@@ -103,3 +107,29 @@ def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
         w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
         order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
         yield w, V, np.take_along_axis(slow, order, axis=1)
+
+
+def quartic_coefficient(values, dps: int = 60) -> float:
+    """K4 of lambda(k) = -K2 k^2 + K4 k^4 + O(k^6) for the 1D diffusivities `values`.
+
+    The symbol of the homogenize module docstring is built entry by entry in
+    mpmath at `dps` digits, and its largest eigenvalue, the slow branch,
+    taken at k = 1e-4 and 2e-4.  f(k) = (lambda(k) + K2 k^2) / k^4 is
+    K4 + O(k^2), and the Richardson step (4 f(k) - f(2k)) / 3 leaves an
+    O(k^4) = 1e-16 relative remainder.
+    """
+    with mpmath.workdps(dps):
+        v = [mpmath.mpf(float(x)) for x in values]
+        p = len(v)
+        K2 = p / sum(1 / x for x in v)
+
+        def f(k):
+            A = mpmath.zeros(p, p)
+            for l in range(p):
+                A[l, (l + 1) % p] += v[l] * mpmath.expj(k)
+                A[l, (l - 1) % p] += v[(l - 1) % p] * mpmath.expj(-k)
+                A[l, l] -= v[l] + v[(l - 1) % p]
+            return (max(mpmath.eighe(A, eigvals_only=True)) + K2 * k**2) / k**4
+
+        k = mpmath.mpf("1e-4")
+        return float((4 * f(k) - f(2 * k)) / 3)

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import quartic_coefficient
+
 import patchtooth as pt
 from patchtooth import cli
 
@@ -340,6 +342,12 @@ def test_every_schema_default_fits_its_schema():
         ({"task": "simulate", "simulate": {"integrator": "rk4", "dt": 0.1}},
          "['simulate']: rk4 integration needs dt and steps"),
         ({"model": "wave1d", "task": "simulate"}, "['simulate']: rk4 integration needs dt and steps"),
+        ({"profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}, "allow_incompatible": True,
+          "task": "sweep", "sweep": {"parameter": "order", "values": [1, 2], "modes": 1}},
+         "['allow_incompatible']: a sweep's symmetric solves need compatible operators"),
+        ({"allow_incompatible": True, "task": "sweep",
+          "sweep": {"parameter": "order", "values": [1, 2], "modes": 1}},
+         "['allow_incompatible']: a sweep's symmetric solves need compatible operators"),
         ({"model": "diffusion2d", "coupling": {"scheme": "lagrangian"}, "task": "sweep"},
          "['grid']: model diffusion2d and grid shape disagree"),
     ],
@@ -359,6 +367,7 @@ def test_every_schema_default_fits_its_schema():
          "lagrangian-without-order", "spectral-with-order", "2d-homogenize", "wave-sweep",
          "sweep-without-section", "lagrangian-order-sweep", "2d-patch-sweep", "exact-wave",
          "exact-without-t_final", "rk4-without-steps", "wave-rk4-by-default-without-dt",
+         "incompatible-sweep-with-the-waiver", "compatible-sweep-with-the-waiver",
          "several-faults-report-the-first"],
 )
 def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key):
@@ -371,10 +380,12 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     integer field given as a float, even an integral one.  So is a Lagrangian
     stencil wider than a grid the run assembles, a swept patch count whose
     spacing needs r > 1, swept counts that do not increase where slopes are
-    fitted, and fewer homogenize fit nodes than the five fitted powers.  So
-    is a patch sweep with spectral coupling, which would measure the
-    spectral operator against itself, and an eigen n_macro beyond the
-    operator's dimension (twice the unknowns for the wave system).  Every
+    fitted, and a homogenize node_count below its minimum of 5.  So is a
+    patch sweep with spectral coupling, which would measure the spectral
+    operator against itself, a sweep with allow_incompatible, whose
+    symmetric solves could not take a waived operator, compatible or not,
+    and an eigen n_macro beyond the operator's dimension (twice the unknowns
+    for the wave system).  Every
     cross-field rule names its key too, and the checks run in a fixed order,
     so a config with several faults reports the first."""
     assert cli.run(base_config(**overrides), tmp_path) == 1
@@ -411,6 +422,22 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
         assert cli.run(config, tmp_path) == 2
         err = capsys.readouterr().err
         assert "numerical precondition failed: out of memory: Unable to allocate 22.4 GiB" in err
+
+
+def test_a_programming_bug_exits_3_with_its_traceback(tmp_path, capsys, monkeypatch):
+    """An exception that is no precondition failure is neither a config
+    fault (1) nor a numerical one (2): the interpreter's own exit code for
+    it would be 1."""
+
+    def broken(run, out):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._TASKS, "eigen", broken)
+    assert cli.run(base_config(), tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: unsupported operand" in err
+    assert cli.main(["--config", str(write_config(tmp_path, base_config()))]) == 3
+    assert "TypeError: unsupported operand" in capsys.readouterr().err
 
 
 def test_cross_field_validation(tmp_path):
@@ -896,8 +923,9 @@ def test_homogenize_task_frozen_rationals(tmp_path):
     )
     assert cli.run(config, tmp_path) == 0
     payload = json.loads((tmp_path / "homogenize.json").read_text())
+    assert set(payload) == {"K2", "K4", "beta", "d"}
     assert payload["K2"] == pytest.approx(18 / 11, rel=1e-12)
-    assert payload["K4"] == pytest.approx(675 / 2662, rel=1e-7)
+    assert abs(payload["K4"] - 675 / 2662) <= 4 * np.finfo(float).eps * (675 / 2662)
     grid = pt.build_grid_1d(2 * np.pi, 6, 6, 0.3)
     assert payload["beta"] == pytest.approx(2 * np.pi**2 / (9 * grid.d**2), rel=1e-12)
     branch = read_csv(tmp_path / "slow_branch.csv")
@@ -905,9 +933,40 @@ def test_homogenize_task_frozen_rationals(tmp_path):
     assert len(branch) == 9
 
 
+def test_homogenize_of_an_eight_periodic_lognormal_profile(tmp_path):
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 6, "n": 8, "r": 0.3},
+        profile={"kind": "lognormal", "period": 8, "sigma": 1.0, "seed": 0},
+        task="homogenize",
+    )
+    assert cli.run(config, tmp_path) == 0
+    payload = json.loads((tmp_path / "homogenize.json").read_text())
+    assert set(payload) == {"K2", "K4", "beta", "d"}
+    values = pt.random_lognormal_profile(8, 1.0, 0).values
+    assert payload["K4"] == pytest.approx(quartic_coefficient(values), rel=1e-12)
+
+
+@pytest.mark.parametrize("values, section, message", [
+    ([1e-8, 1.0, 1e8], {}, "series k^2 coefficient"),
+    ([1.0, 2.0, 3.0], {"node_spacing": 0.25}, "branch separation failure at k = 0.75"),
+], ids=["contrast-beyond-the-series-round-off", "samples-beyond-the-branch-crossing"])
+def test_a_failed_homogenize_exits_2_without_artefacts(tmp_path, capsys, values, section, message):
+    """The coefficients sample no wavenumber, but the slow_branch.csv samples
+    are taken before anything is written."""
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 6, "n": 6, "r": 0.3},
+        profile={"kind": "inline", "values": values},
+        task="homogenize", homogenize=section,
+    )
+    assert cli.run(config, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_homogenize_builds_one_lattice_per_run(tmp_path, monkeypatch):
     """The symbol's lattice of three periods is built once per profile, not
-    once per symbol: 16 symbols and 2 k = 0 gaps in a run."""
+    once per symbol: the series and 16 symbols, a slow-branch sample and its
+    k = 0 gap at each of 8 nodes, in a run."""
     from patchtooth import homogenize
 
     calls = []
