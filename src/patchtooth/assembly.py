@@ -228,16 +228,19 @@ def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
 
     H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
     the first block row, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the
-    FFT taken over the patch axes.  Each (row, col) pair of the stored
-    entries is laid out as one line over the offsets and transformed by
-    rfftn, in extended precision (np.longdouble, plain double where the
-    platform has no wider type): O(pairs K log K) work for K patches, never
-    the dense b x b x K first block row.  The lines are transformed a chunk
-    of pairs at a time, at most about _BATCH_BYTES of lines per chunk (one
-    chunk when they all fit), into one spectrum of the pairs that holds only
-    the `select`ed columns when `select` is given.  j runs over the half
-    spectrum of rfftn (the last patch axis halved), in rfftn's output order,
-    or over `select`, indices into it, in the order given.
+    FFT taken over the patch axes.  A patch-local pair, stored at offset 0
+    alone (the diagonal and the interior bonds), has H(j) equal to its value
+    at every j, exactly, and is not transformed.  Every other (row, col)
+    pair, an edge coupling, is laid out as one line over the offsets and
+    transformed by rfftn, in extended precision (np.longdouble, plain double
+    where the platform has no wider type): O(varying pairs K log K) work for
+    K patches, never the dense b x b x K first block row.  The lines are
+    transformed a chunk of pairs at a time, at most about _BATCH_BYTES of
+    lines per chunk (one chunk when they all fit), into one spectrum of the
+    pairs that holds only the `select`ed columns when `select` is given.  j
+    runs over the half spectrum of rfftn (the last patch axis halved), in
+    rfftn's output order, or over `select`, indices into it, in the order
+    given.
 
     Returns (pairs, batches): the sorted flat indices row * b + col of the
     pairs in a block indexed by (member, local point) in C order, and a
@@ -247,24 +250,30 @@ def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
     """
     patches, b, _ = _blocking(layout)
     K = math.prod(patches)
-    pairs, line = np.unique(op.rows * b + op.cols, return_inverse=True)
+    pairs, pair = np.unique(op.rows * b + op.cols, return_inverse=True)
+    # A pair stored at a nonzero offset varies with j.  Each (row, offset,
+    # col) is stored once, so every other pair is stored at offset 0 alone.
+    varies = np.zeros(pairs.size, dtype=bool)
+    varies[pair[op.offsets != 0]] = True
+    varying = np.flatnonzero(varies)
     half = patches[:-1] + (patches[-1] // 2 + 1,)
     columns = math.prod(half) if select is None else len(select)
     spectrum = np.empty((pairs.size, columns), dtype=np.clongdouble)
+    local = ~varies[pair]  # the entries of the patch-local pairs
+    spectrum[pair[local]] = op.values[local, None]
+    # the entries of the varying pairs, each with the number of its line
+    line = np.searchsorted(varying, pair[~local])
+    offsets, values = op.offsets[~local], op.values[~local]
     chunk = max(1, _BATCH_BYTES // (K * np.dtype(np.longdouble).itemsize))
     axes = tuple(range(1, len(patches) + 1))
-    for start in range(0, pairs.size, chunk):
-        stop = min(start + chunk, pairs.size)
+    for start in range(0, varying.size, chunk):
+        stop = min(start + chunk, varying.size)
         # the entries of this chunk's lines; all of them when one chunk holds every line
-        at = slice(None) if stop - start == pairs.size else (line >= start) & (line < stop)
+        at = slice(None) if stop - start == varying.size else (line >= start) & (line < stop)
         lines = np.zeros((stop - start, K), dtype=np.longdouble)
-        lines[line[at] - start, op.offsets[at]] = op.values[at]
-        lines = lines.reshape(-1, *patches)
-        if select is None:
-            np.fft.rfftn(lines, axes=axes, out=spectrum[start:stop].reshape(-1, *half))
-        else:
-            transformed = np.fft.rfftn(lines, axes=axes).reshape(stop - start, -1)
-            spectrum[start:stop] = transformed[:, select]
+        lines[line[at] - start, offsets[at]] = values[at]
+        transformed = np.fft.rfftn(lines.reshape(-1, *patches), axes=axes).reshape(stop - start, -1)
+        spectrum[varying[start:stop]] = transformed if select is None else transformed[:, select]
     np.conj(spectrum, out=spectrum)  # H(j) takes exp(+2 pi i j.m / N), rfftn the conjugate
     spectrum.flags.writeable = False
     step = _batch_blocks(b)
@@ -454,14 +463,13 @@ def _stencil(axes, bonds, ensemble: bool):
 
 def _coalesce(pieces, K: int, b: int):
     """Sum the pieces (rows, offsets, cols, values) entry by entry, in stream order."""
-    pieces = [np.broadcast_arrays(*piece) for piece in pieces]
-    keys = [((rows * K + offsets) * b + cols).ravel() for rows, offsets, cols, _ in pieces]
-    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    keys = [(rows * K + offsets) * b + cols for rows, offsets, cols, _ in pieces]
+    unique, inverse = np.unique(np.concatenate([key.ravel() for key in keys]), return_inverse=True)
     sums = np.zeros(unique.size)
     start = 0
     for key, (*_, values) in zip(keys, pieces):
         # No entry repeats within one piece: one addition per entry.
-        sums[inverse[start : start + key.size]] += values.ravel()
+        sums[inverse[start : start + key.size]] += np.broadcast_to(values, key.shape).ravel()
         start += key.size
     keep = sums != 0.0
     unique = unique[keep]

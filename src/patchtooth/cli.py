@@ -219,7 +219,7 @@ SCHEMA = {
             "properties": {
                 "node_spacing": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
                 # the slow_branch.csv samples k = node_spacing * (1..node_count)
-                "node_count": {"type": "integer", "minimum": 5, "default": 8},
+                "node_count": {"type": "integer", "minimum": 1, "default": 8},
             },
             "additionalProperties": False, "default": {},
         },

@@ -20,9 +20,12 @@ the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
 n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_entries
-transforms the stored first block row into the entries of every block at
-its stored (row, col) pairs, in extended precision, and hands them out a
-batch of wavenumbers at a time; the solvers consume them batch by batch:
+gives the entries of every block at its stored (row, col) pairs, in
+extended precision: a patch-local pair (the diagonal and the interior
+bonds, stored at patch offset 0 alone) holds its value in every block, and
+only the other pairs, the edge couplings, are transformed, 2 of the 30 of a
+sweep1d-patches operator.  It hands the entries out a batch of wavenumbers
+at a time; the solvers consume them batch by batch:
 eigen_symmetric, eigen_general and timestep.evolve_exact cost O(N b^3) time
 instead of O(dim^3) and never hold a dim x dim matrix.  eigen_general
 (through assembly._bloch_eigenvalues) and timestep.evolve_rk4 read the dense
@@ -453,10 +456,20 @@ class SpectrumReport:
             self.gap_ratio = float(np.abs(self.micro[0])) / macro_scale
 
 
-def _symmetric_layout(op) -> tuple[Layout, SymmetryReport]:
-    """The state layout and symmetry of an operator that passes eigen_symmetric's preconditions."""
+def _symmetric_layout(op, ranges: set) -> tuple[Layout, SymmetryReport]:
+    """The state layout and symmetry of an operator that passes eigen_symmetric's preconditions.
+
+    `ranges` holds the inputs (lengths, spacings, bonds) of the dynamic-range
+    checks already passed: an operator with the same inputs skips that
+    check, and the inputs of a check it passes are added.
+    """
     layout = _patch_layout(op)
-    _require_dynamic_range(op, layout)
+    lengths, spacings = _axis_lengths(op, layout)
+    bonds = ((b.shape, b.tobytes()) for b in op.profile.bonds)
+    inputs = (lengths.tobytes(), spacings.tobytes(), *bonds)
+    if inputs not in ranges:
+        _require_dynamic_range(op, layout)
+        ranges.add(inputs)
     symmetry = _require_symmetric(
         op, "this operator must not be fed to a symmetric eigensolver"
     )
@@ -492,7 +505,11 @@ def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[Spect
     """eigen_symmetric(op, n_macro, modes) of each operator, their blocks solved together.
 
     Each operator's preconditions, wavenumber labels and selected entries of
-    assembly._bloch_entries are taken in list order.  Operators that share a
+    assembly._bloch_entries are taken in list order.  Work that depends on
+    the grid alone is done once per call for each distinct input: the
+    dynamic-range check per (lengths, spacings, bonds), the labels and
+    mirror counts per (patch shape, lengths); a sweep of 32 operators has
+    16 grids.  Operators that share a
     _pair_plan, such as those of one stencil on every grid of a patch sweep,
     have their entries stacked, and _solve_batch solves the stack
     assembly._batch_blocks blocks at a time: one call for the 96 blocks of
@@ -505,10 +522,15 @@ def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[Spect
     first operator that fails, as one call per operator would raise it.
     """
     solves, groups, failure = [], {}, None
+    ranges, grids = set(), {}  # dynamic-range inputs passed; labels and counts per grid
     for op in ops:
         try:
-            layout, symmetry = _symmetric_layout(op)
-            labels = _wavenumber_labels(op, layout)
+            layout, symmetry = _symmetric_layout(op, ranges)
+            patches = layout.shape[1 : 1 + layout.patch_axes]
+            grid = (patches, _axis_lengths(op, layout)[0].tobytes())
+            if grid not in grids:
+                grids[grid] = _wavenumber_labels(op, layout), _mirror_counts(layout)
+            labels, counts = grids[grid]
             if not 1 <= modes <= labels.max(initial=0):
                 raise ValueError(
                     f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
@@ -522,7 +544,7 @@ def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[Spect
         members, entries = groups.setdefault(key, ([], []))
         members.append(len(solves))
         entries.extend(batches)
-        solves.append((layout, symmetry, labels[select], _mirror_counts(layout)[select]))
+        solves.append((layout, symmetry, labels[select], counts[select]))
     solved = [None] * len(solves)
     for key, (members, entries) in groups.items():
         plan = _pair_plan(*key)
@@ -562,7 +584,7 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     """
     if modes is not None:
         return _selected_spectra([op], modes, n_macro)[0]
-    layout, symmetry = _symmetric_layout(op)
+    layout, symmetry = _symmetric_layout(op, set())
     w, slow = _joined(_bloch_eigh(op, layout))
     if n_macro is None:
         n_macro = layout.n_macro or op.dimension

@@ -12,9 +12,15 @@ part of each whole block from assembly._bloch_batches and takes each slow
 quotient with a dense extended precision matmul.  The package forms it on
 the stored pairs only and must agree with this bit for bit.
 
+bloch_entries_dft sums the Bloch entries of the stored pairs directly from
+the first block row, in extended precision, without the FFT and without the
+patch-local shortcut of assembly._bloch_entries.
+
 quartic_coefficient reads K4 off the slow branch of the 1D symbol in 60-digit
 arithmetic, without the Taylor series the package sums.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -107,6 +113,38 @@ def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
         w, slow = w.reshape(k, g * m), slow.reshape(k, g) + m * np.arange(g)
         order = np.argsort(np.abs(np.take_along_axis(w, slow, axis=1)), axis=1, kind="stable")
         yield w, V, np.take_along_axis(slow, order, axis=1)
+
+
+def bloch_entries_dft(op, select=None):
+    """H(j)[row, col] = sum_m A[0, m] exp(+2 pi i j.m / N) at every stored pair.
+
+    A direct DFT of the stored first block row in np.longdouble: each
+    entry's phase j.m / N is reduced exactly, as the integer sum over the
+    patch axes of (j_a m_a mod N_a) K / N_a taken mod K for K patches, and
+    folded into [-K/2, K/2) before it becomes an angle.  j runs over the half
+    spectrum of rfftn (the last patch axis halved), C order, or over the
+    `select`ed indices into it.  Returns the sorted pair indices row * b + col
+    and the entries, (blocks, pairs).
+    """
+    k = op.layout.patch_axes
+    patches = op.layout.shape[1 : 1 + k]
+    K = math.prod(patches)
+    b = op.dimension // K
+    pairs, pair = np.unique(op.rows * b + op.cols, return_inverse=True)
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    j = np.indices(half).reshape(k, -1)
+    if select is not None:
+        j = j[:, select]
+    m = np.unravel_index(op.offsets, patches)
+    turns = sum(
+        (j_a[:, None] * m_a[None, :]) % N_a * (K // N_a) for j_a, m_a, N_a in zip(j, m, patches)
+    ) % K
+    turns = np.where(2 * turns >= K, turns - K, turns)
+    angle = 8 * np.arctan(np.longdouble(1)) * turns.astype(np.longdouble) / K
+    terms = op.values.astype(np.longdouble) * (np.cos(angle) + 1j * np.sin(angle))
+    entries = np.zeros((j.shape[1], pairs.size), dtype=np.clongdouble)
+    np.add.at(entries, (slice(None), pair), terms)
+    return pairs, entries
 
 
 def quartic_coefficient(values, dps: int = 60) -> float:

@@ -304,8 +304,8 @@ def test_every_schema_default_fits_its_schema():
           "coupling": {"scheme": "lagrangian", "order": 1},
           "sweep": {"parameter": "patches", "values": [9, 9, 17]}},
          "['sweep']['values']: the patch counts of a sweep with fitted convergence slopes"),
-        ({"task": "homogenize", "homogenize": {"node_count": 4}},
-         "['homogenize']['node_count']: 4 is below the minimum of 5"),
+        ({"task": "homogenize", "homogenize": {"node_count": 0}},
+         "['homogenize']['node_count']: 0 is below the minimum of 1"),
         ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
           "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
          "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
@@ -361,7 +361,7 @@ def test_every_schema_default_fits_its_schema():
          "order-beyond-the-grid", "2d-order-beyond-the-grid", "wave-order-beyond-the-grid",
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
-         "node_count-below-the-fitted-powers", "spectral-patch-sweep",
+         "node_count-below-one", "spectral-patch-sweep",
          "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator",
          "model-vs-grid", "model-vs-profile", "lognormal-without-period",
          "lagrangian-without-order", "spectral-with-order", "2d-homogenize", "wave-sweep",
@@ -380,7 +380,7 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     integer field given as a float, even an integral one.  So is a Lagrangian
     stencil wider than a grid the run assembles, a swept patch count whose
     spacing needs r > 1, swept counts that do not increase where slopes are
-    fitted, and a homogenize node_count below its minimum of 5.  So is a
+    fitted, and a homogenize node_count below its minimum of 1.  So is a
     patch sweep with spectral coupling, which would measure the spectral
     operator against itself, a sweep with allow_incompatible, whose
     symmetric solves could not take a waived operator, compatible or not,
@@ -931,6 +931,21 @@ def test_homogenize_task_frozen_rationals(tmp_path):
     branch = read_csv(tmp_path / "slow_branch.csv")
     assert branch[0] == ["k", "eigenvalue"]
     assert len(branch) == 9
+
+
+def test_homogenize_samples_the_slow_branch_at_one_node(tmp_path):
+    """One slow_branch.csv sample is enough: node_count only sets how many
+    are written, since no fit reads them."""
+    config = base_config(
+        grid={"L": 2 * np.pi, "N": 6, "n": 6, "r": 0.3},
+        profile={"kind": "inline", "values": [1.0, 2.0, 3.0]},
+        task="homogenize", homogenize={"node_count": 1},
+    )
+    assert cli.run(config, tmp_path) == 0
+    profile = pt.DiffusivityProfile1D(np.array([1.0, 2.0, 3.0]))
+    assert read_csv(tmp_path / "slow_branch.csv") == [
+        ["k", "eigenvalue"], [fmt(0.02), fmt(pt.slow_branch(profile, 0.02))]
+    ]
 
 
 def test_homogenize_of_an_eight_periodic_lognormal_profile(tmp_path):

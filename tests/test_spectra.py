@@ -13,6 +13,7 @@ from oracles import full_lattice_operator_2d_sparse, smallest_magnitude_eigenval
 from test_storage import degenerate_ensembles, mirrorless_operators
 
 import patchtooth as pt
+from patchtooth import spectra
 from patchtooth.assembly import _patch_layout
 from patchtooth.spectra import _axis_lengths, _selected_spectra, _wavenumber_labels
 
@@ -475,6 +476,55 @@ def test_a_batch_raises_the_error_of_its_first_failing_operator():
     with pytest.raises(ValueError, match="wavenumbers 1..3; the grid has 2"):
         _selected_spectra([short, mixed], 3)
     assert [report.n_macro for report in _selected_spectra([short, mixed], 1)] == [2, 2]
+
+
+def test_a_batch_labels_each_grid_by_its_own_lengths():
+    """Two grids of 4 x 4 patches on swapped domains, L_x = 2 pi and L_y =
+    3 pi or the reverse, share a patch shape but order (1, 0) and (0, 1)
+    differently, so the labels of one are no use to the other: a batch that
+    holds each twice labels and checks each once, and reports every
+    operator as its own call does."""
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    ops = [
+        pt.assemble_patch_2d(pt.build_grid_2d(Lx, 4, 2, 0.1, Ly, 4, 2, 0.1), prof,
+                             pt.CouplingSpec("spectral"))
+        for Lx, Ly in ((L, 1.5 * L), (1.5 * L, L))
+    ]
+    labels = [_wavenumber_labels(op, _patch_layout(op)) for op in ops]
+    assert not np.array_equal(*labels)
+    with (
+        mock.patch("patchtooth.spectra._wavenumber_labels", wraps=_wavenumber_labels) as labelled,
+        mock.patch("patchtooth.spectra._require_dynamic_range",
+                   wraps=spectra._require_dynamic_range) as checked,
+    ):
+        together = _selected_spectra(ops + ops, 3)
+    # once per distinct grid
+    assert labelled.call_count == checked.call_count == 2
+    for got, op in zip(together, ops + ops):
+        want = pt.eigen_symmetric(op, modes=3)
+        for name in ("eigenvalues", "wavenumbers", "ranks"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_a_batch_checks_the_dynamic_range_of_each_profile():
+    """The dynamic range is checked once per distinct profile and grid, never
+    skipped for a profile of its own on a grid already checked, and its
+    fault is raised in list order: after the mixed block of wavenumber 2 of
+    an operator before it, before that of one after it."""
+    grid = pt.build_grid_1d(L, 6, 4, 0.5)
+
+    def assembled(sigma):
+        prof = pt.random_lognormal_profile(3, sigma, 0)
+        return pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
+
+    mixed, wide = assembled(1.0), assembled(40.0)
+    assert len(_selected_spectra([mixed, mixed], 1)) == 2
+    with pytest.raises(ValueError, match="^dynamic range"):
+        _selected_spectra([mixed, mixed, wide], 1)
+    with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
+        _selected_spectra([mixed, wide], 3)
+    with pytest.raises(ValueError, match="^dynamic range"):
+        _selected_spectra([wide, mixed], 3)
 
 
 def test_error_table_reports_the_worst_rank():
