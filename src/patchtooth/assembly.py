@@ -242,11 +242,11 @@ def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
     rfftn's output order, or over `select`, indices into it, in the order
     given.
 
-    Returns (pairs, batches): the sorted flat indices row * b + col of the
-    pairs in a block indexed by (member, local point) in C order, and a
-    generator of read-only (k, pairs) views of the entries H(j)[row, col],
-    each batch as many blocks as one of _bloch_batches.  Every other entry
-    of H(j) is zero.
+    Returns (pairs, entries): the sorted flat indices row * b + col of the
+    pairs in a block indexed by (member, local point) in C order, and the
+    read-only (blocks, pairs) array of the entries H(j)[row, col].  Every
+    other entry of H(j) is zero.  Each consumer slices the blocks into
+    batches of _batch_blocks(b).
     """
     patches, b, _ = _blocking(layout)
     K = math.prod(patches)
@@ -276,8 +276,7 @@ def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
         spectrum[varying[start:stop]] = transformed if select is None else transformed[:, select]
     np.conj(spectrum, out=spectrum)  # H(j) takes exp(+2 pi i j.m / N), rfftn the conjugate
     spectrum.flags.writeable = False
-    step = _batch_blocks(b)
-    return pairs, (spectrum[:, start : start + step].T for start in range(0, columns, step))
+    return pairs, spectrum.T
 
 
 def _batch_blocks(b: int) -> int:
@@ -299,11 +298,13 @@ def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
     batch before asking for the next holds one batch of blocks at a time.
     """
     b = _blocking(layout)[1]
-    pairs, batches = _bloch_entries(op, layout, select)
-    for entries in batches:
-        blocks = np.zeros((entries.shape[0], b * b), dtype=entries.dtype)
+    pairs, entries = _bloch_entries(op, layout, select)
+    step = _batch_blocks(b)
+    for start in range(0, len(entries), step):
+        batch = entries[start : start + step]
+        blocks = np.zeros((batch.shape[0], b * b), dtype=batch.dtype)
         blocks.imag = -0.0  # the zeros too are conjugates of the transform's: 0 - 0j
-        blocks[:, pairs] = entries
+        blocks[:, pairs] = batch
         yield blocks.reshape(-1, b, b)
 
 

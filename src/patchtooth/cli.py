@@ -70,7 +70,7 @@ from .microscale import (
 )
 from .spectra import (
     SymmetryPreconditionError,
-    _selected_spectra,
+    _symmetric_spectra,
     convergence_slope,
     eigen_general,
     eigen_symmetric,
@@ -914,7 +914,7 @@ def _sweep_rows(run: _Run):
     Every operator of the sweep is assembled first: the test and the
     spectral reference of each swept grid, or the reference and then each
     order of an order sweep, which solves its reference once.  One
-    _selected_spectra call then solves only the Bloch blocks of those
+    _symmetric_spectra call then solves only the Bloch blocks of those
     wavenumbers, one batched solve per plan group (the operators whose
     blocks store the same (row, col) pairs: all of them on a 1D sweep), and
     names the first operator in that order that fails.
@@ -928,7 +928,7 @@ def _sweep_rows(run: _Run):
     else:
         points = [(g, c) for g in run.swept_grids for c in (run.coupling, spectral)]
     ops = [assemble_patch_1d(g, run.profile, c, ensemble=run.ensemble) for g, c in points]
-    reports = _selected_spectra(ops, modes)
+    reports = _symmetric_spectra(ops, modes)
     if order:
         ref, *tests = reports
         pairs = [(test, ref) for test in tests]

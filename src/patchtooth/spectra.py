@@ -24,11 +24,12 @@ gives the entries of every block at its stored (row, col) pairs, in
 extended precision: a patch-local pair (the diagonal and the interior
 bonds, stored at patch offset 0 alone) holds its value in every block, and
 only the other pairs, the edge couplings, are transformed, 2 of the 30 of a
-sweep1d-patches operator.  It hands the entries out a batch of wavenumbers
-at a time; the solvers consume them batch by batch:
-eigen_symmetric, eigen_general and timestep.evolve_exact cost O(N b^3) time
-instead of O(dim^3) and never hold a dim x dim matrix.  eigen_general
-(through assembly._bloch_eigenvalues) and timestep.evolve_rk4 read the dense
+sweep1d-patches operator.  It returns them as one read-only (blocks, pairs)
+array, which each solver slices into batches of assembly._batch_blocks(b)
+wavenumbers and consumes batch by batch: eigen_symmetric, eigen_general
+and timestep.evolve_exact cost O(N b^3) time instead of O(dim^3) and never
+hold a dim x dim matrix.  eigen_general (through
+assembly._bloch_eigenvalues) and timestep.evolve_rk4 read the dense
 extended precision view of assembly._bloch_batches, at most about 4 MB of
 blocks per batch.  The symmetric solvers read the pair entries only
 (a block of the eigen2d-ens benchmark stores 180 of its 1,296 entries): they
@@ -41,21 +42,21 @@ microscale), so every solver here takes an AssembledOperator and has no
 dense path.
 
 Both symmetric solvers, eigen_symmetric and timestep.evolve_exact, take one
-path.  A phase-shift ensemble's block is block diagonal over its g member
-orbits, each with one slow mode, its eigenvalue of smallest magnitude, so
-every symmetric block is solved as g blocks of size b / g (g = 1 for a
-single phase), and only the slow mode of each is refined, as a Rayleigh
-quotient against the extended precision block, taken from its stored pairs
-bit for bit as a dense extended precision matmul would sum it: O(pairs)
-extended precision work per block.  eigen_symmetric takes a double
-precision eigvalsh, which computes no eigenvectors, and each slow
+per-batch solve, _solve_batch.  A phase-shift ensemble's block is block
+diagonal over its g member orbits, each with one slow mode, its eigenvalue
+of smallest magnitude, so every symmetric block is solved as g blocks of
+size b / g (g = 1 for a single phase), and only the slow mode of each is
+refined, as a Rayleigh quotient against the extended precision block, taken
+from its stored pairs bit for bit as a dense extended precision matmul would
+sum it: O(pairs) extended precision work per block.  eigen_symmetric takes a
+double precision eigvalsh, which computes no eigenvectors, and each slow
 eigenvector from two steps of shifted inverse iteration (Parlett, The
 Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); evolve_exact, which needs
 every eigenvector, takes eigh of the orbit blocks and refines with eigh's
 own slow vector.  No two slow modes share an orbit block, so neither path
-mixes them.  A slow eigenvalue is a small difference of O(1/d^2) entries,
-so the absolute error eps * ||H|| of eigvalsh would be a large relative one.
-A fast eigenvalue is a microscale mode of the patch interior, at least about
+mixes them.  A slow eigenvalue is a small difference of O(1/d^2) entries, so
+the absolute error eps * ||H|| of eigvalsh would be a large relative one.  A
+fast eigenvalue is a microscale mode of the patch interior, at least about
 ||H|| / n^2, so the same error is already a small relative one: on the
 benchmark operators the fast eigenvalues lie within 19 eps relative of their
 Rayleigh quotients.  Per block eigen_symmetric does g eigvalsh and 2g LU
@@ -73,11 +74,12 @@ spectrum costs O(N b^3); each of them must hold its slow modes clearly below
 its fast ones, or the labels would pair arbitrary modes and the solve
 raises.  The errors are bitwise those of the full solve, since each block is
 the same batched solve of the same rfftn lines, and the start vector of
-inverse iteration is the same in every batch.  A sweep hands all its
-operators to one modes solve, _selected_spectra, which stacks the selected
-blocks of the operators that share a stored pair pattern and solves each
-stack in batches by the same per-batch solve, _solve_batch: a solve of a
-few small blocks costs mostly per-call overhead.
+inverse iteration is the same in every batch.  Whole and selected spectra
+have one driver, _symmetric_spectra, which takes a list of operators: a
+sweep hands it all of them at once.  It stacks the (selected) blocks of the
+operators that share a stored pair pattern and solves each stack in
+batches by _solve_batch, since a solve of a few small blocks costs mostly
+per-call overhead; eigen_symmetric is that driver on one operator.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -334,22 +336,21 @@ def _solve_batch(E: np.ndarray, plan: tuple, g: int, vectors: bool):
     return w, V, np.take_along_axis(slow, order, axis=1)
 
 
-def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
-    """_solve_batch of each batch of assembly._bloch_entries, one batch at a time.
+def _bloch_eigh(op, layout: Layout):
+    """_solve_batch with eigenvectors of each batch of an operator's Bloch blocks.
 
-    Yields (w, V, slow) of _solve_batch for each batch of the Bloch blocks
-    (only the blocks `select` names, if given), each block split into its
-    g member orbits.  This is the symmetric solve of one operator's whole
-    spectrum, for eigen_symmetric without `modes` and for
-    timestep.evolve_exact; _selected_spectra feeds the same per-batch solve
-    with the selected blocks of several operators at once.
+    Yields (w, V, slow) of _solve_batch, vectors=True, for each batch of
+    assembly._batch_blocks(b) blocks of assembly._bloch_entries, each block
+    split into its g member orbits: the eigenvectors timestep.evolve_exact
+    propagates with.  Spectra take the same per-batch solve, without
+    eigenvectors, through _symmetric_spectra.
     """
-    orbits = _orbits(layout, op.profile.periods)
-    pairs, batches = _bloch_entries(op, layout, select)
-    key = _plan_key(pairs, orbits)
+    pairs, entries = _bloch_entries(op, layout)
+    key = _plan_key(pairs, _orbits(layout, op.profile.periods))
     plan = _pair_plan(*key)
-    for E in batches:
-        yield _solve_batch(E, plan, key[2], vectors)
+    step = _batch_blocks(plan[4].shape[0])
+    for start in range(0, len(entries), step):
+        yield _solve_batch(entries[start : start + step], plan, key[2], vectors=True)
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
@@ -456,114 +457,103 @@ class SpectrumReport:
             self.gap_ratio = float(np.abs(self.micro[0])) / macro_scale
 
 
-def _symmetric_layout(op, ranges: set) -> tuple[Layout, SymmetryReport]:
-    """The state layout and symmetry of an operator that passes eigen_symmetric's preconditions.
-
-    `ranges` holds the inputs (lengths, spacings, bonds) of the dynamic-range
-    checks already passed: an operator with the same inputs skips that
-    check, and the inputs of a check it passes are added.
-    """
-    layout = _patch_layout(op)
-    lengths, spacings = _axis_lengths(op, layout)
-    bonds = ((b.shape, b.tobytes()) for b in op.profile.bonds)
-    inputs = (lengths.tobytes(), spacings.tobytes(), *bonds)
-    if inputs not in ranges:
-        _require_dynamic_range(op, layout)
-        ranges.add(inputs)
-    symmetry = _require_symmetric(
-        op, "this operator must not be fed to a symmetric eigensolver"
-    )
-    return layout, symmetry
-
-
-def _ranks(w: np.ndarray, slow: np.ndarray) -> np.ndarray:
-    """The rank of each eigenvalue in w (k, b) among its block's slow modes `slow`, -1 if fast."""
-    ranks = np.full(w.shape, -1, dtype=np.intp)
-    np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
-    return ranks
-
-
-def _joined(batches) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues w and slow indices of _solve_batch's batches, joined along the blocks."""
-    w, slow = zip(*((w, slow) for w, _, slow in batches))
-    return np.concatenate(w), np.concatenate(slow)
-
-
-def _labelled_report(w, ranks, labels, counts, n_macro, symmetry) -> SpectrumReport:
-    """The report of half-spectrum blocks w (k, b) of the given labels, each
-    block standing for `counts` blocks of the full spectrum."""
-    return SpectrumReport(
-        eigenvalues=np.repeat(w, counts, axis=0).ravel(),
-        n_macro=n_macro,
-        symmetry=symmetry,
-        wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
-        ranks=np.repeat(ranks, counts, axis=0).ravel(),
-    )
-
-
-def _selected_spectra(ops, modes: int, n_macro: int | None = None) -> list[SpectrumReport]:
+def _symmetric_spectra(
+    ops, modes: int | None = None, n_macro: int | None = None
+) -> list[SpectrumReport]:
     """eigen_symmetric(op, n_macro, modes) of each operator, their blocks solved together.
 
-    Each operator's preconditions, wavenumber labels and selected entries of
+    The one symmetric spectrum driver: whole spectra (modes None), selected
+    wavenumbers 1..modes, and the sweeps of the CLI.  Each operator's
+    preconditions, wavenumber labels and (selected) entries of
     assembly._bloch_entries are taken in list order.  Work that depends on
     the grid alone is done once per call for each distinct input: the
     dynamic-range check per (lengths, spacings, bonds), the labels and
     mirror counts per (patch shape, lengths); a sweep of 32 operators has
-    16 grids.  Operators that share a
-    _pair_plan, such as those of one stencil on every grid of a patch sweep,
-    have their entries stacked, and _solve_batch solves the stack
-    assembly._batch_blocks blocks at a time: one call for the 96 blocks of
-    the sweep1d-patches benchmark, since a call on an operator's 3 blocks of
-    10 x 10 costs mostly per-call overhead.  Every block is solved alone
-    within a batch, so each report is bitwise the one its operator gets on
-    its own.  _require_separated checks the reports in list order.  An
-    operator that fails a precondition ends the list: those before it are
-    solved and checked first, so the error raised is always that of the
-    first operator that fails, as one call per operator would raise it.
+    16 grids.  Operators that share a _pair_plan, such as those of one
+    stencil on every grid of a patch sweep, have their entries stacked, and
+    _solve_batch solves the stack assembly._batch_blocks blocks at a time:
+    one call for the 96 blocks of the sweep1d-patches benchmark, since a
+    call on an operator's 3 blocks of 10 x 10 costs mostly per-call
+    overhead.  The entries of a plan of one operator are solved as they
+    are, and those of several are dropped once stacked, so a solve holds one
+    copy of them.  Every block is solved alone within a batch, so each
+    report is bitwise the one its operator gets on its own.
+
+    With `modes`, _require_separated checks the reports in list order; a
+    whole spectrum pairs no modes by rank and is not checked.  An operator
+    that fails a precondition ends the list: those before it are solved and
+    checked first, so the error raised is always that of the first operator
+    that fails, as one call per operator would raise it.
     """
     solves, groups, failure = [], {}, None
     ranges, grids = set(), {}  # dynamic-range inputs passed; labels and counts per grid
     for op in ops:
         try:
-            layout, symmetry = _symmetric_layout(op, ranges)
-            patches = layout.shape[1 : 1 + layout.patch_axes]
-            grid = (patches, _axis_lengths(op, layout)[0].tobytes())
+            layout = _patch_layout(op)
+            lengths, spacings = _axis_lengths(op, layout)
+            bonds = ((b.shape, b.tobytes()) for b in op.profile.bonds)
+            inputs = (lengths.tobytes(), spacings.tobytes(), *bonds)
+            if inputs not in ranges:
+                _require_dynamic_range(op, layout)
+                ranges.add(inputs)
+            symmetry = _require_symmetric(
+                op, "this operator must not be fed to a symmetric eigensolver"
+            )
+            grid = (layout.shape[1 : 1 + layout.patch_axes], lengths.tobytes())
             if grid not in grids:
                 grids[grid] = _wavenumber_labels(op, layout), _mirror_counts(layout)
             labels, counts = grids[grid]
-            if not 1 <= modes <= labels.max(initial=0):
+            if modes is not None and not 1 <= modes <= labels.max(initial=0):
                 raise ValueError(
                     f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
                 )
         except ValueError as exc:
             failure = exc
             break
-        select = np.flatnonzero((labels >= 1) & (labels <= modes))
-        pairs, batches = _bloch_entries(op, layout, select)
-        key = _plan_key(pairs, _orbits(layout, op.profile.periods))
-        members, entries = groups.setdefault(key, ([], []))
-        members.append(len(solves))
-        entries.extend(batches)
-        solves.append((layout, symmetry, labels[select], counts[select]))
-    solved = [None] * len(solves)
-    for key, (members, entries) in groups.items():
-        plan = _pair_plan(*key)
-        stack = np.concatenate(entries)
-        step = _batch_blocks(plan[4].shape[0])
-        w, slow = _joined(
-            _solve_batch(stack[start : start + step], plan, key[2], vectors=False)
-            for start in range(0, len(stack), step)
+        if modes is None:
+            select, macro = None, layout.n_macro or op.dimension
+        else:
+            select = np.flatnonzero((labels >= 1) & (labels <= modes))
+            labels, counts = labels[select], counts[select]
+            # by default the labelled slow modes are the macro modes
+            macro = layout.slow * int(np.sum(counts))
+        pairs, entries = _bloch_entries(op, layout, select)
+        members, stacked = groups.setdefault(
+            _plan_key(pairs, _orbits(layout, op.profile.periods)), ([], [])
         )
-        bounds = np.cumsum([solves[i][2].size for i in members])[:-1]
+        members.append(len(solves))
+        stacked.append(entries)
+        solves.append((symmetry, labels, counts, macro if n_macro is None else n_macro))
+    solved = [None] * len(solves)
+    for key, (members, stacked) in groups.items():
+        entries = stacked[0] if len(stacked) == 1 else np.concatenate(stacked)
+        stacked.clear()
+        plan = _pair_plan(*key)
+        step = _batch_blocks(plan[4].shape[0])
+        w, _, slow = zip(*(
+            _solve_batch(entries[start : start + step], plan, key[2], vectors=False)
+            for start in range(0, len(entries), step)
+        ))
+        del entries
+        w, slow = np.concatenate(w), np.concatenate(slow)
+        bounds = np.cumsum([solves[i][1].size for i in members])[:-1]
         for i, w_i, slow_i in zip(members, np.split(w, bounds), np.split(slow, bounds)):
             solved[i] = w_i, slow_i
     reports = []
-    for (layout, symmetry, labels, counts), (w, slow) in zip(solves, solved):
-        ranks = _ranks(w, slow)
-        _require_separated(w, ranks, labels)
-        # by default the labelled slow modes are the macro modes
-        count = layout.slow * int(np.sum(counts)) if n_macro is None else n_macro
-        reports.append(_labelled_report(w, ranks, labels, counts, count, symmetry))
+    for (symmetry, labels, counts, count), (w, slow) in zip(solves, solved):
+        # the rank of each eigenvalue among its block's slow modes, -1 if fast
+        ranks = np.full(w.shape, -1, dtype=np.intp)
+        np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
+        if modes is not None:
+            _require_separated(w, ranks, labels)
+        # each half-spectrum block stands for `counts` blocks of the full spectrum
+        reports.append(SpectrumReport(
+            eigenvalues=np.repeat(w, counts, axis=0).ravel(),
+            n_macro=count,
+            symmetry=symmetry,
+            wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
+            ranks=np.repeat(ranks, counts, axis=0).ravel(),
+        ))
     if failure is not None:
         raise failure
     return reports
@@ -577,19 +567,12 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     solved block by block in the patch wavenumber, and each eigenvalue is
     labelled by its block's wavenumber (see _wavenumber_labels) and its rank
     among the block's Layout.slow slow modes.  Without `modes` every block is
-    solved, by _bloch_eigh.  With it only the blocks of wavenumbers
-    1..modes are, O(modes b^3) work, by _selected_spectra of this one
-    operator, and each of them must hold its slow modes below half its
-    smallest fast one, or a ValueError names the block.
+    solved.  With it only the blocks of wavenumbers 1..modes are, O(modes
+    b^3) work, and each of them must hold its slow modes below half its
+    smallest fast one, or a ValueError names the block.  Both go through
+    _symmetric_spectra of this one operator.
     """
-    if modes is not None:
-        return _selected_spectra([op], modes, n_macro)[0]
-    layout, symmetry = _symmetric_layout(op, set())
-    w, slow = _joined(_bloch_eigh(op, layout))
-    if n_macro is None:
-        n_macro = layout.n_macro or op.dimension
-    labels, counts = _wavenumber_labels(op, layout), _mirror_counts(layout)
-    return _labelled_report(w, _ranks(w, slow), labels, counts, n_macro, symmetry)
+    return _symmetric_spectra([op], modes, n_macro)[0]
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:

@@ -136,7 +136,7 @@ def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
     u_hat = _bloch_modes(u0, layout)
     modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
     start, top = 0, -np.inf
-    for w, V, _ in _bloch_eigh(op, layout, vectors=True):
+    for w, V, _ in _bloch_eigh(op, layout):
         batch = slice(start, start + w.shape[0])
         # one matrix of V per member orbit of a block, as _bloch_eigh splits them;
         # the gather comes out column-major, and the matmul of a strided

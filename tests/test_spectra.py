@@ -9,13 +9,14 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import full_lattice_operator_2d_sparse, smallest_magnitude_eigenvalues
-from test_storage import degenerate_ensembles, mirrorless_operators
+from test_storage import degenerate_ensembles, full_lattices, mirrorless_operators, patch_setups
 
 import patchtooth as pt
 from patchtooth import spectra
-from patchtooth.assembly import _patch_layout
-from patchtooth.spectra import _axis_lengths, _selected_spectra, _wavenumber_labels
+from patchtooth.assembly import _mirror_counts, _patch_layout
+from patchtooth.spectra import _axis_lengths, _symmetric_spectra, _wavenumber_labels
 
 L = 2 * np.pi
 
@@ -320,7 +321,8 @@ def test_selected_blocks_give_the_full_solve_errors_bitwise(point):
 def operator_lists(draw):
     """1 to 6 operators in 1D and 2D drawn from a pool of at most 6, repeats
     included, so that several share a pair plan and several plans occur, and
-    a row count that may exceed the wavenumbers of some of them."""
+    a row count that may exceed the wavenumbers of some of them, or None for
+    whole spectra."""
     pool = draw(st.lists(
         st.one_of(
             sweep_points().map(lambda point: point[:2]),
@@ -332,7 +334,7 @@ def operator_lists(draw):
     pool = [op for ops in pool for op in ops]
     ops = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     classes = min(int(_wavenumber_labels(op, _patch_layout(op)).max(initial=0)) for op in ops)
-    return ops, draw(st.integers(1, max(classes, 1) + 1))
+    return ops, draw(st.none() | st.integers(1, max(classes, 1) + 1))
 
 
 def measured_symmetry(op, consequence):
@@ -344,12 +346,13 @@ def measured_symmetry(op, consequence):
 @settings(max_examples=100, deadline=None)
 @given(operator_lists(), st.sampled_from([1, 5000, 2**22]))
 def test_a_batch_of_operators_reports_each_as_a_call_of_its_own_would(case, batch_bytes):
-    """_selected_spectra stacks the selected blocks of the operators that
-    share a pair plan; a batch of 1 or 5000 bytes splits each stack into
-    batches of one block or a few.  Each report is the one-operator call's,
-    bit for bit, and a failing list raises the error of the first operator
-    whose own call fails.  Both calls measure the symmetry of mirrorless
-    operators without refusing them, which exercises the union plans."""
+    """_symmetric_spectra stacks the selected blocks, or all of them, of the
+    operators that share a pair plan; a batch of 1 or 5000 bytes splits each
+    stack into batches of one block or a few.  Each report is the
+    one-operator call's, bit for bit, and a failing list raises the error of
+    the first operator whose own call fails.  Both calls measure the
+    symmetry of mirrorless operators without refusing them, which exercises
+    the union plans."""
     ops, modes = case
     with (
         mock.patch("patchtooth.assembly._BATCH_BYTES", batch_bytes),
@@ -361,10 +364,10 @@ def test_a_batch_of_operators_reports_each_as_a_call_of_its_own_would(case, batc
                 alone.append(pt.eigen_symmetric(op, modes=modes))
             except ValueError as exc:
                 with pytest.raises(type(exc)) as batched:
-                    _selected_spectra(ops, modes)
+                    _symmetric_spectra(ops, modes)
                 assert str(batched.value) == str(exc)
                 return
-        together = _selected_spectra(ops, modes)
+        together = _symmetric_spectra(ops, modes)
     assert len(together) == len(ops)
     for got, want in zip(together, alone):
         for name in ("eigenvalues", "wavenumbers", "ranks"):
@@ -447,6 +450,45 @@ def test_wavenumber_labels_match_the_unique_columns(op):
     )
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+    reason="without a wider long double the oracle sums in double, in an order of its own",
+)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        patch_setups(compatible=True).map(lambda s: pt.assemble_patch_1d(*s[:3], ensemble=s[3])),
+        degenerate_ensembles(),
+        full_lattices(),
+    )
+)
+def test_a_whole_spectrum_is_the_oracle_solve_bit_for_bit(op):
+    """eigen_symmetric without `modes` reports the batches of the dense
+    oracle solve, each half-spectrum block repeated for the full-spectrum
+    blocks it stands for and labelled by labels_by_unique_columns, stably
+    sorted by magnitude: eigenvalues, wavenumbers and ranks bit for bit, on
+    single phases, degenerate ensembles and full lattices."""
+    layout = _patch_layout(op)
+    w, slow = (np.concatenate(part) for part in zip(*(
+        (w, slow) for w, _, slow in oracles._bloch_eigh(op, layout)
+    )))
+    ranks = np.full(w.shape, -1, dtype=np.intp)
+    np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
+    counts = _mirror_counts(layout)
+    labels = labels_by_unique_columns(op, layout)
+    want = {
+        "eigenvalues": np.repeat(w, counts, axis=0).ravel(),
+        "wavenumbers": np.repeat(np.repeat(labels, counts), w.shape[1]),
+        "ranks": np.repeat(ranks, counts, axis=0).ravel(),
+    }
+    order = np.argsort(np.abs(want["eigenvalues"]), kind="stable")
+    got = pt.eigen_symmetric(op)
+    for name, oracle in want.items():
+        part = getattr(got, name)
+        assert part.dtype == oracle.dtype and part.tobytes() == oracle[order].tobytes()
+    assert got.n_macro == (layout.n_macro or op.dimension)
+
+
 def test_selected_blocks_must_separate_slow_from_fast():
     """At r = 0.5 a fast mode of the p = 3, n = 4 ensemble meets the slow one
     of wavenumber 2, so rank labels would pair arbitrary modes."""
@@ -455,6 +497,8 @@ def test_selected_blocks_must_separate_slow_from_fast():
         grid, pt.random_lognormal_profile(3, 1.0, 0), pt.CouplingSpec("spectral"), ensemble=True
     )
     assert pt.eigen_symmetric(op, modes=1).n_macro == 2
+    # a whole spectrum pairs no modes by rank, so it is not checked
+    assert pt.eigen_symmetric(op).n_macro == 6
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
         pt.eigen_symmetric(op, modes=3)
     with pytest.raises(ValueError, match="wavenumbers 1..4; the grid has 3"):
@@ -472,10 +516,10 @@ def test_a_batch_raises_the_error_of_its_first_failing_operator():
         for N in (6, 4)
     )
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
-        _selected_spectra([mixed, short], 3)
+        _symmetric_spectra([mixed, short], 3)
     with pytest.raises(ValueError, match="wavenumbers 1..3; the grid has 2"):
-        _selected_spectra([short, mixed], 3)
-    assert [report.n_macro for report in _selected_spectra([short, mixed], 1)] == [2, 2]
+        _symmetric_spectra([short, mixed], 3)
+    assert [report.n_macro for report in _symmetric_spectra([short, mixed], 1)] == [2, 2]
 
 
 def test_a_batch_labels_each_grid_by_its_own_lengths():
@@ -497,7 +541,7 @@ def test_a_batch_labels_each_grid_by_its_own_lengths():
         mock.patch("patchtooth.spectra._require_dynamic_range",
                    wraps=spectra._require_dynamic_range) as checked,
     ):
-        together = _selected_spectra(ops + ops, 3)
+        together = _symmetric_spectra(ops + ops, 3)
     # once per distinct grid
     assert labelled.call_count == checked.call_count == 2
     for got, op in zip(together, ops + ops):
@@ -518,13 +562,13 @@ def test_a_batch_checks_the_dynamic_range_of_each_profile():
         return pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
 
     mixed, wide = assembled(1.0), assembled(40.0)
-    assert len(_selected_spectra([mixed, mixed], 1)) == 2
+    assert len(_symmetric_spectra([mixed, mixed], 1)) == 2
     with pytest.raises(ValueError, match="^dynamic range"):
-        _selected_spectra([mixed, mixed, wide], 1)
+        _symmetric_spectra([mixed, mixed, wide], 1)
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
-        _selected_spectra([mixed, wide], 3)
+        _symmetric_spectra([mixed, wide], 3)
     with pytest.raises(ValueError, match="^dynamic range"):
-        _selected_spectra([wide, mixed], 3)
+        _symmetric_spectra([wide, mixed], 3)
 
 
 def test_error_table_reports_the_worst_rank():

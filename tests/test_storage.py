@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import oracles
 import patchtooth as pt
 from patchtooth.assembly import (
+    _batch_blocks,
     _bloch_batches,
     _bloch_entries,
     _mirror_counts,
     _orbits,
     _patch_layout,
 )
-from patchtooth.spectra import _bloch_eigh, _refined_eigh
+from patchtooth.spectra import _pair_plan, _plan_key, _refined_eigh, _solve_batch
 
 L = 2 * np.pi
 
@@ -40,6 +41,17 @@ def dense_bloch_blocks(matrix, layout):
     blocks = np.moveaxis(blocks, patch_axes, tuple(range(k)))
     b = math.prod(shape) // math.prod(shape[1 : 1 + k])
     return blocks.reshape(-1, b, b)
+
+
+def solved_batches(op, layout, select, vectors):
+    """_solve_batch of each batch of _batch_blocks(b) blocks of the entries
+    of _bloch_entries(op, layout, select), as the symmetric solvers slice them."""
+    pairs, entries = _bloch_entries(op, layout, select)
+    key = _plan_key(pairs, _orbits(layout, op.profile.periods))
+    plan = _pair_plan(*key)
+    step = _batch_blocks(plan[4].shape[0])
+    for start in range(0, len(entries), step):
+        yield _solve_batch(entries[start : start + step], plan, key[2], vectors)
 
 
 @st.composite
@@ -195,8 +207,7 @@ def test_bloch_entries_match_a_direct_dft(op, data):
     )
     batch_bytes = data.draw(st.sampled_from([1, 5000, 2**22]))
     with mock.patch("patchtooth.assembly._BATCH_BYTES", batch_bytes):
-        pairs, batches = _bloch_entries(op, layout, select)
-        got = np.concatenate(list(batches))
+        pairs, got = _bloch_entries(op, layout, select)
     want_pairs, want = oracles.bloch_entries_dft(op, select)
     np.testing.assert_array_equal(pairs, want_pairs)
     assert got.shape == want.shape == (blocks if select is None else select.size, pairs.size)
@@ -299,7 +310,7 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     def slow_values(vectors):
         blocks = [
             np.take_along_axis(w, slow, axis=1)
-            for w, _, slow in _bloch_eigh(op, layout, vectors=vectors)
+            for w, _, slow in solved_batches(op, layout, None, vectors)
         ]
         # `slow` lists each block's slow modes in ascending magnitude, their ranks
         assert all(np.all(np.diff(np.abs(values), axis=1) >= 0) for values in blocks)
@@ -359,7 +370,7 @@ def mirrorless_operators(draw):
     st.data(),
 )
 def test_the_pair_path_is_the_dense_solve_bit_for_bit(op, data):
-    """_bloch_eigh forms the Hermitian parts on the stored pairs and their
+    """_solve_batch forms the Hermitian parts on the stored pairs and their
     mirrors and takes the slow quotients from the pair entries; every batch's
     w, slow and V (on the vectors path) are the bytes of the dense oracle's,
     on the whole half spectrum or on a selection of its blocks."""
@@ -369,7 +380,7 @@ def test_the_pair_path_is_the_dense_solve_bit_for_bit(op, data):
         st.none() | st.lists(st.integers(0, blocks - 1), min_size=1, unique=True).map(np.array)
     )
     vectors = data.draw(st.booleans())
-    got = _bloch_eigh(op, layout, select, vectors)
+    got = solved_batches(op, layout, select, vectors)
     want = oracles._bloch_eigh(op, layout, select, vectors)
     for batch, dense in zip(got, want, strict=True):
         for part, oracle in zip(batch, dense, strict=True):
@@ -536,6 +547,14 @@ def test_a_symmetric_solve_reads_its_blocks_on_the_stored_pairs():
     assert peak < 2.5 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
+def large_2d_operator():
+    """2D, 41 x 41 patches of 8 x 8 points (dim 107,584), single phase,
+    spectral coupling."""
+    grid = pt.build_grid_2d(L, 41, 8, 0.2, L, 41, 8, 0.2)
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    return pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
+
+
 def test_a_large_2d_spectrum_transforms_its_lines_in_chunks():
     """eigen_symmetric on 41 x 41 patches of 8 x 8 points (dim 107,584,
     108 MB of Bloch blocks) stays below 20 MB of traced allocations: the
@@ -543,9 +562,19 @@ def test_a_large_2d_spectrum_transforms_its_lines_in_chunks():
     one 8.8 MB spectrum, and the blocks are solved in batches of 32.  It
     read 16.4 MB so; 25.1 MB when the lines were transformed whole, and
     97.5 MB with 16 MB batches of four or five copies each."""
-    grid = pt.build_grid_2d(L, 41, 8, 0.2, L, 41, 8, 0.2)
-    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
-    op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"))
+    op = large_2d_operator()
     peak, report = traced_peak(pt.eigen_symmetric, op)
     assert report.eigenvalues.size == op.dimension == 107_584
     assert peak < 20 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_a_whole_spectrum_holds_one_copy_of_its_entries():
+    """eigen_symmetric on 41 x 41 patches of 8 x 8 points peaks below 1.6
+    times the bytes of the Bloch entries: the entries of a plan of one
+    operator are solved as they are, not stacked into a copy.  It read 1.44
+    times so; a solve that always stacks holds two copies at once."""
+    op = large_2d_operator()
+    entries = _bloch_entries(op, _patch_layout(op))[1].nbytes
+    peak, report = traced_peak(pt.eigen_symmetric, op)
+    assert report.eigenvalues.size == op.dimension == 107_584
+    assert peak < 1.6 * entries, f"{peak / entries:.2f} x {entries} bytes"
