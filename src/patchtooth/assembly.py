@@ -5,15 +5,17 @@ the interior points i = 1..n.  The rows at i = 1 and i = n reference the edge
 values i = 0 and i = n+1, which are eliminated by the inter-patch stencils:
 the right-edge bond of patch I couples its i = n row to the i = 1 unknowns of
 all patches J with weight w_right[(J - I) mod N], and the left-edge bond
-couples i = 1 to the i = n unknowns with w_left.  Every entry carries the
-microscale 1/d^2 scaling.  In 2D the same stencil acts along each axis.
+couples i = 1 to the i = n unknowns with w_left.  A coupling gives w_right
+alone; _stencil mirrors it into w_left.  Every entry carries the microscale
+1/d^2 scaling.  In 2D the same stencil acts along each axis.
 
 Symmetry comes from three facts: the interior stencil is symmetric, the two
-edge stencils are mirrors of each other (w_left[m] = w_right[-m]), and both
-sides of every gap see the same bond diffusivity.  The last point is automatic
-for single-phase patches with p | n; for general n the phase-shift ensemble
-restores it by routing each edge coupling to the member whose phase matches
-across the gap (member shifted by -n at the left edge, +n at the right).
+edge stencils are mirrors of each other (w_left[m] = w_right[-m], made in
+_stencil alone), and both sides of every gap see the same bond diffusivity.
+The last point is automatic for single-phase patches with p | n; for general
+n the phase-shift ensemble restores it by routing each edge coupling to the
+member whose phase matches across the gap (member shifted by -n at the left
+edge, +n at the right).
 
 The unknowns are the C-order flattening of an array of shape
 (members, N, n) in 1D and (members, N_y, N_x, n_y, n_x) in 2D:
@@ -383,20 +385,21 @@ def _raise_on_errors(diagnostics, allow_incompatible):
 
 
 def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
-    """Per-axis stencil inputs (N, n, d, w_right, w_left) of a patch grid, x first."""
-    weights = [weights_for(coupling, g.N, g.r) for g in grid.axes]
-    return [(g.N, g.n, g.d, w.w_right, w.w_left) for g, w in zip(grid.axes, weights)]
+    """Per-axis stencil inputs (N, n, d, w_right) of a patch grid, x first."""
+    return [(g.N, g.n, g.d, weights_for(coupling, g.N, g.r).w_right) for g in grid.axes]
 
 
 def _stencil(axes, bonds, ensemble: bool):
     """Unknown shape and first block row (rows, offsets, cols, values) of a patch operator.
 
-    Each axis, x first, is given as (N, n, d, w_right, w_left): N patches of
-    n points at spacing d, whose edge rows couple to the far next-to-edge
-    point of patch (I + m) mod N with weights w_right[m] and w_left[m].  A
+    Each axis, x first, is given as (N, n, d, w_right): N patches of n
+    points at spacing d, whose edge rows couple to the far next-to-edge
+    point of patch (I + m) mod N with weights w_right[m] and, made here for
+    every operator, its mirror w_left[m] = w_right[-m mod N].  So any weights
+    give a symmetric operator where both sides of each gap see one bond.  A
     full lattice of M points along an axis is q = M / n patches of n points
-    whose edges couple to the next patch with weight 1: w_right = e_1 and
-    w_left = e_{q-1}, [1.0] when q = 1.
+    whose edges couple to the next patch with weight 1: w_right = e_1, [1.0]
+    when q = 1.
 
     The stencil has three parts: interior bonds, edge couplings weighted over
     the patch offsets m and, in ensemble mode, the member shift of each edge
@@ -407,7 +410,7 @@ def _stencil(axes, bonds, ensemble: bool):
     row-by-row loop; entries that sum to 0.0 are dropped.  The result is
     indexed as AssembledOperator stores it.
     """
-    for _, _, d, _, _ in axes:
+    for _, _, d, _ in axes:
         if not (d * d > 0.0 and math.isfinite(1.0 / (d * d))):
             raise ValueError(f"lattice spacing d = {d!r} has no finite 1/d^2")
     dims = len(axes)
@@ -434,10 +437,10 @@ def _stencil(axes, bonds, ensemble: bool):
     left = [bond(a, a) for a in range(dims)]
     everything = np.arange(size)
     pieces = [(everything, 0, everything, -sum(k for pair in zip(right, left) for k in pair))]
-    for a, (N, n, _, w_right, w_left) in enumerate(axes):
+    for a, (N, n, _, w_right) in enumerate(axes):
         for k, step, near, far, weights in (
             (right[a], 1, n - 1, 0, w_right),
-            (left[a], -1, 0, n - 1, w_left),
+            (left[a], -1, 0, n - 1, w_right[(-np.arange(N)) % N]),
         ):
             # interior bond to the neighbour one step along axis a, in patch 0
             inner = np.flatnonzero(local[a] != near)

@@ -29,11 +29,14 @@ like); 3 a programming bug, any other exception, with its traceback.
 
 All floating point output is formatted with %.17g and JSON keys are sorted,
 so identical configs reproduce artefacts byte for byte.  Every CSV goes
-through one table writer, _write_table: a task hands it a header and numeric
-columns, and the writer formats them (_text, a block of values at a time)
-and ends the rows.  JSON artefacts are strict: a gap ratio with no gap is
-null.  Each artefact is written under a temporary name and renamed into
-place when complete, so a failed run leaves no half-written file.
+through one table writer, _write_table: a task hands it a header and
+fields.  The last field fills the table, one row per index of its other
+axes, and is formatted a block of values at a time (_text).  Each earlier
+field repeats along one of those axes, as a trajectory's times and labels
+do, and is formatted once (_compact).  JSON artefacts are strict: a gap
+ratio with no gap is null.  Each artefact is written under a temporary name
+and renamed into place when complete, so a failed run leaves no
+half-written file.
 """
 
 from __future__ import annotations
@@ -687,37 +690,22 @@ def _text(values, ends) -> np.ndarray:
     return words.reshape(*values.shape[:-1], -1)
 
 
-def _rows(fields) -> bytes:
-    """The text of `fields` side by side, without its NUL bytes.
-
-    Each field is 64-bit words of text along its last axis; the fields
-    broadcast against each other over the others.
-    """
-    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
-    rows = np.concatenate([np.broadcast_to(f, (*shape, f.shape[-1])) for f in fields], axis=-1)
-    return rows.tobytes().translate(None, b"\0")
-
-
 def _compact(field: np.ndarray, ends: list) -> np.ndarray:
-    """Each row of a field as one byte string: its columns' text, each followed by its end."""
+    """Each row of a field as 64-bit words of text: its columns' text, each followed by its end.
+
+    Every row is NUL-padded to the words of the longest, along a new last axis.
+    """
     if field.dtype.kind == "S":
-        return functools.reduce(np.char.add, map(np.char.add, np.moveaxis(field, -1, 0), ends))
-    flat, rows = field.reshape(-1, field.shape[-1]), []
-    step = max(1, _BLOCK_VALUES // flat.shape[1])
-    for start in range(0, len(flat), step):
-        text = _text(flat[start : start + step], ends)
-        rows += (r.replace(b"\0", b"") for r in text.view(f"S{8 * text.shape[1]}").ravel().tolist())
-    return np.array(rows, dtype="S").reshape(field.shape[:-1])
-
-
-def _cut(words: np.ndarray, part: tuple) -> np.ndarray:
-    """A block of a repeating field's words, cut only along the axes it does not repeat on."""
-    return words[tuple(p if n > 1 else slice(None) for p, n in zip(part, words.shape))]
-
-
-def _format(fields: tuple, ends: list, part: tuple) -> np.ndarray:
-    """The text words of a block of fields that fill the table, side by side."""
-    return _text(np.concatenate([f[part] for f in fields], axis=-1), ends)
+        strings = functools.reduce(np.char.add, map(np.char.add, np.moveaxis(field, -1, 0), ends))
+    else:
+        flat, rows = field.reshape(-1, field.shape[-1]), []
+        step = max(1, _BLOCK_VALUES // flat.shape[1])
+        for start in range(0, len(flat), step):
+            text = _text(flat[start : start + step], ends)
+            rows += (r.replace(b"\0", b"") for r in text.view(f"S{8 * text.shape[1]}").ravel().tolist())
+        strings = np.array(rows, dtype="S").reshape(field.shape[:-1])
+    words = strings.astype(f"S{8 * -(-strings.itemsize // 8)}").view(_WORD)
+    return words.reshape(*strings.shape, -1)
 
 
 def _write_file(path: Path, chunks) -> None:
@@ -739,38 +727,31 @@ def _write_file(path: Path, chunks) -> None:
 
 
 def _write_table(path: Path, header: list, fields: list) -> None:
-    """Write a CSV file: the header, then a row per index of the fields' broadcast shape.
+    """Write a CSV file: the header, then a row per index of the last field's other axes.
 
     Each field holds its columns along its last axis: doubles, written as
     '%.17g' text (an integer-valued one as that integer), or byte strings,
-    written as they are.  Over their other axes, at most two, the fields
-    broadcast against each other.  The bytes are those csv.writer writes: no
-    field needs quoting, and lines end in \\r\\n.
+    written as they are.  The last field, of doubles, fills the table: its
+    other axes, at most two, index the rows, and it is formatted a block of
+    about _BLOCK_VALUES values at a time.  Every earlier field repeats along
+    one of those axes, where its length is 1, and is formatted once, by
+    _compact.  The bytes are those csv.writer writes: no field needs
+    quoting, and lines end in \\r\\n.
     """
-    fields = [np.asarray(f) for f in fields]
-    outer, inner = (1, 1, *np.broadcast_shapes(*(f.shape[:-1] for f in fields)))[-2:]
-    fields = [f.reshape((1,) * (3 - f.ndim) + f.shape) for f in fields]
-    ends = [[b","] * f.shape[-1] for f in fields]
-    ends[-1][-1] = b"\r\n"
-    # Adjacent fields of a kind are formatted together: those that repeat along a row
-    # axis (kind: their row shape) once, as a string per row of their own; those that
-    # fill the table (kind None) a block of about _BLOCK_VALUES values at a time.
-    kinds = [None if f.dtype.kind != "S" and f.shape[:2] == (outer, inner) else f.shape[:2]
-             for f in fields]
-    parts, width = [], 0
-    for kind, group in itertools.groupby(zip(kinds, fields, ends), lambda item: item[0]):
-        _, group, group_ends = zip(*group)
-        if kind is None:
-            width += sum(f.shape[-1] for f in group)
-            parts.append(functools.partial(_format, group, sum(group_ends, [])))
-        else:
-            strings = functools.reduce(np.char.add, map(_compact, group, group_ends))
-            words = strings.astype(f"S{8 * -(-strings.itemsize // 8)}").view(_WORD)
-            parts.append(functools.partial(_cut, words.reshape(*strings.shape, -1)))
-    rows = max(1, _BLOCK_VALUES // max(1, width))
+    *repeating, filling = (np.asarray(f) for f in fields)
+    outer, inner, width = (1, 1, *filling.shape)[-3:]
+    filling = filling.reshape(outer, inner, width)
+    words = [_compact(f, [b","] * f.shape[-1]) for f in repeating]
+    words = [np.broadcast_to(w, (outer, inner, w.shape[-1])) for w in words]
+    ends = [b","] * (width - 1) + [b"\r\n"]
+    rows = max(1, _BLOCK_VALUES // width)
     step, across = max(1, rows // inner), min(inner, rows)
-    blocks = (_rows([part((slice(a, a + step), slice(c, c + across))) for part in parts])
-              for a, c in itertools.product(range(0, outer, step), range(0, inner, across)))
+    blocks = (
+        np.concatenate([*(w[a : a + step, c : c + across] for w in words),
+                        _text(filling[a : a + step, c : c + across], ends)], axis=-1)
+        .tobytes().translate(None, b"\0")
+        for a, c in itertools.product(range(0, outer, step), range(0, inner, across))
+    )
     _write_file(path, itertools.chain([(",".join(header) + "\r\n").encode()], blocks))
 
 
@@ -804,7 +785,7 @@ def _task_eigen(run: _Run, out: Path) -> None:
     values = report.eigenvalues
     columns = (np.arange(1.0, values.size + 1), values.real, values.imag, np.abs(values))
     _write_table(out / "eigenvalues.csv", ["rank", "real", "imag", "magnitude"],
-                 [column[:, None] for column in columns])
+                 [np.column_stack(columns)])
     _write_json(out / "summary.json", {
         "model": run.model, "dimension": op.dimension, "n_macro": int(report.n_macro), **spectrum,
     })
@@ -941,7 +922,7 @@ def _task_sweep(run: _Run, out: Path) -> None:
     parameter, values, modes = (run.section[key] for key in ("parameter", "values", "modes"))
     rows = _sweep_rows(run)
     _write_table(out / "sweep.csv", [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
-                 [np.array(values, dtype=float)[:, None], np.array(rows)])
+                 [np.column_stack([np.array(values, dtype=float), rows])])
     summary = {"parameter": parameter, "values": values, "modes": modes}
     if parameter == "patches" and len(values) >= 3:
         summary["slopes"] = [

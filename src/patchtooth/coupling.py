@@ -7,6 +7,8 @@ values are interpolated across all patches,
     u^I_0     = sum_J w_left [(J - I) mod N] u^J_n,
 
 so the whole coupling is a pair of circulant stencils over the patch index.
+A family gives w_right alone: assembly._stencil makes the left edge its
+mirror, w_left[m mod N] = w_right[(-m) mod N], bit for bit for every operator.
 
 Spectral weights evaluate the N-term Fourier interpolant of the next-to-edge
 values at a fractional patch shift r,
@@ -33,8 +35,7 @@ interpolation of degree 2P through the 2P+1 nearest patches, so it needs
 and vanishes: the weights collapse to the exact one-hot shift, as do the
 spectral weights.
 
-Both families satisfy sum_m w[m] = 1 (constants are reproduced) and the
-mirror identity w_left[m mod N] = w_right[(-m) mod N].
+Both families satisfy sum_m w[m] = 1 (constants are reproduced).
 """
 
 from __future__ import annotations
@@ -71,9 +72,14 @@ class CouplingSpec:
 
 @dataclass
 class InterpolationWeights:
+    """Right-edge weights w_right over the N patch offsets; w_left is their mirror."""
+
     N: int
     w_right: np.ndarray
-    w_left: np.ndarray
+
+    @property
+    def w_left(self) -> np.ndarray:
+        return self.w_right[(-np.arange(self.N)) % self.N]
 
 
 def _check_args(N: int, r: float):
@@ -105,10 +111,7 @@ def spectral_weights(N: int, r: float) -> InterpolationWeights:
     kernel = np.sin if N % 2 == 1 else np.tan
     with np.errstate(divide="ignore", invalid="ignore"):
         w_right = np.where((x == 0.0) | (N == 1), 1.0, numerator / (N * kernel(np.pi * x / N)))
-    # Mirroring rather than re-evaluating at -r keeps the pair bitwise
-    # symmetric, which the assembled operator inherits.
-    w_left = w_right[(-m) % N].copy()
-    return InterpolationWeights(N=N, w_right=w_right, w_left=w_left)
+    return InterpolationWeights(N=N, w_right=w_right)
 
 
 def lagrangian_weights(N: int, r: float, P: int) -> InterpolationWeights:
@@ -137,11 +140,9 @@ def lagrangian_weights(N: int, r: float, P: int) -> InterpolationWeights:
         odd[P - k : P + k + 1] += (coeff * 2 * k / (r * fact)) * md
         d2prev = d2k
     w_right = np.zeros(N)
-    w_left = np.zeros(N)
     for o in range(-P, P + 1):
         w_right[o % N] += even[P + o] + odd[P + o]
-        w_left[o % N] += even[P + o] - odd[P + o]
-    return InterpolationWeights(N=N, w_right=w_right, w_left=w_left)
+    return InterpolationWeights(N=N, w_right=w_right)
 
 
 def weights_for(spec: CouplingSpec, N: int, r: float) -> InterpolationWeights:

@@ -145,9 +145,9 @@ def _full_lattice(profile, sizes, spacings, whole_rows: bool = False):
     axes = []
     for M, n, d in zip(sizes, points, spacings):
         q = M // n
-        w_right, w_left = np.zeros(q), np.zeros(q)  # weight 1 on the next patch
-        w_right[1 % q] = w_left[-1] = 1.0
-        axes.append((q, n, d, w_right, w_left))
+        w_right = np.zeros(q)
+        w_right[1 % q] = 1.0  # weight 1 on the next patch
+        axes.append((q, n, d, w_right))
     shape, entries = _stencil(axes, profile.bonds, False)
     return AssembledOperator(Layout(shape, patch_axes=len(sizes)), *entries, profile=profile)
 

@@ -79,7 +79,9 @@ have one driver, _symmetric_spectra, which takes a list of operators: a
 sweep hands it all of them at once.  It stacks the (selected) blocks of the
 operators that share a stored pair pattern and solves each stack in
 batches by _solve_batch, since a solve of a few small blocks costs mostly
-per-call overhead; eigen_symmetric is that driver on one operator.
+per-call overhead; eigen_symmetric is that driver on one operator.  Nothing
+is kept from one call to the next: each call makes the _pair_plan of each
+of its groups, tens of microseconds.
 
 eigen_general handles the wave system specially.  Its exact double zero
 eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
@@ -92,7 +94,6 @@ zero-sum complement (assembly._bloch_eigenvalues).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,22 +171,14 @@ def _require_dynamic_range(op, layout: Layout) -> None:
         )
 
 
-@functools.lru_cache(maxsize=8)
-def _start_vector(b: int) -> np.ndarray:
-    """A fixed pseudo-random start vector of length b, read-only."""
-    x = np.random.default_rng(0).standard_normal(b)
-    x.flags.writeable = False
-    return x
-
-
 def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
     """The eigenvector of the one slow eigenvalue of each Hermitian block.
 
-    Two steps of shifted inverse iteration, one batched solve each, from
-    _start_vector(b), the same in every block and batch, against
-    H - (w_s + 1e-12 max|w|) I with w_s = w[slow].  On the nonpositive
-    spectra of these operators the shift sits just beside w_s on the side
-    towards zero, away from the larger fast modes; the offset keeps the
+    Two steps of shifted inverse iteration, one batched solve each, from a
+    fixed pseudo-random start vector, the same in every block and batch,
+    against H - (w_s + 1e-12 max|w|) I with w_s = w[slow].  On the
+    nonpositive spectra of these operators the shift sits just beside w_s on
+    the side towards zero, away from the larger fast modes; the offset keeps the
     shifted block nonsingular, and a zero block takes it from max|w| = 1.
     Each step shrinks a fast component by 1e-12 ||H|| over its distance from
     the shift.  H is shifted in place, so it must be a copy the caller no
@@ -196,7 +189,7 @@ def _slow_vector(H: np.ndarray, w: np.ndarray, slow: np.ndarray) -> np.ndarray:
     shift = np.take_along_axis(w, slow, axis=1) + 1e-12 * np.where(scale > 0, scale, 1.0)[:, None]
     diagonal = np.arange(b)
     H[:, diagonal, diagonal] -= shift
-    X = np.broadcast_to(_start_vector(b)[:, None], (k, b, 1))
+    X = np.broadcast_to(np.random.default_rng(0).standard_normal((b, 1)), (k, b, 1))
     for _ in range(2):
         X = np.linalg.solve(H, X)
         X = X / np.linalg.norm(X, axis=1, keepdims=True)
@@ -238,27 +231,24 @@ def _locate(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(keys.take(at, mode="clip") == wanted, at, keys.size)
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_plan(pairs: bytes, orbits: bytes, g: int) -> tuple:
+def _pair_plan(pairs: np.ndarray, orbits: np.ndarray) -> tuple:
     """Where the entries of a Bloch block's Hermitian part go, from its pairs.
 
-    `pairs` and `orbits` are the bytes of the sorted pair indices of
-    assembly._bloch_entries and of the (g, m) assembly._orbits.  They are
-    the same for every solve of one operator, and for every operator of one
-    stencil in a patch sweep, so each plan is made once.  The Hermitian part
-    lives on the union of the pairs and their mirrors, the pairs themselves
-    when every mirror is stored.  Returns read-only index arrays over that
-    union, sorted like the pairs: `take`, the stored pair of each union
-    entry, pairs.size where none is stored (None when the union is the
-    pairs); `mirror`, the union index of its mirror; `dense`, its place in
-    the g orbit blocks of m x m, rows and columns numbered orbit by orbit;
-    `slots`, its place in the (b, width) slots of the rows, each row's
-    entries in column order; and `gather`, the orbit-numbered column of each
-    slot, 0 where a slot is empty, shaped (b, width, 1).
+    `pairs` are the sorted pair indices of assembly._bloch_entries and
+    `orbits` the (g, m) unknowns of assembly._orbits.  A plan costs tens of
+    microseconds, and each call of a solver makes one per group of operators
+    that share both.  The Hermitian part lives on the union of the pairs and
+    their mirrors, the pairs themselves when every mirror is stored.
+    Returns index arrays over that union, sorted like the pairs: `take`, the
+    stored pair of each union entry, pairs.size where none is stored (None
+    when the union is the pairs); `mirror`, the union index of its mirror;
+    `dense`, its place in the g orbit blocks of m x m, rows and columns
+    numbered orbit by orbit; `slots`, its place in the (b, width) slots of
+    the rows, each row's entries in column order; and `gather`, the
+    orbit-numbered column of each slot, 0 where a slot is empty, shaped
+    (b, width, 1).
     """
-    pairs = np.frombuffer(pairs, dtype=np.intp)
-    orbits = np.frombuffer(orbits, dtype=np.intp).reshape(g, -1)
-    m = orbits.shape[1]
+    g, m = orbits.shape
     b = g * m
     rows, cols = np.divmod(pairs, b)
     mirror = _locate(pairs, cols * b + rows)
@@ -278,16 +268,7 @@ def _pair_plan(pairs: bytes, orbits: bytes, g: int) -> tuple:
     slots = rows * width + rank
     gather = np.zeros(b * width, dtype=np.intp)
     gather[slots] = cols
-    plan = (take, mirror, rows * m + cols % m, slots, gather.reshape(b, width, 1))
-    for index in plan:
-        if index is not None:
-            index.flags.writeable = False
-    return plan
-
-
-def _plan_key(pairs: np.ndarray, orbits: np.ndarray) -> tuple:
-    """The arguments of _pair_plan for the pairs of _bloch_entries and the orbits of _orbits."""
-    return pairs.astype(np.intp, copy=False).tobytes(), orbits.tobytes(), orbits.shape[0]
+    return take, mirror, rows * m + cols % m, slots, gather.reshape(b, width, 1)
 
 
 def _solve_batch(E: np.ndarray, plan: tuple, g: int, vectors: bool):
@@ -346,11 +327,10 @@ def _bloch_eigh(op, layout: Layout):
     eigenvectors, through _symmetric_spectra.
     """
     pairs, entries = _bloch_entries(op, layout)
-    key = _plan_key(pairs, _orbits(layout, op.profile.periods))
-    plan = _pair_plan(*key)
+    plan = _pair_plan(pairs, _orbits(layout, op.profile.periods))
     step = _batch_blocks(plan[4].shape[0])
     for start in range(0, len(entries), step):
-        yield _solve_batch(entries[start : start + step], plan, key[2], vectors=True)
+        yield _solve_batch(entries[start : start + step], plan, layout.slow, vectors=True)
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
@@ -469,9 +449,10 @@ def _symmetric_spectra(
     the grid alone is done once per call for each distinct input: the
     dynamic-range check per (lengths, spacings, bonds), the labels and
     mirror counts per (patch shape, lengths); a sweep of 32 operators has
-    16 grids.  Operators that share a _pair_plan, such as those of one
-    stencil on every grid of a patch sweep, have their entries stacked, and
-    _solve_batch solves the stack assembly._batch_blocks blocks at a time:
+    16 grids.  Operators that share their stored pairs and member orbits,
+    such as those of one stencil on every grid of a patch sweep, share one
+    _pair_plan and have their entries stacked, and _solve_batch solves the
+    stack assembly._batch_blocks blocks at a time:
     one call for the 96 blocks of the sweep1d-patches benchmark, since a
     call on an operator's 3 blocks of 10 x 10 costs mostly per-call
     overhead.  The entries of a plan of one operator are solved as they
@@ -518,20 +499,21 @@ def _symmetric_spectra(
             # by default the labelled slow modes are the macro modes
             macro = layout.slow * int(np.sum(counts))
         pairs, entries = _bloch_entries(op, layout, select)
-        members, stacked = groups.setdefault(
-            _plan_key(pairs, _orbits(layout, op.profile.periods)), ([], [])
+        orbits = _orbits(layout, op.profile.periods)
+        _, _, members, stacked = groups.setdefault(
+            (pairs.tobytes(), orbits.shape, orbits.tobytes()), (pairs, orbits, [], [])
         )
         members.append(len(solves))
         stacked.append(entries)
         solves.append((symmetry, labels, counts, macro if n_macro is None else n_macro))
     solved = [None] * len(solves)
-    for key, (members, stacked) in groups.items():
+    for pairs, orbits, members, stacked in groups.values():
         entries = stacked[0] if len(stacked) == 1 else np.concatenate(stacked)
         stacked.clear()
-        plan = _pair_plan(*key)
+        plan = _pair_plan(pairs, orbits)
         step = _batch_blocks(plan[4].shape[0])
         w, _, slow = zip(*(
-            _solve_batch(entries[start : start + step], plan, key[2], vectors=False)
+            _solve_batch(entries[start : start + step], plan, len(orbits), vectors=False)
             for start in range(0, len(entries), step)
         ))
         del entries

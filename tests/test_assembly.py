@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patchtooth as pt
+from patchtooth.assembly import AssembledOperator, Layout, _stencil
 
 L = 2 * np.pi
 
@@ -63,6 +66,37 @@ def test_assembled_operator_is_exactly_symmetric(coupling):
         report = pt.symmetry_defect(pt.assemble_patch_1d(grid, prof, sized, ensemble=ens))
         assert report.defect == 0.0, (N, n, p, ens)
         assert report.relative == 0.0
+
+
+@st.composite
+def stencil_inputs(draw):
+    """Stencil axes with right-edge weights of neither coupling family, and bonds
+    that every gap sees on both sides: periods that divide n, or an ensemble."""
+    dims, ensemble = draw(st.integers(1, 2)), draw(st.booleans())
+    axes, periods = [], []
+    for _ in range(dims):
+        N, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+        divisors = [p for p in range(1, n + 1) if n % p == 0]
+        periods.append(draw(st.integers(1, 4) if ensemble else st.sampled_from(divisors)))
+        w_right = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=N, max_size=N)))
+        axes.append((N, n, draw(st.floats(0.05, 2.0)), w_right))
+    bond = st.floats(0.01, 100.0)
+    size = int(np.prod(periods))
+    bonds = [np.array(draw(st.lists(bond, min_size=size, max_size=size))).reshape(periods)
+             for _ in range(dims)]
+    return axes, bonds, ensemble
+
+
+@settings(max_examples=300)
+@given(stencil_inputs())
+def test_any_right_edge_weights_give_an_exactly_symmetric_operator(inputs):
+    """_stencil mirrors the right-edge weights into the left edge, so the
+    operator is bitwise symmetric whatever the weights, not only for the two
+    coupling families: 1D and 2D, N 1-7, n 1-6, single phase or ensemble."""
+    axes, bonds, ensemble = inputs
+    shape, entries = _stencil(axes, bonds, ensemble)
+    op = AssembledOperator(Layout(shape, patch_axes=len(axes)), *entries)
+    assert pt.symmetry_defect(op).defect == 0.0
 
 
 def _loop_operator(grid, profile, coupling, ensemble):

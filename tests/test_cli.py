@@ -817,20 +817,28 @@ def reference_trajectory_csv(op, times, states):
     return out.getvalue().encode()
 
 
+TRAJECTORY_LAYOUTS = {
+    "1d": {},
+    "1d-ensemble": {"ensemble": True, "profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}},
+    "2d": {"model": "diffusion2d", "grid": GRID_2D,
+           "profile": {"kind": "inline", "kx": [[1.3, 0.8], [0.9, 1.2]], "ky": [[0.7, 1.4], [1.1, 0.9]]}},
+    "2d-ensemble": {"model": "diffusion2d", "grid": GRID_2D, "ensemble": True,
+                    "profile": {"kind": "inline", "kx": [[1.3, 0.8, 2.0]], "ky": [[0.7, 1.4, 0.5]]}},
+    "wave": {"model": "wave1d"},
+}
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {"ensemble": True, "profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}},
-        {"model": "diffusion2d", "grid": GRID_2D,
-         "profile": {"kind": "inline", "kx": [[1.3, 0.8], [0.9, 1.2]], "ky": [[0.7, 1.4], [1.1, 0.9]]}},
-        {"model": "diffusion2d", "grid": GRID_2D, "ensemble": True,
-         "profile": {"kind": "inline", "kx": [[1.3, 0.8, 2.0]], "ky": [[0.7, 1.4, 0.5]]}},
-        {"model": "wave1d"},
-    ],
-    ids=["1d", "1d-ensemble", "2d", "2d-ensemble", "wave"],
+    ("overrides", "block_values"),
+    [pytest.param(overrides, values, id=name if values is None else f"{name}-{values}-values")
+     for values in (None, 7, 50) for name, overrides in TRAJECTORY_LAYOUTS.items()],
 )
-def test_trajectory_bytes_match_the_csv_writer(tmp_path, overrides):
+def test_trajectory_bytes_match_the_csv_writer(tmp_path, monkeypatch, overrides, block_values):
+    """Every layout at the writer's own block size, where a block holds all three
+    snapshots, and at blocks of 7 and 50 values (_BLOCK_VALUES), which cut the
+    unknown axis or span several snapshots of fewer unknowns."""
+    if block_values is not None:
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block_values)
     simulate = {"integrator": "rk4", "dt": 1e-4, "steps": 1}
     op = cli._assemble(cli._resolve(base_config(task="simulate", simulate=simulate, **overrides)))
     rng = np.random.default_rng(5)

@@ -21,7 +21,7 @@ from patchtooth.assembly import (
     _orbits,
     _patch_layout,
 )
-from patchtooth.spectra import _pair_plan, _plan_key, _refined_eigh, _solve_batch
+from patchtooth.spectra import _pair_plan, _refined_eigh, _solve_batch
 
 L = 2 * np.pi
 
@@ -47,11 +47,11 @@ def solved_batches(op, layout, select, vectors):
     """_solve_batch of each batch of _batch_blocks(b) blocks of the entries
     of _bloch_entries(op, layout, select), as the symmetric solvers slice them."""
     pairs, entries = _bloch_entries(op, layout, select)
-    key = _plan_key(pairs, _orbits(layout, op.profile.periods))
-    plan = _pair_plan(*key)
+    orbits = _orbits(layout, op.profile.periods)
+    plan = _pair_plan(pairs, orbits)
     step = _batch_blocks(plan[4].shape[0])
     for start in range(0, len(entries), step):
-        yield _solve_batch(entries[start : start + step], plan, key[2], vectors)
+        yield _solve_batch(entries[start : start + step], plan, len(orbits), vectors)
 
 
 @st.composite
