@@ -29,13 +29,7 @@ from .assembly import (
     assemble_wave,
     symmetry_defect,
 )
-from .coupling import (
-    CouplingSpec,
-    InterpolationWeights,
-    lagrangian_weights,
-    spectral_weights,
-    weights_for,
-)
+from .coupling import CouplingSpec, weights_for
 from .ensemble import build_permutations_2d
 from .geometry import (
     PatchGrid1D,
@@ -48,11 +42,8 @@ from .geometry import (
 )
 from .homogenize import (
     BranchSeparationError,
-    FourierSymbol,
     HomogenisedCoefficients,
     extract_coefficients,
-    fourier_symbol,
-    harmonic_mean_diffusivity,
     predict_macroscale_eigenvalues,
     slow_branch,
 )
@@ -92,9 +83,7 @@ __all__ = [
     "DiffusivityProfile1D",
     "DiffusivityProfile2D",
     "ErrorTable",
-    "FourierSymbol",
     "HomogenisedCoefficients",
-    "InterpolationWeights",
     "PatchGrid1D",
     "PatchGrid2D",
     "SpectrumReport",
@@ -117,17 +106,13 @@ __all__ = [
     "evolve_exact",
     "evolve_rk4",
     "extract_coefficients",
-    "fourier_symbol",
     "full_lattice_operator_1d",
     "full_lattice_operator_2d",
-    "harmonic_mean_diffusivity",
-    "lagrangian_weights",
     "predict_macroscale_eigenvalues",
     "random_lognormal_profile",
     "random_lognormal_profile_2d",
     "ratio_for_spacing",
     "slow_branch",
-    "spectral_weights",
     "stability_limit",
     "symmetry_defect",
     "validate_compatibility",

@@ -30,11 +30,11 @@ Every patch carries the same interior block and the edge couplings depend
 only on the patch offset, so an operator is block-circulant in the patch
 index and the rows of patch 0, its first block row, describe it whole.
 AssembledOperator stores only their nonzero entries, O(nnz / N) numbers.
-Symmetry defect, matrix-vector products and the Bloch blocks of the spectra
-and time steppers are computed from them; the dense matrix is rolled out
-only when `.matrix` is read, at dim^2 memory on every access.  The full
-lattices of microscale are patch operators too, with one-hot edge weights,
-so every operator has patch axes and every solver takes the Bloch path.
+The symmetry defect, the kernel residual (row sums) and the Bloch blocks of
+the spectra and time steppers are computed from them; `.matrix` rolls the
+dense matrix out anew, at dim^2 memory, on every access.  The full lattices
+of microscale are patch operators too, with one-hot edge weights, so every
+operator has patch axes and every solver takes the Bloch path.
 
 The wave operator wraps a diffusion operator A into the first-order system
 d/dt (u, v) = (v, A u + eps B v), where B is the same patch construction with
@@ -199,24 +199,6 @@ class AssembledOperator:
         matrix[rows, cols] = values
         return matrix
 
-    def matvec(self, x) -> np.ndarray:
-        """The product A x, gathered over the patch index: O(nnz) work."""
-        layout = _state_layout(self.layout)
-        k = layout.patch_axes
-        patches, b, _ = _blocking(layout)
-        K = math.prod(patches)
-        # one row per patch, indexed by (member, local point) like the blocks
-        X = np.moveaxis(np.asarray(x, dtype=float).reshape(layout.shape), 0, k).reshape(K, b)
-        Y = np.zeros_like(X)
-        targets, starts = np.unique(self.rows, return_index=True)
-        chunk = max(1, 2**20 // max(self.values.size, 1))
-        for start in range(0, K, chunk):
-            P = np.arange(start, min(start + chunk, K))[:, None]
-            gathered = X[_patch_sum(P, self.offsets, patches), self.cols] * self.values
-            Y[start : start + chunk, targets] = np.add.reduceat(gathered, starts, axis=1)
-        Y = Y.reshape(patches + (layout.members,) + layout.shape[1 + k :])
-        return np.moveaxis(Y, k, 0).ravel()
-
 
 def _patch_layout(op) -> Layout:
     """The state layout of an assembled operator; a TypeError for anything else."""
@@ -378,6 +360,21 @@ def symmetry_defect(op: AssembledOperator) -> SymmetryReport:
     return SymmetryReport(defect=defect, scale=scale, relative=relative)
 
 
+def _kernel_residual(op: AssembledOperator) -> float:
+    """max|A k| for the kernel vector k = 1, or k = (1; 0) for the wave system.
+
+    Every patch repeats the first block row, so A k is K copies of its row
+    sums: O(nnz / N) work and no dim-length vector.  Each row is summed over
+    its stored values in stored order, the wave's v-column entries multiplied
+    by 0 in place, as a product gathered over the patches sums them.
+    """
+    values = op.values
+    if op.layout.half is not None:
+        values = values * (op.cols < _blocking(op.layout)[1])  # v = 0
+    starts = np.unique(op.rows, return_index=True)[1]
+    return float(np.max(np.abs(np.add.reduceat(values, starts)), initial=0.0))
+
+
 def _raise_on_errors(diagnostics, allow_incompatible):
     errors = [msg for severity, msg in diagnostics if severity == "error"]
     if errors and not allow_incompatible:
@@ -386,7 +383,7 @@ def _raise_on_errors(diagnostics, allow_incompatible):
 
 def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
     """Per-axis stencil inputs (N, n, d, w_right) of a patch grid, x first."""
-    return [(g.N, g.n, g.d, weights_for(coupling, g.N, g.r).w_right) for g in grid.axes]
+    return [(g.N, g.n, g.d, weights_for(coupling, g.N, g.r)) for g in grid.axes]
 
 
 def _stencil(axes, bonds, ensemble: bool):

@@ -7,8 +7,8 @@ values are interpolated across all patches,
     u^I_0     = sum_J w_left [(J - I) mod N] u^J_n,
 
 so the whole coupling is a pair of circulant stencils over the patch index.
-A family gives w_right alone: assembly._stencil makes the left edge its
-mirror, w_left[m mod N] = w_right[(-m) mod N], bit for bit for every operator.
+A family gives the array w_right alone: assembly._stencil, the one place a
+left edge is made, mirrors it, w_left[m mod N] = w_right[(-m) mod N].
 
 Spectral weights evaluate the N-term Fourier interpolant of the next-to-edge
 values at a fractional patch shift r,
@@ -70,18 +70,6 @@ class CouplingSpec:
             raise ValueError("spectral coupling takes no order")
 
 
-@dataclass
-class InterpolationWeights:
-    """Right-edge weights w_right over the N patch offsets; w_left is their mirror."""
-
-    N: int
-    w_right: np.ndarray
-
-    @property
-    def w_left(self) -> np.ndarray:
-        return self.w_right[(-np.arange(self.N)) % self.N]
-
-
 def _check_args(N: int, r: float):
     if N < 1:
         raise ValueError("need at least one patch")
@@ -89,7 +77,7 @@ def _check_args(N: int, r: float):
         raise ValueError(f"size ratio r = {r} outside (0, 1]")
 
 
-def spectral_weights(N: int, r: float) -> InterpolationWeights:
+def spectral_weights(N: int, r: float) -> np.ndarray:
     """Fourier interpolation weights for a fractional patch shift r, in O(N).
 
     The sum over k has the closed form of the periodic sinc (Dirichlet)
@@ -110,11 +98,10 @@ def spectral_weights(N: int, r: float) -> InterpolationWeights:
     numerator = np.where(offset % 2 == 0, 1.0, -1.0) * np.sin(np.pi * min(r, 1.0 - r))
     kernel = np.sin if N % 2 == 1 else np.tan
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_right = np.where((x == 0.0) | (N == 1), 1.0, numerator / (N * kernel(np.pi * x / N)))
-    return InterpolationWeights(N=N, w_right=w_right)
+        return np.where((x == 0.0) | (N == 1), 1.0, numerator / (N * kernel(np.pi * x / N)))
 
 
-def lagrangian_weights(N: int, r: float, P: int) -> InterpolationWeights:
+def lagrangian_weights(N: int, r: float, P: int) -> np.ndarray:
     """Central-difference expansion of the shift operator, truncated at order P."""
     _check_args(N, r)
     if P < 1:
@@ -142,10 +129,11 @@ def lagrangian_weights(N: int, r: float, P: int) -> InterpolationWeights:
     w_right = np.zeros(N)
     for o in range(-P, P + 1):
         w_right[o % N] += even[P + o] + odd[P + o]
-    return InterpolationWeights(N=N, w_right=w_right)
+    return w_right
 
 
-def weights_for(spec: CouplingSpec, N: int, r: float) -> InterpolationWeights:
+def weights_for(spec: CouplingSpec, N: int, r: float) -> np.ndarray:
+    """The right-edge weights w_right over the N patch offsets of a coupling."""
     if spec.scheme == "spectral":
         return spectral_weights(N, r)
     return lagrangian_weights(N, r, spec.order)

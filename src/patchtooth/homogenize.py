@@ -7,9 +7,10 @@ diffusion operator to a p x p Hermitian symbol (in d^2 du/dt scaling),
     A(k)[l, (l-1) mod p] += values[(l-1) mod p] e^{-ik},
     A(k)[l, l]           -= values[l] + values[(l-1) mod p].
 
-fourier_symbol reads it off the stored entries of the d = 1 full lattice of
-three periods (microscale), so the bond convention lives in one stencil.  Its
-slowest eigenvalue branch lambda(k) carries the macroscale physics:
+fourier_symbol returns it as a p x p array, read off the stored entries of
+the d = 1 full lattice of three periods (microscale), so the bond convention
+lives in one stencil.  Its slowest eigenvalue branch lambda(k) carries the
+macroscale physics:
 
     lambda(k) = -K2 k^2 + K4 k^4 + O(k^6).
 
@@ -48,12 +49,6 @@ class BranchSeparationError(RuntimeError):
 
 
 @dataclass
-class FourierSymbol:
-    k: float
-    matrix: np.ndarray
-
-
-@dataclass
 class HomogenisedCoefficients:
     K2: float
     K4: float
@@ -79,7 +74,7 @@ def _symbol_terms(values: bytes):
     return terms
 
 
-def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> FourierSymbol:
+def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> np.ndarray:
     """The p x p Bloch symbol of the diffusion operator at grid wavenumber k.
 
     The lattice of 3p points is three patches of one period, so the patch
@@ -92,11 +87,11 @@ def fourier_symbol(profile: DiffusivityProfile1D, k: float) -> FourierSymbol:
     rows, cols, values, phase = _symbol_terms(profile.values.tobytes())
     S = np.zeros((p, p), dtype=complex)
     np.add.at(S, (rows, cols), values * np.exp(1j * k * phase))
-    return FourierSymbol(k=float(k), matrix=np.roll(S, 1, axis=(0, 1)))
+    return np.roll(S, 1, axis=(0, 1))
 
 
 def _sorted_branch_values(profile, k):
-    sym = fourier_symbol(profile, k).matrix
+    sym = fourier_symbol(profile, k)
     herm = float(np.max(np.abs(sym - sym.conj().T)))
     if herm > 1e-12 * max(1.0, float(np.max(np.abs(sym)))):
         raise RuntimeError("symbol lost Hermitian symmetry")

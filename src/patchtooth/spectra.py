@@ -342,7 +342,9 @@ def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
     |k|^2 = sum_a (2 pi j_a / L_a)^2, ties broken by the larger
     representative first (x component, then y).  So in 1D the label is |j|,
     and in 2D on a square domain (1, 0) comes before (0, 1), and (1, 1)
-    before (1, -1).  Each axis has the length of _axis_lengths.
+    before (1, -1).  Each axis has the length of _axis_lengths.  When all
+    lengths are equal the key is the integer sum_a j_a^2, so classes of equal
+    |k|^2 tie exactly, however rounding would have split them.
     """
     k = layout.patch_axes
     patches = layout.shape[1 : 1 + k]
@@ -363,7 +365,10 @@ def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
     _, at, inverse = np.unique(key, return_index=True, return_inverse=True)
     classes = represented[:, at]
     lengths = _axis_lengths(op, layout)[0]
-    ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
+    if np.all(lengths == lengths[0]):
+        ksq = np.sum(classes**2, axis=0)
+    else:
+        ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
     order = np.lexsort((*-classes[::-1], ksq))
     place = np.empty(order.size, dtype=np.intp)
     place[order] = np.arange(order.size)

@@ -16,6 +16,10 @@ bloch_entries_dft sums the Bloch entries of the stored pairs directly from
 the first block row, in extended precision, without the FFT and without the
 patch-local shortcut of assembly._bloch_entries.
 
+matvec is the product A x gathered over every patch, the reference for the
+first-block-row sums of assembly._kernel_residual; the package forms no
+global product.
+
 quartic_coefficient reads K4 off the slow branch of the 1D symbol in 60-digit
 arithmetic, without the Taylor series the package sums.
 """
@@ -28,7 +32,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import patchtooth as pt
-from patchtooth.assembly import Layout, _bloch_batches, _orbits
+from patchtooth.assembly import (
+    Layout,
+    _bloch_batches,
+    _blocking,
+    _orbits,
+    _patch_sum,
+    _state_layout,
+)
 from patchtooth.spectra import _slow_vector
 
 
@@ -41,6 +52,25 @@ def full_lattice_operator_2d_sparse(profile, shape, spacing=(1.0, 1.0)):
     op = pt.full_lattice_operator_2d(profile, shape, spacing)
     rows, cols, values = op.triplets()
     return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(op.dimension,) * 2)
+
+
+def matvec(op, x) -> np.ndarray:
+    """The product A x, gathered over the patch index: O(nnz) work."""
+    layout = _state_layout(op.layout)
+    k = layout.patch_axes
+    patches, b, _ = _blocking(layout)
+    K = math.prod(patches)
+    # one row per patch, indexed by (member, local point) like the blocks
+    X = np.moveaxis(np.asarray(x, dtype=float).reshape(layout.shape), 0, k).reshape(K, b)
+    Y = np.zeros_like(X)
+    targets, starts = np.unique(op.rows, return_index=True)
+    chunk = max(1, 2**20 // max(op.values.size, 1))
+    for start in range(0, K, chunk):
+        P = np.arange(start, min(start + chunk, K))[:, None]
+        gathered = X[_patch_sum(P, op.offsets, patches), op.cols] * op.values
+        Y[start : start + chunk, targets] = np.add.reduceat(gathered, starts, axis=1)
+    Y = Y.reshape(patches + (layout.members,) + layout.shape[1 + k :])
+    return np.moveaxis(Y, k, 0).ravel()
 
 
 def smallest_magnitude_eigenvalues(matrix, count: int):

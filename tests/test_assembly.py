@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import patchtooth as pt
 from patchtooth.assembly import AssembledOperator, Layout, _stencil
+from patchtooth.coupling import spectral_weights
 
 L = 2 * np.pi
 
@@ -132,8 +133,9 @@ def _loop_operator(grid, profile, coupling, ensemble):
               for a in range(dims)]
         matrix[row, row] -= sum(k for pair in zip(kr, kl) for k in pair)
         for a, g in enumerate(axes):
-            for k, step, w, near, far in ((kr[a], 1, weights[a].w_right, g.n, 1),
-                                          (kl[a], -1, weights[a].w_left, 1, g.n)):
+            mirror = weights[a][(-np.arange(g.N)) % g.N]  # w_left[m] = w_right[-m]
+            for k, step, w, near, far in ((kr[a], 1, weights[a], g.n, 1),
+                                          (kl[a], -1, mirror, 1, g.n)):
                 if i[a] != near:
                     matrix[row, index(e, patch, moved(i, a, i[a] + step))] += k
                     continue
@@ -252,7 +254,7 @@ def test_ensemble_edge_rows_couple_shifted_members():
     grid = pt.build_grid_1d(L, N, n, 0.3)
     prof = pt.DiffusivityProfile1D((1.1, 0.6, 2.3))
     op = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
-    w = pt.spectral_weights(N, grid.r)
+    w = spectral_weights(N, grid.r)
     inv_d2 = 1.0 / grid.d**2
 
     def idx(ell, I, i):
@@ -264,7 +266,7 @@ def test_ensemble_edge_rows_couple_shifted_members():
     tgt = (ell + n) % p
     for m in range(N):
         assert op.matrix[row, idx(tgt, (I + m) % N, 1)] == pytest.approx(
-            kr * w.w_right[m], rel=1e-14
+            kr * w[m], rel=1e-14
         )
     # nothing from this row lands back in member 0's next-to-edge columns
     for J in range(1, N):

@@ -16,6 +16,7 @@ from test_storage import degenerate_ensembles, full_lattices, mirrorless_operato
 import patchtooth as pt
 from patchtooth import spectra
 from patchtooth.assembly import _mirror_counts, _patch_layout
+from patchtooth.microscale import _full_lattice
 from patchtooth.spectra import _axis_lengths, _symmetric_spectra, _wavenumber_labels
 
 L = 2 * np.pi
@@ -448,6 +449,36 @@ def test_wavenumber_labels_match_the_unique_columns(op):
     np.testing.assert_array_equal(
         _wavenumber_labels(op, layout), labels_by_unique_columns(op, layout)
     )
+
+
+def class_wavevectors(op):
+    """The wavevectors j and -j of each wavenumber class, by label, x first."""
+    layout = _patch_layout(op)
+    k = layout.patch_axes
+    patches = layout.shape[1 : 1 + k]
+    half = patches[:-1] + (patches[-1] // 2 + 1,)
+    N = np.array(patches[::-1])[:, None]
+    j = np.indices(half).reshape(k, -1)[::-1] % N
+    j = np.where(2 * j <= N, j, j - N)
+    labels = _wavenumber_labels(op, layout)
+    return [{tuple(s * v) for v in j[:, labels == c].T for s in (1, -1)}
+            for c in range(labels.max() + 1)]
+
+
+def test_grids_of_equal_lengths_number_their_classes_alike():
+    """A grid of 15 x 15 patches on L = 2 pi and the full lattice of 164 x
+    164 points (82 x 82 patches of one period) give every class with
+    sum_a j_a^2 <= 49, all that the patch grid holds whole, the same label.
+    (5, 0), (4, 3), (3, 4), (4, -3) and (0, 5) have |k|^2 = 25 exactly;
+    summed in floating point, (5, 0) and (0, 5) read an ulp below the other
+    three on the lattice alone, and classes 36-40 paired other wavevectors."""
+    prof = pt.random_lognormal_profile_2d(2, 2, 0.5, 0)
+    grid = pt.build_grid_2d(L, 15, 4, 0.3, L, 15, 4, 0.3)
+    patches = class_wavevectors(pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral")))
+    lattice = class_wavevectors(_full_lattice(prof, [164, 164], [1.0, 1.0]))
+    disc = [c for c, vectors in enumerate(patches) if max(x * x + y * y for x, y in vectors) <= 49]
+    assert disc == list(range(len(disc))) and len(disc) > 40
+    assert [lattice[c] for c in disc] == [patches[c] for c in disc]
 
 
 @pytest.mark.skipif(
