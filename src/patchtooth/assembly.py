@@ -133,12 +133,8 @@ def _patch_sum(a, b, patches, sign: int = 1) -> np.ndarray:
 
     a and b are flat C-order indices over `patches` and broadcast.
     """
-    total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
-    stride = math.prod(patches)
-    for N in patches:
-        stride //= N
-        total += (a // stride % N + sign * (b // stride % N)) % N * stride
-    return total
+    parts = zip(np.unravel_index(a, patches), np.unravel_index(b, patches))
+    return np.ravel_multi_index([x + sign * y for x, y in parts], patches, mode="wrap")
 
 
 @dataclass
@@ -308,28 +304,15 @@ def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
     """Eigenvalues of every Bloch block, those of the mirrored blocks as conjugates.
 
     The one general Bloch eigensolve, of spectra.eigen_general and
-    timestep.stability_limit.  The wave system W = [[0, I], [A, eps B]] is
-    solved on S = {1.u = 0, 1.v = 0}, plus the exact zero pair (see spectra).
+    timestep.stability_limit.  A wave operator's 2 * slow eigenvalues of block
+    j = 0 nearest zero, one defective pair per member orbit, become exact zeros.
     """
-    wave = op.layout.half is not None
-    counts = _mirror_counts(layout)
-    head, tail, solved = [], [], []
-    for W in _bloch_batches(op, layout):
-        W = W.astype(complex)
-        if wave and not solved:
-            # Block j = 0 is real; S meets it in the zero-sum vectors of u and
-            # of v, spanned by the right singular vectors of the ones row
-            # after the first.
-            b = W.shape[1] // 2
-            Q = np.linalg.svd(np.ones((1, b)))[2][1:].T
-            P = np.zeros((2 * b, 2 * (b - 1)))
-            P[:b, : b - 1] = Q
-            P[b:, b - 1 :] = Q
-            head, tail = [np.linalg.eigvals(P.T @ W[0].real @ P)], [[0.0, 0.0]]
-            W, counts = W[1:], counts[1:]
-        solved.append(np.linalg.eigvals(W))
-    solved = np.concatenate(solved)
-    return np.concatenate([*head, solved.ravel(), np.conj(solved[counts == 2]).ravel(), *tail])
+    batches = _bloch_batches(op, layout)
+    solved = np.concatenate([np.linalg.eigvals(W.astype(complex)) for W in batches])
+    if op.layout.half is not None:
+        solved[0, np.argsort(np.abs(solved[0]))[: 2 * layout.slow]] = 0.0
+    mirrored = solved[_mirror_counts(layout) == 2]
+    return np.concatenate([solved.ravel(), np.conj(mirrored).ravel()])
 
 
 @dataclass

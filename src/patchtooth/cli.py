@@ -28,16 +28,16 @@ separation, a homogenised series swamped by round-off, unstable step, an RK4
 run that leaves the double range, a run that runs out of memory and the
 like); 3 a programming bug, any other exception, with its traceback.
 
-All floating point output is formatted with %.17g and JSON keys are sorted,
-so identical configs reproduce artefacts byte for byte.  Every CSV goes
-through one table writer, _write_table: a task hands it a header and
-fields.  The last field fills the table, one row per index of its other
-axes, and is formatted a block of values at a time (_text).  Each earlier
-field repeats along one of those axes, as a trajectory's times and labels
-do, and is formatted once (_compact).  JSON artefacts are strict: a gap
-ratio with no gap is null.  Each artefact is written under a temporary name
-and renamed into place when complete, so a failed run leaves no
-half-written file.
+CSV values are formatted with %.17g, JSON numbers with Python's shortest
+repr, and JSON keys are sorted, so identical configs reproduce artefacts
+byte for byte.  Every CSV goes through one table writer, _write_table: a
+task hands it a header and fields.  The last field fills the table, one row
+per index of its other axes, and is formatted a block of values at a time
+(_text).  Each earlier field repeats along one of those axes, as a
+trajectory's times and labels do, and is formatted once (_compact).  JSON
+artefacts are strict: a gap ratio with no gap is null.  Each artefact is
+written under a temporary name and renamed into place when complete, so a
+failed run leaves no half-written file.
 """
 
 from __future__ import annotations

@@ -83,13 +83,13 @@ per-call overhead; eigen_symmetric is that driver on one operator.  Nothing
 is kept from one call to the next: each call makes the _pair_plan of each
 of its groups, tens of microseconds.
 
-eigen_general handles the wave system specially.  Its exact double zero
-eigenvalue is defective (Jordan block on span{(1,0), (0,1)} with 1 the
-constant vector), which general eigensolvers scatter into small complex
-pairs.  Since the complement S = {1.u = 0, 1.v = 0} is invariant, the
-spectrum is computed on S and the exact pair {0, 0} appended.  Every Bloch
-block j != 0 already lies in S; only block j = 0 is projected onto its
-zero-sum complement (assembly._bloch_eigenvalues).
+eigen_general solves a wave operator like any other, then sets its zeros by
+count.  On Bloch block j = 0 the wave system has one defective zero pair per
+member orbit o (a Jordan block on span{(1_o, 0), (0, 1_o)}), which a general
+eigensolver scatters into a complex pair of about sqrt(eps ||H||).  The 2g
+eigenvalues of block 0 nearest zero, g = Layout.slow, become exact zeros
+(assembly._bloch_eigenvalues).  Within the dynamic range the solvers admit,
+the rest of block 0 lies at least 100 times further from zero.
 """
 
 from __future__ import annotations
@@ -565,9 +565,9 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     """Complex spectrum of a general operator, sorted by magnitude.
 
-    The operator is solved block by block in the patch wavenumber; wave
-    operators are also deflated onto the zero-sum invariant subspace, so
-    their exact defective zero pair stays exactly zero in the report.
+    The operator is solved block by block in the patch wavenumber.  A wave
+    operator has one defective zero pair per member orbit, set by count to
+    exact zeros in the report.
     Precondition: the profile's dynamic range (see _require_dynamic_range).
     """
     layout = _patch_layout(op)

@@ -1,6 +1,7 @@
 """Patch operator assembly: hand-checked rows, structure, reductions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patchtooth as pt
-from patchtooth.assembly import AssembledOperator, Layout, _stencil
+from patchtooth.assembly import AssembledOperator, Layout, _patch_sum, _stencil
 from patchtooth.coupling import spectral_weights
 
 L = 2 * np.pi
@@ -210,6 +211,30 @@ def test_operators_are_block_circulant_in_the_patch_index():
     full = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.0, 2.0)), 8)
     assert full.layout.patch_axes == 1
     np.testing.assert_array_equal(full.matrix, _rolled_from_first_block_row(full))
+
+
+def patch_sum_by_axis(a, b, patches, sign=1):
+    """Flat index of patch a + sign * b mod N, one patch axis at a time (oracle)."""
+    total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
+    stride = math.prod(patches)
+    for N in patches:
+        stride //= N
+        total += (a // stride % N + sign * (b // stride % N)) % N * stride
+    return total
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=2), st.sampled_from([1, -1]),
+       st.booleans(), st.integers(0, 2**32))
+def test_patch_sum_matches_the_per_axis_loop(patches, sign, scalar, seed):
+    """_patch_sum wraps the summed patch coordinates with numpy; the loop over
+    the axes gives the same integers, shape and dtype."""
+    patches = tuple(patches)
+    K = math.prod(patches)
+    b = np.random.default_rng(seed).integers(0, K, 7)
+    a = int(seed % K) if scalar else np.arange(K)[:, None]
+    got, want = _patch_sum(a, b, patches, sign), patch_sum_by_axis(a, b, patches, sign)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 def test_constant_vector_spans_the_kernel():
