@@ -74,7 +74,8 @@ class Layout:
     moves phase l to (l + n_a) mod p_a, so the members fall into that many
     orbits (Bunder, Roberts & Kevrekidis, J. Comput. Phys. 337, 2017).
     A patch operator has `n_macro` = slow x (number of patches) macroscale
-    modes; a full lattice leaves it None.
+    modes, and its wave system twice that, each macro mode of A a pair
+    +-i omega; a full lattice leaves it None.
     """
 
     shape: tuple[int, ...]
@@ -529,7 +530,7 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
     b = _blocking(op.layout)[1]  # u of a block, then v
     u = np.arange(b)
     return AssembledOperator(
-        replace(op.layout, half=op.dimension),
+        replace(op.layout, half=op.dimension, n_macro=2 * op.layout.n_macro),
         rows=np.concatenate([u, op.rows + b, rows + b]),
         offsets=np.concatenate([np.zeros(b, dtype=np.intp), op.offsets, offsets]),
         cols=np.concatenate([u + b, op.cols, cols + b]),

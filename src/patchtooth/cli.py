@@ -959,8 +959,6 @@ def _task_check(run: _Run, out: Path) -> None:
             "note": "operator is not symmetric; spectral diagnostics skipped "
                     "(rerun without allow_incompatible for a usable operator)",
         }
-    if wave:
-        del payload["gap_ratio"]  # check.json gives the wave system no gap ratio
     payload.update({
         "model": run.model,
         "dimension": op.dimension,

@@ -15,14 +15,23 @@ own, and only the stored states are transformed back.  evolve_exact
 propagates a block member orbit by member orbit, by the eigendecomposition of
 each orbit's diagonal block, the one symmetric solve path of spectra
 (_bloch_eigh): no stored entry couples two orbits.  On a linear system one RK4
-step is u <- R u with R = sum_{k<=4} (dt W)^k / k!, so evolve_rk4 builds R(j)
-for each block, raises it to the power `stride` by repeated squaring, both in
-extended precision (in double the error of the stored states grew 20- to
-45-fold on the rk4-wave1d benchmark system), and applies that once per stored
-state: O(N b^3 log stride) set-up and O(N b^2) per stored state instead of
-four dim x dim matrix-vector products per step.  Block j = 0 holds the patch
-sums of the state, so the total mass after every step, stored or not, costs
-O(b) per step.  The stability limit is exact, 2.5 over the largest eigenvalue
+step is u <- (I + E) u with E = S + S^2/2 + S^3/6 + S^4/24, S = dt W.  The
+paper's self-adjoint coupling makes the diffusion part A(j) of every Bloch
+block Hermitian, so evolve_rk4 works in its unitary eigenbasis V(j) (of the
+Hermitian part, for an incompatible operator), applied to every field: u
+alone, or u and v of a wave block [[0, I], [A, eps B]].  There a slow mode is
+one small diagonal entry, not a cancellation among O(1/d^2) entries.  The
+Rayleigh blocks V^H X V of the block's sub-blocks are the only extended
+precision work, two O(b^3) products each, rounded once to double.  Every step
+and power after them is double precision BLAS on deviations from the
+identity, which is never added: E, then F = (I + E)^stride - I by binary
+powering, and each stored state x_q = x_(q-1) + F x_(q-1), all mapped back by
+V at once: O(N b^3 log stride) set-up and O(N b^2) per stored state instead
+of four dim x dim matrix-vector products per step.  A slow mode so keeps its
+decay to the relative precision of a double; a wave's oscillating modes carry
+one rounding of their phase per step.  Block j = 0 holds the patch sums of
+the state, so the total mass after every step, stored or not, costs O(b) per
+step.  The stability limit is exact, 2.5 over the largest eigenvalue
 magnitude over the blocks of assembly._bloch_eigenvalues; allow_unstable waives
 it, but a run that leaves the double range raises, as evolve_exact does.
 """
@@ -158,40 +167,87 @@ def stability_limit(op) -> float:
     return 2.5 / rho if rho > 0.0 else float("inf")
 
 
-def _rk4_step_matrices(blocks: np.ndarray, dt: float) -> np.ndarray:
-    """R = I + S + S^2/2 + S^3/6 + S^4/24 with S = dt W, for each block W (Horner)."""
-    eye = np.eye(blocks.shape[1], dtype=blocks.dtype)
+def _eigenbasis_blocks(blocks: np.ndarray, fields: int):
+    """V and the Rayleigh blocks W' = T^H W T of each block W, T = V on every field.
+
+    V holds the eigenvectors of the Hermitian part of the block's A part,
+    rounded to double: the whole block of a diffusion operator, the v rows
+    by u columns of a wave block [[0, I], [A, eps B]].  W' is formed in
+    extended precision, one nonzero sub-block X at a time as V^H X V, and
+    rounded once: a slow mode of A is then one small diagonal entry of W',
+    to the relative precision of a double.  The identity block of a wave
+    holds V^H V.
+    """
+    k, size = blocks.shape[:2]
+    b = size // fields
+    sub = blocks.reshape(k, fields, b, fields, b)
+    A = sub[:, -1, :, 0].astype(complex)
+    V = np.linalg.eigh((A + A.conj().swapaxes(1, 2)) / 2)[1]
+    right = V.astype(blocks.dtype)
+    left = right.conj().swapaxes(1, 2)
+    rayleigh = np.zeros((k, fields, b, fields, b), dtype=complex)
+    for row in range(fields):
+        for col in range(fields):
+            # a wave's u rows by u columns are zero, and so is eps B at eps = 0
+            if sub[:, row, :, col].any():
+                rayleigh[:, row, :, col] = left @ sub[:, row, :, col] @ right
+    return V, rayleigh.reshape(k, size, size)
+
+
+def _rk4_deviations(blocks: np.ndarray, dt: float) -> np.ndarray:
+    """E = R - I = S (I + S/2 (I + S/3 (I + S/4))), S = dt W, for each block W:
+    the RK4 step matrix less the identity, which is never added."""
+    eye = np.eye(blocks.shape[1])
     step = dt * blocks
-    R = eye + step / 4
-    for k in (3, 2, 1):
-        R = eye + (step @ R) / k
-    return R
+    inner = eye + step / 4
+    for k in (3, 2):
+        inner = eye + (step @ inner) / k
+    return step @ inner
+
+
+def _power_deviations(E: np.ndarray, power: int) -> np.ndarray:
+    """F = (I + E)^power - I by binary powering of the deviation:
+    F_2a = 2 F_a + F_a^2 and F_(a+b) = F_a + F_b + F_a F_b."""
+    F = None
+    while True:
+        if power & 1:
+            F = E if F is None else F + E + F @ E
+        power >>= 1
+        if not power:
+            return F
+        E = 2 * E + E @ E
 
 
 def _bloch_rk4(op, layout, u0: np.ndarray, dt: float, steps: int, stride: int):
     """RK4 states after every stride-th step, and the total mass after every step."""
     u_hat = _bloch_modes(u0, layout)
-    stored = np.empty((steps // stride + 1,) + u_hat.shape, dtype=complex)
-    stored[0] = u_hat
+    fields = 1 if op.layout.half is None else 2  # u alone, or u and v
+    count = steps // stride + 1
+    stored = np.empty((count,) + u_hat.shape, dtype=complex)
     start = 0
     for blocks in _bloch_batches(op, layout):
-        R = _rk4_step_matrices(blocks, dt)
-        P = np.linalg.matrix_power(R, stride).astype(complex)
-        batch = slice(start, start + R.shape[0])
-        for q in range(1, stored.shape[0]):
-            stored[q, batch] = (P @ stored[q - 1, batch][:, :, None])[:, :, 0]
+        V, rayleigh = _eigenbasis_blocks(blocks, fields)
+        E = _rk4_deviations(rayleigh, dt)
+        F = _power_deviations(E, stride)
+        batch = slice(start, start + len(blocks))
+        # the stored states in the eigenbasis, x_q = x_(q-1) + F x_(q-1)
+        x = np.empty(u_hat[batch].shape + (count,), dtype=complex)
+        by_field = u_hat[batch].reshape(len(blocks), fields, -1, 1)
+        x[:, :, 0] = (V.conj().swapaxes(1, 2)[:, None] @ by_field).reshape(len(blocks), -1)
+        for q in range(1, count):
+            x[:, :, q] = x[:, :, q - 1] + (F @ x[:, :, q - 1 : q])[:, :, 0]
+        states = V[:, None] @ x.reshape(len(blocks), fields, -1, count)
+        stored[:, batch] = np.moveaxis(states.reshape(x.shape), 2, 0)
         if start == 0:
-            R0 = R[0]
+            total, E0, x0 = np.tile(V[0].sum(axis=0), fields), E[0], x[0]
         start = batch.stop
     # Block j = 0 holds the patch sums, so the mass k < stride steps after
-    # stored state q is 1^T R(0)^k c_q(0).
-    patch_sums = stored[:, 0].real
-    total = np.ones(R0.shape[0], dtype=R0.dtype)  # 1^T R(0)^k
-    mass = np.empty(steps + 1)
-    for k in range(min(stride, steps + 1)):
-        after = mass[k::stride]
-        after[:] = patch_sums[: after.size] @ total.real.astype(float)
-        total = total @ R0
+    # stored state q is r_k x_q(0) with r_k = 1^T T(0) (I + E(0))^k.
+    totals = np.empty((min(stride, steps + 1), total.size), dtype=complex)
+    totals[0] = total
+    for k in range(1, totals.shape[0]):
+        totals[k] = totals[k - 1] + totals[k - 1] @ E0
+    mass = (x0.T @ totals.T).real.ravel()[: steps + 1]
     mass[0] = u0.sum()  # the initial total exactly as the stored state sums it
     return _bloch_states(stored, layout), mass
 

@@ -18,7 +18,8 @@ patch-local shortcut of assembly._bloch_entries.
 
 matvec is the product A x gathered over every patch, the reference for the
 first-block-row sums of assembly._kernel_residual; the package forms no
-global product.
+global product.  rk4_extended is the plain RK4 step loop on such gathered
+products in extended precision, the reference for timestep.evolve_rk4.
 
 quartic_coefficient reads K4 off the slow branch of the 1D symbol in 60-digit
 arithmetic, without the Taylor series the package sums.
@@ -71,6 +72,34 @@ def matvec(op, x) -> np.ndarray:
         Y[start : start + chunk, targets] = np.add.reduceat(gathered, starts, axis=1)
     Y = Y.reshape(patches + (layout.members,) + layout.shape[1 + k :])
     return np.moveaxis(Y, k, 0).ravel()
+
+
+def rk4_extended(op, u0, dt: float, steps: int, stride: int = 1) -> np.ndarray:
+    """The initial state and every stride-th state of the plain RK4 step loop
+    in extended precision (np.longdouble), four products A x per step
+    gathered over the global triplets; no Bloch block is formed."""
+    rows, cols, values = op.triplets()
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    values = values[order].astype(np.longdouble)
+    targets, starts = np.unique(rows, return_index=True)
+
+    def apply(x):
+        y = np.zeros_like(x)
+        y[targets] = np.add.reduceat(values * x[cols], starts)
+        return y
+
+    u, h = np.asarray(u0, dtype=np.longdouble), np.longdouble(dt)
+    states = [u]
+    for step in range(1, steps + 1):
+        k1 = apply(u)
+        k2 = apply(u + h / 2 * k1)
+        k3 = apply(u + h / 2 * k2)
+        k4 = apply(u + h * k3)
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if step % stride == 0:
+            states.append(u)
+    return np.array(states)
 
 
 def smallest_magnitude_eigenvalues(matrix, count: int):

@@ -522,6 +522,32 @@ def test_ensemble_eigen_counts_every_member_orbit(tmp_path):
     assert summary["n_macro"] == 2 * 9
 
 
+
+@pytest.mark.parametrize(
+    "overrides, slow, gap",
+    [
+        ({"grid": {"L": 2 * np.pi, "N": 8, "n": 4, "r": 0.3}}, 1, 3.02),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3}, "ensemble": True,
+          "profile": {"kind": "lognormal", "period": 4, "sigma": 0.5, "seed": 0}}, 2, 2.73),
+    ],
+    ids=["single-phase", "g2-ensemble"],
+)
+def test_wave_gap_ratio_splits_after_every_macro_pair(tmp_path, overrides, slow, gap):
+    """Each macro mode of A is a pair +-i omega of the wave system, so the
+    macro band holds 2 g N eigenvalues.  A split at g N fell inside it and
+    read a gap ratio of 1 + a few ulps, the ratio of two modes of one
+    wavenumber; check writes the same gap ratio as eigen."""
+    config = base_config(model="wave1d", **overrides)
+    assert cli.run(config, tmp_path / "eigen") == 0
+    summary = strict_json(tmp_path / "eigen" / "summary.json")
+    N = config["grid"]["N"]
+    assert summary["n_macro"] == 2 * slow * N
+    magnitudes = np.array([float(row[3]) for row in read_csv(tmp_path / "eigen" / "eigenvalues.csv")[1:]])
+    assert summary["gap_ratio"] == magnitudes[2 * slow * N] / magnitudes[2 * slow * N - 1]
+    assert summary["gap_ratio"] == pytest.approx(gap, abs=0.005)
+    assert cli.run(base_config(**{**config, "task": "check"}), tmp_path / "check") == 0
+    assert strict_json(tmp_path / "check" / "check.json")["gap_ratio"] == summary["gap_ratio"]
+
 def test_eigen_task_matches_the_library(tmp_path):
     config = base_config()
     assert cli.run(config, tmp_path) == 0
@@ -1197,7 +1223,7 @@ def test_check_compares_full_lattices_of_any_size(tmp_path):
 @pytest.mark.parametrize(
     "overrides, fixed, spectral",
     [
-        ({"model": "wave1d"}, {}, ["max_real_part", "zero_mode_magnitude"]),
+        ({"model": "wave1d"}, {}, ["max_real_part", "zero_mode_magnitude", "gap_ratio"]),
         ({"profile": {"kind": "inline", "values": [1.0, 2.0, 3.0]}, "allow_incompatible": True},
          {"note": "operator is not symmetric; spectral diagnostics skipped "
                   "(rerun without allow_incompatible for a usable operator)"},
@@ -1213,8 +1239,8 @@ def test_check_compares_full_lattices_of_any_size(tmp_path):
     ids=["wave", "allow-incompatible", "ensemble-at-r-1", "single-phase-below-r-1"],
 )
 def test_check_writes_the_fields_its_operator_allows(tmp_path, overrides, fixed, spectral):
-    """The wave system has a general spectrum and no gap ratio or full
-    lattice; an incompatible operator has no symmetric spectrum, only a note;
+    """The wave system has a general spectrum and no full lattice; an
+    incompatible operator has no symmetric spectrum, only a note;
     an ensemble, or patches that do not tile the lattice, no consistency."""
     config = base_config(task="check", **overrides)
     assert cli.run(config, tmp_path) == 0
