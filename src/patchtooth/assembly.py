@@ -359,6 +359,35 @@ def _kernel_residual(op: AssembledOperator) -> float:
     return float(np.max(np.abs(np.add.reduceat(values, starts)), initial=0.0))
 
 
+def _row_sum_bound(op: AssembledOperator) -> float:
+    """An upper bound on the spectral radius rho(L): the norm ||S^-1 L S||_inf.
+
+    Every row of L repeats a local row of the first block row, so the norm
+    is a maximum over its absolute row sums: O(nnz / N) work.  A diffusion
+    operator takes S = I.  A wave operator [[0, I], [A, eps B]] takes
+    S = diag(s I, I), whose norm is max(U / s, s A_inf + B_inf) for the
+    largest absolute row sums U of the u rows, A_inf of the v rows' u columns
+    and B_inf of their v columns, and s balances the two terms; with A_inf =
+    0 the norm tends to B_inf.  The bound holds for every s > 0 and every
+    operator, symmetric or not (Varga, Gersgorin and His Circles, Springer
+    2004).  A float sum of k nonnegative terms is within (k - 1) eps of the
+    exact sum.
+    """
+    weights = np.abs(op.values)
+    if op.layout.half is None:
+        starts = np.unique(op.rows, return_index=True)[1]
+        return float(np.max(np.add.reduceat(weights, starts), initial=0.0))
+    b = _blocking(op.layout)[1]
+    sums = np.zeros((2, 2, b))  # (row field, column field, local row), u then v
+    np.add.at(sums, (op.rows // b, op.cols // b, op.rows % b), weights)
+    u, a, eps_b = (float(np.max(sums[field])) for field in ((0, 1), (1, 0), (1, 1)))
+    if a == 0.0:
+        return eps_b
+    # the positive root of a s^2 + eps_b s - u = 0, in the form without cancellation
+    s = 2.0 * u / (eps_b + math.sqrt(eps_b * eps_b + 4.0 * a * u))
+    return max(u / s, s * a + eps_b) if s > 0.0 else math.inf  # s = 0 where the squares overflow
+
+
 def _raise_on_errors(diagnostics, allow_incompatible):
     errors = [msg for severity, msg in diagnostics if severity == "error"]
     if errors and not allow_incompatible:

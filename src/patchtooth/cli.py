@@ -590,7 +590,9 @@ def _decimal(a: np.ndarray):
 # text is NUL-padded on the right.
 _WORD = np.dtype("<u8")
 _TEXT_WORDS = 5
-_BLOCK_BYTES = 2**17  # formatted text per block of values, which bounds the writers' memory
+# Formatted text per block of values, which bounds the writers' memory; 2^18
+# wrote the rk4-wave1d trajectory faster than 2^17 or 2^19 (see README).
+_BLOCK_BYTES = 2**18
 _BLOCK_VALUES = _BLOCK_BYTES // (_TEXT_WORDS * _WORD.itemsize)
 
 

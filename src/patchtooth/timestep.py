@@ -31,9 +31,16 @@ of four dim x dim matrix-vector products per step.  A slow mode so keeps its
 decay to the relative precision of a double; a wave's oscillating modes carry
 one rounding of their phase per step.  Block j = 0 holds the patch sums of
 the state, so the total mass after every step, stored or not, costs O(b) per
-step.  The stability limit is exact, 2.5 over the largest eigenvalue
-magnitude over the blocks of assembly._bloch_eigenvalues; allow_unstable waives
-it, but a run that leaves the double range raises, as evolve_exact does.
+step.
+
+evolve_rk4 certifies its step from the first block row: the absolute row
+sums of assembly._row_sum_bound bound rho(L) from above at O(nnz / N) cost,
+so dt * bound <= 2.5 (1 - 1e-9) proves the step stable without an
+eigensolve; the margin covers the rounding of those sums.  A step the bound
+cannot certify takes the exact limit, stability_limit: 2.5 over the largest
+eigenvalue magnitude over the blocks of assembly._bloch_eigenvalues, which
+then decides alone.  allow_unstable waives the guard, but a run that leaves
+the double range raises, naming the exact limit, as evolve_exact does.
 """
 
 from __future__ import annotations
@@ -43,8 +50,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _bloch_batches, _bloch_eigenvalues, _orbits, _patch_layout
+from .assembly import (
+    _bloch_batches,
+    _bloch_eigenvalues,
+    _orbits,
+    _patch_layout,
+    _row_sum_bound,
+)
 from .spectra import _bloch_eigh, _require_symmetric
+
+# dt * bound up to this certifies an RK4 step: the limit 2.5 / rho(L) less a
+# relative margin for the rounding of the row sums, rows of up to about 10^6
+# entries
+_CERTIFIED = 2.5 * (1.0 - 1e-9)
 
 
 class StabilityError(ValueError):
@@ -82,29 +100,40 @@ class Trajectory:
             self.mass = np.asarray(self.mass, dtype=float)
         if self.states.shape[0] != self.times.size:
             raise ValueError("one state row per time required")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
+        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):  # NaN fails too
             raise ValueError("snapshot times must be strictly increasing")
 
 
-def _as_state(u0) -> StateVector:
-    if isinstance(u0, StateVector):
-        return u0
-    return StateVector(values=np.asarray(u0, dtype=float))
+def _checked_state(op, u0) -> StateVector:
+    """The start state of a run of op: op.dimension finite values at a finite time."""
+    state = u0 if isinstance(u0, StateVector) else StateVector(values=u0)
+    if state.values.size != op.dimension:
+        raise ValueError(
+            f"state has {state.values.size} values; the operator's dimension is {op.dimension}"
+        )
+    bad = state.values[~np.isfinite(state.values)]
+    if bad.size:
+        raise ValueError(f"state values must be finite, not {bad[0]}")
+    if not math.isfinite(state.time):
+        raise ValueError(f"start time {state.time} must be finite")
+    return state
 
 
 def evolve_exact(op, u0, times) -> Trajectory:
     """Evaluate the exact semigroup solution at the requested times.
 
     Diagonalises the (symmetric) operator once; requires relative symmetry
-    defect at most 1e-10 and strictly increasing times not before the state's
-    own time stamp.  Raises StabilityError, naming the largest eigenvalue,
-    when a state is not finite: on a profile of extreme dynamic range the
-    round-off of the eigensolve gives spurious positive eigenvalues whose
-    exp(w t) overflows.
+    defect at most 1e-10 and finite, strictly increasing times not before
+    the state's own time stamp.  Raises StabilityError, naming the largest
+    eigenvalue, when a state is not finite: on a profile of extreme dynamic
+    range the round-off of the eigensolve gives spurious positive eigenvalues
+    whose exp(w t) overflows.
     """
     _require_symmetric(op, "exact evolution by orthogonal diagonalisation is unavailable")
-    state = _as_state(u0)
+    state = _checked_state(op, u0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, not {times[~np.isfinite(times)][0]}")
     if np.any(times < state.time):
         raise ValueError("cannot evolve backwards past the initial time")
     # exp(w t) of a spurious positive eigenvalue may overflow; the states are
@@ -262,31 +291,35 @@ def evolve_rk4(
     ...); Trajectory.mass holds the total of the initial state and after
     each of the `steps` steps.  Raises StabilityError when dt exceeds 2.5 / rho(L) unless
     allow_unstable is set, and, even then, at the time a step's mass or a
-    stored state leaves the double range.
+    stored state leaves the double range.  A dt within 2.5 over the row-sum
+    bound of rho(L) needs no eigensolve; any other takes stability_limit.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    layout = _patch_layout(op)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"time step dt = {dt} must be a positive finite number")
     if steps < 1:
         raise ValueError("need at least one step")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    limit = stability_limit(op)
-    if dt > limit and not allow_unstable:
-        raise StabilityError(
-            f"dt = {dt:.6g} exceeds the RK4 stability limit {limit:.6g}; "
-            "reduce the step or pass allow_unstable=True"
-        )
-    state = _as_state(u0)
+    state = _checked_state(op, u0)
+    # NaN or an overflowed product fails the certificate too
+    if not (allow_unstable or dt * _row_sum_bound(op) <= _CERTIFIED):
+        limit = stability_limit(op)
+        if dt > limit:
+            raise StabilityError(
+                f"dt = {dt:.6g} exceeds the RK4 stability limit {limit:.6g}; "
+                "reduce the step or pass allow_unstable=True"
+            )
     times = state.time + dt * np.arange(0, steps + 1, stride)
     # an unstable step may overflow; the states and masses are checked below instead
     with np.errstate(over="ignore", invalid="ignore"):
-        states, mass = _bloch_rk4(op, _patch_layout(op), state.values, dt, steps, stride)
+        states, mass = _bloch_rk4(op, layout, state.values, dt, steps, stride)
     finite = np.isfinite(mass)  # per step; the stored states are steps 0, stride, ...
     finite[::stride] &= np.all(np.isfinite(states), axis=1)
     if not finite.all():
         raise StabilityError(
             f"RK4 run left the double range at t = {state.time + dt * np.argmin(finite):.6g} "
-            f"(dt = {dt:.6g}, stability limit {limit:.6g})"
+            f"(dt = {dt:.6g}, stability limit {stability_limit(op):.6g})"
         )
     return Trajectory(times=times, states=states, mass=mass)
 

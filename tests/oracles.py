@@ -20,6 +20,8 @@ matvec is the product A x gathered over every patch, the reference for the
 first-block-row sums of assembly._kernel_residual; the package forms no
 global product.  rk4_extended is the plain RK4 step loop on such gathered
 products in extended precision, the reference for timestep.evolve_rk4.
+spectral_radius is max |eigvals| of the dense matrix, the reference for the
+row-sum bound of assembly._row_sum_bound.
 
 quartic_coefficient reads K4 off the slow branch of the 1D symbol in 60-digit
 arithmetic, without the Taylor series the package sums.
@@ -72,6 +74,11 @@ def matvec(op, x) -> np.ndarray:
         Y[start : start + chunk, targets] = np.add.reduceat(gathered, starts, axis=1)
     Y = Y.reshape(patches + (layout.members,) + layout.shape[1 + k :])
     return np.moveaxis(Y, k, 0).ravel()
+
+
+def spectral_radius(op) -> float:
+    """The largest eigenvalue magnitude of the dense matrix: O(dim^3) work."""
+    return float(np.max(np.abs(np.linalg.eigvals(op.matrix)), initial=0.0))
 
 
 def rk4_extended(op, u0, dt: float, steps: int, stride: int = 1) -> np.ndarray:

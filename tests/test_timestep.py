@@ -1,10 +1,13 @@
 """Time integration: exact propagator, RK4, stability guard, mass."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rk4_extended
+from oracles import rk4_extended, spectral_radius
 from test_spectra import (
     dense_eigenvalues,
     incompatible_operator,
@@ -14,7 +17,8 @@ from test_spectra import (
 from test_storage import degenerate_ensembles, full_lattices
 
 import patchtooth as pt
-from patchtooth import cli
+from patchtooth import cli, timestep
+from patchtooth.assembly import _row_sum_bound
 
 L = 2 * np.pi
 
@@ -39,8 +43,9 @@ def dense_evolution(op, u0, times):
     return np.array([Q @ (np.exp(w * t) * c) for t in times])
 
 
-def make_operator():
-    grid = pt.build_grid_1d(L, 6, 4, 0.4)
+def make_operator(r=0.4):
+    """1D, N = 6, n = 4, inline profile (1, 2), spectral coupling."""
+    grid = pt.build_grid_1d(L, 6, 4, r)
     prof = pt.DiffusivityProfile1D((1.0, 2.0))
     return pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"))
 
@@ -313,6 +318,26 @@ def test_rk4_matches_the_extended_precision_loop(op, steps, stride, fraction, se
     assert state_error(got, want) <= tolerance
 
 
+def benchmark_wave_config(seed: int = 0, steps: int = 3000) -> dict:
+    """The wave1d RK4 simulate of the rk4-wave1d benchmark, over `steps` steps."""
+    return {
+        "model": "wave1d",
+        "grid": {"L": L, "N": 40, "n": 10, "r": 0.2},
+        "profile": {"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": seed},
+        "coupling": {"scheme": "lagrangian", "order": 2},
+        "task": "simulate",
+        "simulate": {"integrator": "rk4", "dt": 1e-4, "steps": steps, "stride": 30,
+                     "initial": {"kind": "sine", "mode": 1}},
+    }
+
+
+def benchmark_wave(seed: int = 0):
+    """The operator and start state of benchmark_wave_config, as the CLI builds them."""
+    run = cli._resolve(benchmark_wave_config(seed))
+    op = cli._assemble(run)
+    return op, cli._initial_state(run.section["initial"], op).values
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_rk4_wave_benchmark_system_matches_the_extended_precision_loop(seed):
     """The wave1d RK4 simulate of the benchmark config (N = 40, n = 10, r =
@@ -321,17 +346,150 @@ def test_rk4_wave_benchmark_system_matches_the_extended_precision_loop(seed):
     its largest entry.  Measured 5.6e-14 and 8.8e-14 at seeds 0 and 3; the
     step powers in extended precision before the eigenbasis read 7.5e-14
     and 3.6e-13."""
-    config = {
-        "model": "wave1d",
-        "grid": {"L": L, "N": 40, "n": 10, "r": 0.2},
-        "profile": {"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": seed},
-        "coupling": {"scheme": "lagrangian", "order": 2},
-        "task": "simulate",
-        "simulate": {"integrator": "rk4", "dt": 1e-4, "steps": 3000, "stride": 30,
-                     "initial": {"kind": "sine", "mode": 1}},
-    }
-    run = cli._resolve(config)
-    op = cli._assemble(run)
-    u0 = cli._initial_state(run.section["initial"], op).values
+    op, u0 = benchmark_wave(seed)
     got = pt.evolve_rk4(op, u0, 1e-4, 3000, stride=30).states
     assert state_error(got, rk4_extended(op, u0, 1e-4, 3000, 30)) <= 2e-13
+
+
+ZERO_OPERATOR = pt.assemble_patch_1d(  # one patch of one point coupled to itself
+    pt.build_grid_1d(L, 1, 1, 0.5), pt.DiffusivityProfile1D((1.0,)), pt.CouplingSpec("spectral")
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        patch_operators_1d(), patch_operators_2d(), degenerate_ensembles(), full_lattices(),
+        wave_operators(), incompatible_operators(),
+        st.sampled_from([ZERO_OPERATOR, pt.assemble_wave(ZERO_OPERATOR, 0.3)]),
+    )
+)
+def test_the_row_sum_bound_bounds_the_spectral_radius(op):
+    """||S^-1 L S||_inf >= rho(L) for any operator, symmetric or not; the
+    dense eigensolve's own round-off is allowed for, since on a constant
+    lattice with an even point count the bound is attained."""
+    rho = spectral_radius(op)
+    assert _row_sum_bound(op) >= rho * (1 - 1e-12)
+
+
+def test_the_row_sum_bound_is_tight_on_the_benchmark_wave():
+    """Measured 1.078 rho: a looser bound would send the benchmark's dt = 1e-4,
+    a third of the limit, nearer the exact fallback."""
+    op, _ = benchmark_wave()
+    rho = 2.5 / pt.stability_limit(op)
+    assert rho <= _row_sum_bound(op) <= 1.1 * rho
+
+
+def test_a_certified_rk4_run_does_no_general_eigensolve(tmp_path, monkeypatch):
+    """The benchmark wave at its smoke steps, through the CLI: dt = 1e-4 is
+    within 2.5 over the row-sum bound, 2.88e-4."""
+
+    def refuse(op, layout):
+        raise AssertionError("general Bloch eigensolve")
+
+    monkeypatch.setattr(timestep, "_bloch_eigenvalues", refuse)
+    assert cli.run(benchmark_wave_config(steps=300), tmp_path) == 0
+    assert (tmp_path / "trajectory.csv").stat().st_size > 0
+
+
+def test_the_exact_fallback_runs_the_same_steps(monkeypatch):
+    """A bound that certifies nothing takes stability_limit, and the run is
+    bitwise the certified one."""
+    op, u0 = benchmark_wave()
+    certified = pt.evolve_rk4(op, u0, 1e-4, 300, stride=30)
+    solves, original = [], timestep._bloch_eigenvalues
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(timestep, "_row_sum_bound", lambda op: math.inf)
+    monkeypatch.setattr(timestep, "_bloch_eigenvalues", counted)
+    exact = pt.evolve_rk4(op, u0, 1e-4, 300, stride=30)
+    assert len(solves) == 1
+    for name in ("times", "states", "mass"):
+        np.testing.assert_array_equal(getattr(exact, name), getattr(certified, name), strict=True)
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "wave", "lattice"])
+@pytest.mark.parametrize("above", [1.1, "next"])
+def test_the_exact_limit_decides_what_the_bound_cannot_certify(kind, above):
+    """dt at the exact limit runs; 1.1 times it, or the next double above it,
+    raises with the exact limit in the text.  On a constant lattice of an
+    even point count the bound is rho itself."""
+    if kind == "lattice":
+        op = pt.full_lattice_operator_1d(pt.DiffusivityProfile1D((1.5,)), 8, 0.5)
+    else:
+        op = make_operator()
+    if kind == "wave":
+        op = pt.assemble_wave(op, epsilon=0.3)
+    u0 = np.ones(op.dimension)
+    limit = pt.stability_limit(op)
+    assert pt.evolve_rk4(op, u0, limit, 5).times.size == 6
+    dt = 1.1 * limit if above == 1.1 else float(np.nextafter(limit, np.inf))
+    text = (
+        f"dt = {dt:.6g} exceeds the RK4 stability limit {limit:.6g}; "
+        "reduce the step or pass allow_unstable=True"
+    )
+    with pytest.raises(pt.StabilityError, match=f"^{re.escape(text)}$"):
+        pt.evolve_rk4(op, u0, dt, 5)
+
+
+def test_the_overflow_message_names_the_exact_limit():
+    op = make_operator()
+    limit = pt.stability_limit(op)
+    u0 = 1.0 + 0.3 * np.sin(np.arange(op.dimension))
+    with pytest.raises(pt.StabilityError, match=re.escape(f"stability limit {limit:.6g})")):
+        pt.evolve_rk4(op, u0, 3.0 * limit, 2000, allow_unstable=True)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1e-3, 0.0])
+def test_rk4_refuses_a_time_step_that_is_not_positive_and_finite(dt):
+    """A NaN step used to fail as an RK4 run that left the double range."""
+    op = make_operator(0.3)
+    with pytest.raises(ValueError, match=f"time step dt = {dt} must be a positive finite number"):
+        pt.evolve_rk4(op, np.ones(op.dimension), dt, 3)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf")])
+def test_rk4_refuses_a_start_time_that_is_not_finite(time):
+    """A NaN start time used to give a trajectory of NaN times."""
+    op = make_operator(0.3)
+    with pytest.raises(ValueError, match=f"start time {time} must be finite"):
+        pt.evolve_rk4(op, pt.StateVector(np.ones(op.dimension), time=time), 1e-3, 3)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pt.Trajectory(times=[0.0, float("nan")], states=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf")])
+def test_exact_evolution_refuses_times_that_are_not_finite(time):
+    """A NaN time used to fail naming the largest eigenvalue."""
+    op = make_operator(0.3)
+    u0 = np.ones(op.dimension)
+    with pytest.raises(ValueError, match=f"times must be finite, not {time}") as raised:
+        pt.evolve_exact(op, u0, [0.0, time])
+    assert not isinstance(raised.value, pt.StabilityError)
+    with pytest.raises(ValueError, match=f"start time {time} must be finite"):
+        pt.evolve_exact(op, pt.StateVector(u0, time=time), [0.0, 1.0])
+
+
+def test_the_integrators_refuse_a_state_of_the_wrong_length():
+    """A state of 25 values used to fail in numpy's reshape."""
+    op = make_operator(0.3)
+    text = f"state has 25 values; the operator's dimension is {op.dimension}"
+    with pytest.raises(ValueError, match=text):
+        pt.evolve_rk4(op, np.ones(25), 1e-3, 3)
+    with pytest.raises(ValueError, match=text):
+        pt.evolve_exact(op, np.ones(25), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_the_integrators_refuse_state_values_that_are_not_finite(value):
+    """A NaN value used to fail as a run that left the double range at t = 0."""
+    op = make_operator(0.3)
+    u0 = np.ones(op.dimension)
+    u0[3] = value
+    for run in (lambda: pt.evolve_rk4(op, u0, 1e-3, 3), lambda: pt.evolve_exact(op, u0, [0.0, 1.0])):
+        with pytest.raises(ValueError, match=f"state values must be finite, not {value}") as raised:
+            run()
+        assert not isinstance(raised.value, pt.StabilityError)
