@@ -32,12 +32,14 @@ CSV values are formatted with %.17g, JSON numbers with Python's shortest
 repr, and JSON keys are sorted, so identical configs reproduce artefacts
 byte for byte.  Every CSV goes through one table writer, _write_table: a
 task hands it a header and fields.  The last field fills the table, one row
-per index of its other axes, and is formatted a block of values at a time
-(_text).  Each earlier field repeats along one of those axes, as a
-trajectory's times and labels do, and is formatted once (_compact).  JSON
-artefacts are strict: a gap ratio with no gap is null.  Each artefact is
-written under a temporary name and renamed into place when complete, so a
-failed run leaves no half-written file.
+per index of its other axes, and comes as blocks of rows: simulate's states
+a piece at a time as the integrator yields them, one block for any other
+task.  It is formatted a block of values at a time (_text), so a run's
+memory does not grow with its trajectory.  Each earlier field repeats along
+one of those axes, as a trajectory's times and labels do, and is formatted
+once (_compact).  JSON artefacts are strict: a gap ratio with no gap is
+null.  Each artefact is written under a temporary name and renamed into
+place when complete, so a failed run leaves no half-written file.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .spectra import (
     eigen_symmetric,
     error_table,
 )
-from .timestep import StateVector, conserved_mass, evolve_exact, evolve_rk4
+from .timestep import StateVector, _exact_stream, _rk4_stream, conserved_mass
 
 
 class ConfigError(ValueError):
@@ -717,13 +719,13 @@ def _write_file(path: Path, chunks) -> None:
 
     They go to a temporary file beside it, which replaces `path` only once
     complete and is removed if anything fails, so no half-written artefact
-    is left under the name.
+    is left under the name.  writelines lets go of each string before it
+    asks for the next.
     """
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -735,28 +737,50 @@ def _write_table(path: Path, header: list, fields: list) -> None:
 
     Each field holds its columns along its last axis: doubles, written as
     '%.17g' text (an integer-valued one as that integer), or byte strings,
-    written as they are.  The last field, of doubles, fills the table: its
-    other axes, at most two, index the rows, and it is formatted a block of
-    about _BLOCK_VALUES values at a time.  Every earlier field repeats along
-    one of those axes, where its length is 1, and is formatted once, by
-    _compact.  The bytes are those csv.writer writes: no field needs
+    written as they are.  The last field, of doubles, fills the table.  It
+    comes as an iterable of blocks, consecutive along its first axis: a
+    block's axes before the last, at most two, index its rows, and it is
+    formatted about _BLOCK_VALUES values at a time.  Every earlier field
+    repeats along one of those axes, where its length is 1, and is formatted
+    once, by _compact.  The bytes are those csv.writer writes: no field needs
     quoting, and lines end in \\r\\n.
     """
-    *repeating, filling = (np.asarray(f) for f in fields)
-    outer, inner, width = (1, 1, *filling.shape)[-3:]
-    filling = filling.reshape(outer, inner, width)
-    words = [_compact(f, [b","] * f.shape[-1]) for f in repeating]
-    words = [np.broadcast_to(w, (outer, inner, w.shape[-1])) for w in words]
-    ends = [b","] * (width - 1) + [b"\r\n"]
-    rows = max(1, _BLOCK_VALUES // width)
-    step, across = max(1, rows // inner), min(inner, rows)
-    blocks = (
-        np.concatenate([*(w[a : a + step, c : c + across] for w in words),
-                        _text(filling[a : a + step, c : c + across], ends)], axis=-1)
-        .tobytes().translate(None, b"\0")
-        for a, c in itertools.product(range(0, outer, step), range(0, inner, across))
-    )
-    _write_file(path, itertools.chain([(",".join(header) + "\r\n").encode()], blocks))
+    *repeating, blocks = fields
+    words = [_compact(f, [b","] * f.shape[-1]) for f in map(np.asarray, repeating)]
+    words = [w.reshape((1, 1, *w.shape)[-3:]) for w in words]
+
+    def lines():
+        yield (",".join(header) + "\r\n").encode()
+        start = 0
+        for filling in blocks:
+            filling = np.asarray(filling)
+            outer, inner, width = (1, 1, *filling.shape)[-3:]
+            filling = filling.reshape(outer, inner, width)
+            # a field along the first axis gives this block's rows of it
+            parts = [np.broadcast_to(w[start : start + outer] if len(w) > 1 else w,
+                                     (outer, inner, w.shape[-1])) for w in words]
+            start += outer
+            ends = [b","] * (width - 1) + [b"\r\n"]
+            rows = max(1, _BLOCK_VALUES // width)
+            step, across = max(1, rows // inner), min(inner, rows)
+            for a, c in itertools.product(range(0, outer, step), range(0, inner, across)):
+                yield from _unpadded(np.concatenate(
+                    [*(w[a : a + step, c : c + across] for w in parts),
+                     _text(filling[a : a + step, c : c + across], ends)], axis=-1))
+
+    _write_file(path, lines())
+
+
+def _unpadded(words: np.ndarray):
+    """The bytes of rows of 64-bit words without their NUL padding, 1,024 rows a string.
+
+    Strings of about 100 KB are reused by the allocator; one string per block
+    was mapped and unmapped afresh for each block of a streamed run (3,800
+    page faults per warm rk4-wave1d run, against none).
+    """
+    words = words.reshape(-1, words.shape[-1])
+    for row in range(0, len(words), 1024):
+        yield words[row : row + 1024].tobytes().translate(None, b"\0")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -789,7 +813,7 @@ def _task_eigen(run: _Run, out: Path) -> None:
     values = report.eigenvalues
     columns = (np.arange(1.0, values.size + 1), values.real, values.imag, np.abs(values))
     _write_table(out / "eigenvalues.csv", ["rank", "real", "imag", "magnitude"],
-                 [np.column_stack(columns)])
+                 [[np.column_stack(columns)]])
     _write_json(out / "summary.json", {
         "model": run.model, "dimension": op.dimension, "n_macro": int(report.n_macro), **spectrum,
     })
@@ -827,8 +851,12 @@ def _initial_state(init: dict, op) -> StateVector:
     return StateVector(values=u, time=0.0)
 
 
-def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> None:
-    """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown."""
+def _write_trajectory(path: Path, op, times: np.ndarray, states) -> None:
+    """trajectory.csv: a row (t, [field], [member], labels..., value) per snapshot and unknown.
+
+    `states` holds the snapshots of `times` in blocks, in order, each of one
+    or more states.
+    """
     layout = op.layout
     member, *index = np.indices(layout.shape).reshape(len(layout.shape), -1)
     if isinstance(op.grid, geometry.PatchGrid2D):
@@ -845,8 +873,8 @@ def _write_trajectory(path: Path, op, times: np.ndarray, states: np.ndarray) -> 
     wave = layout.half is not None
     header = ["t", *["field"] * wave, *["member"] * layout.ensemble, *names, "value"]
     # a table row per snapshot (and wave field: u, then v) and a column per unknown
-    values = states.reshape(-1, len(member))[:, :, None]
-    fields = [np.repeat(times, len(values) // len(times))[:, None, None], labels, values]
+    values = (np.reshape(block, (-1, len(member), 1)) for block in states)
+    fields = [np.repeat(times, 1 + wave)[:, None, None], labels, values]
     if wave:
         fields.insert(1, np.tile([[[b"u"]], [[b"v"]]], (len(times), 1, 1)))
     _write_table(path, header, fields)
@@ -856,26 +884,40 @@ def _task_simulate(run: _Run, out: Path) -> None:
     op = _assemble(run)
     sim = run.section
     state = _initial_state(sim["initial"], op)
+    # two writer blocks of states per piece: a piece costs about 0.15 ms of
+    # transforms and checks beyond its states' own work, 7 % of an rk4-wave1d
+    # run at one block a piece
+    chunk = max(1, 2 * _BLOCK_VALUES // op.dimension)
     if sim["integrator"] == "exact":
         times = np.linspace(0.0, float(sim["t_final"]), sim["snapshots"] + 1)
-        traj = evolve_exact(op, state, times)
-        final_time = traj.times[-1]
-        stored = slice(None, None, sim["stride"])
+        times, pieces = _exact_stream(op, state, times, chunk)
+        stride, final_time = sim["stride"], times[-1]
     else:
         dt, steps = float(sim["dt"]), sim["steps"]
-        traj = evolve_rk4(op, state, dt, steps, allow_unstable=sim["allow_unstable"],
-                          stride=sim["stride"])
-        final_time = state.time + dt * steps
-        stored = slice(None)
-    _write_trajectory(out / "trajectory.csv", op, traj.times[stored], traj.states[stored])
-    # one sum per step (rk4) or per snapshot (exact)
-    sums, drift = conserved_mass(traj)
+        times, pieces = _rk4_stream(op, state, dt, steps, sim["allow_unstable"], sim["stride"],
+                                    chunk)
+        stride, final_time = 1, state.time + dt * steps
+    # one sum per step (rk4) or per snapshot (exact), and the largest drift from the first
+    mass = types.SimpleNamespace(sums=0, first=None, drift=0.0)
+
+    def stored():
+        """Every stride-th snapshot of the pieces, as they come."""
+        done = 0
+        for piece in pieces:
+            sums = conserved_mass(piece)[0]
+            mass.first = sums[0] if mass.first is None else mass.first
+            mass.drift = max(mass.drift, float(np.max(np.abs(sums - mass.first))))
+            mass.sums += sums.size
+            yield piece.states[-done % stride :: stride]
+            done += len(piece.times)
+
+    _write_trajectory(out / "trajectory.csv", op, times[::stride], stored())
     _write_json(out / "summary.json", {
         "model": run.model,
         "integrator": sim["integrator"],
-        "snapshots": int(sums.size),
-        "initial_mass": float(sums[0]),
-        "mass_drift": drift,
+        "snapshots": mass.sums,
+        "initial_mass": float(mass.first),
+        "mass_drift": mass.drift,
         "final_time": float(final_time),
     })
 
@@ -890,7 +932,7 @@ def _task_homogenize(run: _Run, out: Path) -> None:
     ks = [spacing * m for m in range(1, count + 1)]
     branch = np.array([[k, slow_branch(run.profile, k)] for k in ks])
     _write_json(out / "homogenize.json", asdict(coeffs))
-    _write_table(out / "slow_branch.csv", ["k", "eigenvalue"], [branch])
+    _write_table(out / "slow_branch.csv", ["k", "eigenvalue"], [[branch]])
 
 
 def _sweep_rows(run: _Run):
@@ -926,7 +968,7 @@ def _task_sweep(run: _Run, out: Path) -> None:
     parameter, values, modes = (run.section[key] for key in ("parameter", "values", "modes"))
     rows = _sweep_rows(run)
     _write_table(out / "sweep.csv", [parameter] + [f"err_mode_{k}" for k in range(1, modes + 1)],
-                 [np.column_stack([np.array(values, dtype=float), rows])])
+                 [[np.column_stack([np.array(values, dtype=float), rows])]])
     summary = {"parameter": parameter, "values": values, "modes": modes}
     if parameter == "patches" and len(values) >= 3:
         summary["slopes"] = [

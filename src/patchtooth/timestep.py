@@ -25,13 +25,20 @@ Rayleigh blocks V^H X V of the block's sub-blocks are the only extended
 precision work, two O(b^3) products each, rounded once to double.  Every step
 and power after them is double precision BLAS on deviations from the
 identity, which is never added: E, then F = (I + E)^stride - I by binary
-powering, and each stored state x_q = x_(q-1) + F x_(q-1), all mapped back by
-V at once: O(N b^3 log stride) set-up and O(N b^2) per stored state instead
-of four dim x dim matrix-vector products per step.  A slow mode so keeps its
-decay to the relative precision of a double; a wave's oscillating modes carry
-one rounding of their phase per step.  Block j = 0 holds the patch sums of
+powering, and each stored state x_q = x_(q-1) + F x_(q-1), mapped back by V a
+piece at a time: O(N b^3 log stride) set-up and O(N b^2) per stored state
+instead of four dim x dim matrix-vector products per step.  A slow mode so
+keeps its decay to the relative precision of a double; a wave's oscillating
+modes carry one rounding of their phase per step.  Block j = 0 holds the patch sums of
 the state, so the total mass after every step, stored or not, costs O(b) per
 step.
+
+Both run as a stream (_exact_stream, _rk4_stream): the set-up of every batch
+is kept, V and F for RK4 or V, w and c = V^H u0 for the exact path, K b^2
+complex numbers each, and the snapshots come out in pieces of a given count,
+each transformed back and checked on its own.  So a run holds its set-up and
+one piece of states, whatever steps / stride; the CLI writes each piece as it
+comes, and evolve_exact and evolve_rk4 join the pieces into one Trajectory.
 
 evolve_rk4 certifies its step from the first block row: the absolute row
 sums of assembly._row_sum_bound bound rho(L) from above at O(nnz / N) cost,
@@ -86,7 +93,9 @@ class Trajectory:
 
     `mass`, when given, is the total of the state after every integration
     step, including steps whose state was not stored; conserved_mass prefers
-    it to the sums of the stored states.
+    it to the sums of the stored states.  On the wave system the total is
+    sum(u) + sum(v), conserved only when sum(v) = 0 at the start, as in every
+    CLI start: sum(v) is conserved, and sum(u) alone grows by t sum(v).
     """
 
     times: np.ndarray
@@ -119,6 +128,21 @@ def _checked_state(op, u0) -> StateVector:
     return state
 
 
+def _exact_stream(op, u0, times, chunk: int):
+    """evolve_exact's checks; then its times and a generator of its Trajectory
+    in pieces of `chunk` or more snapshots (see _chunks)."""
+    _require_symmetric(op, "exact evolution by orthogonal diagonalisation is unavailable")
+    state = _checked_state(op, u0)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, not {times[~np.isfinite(times)][0]}")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("snapshot times must be strictly increasing")
+    if np.any(times < state.time):
+        raise ValueError("cannot evolve backwards past the initial time")
+    return times, _bloch_evolve(op, _patch_layout(op), state, times, chunk)
+
+
 def evolve_exact(op, u0, times) -> Trajectory:
     """Evaluate the exact semigroup solution at the requested times.
 
@@ -129,23 +153,35 @@ def evolve_exact(op, u0, times) -> Trajectory:
     range the round-off of the eigensolve gives spurious positive eigenvalues
     whose exp(w t) overflows.
     """
-    _require_symmetric(op, "exact evolution by orthogonal diagonalisation is unavailable")
-    state = _checked_state(op, u0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"times must be finite, not {times[~np.isfinite(times)][0]}")
-    if np.any(times < state.time):
-        raise ValueError("cannot evolve backwards past the initial time")
-    # exp(w t) of a spurious positive eigenvalue may overflow; the states are
-    # checked below instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        states, top = _bloch_evolve(op, _patch_layout(op), state.values, times - state.time)
-    if not np.all(np.isfinite(states)):
-        raise StabilityError(
-            f"exact evolution to t = {times[-1]:.6g} left the double range: "
-            f"largest eigenvalue {top:.6g}"
-        )
-    return Trajectory(times=times, states=states)
+    return _joined(_exact_stream(op, u0, times, 1)[1])
+
+
+def _joined(pieces) -> Trajectory:
+    """One Trajectory of the pieces of a run."""
+    pieces = list(pieces)
+    mass = None if pieces[0].mass is None else np.concatenate([p.mass for p in pieces])
+    return Trajectory(
+        times=np.concatenate([p.times for p in pieces]),
+        states=np.concatenate([p.states for p in pieces]),
+        mass=mass,
+    )
+
+
+def _chunks(count: int, chunk: int):
+    """(start, stop) of each piece of `count` snapshots: `chunk` of them rounded
+    up to a multiple of 8, a lone last one joining the piece before it.
+
+    A piece's snapshots are the columns of its BLAS products.  A column's
+    rounding follows its place in the kernel's tiling of the columns (by 4 on
+    OpenBLAS Haswell), and a lone column is a gemv; so cut, each snapshot
+    rounds as in one product over all of them, whatever the chunk, on the
+    OpenBLAS Haswell, SkylakeX, Sandybridge and Prescott kernels.
+    """
+    width = 8 * -(-chunk // 8)
+    stops = list(range(width, count, width))
+    if stops and count - stops[-1] == 1:
+        stops.pop()
+    return zip([0, *stops], [*stops, count])
 
 
 def _bloch_modes(u0: np.ndarray, layout) -> np.ndarray:
@@ -167,24 +203,46 @@ def _bloch_states(modes: np.ndarray, layout) -> np.ndarray:
     return np.moveaxis(u_t, k + 1, 1).reshape(modes.shape[0], -1)
 
 
-def _bloch_evolve(op, layout, u0: np.ndarray, elapsed: np.ndarray):
-    """States exp(A t) u0, one row per elapsed time t, orbit block by orbit
-    block, and the largest eigenvalue."""
+def _bloch_evolve(op, layout, state: StateVector, times: np.ndarray, chunk: int):
+    """The Trajectory exp(A (t - t0)) u0 of the times, piece by piece.
+
+    Each orbit block's eigenvectors V, eigenvalues w and coefficients
+    c = V^H u0 are kept; a piece's states are V exp(w t) c, transformed back.
+    Its modes are formed in _exact_modes, so that none outlive the transform.
+    """
     orbits = _orbits(layout, op.profile.periods).ravel()
-    u_hat = _bloch_modes(u0, layout)
-    modes = np.empty(u_hat.shape + elapsed.shape, dtype=complex)  # (K, b, times)
-    start, top = 0, -np.inf
-    for w, V, _ in _bloch_eigh(op, layout):
-        batch = slice(start, start + w.shape[0])
-        # one matrix of V per member orbit of a block, as _bloch_eigh splits them;
-        # the gather comes out column-major, and the matmul of a strided
-        # operand rounds differently from that of a C-ordered one
-        u = np.ascontiguousarray(u_hat[batch][:, orbits]).reshape(V.shape[0], -1, 1)
-        c = V.conj().swapaxes(1, 2) @ u
+    elapsed = times - state.time
+    # exp(w t) of a spurious positive eigenvalue may overflow; the states are
+    # checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_hat = _bloch_modes(state.values, layout)
+        batches, start, top = [], 0, -np.inf
+        for w, V, _ in _bloch_eigh(op, layout):
+            batch = slice(start, start + w.shape[0])
+            # one matrix of V per member orbit of a block, as _bloch_eigh splits
+            # them; the gather comes out column-major, and the matmul of a
+            # strided operand rounds differently from that of a C-ordered one
+            u = np.ascontiguousarray(u_hat[batch][:, orbits]).reshape(V.shape[0], -1, 1)
+            batches.append((batch, w, V, V.conj().swapaxes(1, 2) @ u))
+            start, top = batch.stop, max(top, float(np.max(w)))
+    for a, b in _chunks(times.size, chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _bloch_states(_exact_modes(batches, orbits, u_hat.shape, elapsed[a:b]), layout)
+        if not np.all(np.isfinite(states)):
+            raise StabilityError(
+                f"exact evolution to t = {times[-1]:.6g} left the double range: "
+                f"largest eigenvalue {top:.6g}"
+            )
+        yield Trajectory(times=times[a:b], states=states)
+
+
+def _exact_modes(batches, orbits, shape, elapsed: np.ndarray) -> np.ndarray:
+    """The Bloch modes (times, K, b) of exp(A t) u0 at each elapsed time t."""
+    modes = np.empty(shape + elapsed.shape, dtype=complex)
+    for batch, w, V, c in batches:
         z = V @ (np.exp(w.reshape(V.shape[:2])[:, :, None] * elapsed) * c)
         modes[batch][:, orbits] = z.reshape(w.shape + elapsed.shape)
-        start, top = batch.stop, max(top, float(np.max(w)))
-    return _bloch_states(np.moveaxis(modes, 2, 0), layout), top
+    return np.moveaxis(modes, 2, 0)
 
 
 def stability_limit(op) -> float:
@@ -247,28 +305,49 @@ def _power_deviations(E: np.ndarray, power: int) -> np.ndarray:
         E = 2 * E + E @ E
 
 
-def _bloch_rk4(op, layout, u0: np.ndarray, dt: float, steps: int, stride: int):
-    """RK4 states after every stride-th step, and the total mass after every step."""
-    u_hat = _bloch_modes(u0, layout)
+def _bloch_rk4(op, layout, state: StateVector, times: np.ndarray, dt: float, steps: int,
+               stride: int, chunk: int):
+    """The Trajectory of RK4 states after every stride-th step, piece by piece;
+    each piece's mass is the total after every step from its first state on.
+
+    The set-up and each piece run in functions of their own, so that no
+    temporary of theirs stays alive while a piece is written.
+    """
     fields = 1 if op.layout.half is None else 2  # u alone, or u and v
-    count = steps // stride + 1
-    stored = np.empty((count,) + u_hat.shape, dtype=complex)
-    start = 0
+    # an unstable step may overflow; the states and masses are checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_hat = _bloch_modes(state.values, layout)
+        batches, totals = _rk4_setup(op, layout, u_hat, dt, steps, stride, fields)
+    for a, b in _chunks(times.size, chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, mass = _rk4_piece(batches, layout, u_hat.shape, totals, fields, a, b - a)
+        mass = mass[: steps + 1 - a * stride]
+        if a == 0:
+            mass[0] = state.values.sum()  # the initial total exactly as the stored state sums it
+        finite = np.isfinite(mass)  # per step; the stored states are steps 0, stride, ...
+        finite[::stride] &= np.all(np.isfinite(states), axis=1)
+        if not finite.all():
+            raise StabilityError(
+                f"RK4 run left the double range at t = "
+                f"{state.time + dt * (a * stride + np.argmin(finite)):.6g} "
+                f"(dt = {dt:.6g}, stability limit {stability_limit(op):.6g})"
+            )
+        yield Trajectory(times=times[a:b], states=states, mass=mass)
+
+
+def _rk4_setup(op, layout, u_hat: np.ndarray, dt: float, steps: int, stride: int, fields: int):
+    """Per batch of Bloch blocks [its slice, V, F = (I + E)^stride - I, the
+    initial state in the eigenbasis]; and the mass rows r_k of block j = 0."""
+    batches, start = [], 0
     for blocks in _bloch_batches(op, layout):
         V, rayleigh = _eigenbasis_blocks(blocks, fields)
         E = _rk4_deviations(rayleigh, dt)
-        F = _power_deviations(E, stride)
         batch = slice(start, start + len(blocks))
-        # the stored states in the eigenbasis, x_q = x_(q-1) + F x_(q-1)
-        x = np.empty(u_hat[batch].shape + (count,), dtype=complex)
         by_field = u_hat[batch].reshape(len(blocks), fields, -1, 1)
-        x[:, :, 0] = (V.conj().swapaxes(1, 2)[:, None] @ by_field).reshape(len(blocks), -1)
-        for q in range(1, count):
-            x[:, :, q] = x[:, :, q - 1] + (F @ x[:, :, q - 1 : q])[:, :, 0]
-        states = V[:, None] @ x.reshape(len(blocks), fields, -1, count)
-        stored[:, batch] = np.moveaxis(states.reshape(x.shape), 2, 0)
+        x = (V.conj().swapaxes(1, 2)[:, None] @ by_field).reshape(len(blocks), -1, 1)
+        batches.append([batch, V, _power_deviations(E, stride), x])
         if start == 0:
-            total, E0, x0 = np.tile(V[0].sum(axis=0), fields), E[0], x[0]
+            total, E0 = np.tile(V[0].sum(axis=0), fields), E[0]
         start = batch.stop
     # Block j = 0 holds the patch sums, so the mass k < stride steps after
     # stored state q is r_k x_q(0) with r_k = 1^T T(0) (I + E(0))^k.
@@ -276,24 +355,32 @@ def _bloch_rk4(op, layout, u0: np.ndarray, dt: float, steps: int, stride: int):
     totals[0] = total
     for k in range(1, totals.shape[0]):
         totals[k] = totals[k - 1] + totals[k - 1] @ E0
-    mass = (x0.T @ totals.T).real.ravel()[: steps + 1]
-    mass[0] = u0.sum()  # the initial total exactly as the stored state sums it
+    return batches, totals
+
+
+def _rk4_piece(batches, layout, shape, totals: np.ndarray, fields: int, first: int, size: int):
+    """Stored states first, ..., first + size - 1, and the mass after every
+    step from the first of them, stride steps per state; each batch then
+    keeps its last state in the eigenbasis."""
+    stored = np.empty((size,) + shape, dtype=complex)
+    for item in batches:
+        batch, V, F, x = item
+        # the stored states in the eigenbasis, x_q = x_(q-1) + F x_(q-1)
+        xs = np.empty(x.shape[:2] + (size,), dtype=complex)
+        for q in range(size):
+            xs[:, :, q] = x[:, :, 0] if first + q == 0 else x[:, :, 0] + (F @ x)[:, :, 0]
+            x = xs[:, :, q : q + 1]
+        item[3] = x.copy()
+        states = V[:, None] @ xs.reshape(len(V), fields, -1, size)
+        stored[:, batch] = np.moveaxis(states.reshape(xs.shape), 2, 0)
+        if batch.start == 0:
+            mass = (xs[0].T @ totals.T).real.ravel()
     return _bloch_states(stored, layout), mass
 
 
-def evolve_rk4(
-    op, u0, dt: float, steps: int, allow_unstable: bool = False, stride: int = 1
-) -> Trajectory:
-    """Classic RK4 integration with an explicit stability guard.
-
-    Stores the initial state and every stride-th step after it, the
-    steps // stride + 1 snapshots at times t0 + dt * (0, stride, 2 stride,
-    ...); Trajectory.mass holds the total of the initial state and after
-    each of the `steps` steps.  Raises StabilityError when dt exceeds 2.5 / rho(L) unless
-    allow_unstable is set, and, even then, at the time a step's mass or a
-    stored state leaves the double range.  A dt within 2.5 over the row-sum
-    bound of rho(L) needs no eigensolve; any other takes stability_limit.
-    """
+def _rk4_stream(op, u0, dt: float, steps: int, allow_unstable: bool, stride: int, chunk: int):
+    """evolve_rk4's checks; then its stored times and a generator of its
+    Trajectory in pieces of `chunk` or more stored states (see _chunks)."""
     layout = _patch_layout(op)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"time step dt = {dt} must be a positive finite number")
@@ -311,22 +398,32 @@ def evolve_rk4(
                 "reduce the step or pass allow_unstable=True"
             )
     times = state.time + dt * np.arange(0, steps + 1, stride)
-    # an unstable step may overflow; the states and masses are checked below instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        states, mass = _bloch_rk4(op, layout, state.values, dt, steps, stride)
-    finite = np.isfinite(mass)  # per step; the stored states are steps 0, stride, ...
-    finite[::stride] &= np.all(np.isfinite(states), axis=1)
-    if not finite.all():
-        raise StabilityError(
-            f"RK4 run left the double range at t = {state.time + dt * np.argmin(finite):.6g} "
-            f"(dt = {dt:.6g}, stability limit {stability_limit(op):.6g})"
-        )
-    return Trajectory(times=times, states=states, mass=mass)
+    return times, _bloch_rk4(op, layout, state, times, dt, steps, stride, chunk)
+
+
+def evolve_rk4(
+    op, u0, dt: float, steps: int, allow_unstable: bool = False, stride: int = 1
+) -> Trajectory:
+    """Classic RK4 integration with an explicit stability guard.
+
+    Stores the initial state and every stride-th step after it, the
+    steps // stride + 1 snapshots at times t0 + dt * (0, stride, 2 stride,
+    ...); Trajectory.mass holds the total of the initial state and after
+    each of the `steps` steps.  Raises StabilityError when dt exceeds 2.5 / rho(L) unless
+    allow_unstable is set, and, even then, at the time a step's mass or a
+    stored state leaves the double range.  A dt within 2.5 over the row-sum
+    bound of rho(L) needs no eigensolve; any other takes stability_limit.
+    """
+    return _joined(_rk4_stream(op, u0, dt, steps, allow_unstable, stride, 1)[1])
 
 
 def conserved_mass(trajectory: Trajectory):
     """Total mass after every step (per snapshot without Trajectory.mass) and
-    the largest absolute drift from the start."""
+    the largest absolute drift from the start.
+
+    The total sums every field: sum(u) + sum(v) on the wave system, which is
+    conserved only when sum(v) = 0 at the start (sum(u) grows by t sum(v)).
+    """
     sums = trajectory.mass
     if sums is None:
         sums = trajectory.states.sum(axis=1)

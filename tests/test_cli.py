@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import quartic_coefficient
 
 import patchtooth as pt
-from patchtooth import cli
+from patchtooth import cli, timestep
 
 KAPPA5 = [3.965, 2.531, 0.838, 0.331, 7.275]
 
@@ -740,10 +741,26 @@ def test_simulate_rk4_stability_guard(tmp_path):
     assert cli.run(config, tmp_path) == 0
 
 
-def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsys):
+def blocks_written(monkeypatch):
+    """The number of byte strings _write_file has taken for each file name."""
+    written = {}
+    write = cli._write_file
+
+    def counted(path, chunks):
+        written[path.name] = 0
+        for chunk in chunks:
+            written[path.name] += 1
+            yield chunk
+
+    monkeypatch.setattr(cli, "_write_file", lambda path, chunks: write(path, counted(path, chunks)))
+    return written
+
+
+def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsys, monkeypatch):
     """A profile of extreme dynamic range gives spurious positive eigenvalues
     of size 3e41, whose exp(w t) overflows: that is a numerical failure, not
-    a trajectory of nan rows."""
+    a trajectory of nan rows.  So is one that overflows after a block of the
+    trajectory has been written."""
     config = base_config(
         task="simulate",
         profile={"kind": "lognormal", "period": 2, "sigma": 1000, "seed": 0},
@@ -756,11 +773,36 @@ def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsy
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "summary.json").exists()
 
+    # a positive eigenvalue of 1000 put in the first block's solve: exp(1000 t)
+    # overflows from t = 0.75 on, the 16th of 41 snapshots, after the first
+    # piece of 8 has been written
+    solve = timestep._bloch_eigh
 
-def test_an_unstable_rk4_run_that_overflows_exits_2_without_artefacts(tmp_path, capsys):
+    def spurious(op, layout):
+        for w, V, slow in solve(op, layout):
+            w = w.copy()
+            w.flat[0] = 1000.0
+            yield w, V, slow
+
+    monkeypatch.setattr(timestep, "_bloch_eigh", spurious)
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 50)
+    written = blocks_written(monkeypatch)
+    config = base_config(task="simulate", simulate={
+        "integrator": "exact", "t_final": 2.0, "snapshots": 40, "initial": {"kind": "random", "seed": 1}})
+    assert cli.run(config, tmp_path) == 2
+    assert "exact evolution to t = 2 left the double range: largest eigenvalue 1000" in (
+        capsys.readouterr().err)
+    # the header, then the first piece's 8 snapshots in writer blocks of 2
+    assert written == {"trajectory.csv": 1 + 8 // 2}
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_unstable_rk4_run_that_overflows_exits_2_without_artefacts(tmp_path, capsys,
+                                                                       monkeypatch):
     """allow_unstable waives the step-size guard only.  A wave run at 3.3
     times the stability limit whose states leave the double range is a
-    numerical failure, not a trajectory of nan rows with a NaN mass drift."""
+    numerical failure, not a trajectory of nan rows with a NaN mass drift,
+    also when the overflow comes after a block of the trajectory was written."""
     config = base_config(
         model="wave1d", grid={"L": 2 * np.pi, "N": 8, "n": 4, "r": 0.3}, task="simulate",
         simulate={"integrator": "rk4", "dt": 0.2, "steps": 4000, "stride": 1000,
@@ -769,6 +811,16 @@ def test_an_unstable_rk4_run_that_overflows_exits_2_without_artefacts(tmp_path, 
     assert cli.run(config, tmp_path) == 2
     err = capsys.readouterr().err
     assert "numerical precondition failed: RK4 run left the double range at t = " in err
+    assert not any(tmp_path.iterdir())
+
+    # the run leaves the double range at step 140, the 29th of 81 stored
+    # states, after the first piece of 8 has been written
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 64)
+    written = blocks_written(monkeypatch)
+    config["simulate"].update(steps=400, stride=5)
+    assert cli.run(config, tmp_path) == 2
+    assert "RK4 run left the double range at t = 28 " in capsys.readouterr().err
+    assert written["trajectory.csv"] > 1
     assert not any(tmp_path.iterdir())
 
 
@@ -810,6 +862,41 @@ def test_simulate_rk4_summary_counts_every_step(tmp_path):
     assert summary["snapshots"] == 21
     assert summary["final_time"] == 20 * 1e-3
     assert summary["mass_drift"] <= 1e-12 * abs(summary["initial_mass"]) + 1e-13
+
+
+def traced_peak(config, out):
+    """The peak of traced allocations of one in-process CLI run, in bytes."""
+    tracemalloc.start()
+    try:
+        assert cli.run(config, out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(("simulate", "counts"), [
+    ({"integrator": "rk4", "dt": 1e-4, "steps": 4000}, {"stride": [400, 10]}),
+    ({"integrator": "exact", "t_final": 0.1}, {"snapshots": [10, 400]}),
+], ids=["rk4-wave", "exact"])
+def test_simulate_memory_does_not_grow_with_the_stored_count(tmp_path, simulate, counts):
+    """The states stream into trajectory.csv a piece at a time: 401 stored
+    states or snapshots peak within 1.2 times the traced allocations of 11
+    (dim 800: the wave of 40 patches of 10, or the diffusion of 80)."""
+    wave = simulate["integrator"] == "rk4"
+    config = base_config(
+        model="wave1d" if wave else "diffusion1d",
+        grid={"L": 2 * np.pi, "N": 40 if wave else 80, "n": 10, "r": 0.2},
+        profile={"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": 0},
+        coupling={"scheme": "lagrangian", "order": 2}, task="simulate",
+    )
+    (key, (small, large)), = counts.items()
+    runs = [dict(config, simulate={**simulate, key: value}) for value in (small, small, large)]
+    assert cli.run(runs[0], tmp_path / "warm-up") == 0  # the formatter's tables, lazy imports
+    peaks = [traced_peak(run, tmp_path / str(i)) for i, run in enumerate(runs[1:])]
+    for i, stored in enumerate((11, 401)):
+        with open(tmp_path / str(i) / "trajectory.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + stored * 800
+    assert peaks[1] <= 1.2 * peaks[0], [f"{p / 2**20:.2f} MB" for p in peaks]
 
 
 def reference_trajectory_csv(op, times, states):
@@ -862,7 +949,13 @@ TRAJECTORY_LAYOUTS = {
 def test_trajectory_bytes_match_the_csv_writer(tmp_path, monkeypatch, overrides, block_values):
     """Every layout at the writer's own block size, where a block holds all three
     snapshots, and at blocks of 7 and 50 values (_BLOCK_VALUES), which cut the
-    unknown axis or span several snapshots of fewer unknowns."""
+    unknown axis or span several snapshots of fewer unknowns.
+
+    Then the CLI's streamed runs of both integrators, whose pieces of states
+    hold two writer blocks (8 states or more): 21 stored states cross their
+    edges at blocks of 7 and 50 values, and the bytes and the summary are
+    those of the library's Trajectory, every stride-th snapshot of the exact
+    run."""
     if block_values is not None:
         monkeypatch.setattr(cli, "_BLOCK_VALUES", block_values)
     simulate = {"integrator": "rk4", "dt": 1e-4, "steps": 1}
@@ -874,6 +967,29 @@ def test_trajectory_bytes_match_the_csv_writer(tmp_path, monkeypatch, overrides,
     times = np.array([0.0, 1 / 3, 2e-7])
     cli._write_trajectory(tmp_path / "trajectory.csv", op, times, states)
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_trajectory_csv(op, times, states)
+
+    initial = {"kind": "random", "seed": 2}
+    runs = {"rk4": {"integrator": "rk4", "dt": 1e-4, "steps": 40, "stride": 2, "initial": initial}}
+    if op.layout.half is None:
+        runs["exact"] = {"integrator": "exact", "t_final": 0.2, "snapshots": 62, "stride": 3,
+                         "initial": initial}
+    for name, simulate in runs.items():
+        config = base_config(task="simulate", simulate=simulate, **overrides)
+        state = cli._initial_state(cli._resolve(config).section["initial"], op)
+        out = tmp_path / name
+        assert cli.run(config, out) == 0
+        if name == "rk4":
+            traj = pt.evolve_rk4(op, state, 1e-4, 40, stride=2)
+            stored = slice(None)
+        else:
+            traj = pt.evolve_exact(op, state, np.linspace(0.0, 0.2, 63))
+            stored = slice(None, None, 3)
+        want = reference_trajectory_csv(op, traj.times[stored], traj.states[stored])
+        assert (out / "trajectory.csv").read_bytes() == want
+        sums, drift = pt.conserved_mass(traj)
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["snapshots"], summary["initial_mass"], summary["mass_drift"]) == (
+            sums.size, sums[0], drift)
 
 
 def test_simulate_2d_layout(tmp_path):

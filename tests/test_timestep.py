@@ -62,10 +62,19 @@ def test_exact_evolution_matches_scalar_decay():
     np.testing.assert_array_equal(traj.times, times)
 
 
-def test_trajectory_rejects_unordered_times():
+def test_trajectory_rejects_unordered_times(monkeypatch):
+    """Before any eigensolve, and Trajectory itself too."""
     op = make_operator()
-    with pytest.raises(ValueError):
-        pt.evolve_exact(op, np.ones(op.dimension), [0.0, 0.5, 0.5])
+
+    def unreached(*args):
+        raise AssertionError("the times are checked before the eigensolve")
+
+    monkeypatch.setattr(timestep, "_bloch_eigh", unreached)
+    for times in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.25]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pt.evolve_exact(op, np.ones(op.dimension), times)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pt.Trajectory(times=[0.0, 0.5, 0.5], states=np.zeros((3, 1)))
 
 
 def test_exact_evolution_requires_symmetry():
