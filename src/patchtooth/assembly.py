@@ -36,6 +36,12 @@ dense matrix out anew, at dim^2 memory, on every access.  The full lattices
 of microscale are patch operators too, with one-hot edge weights, so every
 operator has patch axes and every solver takes the Bloch path.
 
+Operators that share n per axis, the periods and the ensemble flag, as the
+test and reference operators on every grid of a sweep do, are assembled in
+one pass (_assemble_patches): _stencil builds the index arrays of the
+pieces once for the whole batch and lays each operator's values along a
+flat operator axis, and every operator keeps the bits it has alone.
+
 The wave operator wraps a diffusion operator A into the first-order system
 d/dt (u, v) = (v, A u + eps B v), where B is the same patch construction with
 unit diffusivities; its matrix is [[0, I], [A, eps B]].
@@ -55,6 +61,10 @@ from .microscale import DiffusivityProfile1D, DiffusivityProfile2D
 # Bytes of extended-precision numbers that one batch of dense Bloch blocks,
 # or one chunk of pair lines transformed together, may hold.
 _BATCH_BYTES = 2**22
+
+# The largest key of a stencil batch; a batch whose keys would pass it is
+# assembled in halves, and an operator whose keys pass it is refused.
+_KEY_LIMIT = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -399,36 +409,57 @@ def _axis_inputs(grid, coupling: CouplingSpec) -> list[tuple]:
     return [(g.N, g.n, g.d, weights_for(coupling, g.N, g.r)) for g in grid.axes]
 
 
-def _stencil(axes, bonds, ensemble: bool):
-    """Unknown shape and first block row (rows, offsets, cols, values) of a patch operator.
+def _check_spacings(spacings) -> None:
+    for d in spacings:
+        if not (d * d > 0.0 and math.isfinite(1.0 / (d * d))):
+            raise ValueError(f"lattice spacing d = {d!r} has no finite 1/d^2")
 
-    Each axis, x first, is given as (N, n, d, w_right): N patches of n
-    points at spacing d, whose edge rows couple to the far next-to-edge
-    point of patch (I + m) mod N with weights w_right[m] and, made here for
-    every operator, its mirror w_left[m] = w_right[-m mod N].  So any weights
-    give a symmetric operator where both sides of each gap see one bond.  A
-    full lattice of M points along an axis is q = M / n patches of n points
-    whose edges couple to the next patch with weight 1: w_right = e_1, [1.0]
-    when q = 1.
+
+def _stencil(batch):
+    """Unknown shape and first block row (rows, offsets, cols, values) of each patch operator.
+
+    Each operator of the batch is given as (axes, bonds, ensemble), each
+    axis, x first, as (N, n, d, w_right): N patches of n points at spacing
+    d, whose edge rows couple to the far next-to-edge point of patch
+    (I + m) mod N with weights w_right[m] and, made here for every operator,
+    its mirror w_left[m] = w_right[-m mod N].  So any weights give a
+    symmetric operator where both sides of each gap see one bond.  A full
+    lattice of M points along an axis is q = M / n patches of n points whose
+    edges couple to the next patch with weight 1: w_right = e_1, [1.0] when
+    q = 1.
 
     The stencil has three parts: interior bonds, edge couplings weighted over
     the patch offsets m and, in ensemble mode, the member shift of each edge
     crossing.  They are evaluated for the unknowns of patch 0 only, as pieces
     in the order diagonal, right then left along x, then along y; no entry
-    repeats within one piece.  The pieces are coalesced in that order,
-    starting from 0.0, so every entry is the same floating point sum as in a
-    row-by-row loop; entries that sum to 0.0 are dropped.  The result is
-    indexed as AssembledOperator stores it.
+    repeats within one piece.  The operators of a batch share n per axis,
+    the periods and the ensemble flag, a TypeError otherwise, so they share
+    the unknowns of a block and the structure of every piece: a sweep is
+    assembled in one pass.  The index arrays are built once, each
+    operator's values (its bonds times 1/d^2, its weights over its own
+    offsets) laid along a flat operator axis, and _coalesce sums the whole
+    batch at once, each operator's keys past those of the operators before
+    it; a batch whose keys would pass _KEY_LIMIT is assembled in halves.
+    Every entry is the same floating point sum as in a row-by-row loop of
+    its operator alone.
     """
-    for _, _, d, _ in axes:
-        if not (d * d > 0.0 and math.isfinite(1.0 / (d * d))):
-            raise ValueError(f"lattice spacing d = {d!r} has no finite 1/d^2")
-    dims = len(axes)
-    periods = bonds[0].shape
+    n = [ax[1] for ax in batch[0][0]]
+    periods, ensemble = batch[0][1][0].shape, batch[0][2]
+    for axes, bonds, flag in batch:
+        if [ax[1] for ax in axes] != n or bonds[0].shape != periods or flag != ensemble:
+            raise TypeError("a stencil batch needs one n per axis, one period shape and one "
+                            "ensemble flag")
+        _check_spacings(ax[2] for ax in axes)
+    dims = len(n)
     members = math.prod(periods) if ensemble else 1
-    patches = tuple(ax[0] for ax in reversed(axes))
-    block = (members, *(ax[1] for ax in reversed(axes)))
+    block = (members, *n[::-1])
     size = math.prod(block)
+    # each operator's keys (row * K + offset) * size + col span size^2 K of its own
+    ranges = [size * size * math.prod(ax[0] for ax in axes) for axes, _, _ in batch]
+    if sum(ranges) > _KEY_LIMIT:
+        if len(batch) == 1:
+            raise ValueError("the stencil keys of the operator do not fit in an array index")
+        return _stencil(batch[: len(batch) // 2]) + _stencil(batch[len(batch) // 2 :])
 
     member, *local = np.unravel_index(np.arange(size), block)
     local = local[::-1]  # i - 1, x first
@@ -437,59 +468,117 @@ def _stencil(axes, bonds, ensemble: bool):
     def column(member, local):
         return np.ravel_multi_index((member, *local[::-1]), block)
 
+    N = np.array([[ax[0] for ax in axes] for axes, _, _ in batch])  # (operators, axes)
+    scale = 1.0 / np.square([[ax[2] for ax in axes] for axes, _, _ in batch])
+    stride = N.prod(axis=1) * size  # key stride of a row: K * size
+    steps = N.cumprod(axis=1) // N  # patch offset of one step along each axis
+    base = np.cumsum([0] + ranges[:-1])  # each operator's first key
+    fields = [np.stack([bonds[a] for _, bonds, _ in batch]) for a in range(dims)]
+
     def bond(a, back):
         """Bond field a at each point's lattice position, stepped back along axis `back`."""
         pos = tuple((local[b] + 1 + phase[b] - (b == back)) % periods[b] for b in range(dims))
-        d = axes[a][2]
-        return bonds[a][pos] * (1.0 / (d * d))
+        return fields[a][(slice(None), *pos)] * scale[:, a, None]
+
+    def keys(op, rows, cols):
+        """Keys (row * K + offset) * size + col past each operator's first, offsets in cols."""
+        return base[op] + rows * stride[op] + cols
 
     right = [bond(a, None) for a in range(dims)]
     left = [bond(a, a) for a in range(dims)]
     everything = np.arange(size)
-    pieces = [(everything, 0, everything, -sum(k for pair in zip(right, left) for k in pair))]
-    for a, (N, n, _, w_right) in enumerate(axes):
+    every = (slice(None), None)  # each operator along the first axis
+    pieces = [(keys(every, everything, everything),
+               -sum(k for pair in zip(right, left) for k in pair))]
+    for a in range(dims):
+        # the flat operator axis of the edge couplings: operator `op` at offset m
+        counts = N[:, a]
+        op = np.repeat(np.arange(len(batch)), counts)
+        start = counts.cumsum() - counts
+        m = np.arange(op.size) - start[op]
+        w_right = np.concatenate([axes[a][3] for axes, _, _ in batch])
         for k, step, near, far, weights in (
-            (right[a], 1, n - 1, 0, w_right),
-            (left[a], -1, 0, n - 1, w_right[(-np.arange(N)) % N]),
+            (right[a], 1, n[a] - 1, 0, w_right),
+            (left[a], -1, 0, n[a] - 1, w_right[start[op] + (-m) % counts[op]]),
         ):
             # interior bond to the neighbour one step along axis a, in patch 0
             inner = np.flatnonzero(local[a] != near)
             stepped = [loc[inner] + step * (c == a) for c, loc in enumerate(local)]
-            pieces.append((inner, 0, column(member[inner], stepped), k[inner]))
+            pieces.append((keys(every, inner, column(member[inner], stepped)), k[:, inner]))
 
             # edge coupling to the far next-to-edge point of patch m along axis a,
             # in the member whose phase matches across the gap
             edge = np.flatnonzero(local[a] == near)
             if ensemble:
-                shifted = [ph[edge] + step * n * (c == a) for c, ph in enumerate(phase)]
+                shifted = [ph[edge] + step * n[a] * (c == a) for c, ph in enumerate(phase)]
                 source = np.ravel_multi_index(shifted, periods, mode="wrap")
             else:
                 source = member[edge]
             points = [loc[edge] for loc in local]
             points[a] = np.full_like(points[a], far)
-            offsets = np.arange(N) * math.prod(patches[dims - a :])  # along axis a
-            pieces.append(
-                (edge[:, None], offsets, column(source, points)[:, None], k[edge, None] * weights)
-            )
-    shape = (members, *patches, *block[1:])
-    return shape, _coalesce(pieces, math.prod(patches), size)
+            cols = (m * steps[op, a] * size)[:, None] + column(source, points)
+            pieces.append((keys(op[:, None], edge, cols), k[op[:, None], edge] * weights[:, None]))
+    unique, values = _coalesce(pieces)
+    # split the batch back into its operators, each indexed as AssembledOperator stores it
+    bounds = [*np.searchsorted(unique, base).tolist(), unique.size]
+    counts = np.diff(bounds)
+    rows, rest = np.divmod(unique - np.repeat(base, counts), np.repeat(stride, counts))
+    offsets, cols = np.divmod(rest, size)
+    return [
+        ((members, *N[i, ::-1].tolist(), *block[1:]),
+         tuple(part[lo:hi] for part in (rows, offsets, cols, values)))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
-def _coalesce(pieces, K: int, b: int):
-    """Sum the pieces (rows, offsets, cols, values) entry by entry, in stream order."""
-    keys = [(rows * K + offsets) * b + cols for rows, offsets, cols, _ in pieces]
-    unique, inverse = np.unique(np.concatenate([key.ravel() for key in keys]), return_inverse=True)
+def _coalesce(pieces):
+    """Sum the pieces (keys, values) entry by entry, in stream order.
+
+    One np.unique covers every key and one scatter-add runs per piece,
+    starting from 0.0; entries that sum to 0.0 are dropped.  Returns the
+    sorted keys and their sums.
+    """
+    unique, inverse = np.unique(np.concatenate([key.ravel() for key, _ in pieces]),
+                                return_inverse=True)
     sums = np.zeros(unique.size)
     start = 0
-    for key, (*_, values) in zip(keys, pieces):
+    for key, values in pieces:
         # No entry repeats within one piece: one addition per entry.
         sums[inverse[start : start + key.size]] += np.broadcast_to(values, key.shape).ravel()
         start += key.size
     keep = sums != 0.0
-    unique = unique[keep]
-    rows, rest = np.divmod(unique, K * b)
-    offsets, cols = np.divmod(rest, b)
-    return rows, offsets, cols, sums[keep]
+    return unique[keep], sums[keep]
+
+
+def _assemble_patches(points, profile, ensemble: bool = False, allow_incompatible: bool = False):
+    """The patch operator of each (grid, coupling) point on one profile, in one stencil batch.
+
+    Each point is validated in list order, so the error raised is that of
+    the first point that fails, as one assemble_patch_1d call per point
+    raises it.  The grids must share n per axis (a TypeError otherwise), as
+    every grid of a sweep does.
+    """
+    batch, layouts = [], []
+    for grid, coupling in points:
+        diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
+        _raise_on_errors(diagnostics, allow_incompatible)
+        axes = _axis_inputs(grid, coupling)
+        _check_spacings(ax[2] for ax in axes)
+        batch.append((axes, profile.bonds, ensemble))
+        orbits = (math.gcd(p, g.n) for p, g in zip(profile.periods, grid.axes))
+        slow = math.prod(orbits) if ensemble else 1
+        layouts.append(dict(
+            ensemble=bool(ensemble),
+            n_macro=slow * math.prod(g.N for g in grid.axes),
+            diagnostics=tuple(tuple(item) for item in diagnostics),
+            patch_axes=len(grid.axes),
+            slow=slow,
+        ))
+    return [
+        AssembledOperator(Layout(shape=shape, **layout), *entries, grid=grid, profile=profile,
+                          coupling=coupling)
+        for (shape, entries), layout, (grid, coupling) in zip(_stencil(batch), layouts, points)
+    ]
 
 
 def assemble_patch_1d(
@@ -519,20 +608,7 @@ def assemble_patch_1d(
         AssembledOperator of dimension (prod(periods) if ensemble else 1) * prod(N * n),
         stored as its first block row.
     """
-    diagnostics = geometry.validate_compatibility(grid, profile, ensemble=ensemble)
-    _raise_on_errors(diagnostics, allow_incompatible)
-    shape, entries = _stencil(_axis_inputs(grid, coupling), profile.bonds, ensemble)
-    orbits = (math.gcd(p, g.n) for p, g in zip(profile.periods, grid.axes))
-    slow = math.prod(orbits) if ensemble else 1
-    layout = Layout(
-        shape=shape,
-        ensemble=bool(ensemble),
-        n_macro=slow * math.prod(g.N for g in grid.axes),
-        diagnostics=tuple(tuple(item) for item in diagnostics),
-        patch_axes=len(grid.axes),
-        slow=slow,
-    )
-    return AssembledOperator(layout, *entries, grid=grid, profile=profile, coupling=coupling)
+    return _assemble_patches([(grid, coupling)], profile, ensemble, allow_incompatible)[0]
 
 
 assemble_patch_2d = assemble_patch_1d
@@ -553,8 +629,8 @@ def assemble_wave(op: AssembledOperator, epsilon: float = 0.02) -> AssembledOper
     if epsilon < 0:
         raise ValueError("damping must be nonnegative")
     ones = [np.ones_like(field) for field in op.profile.bonds]
-    _, (rows, offsets, cols, values) = _stencil(
-        _axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble
+    [(_, (rows, offsets, cols, values))] = _stencil(
+        [(_axis_inputs(op.grid, op.coupling), ones, op.layout.ensemble)]
     )
     b = _blocking(op.layout)[1]  # u of a block, then v
     u = np.arange(b)

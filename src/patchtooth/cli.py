@@ -60,6 +60,7 @@ import numpy as np
 
 from . import geometry
 from .assembly import (
+    _assemble_patches,
     _kernel_residual,
     _raise_on_errors,
     assemble_patch_1d,
@@ -938,13 +939,13 @@ def _task_homogenize(run: _Run, out: Path) -> None:
 def _sweep_rows(run: _Run):
     """The error table row of each swept value: wavenumbers 1..modes against spectral.
 
-    Every operator of the sweep is assembled first: the test and the
-    spectral reference of each swept grid, or the reference and then each
-    order of an order sweep, which solves its reference once.  One
-    _symmetric_spectra call then solves only the Bloch blocks of those
-    wavenumbers, one batched solve per plan group (the operators whose
-    blocks store the same (row, col) pairs: all of them on a 1D sweep), and
-    names the first operator in that order that fails.
+    Every operator of the sweep is assembled first, in one stencil batch:
+    the test and the spectral reference of each swept grid, or the
+    reference and then each order of an order sweep, which solves its
+    reference once.  One _symmetric_spectra call then solves only the
+    Bloch blocks of those wavenumbers, one batched solve per plan group (the
+    operators whose blocks store the same (row, col) pairs: all of them on
+    a 1D sweep), and names the first operator in that order that fails.
     """
     modes = run.section["modes"]
     spectral = CouplingSpec(scheme="spectral")
@@ -954,7 +955,7 @@ def _sweep_rows(run: _Run):
         points += [(run.grid, CouplingSpec("lagrangian", v)) for v in run.section["values"]]
     else:
         points = [(g, c) for g in run.swept_grids for c in (run.coupling, spectral)]
-    ops = [assemble_patch_1d(g, run.profile, c, ensemble=run.ensemble) for g, c in points]
+    ops = _assemble_patches(points, run.profile, run.ensemble)
     reports = _symmetric_spectra(ops, modes)
     if order:
         ref, *tests = reports

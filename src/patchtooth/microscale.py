@@ -148,7 +148,7 @@ def _full_lattice(profile, sizes, spacings, whole_rows: bool = False):
         w_right = np.zeros(q)
         w_right[1 % q] = 1.0  # weight 1 on the next patch
         axes.append((q, n, d, w_right))
-    shape, entries = _stencil(axes, profile.bonds, False)
+    [(shape, entries)] = _stencil([(axes, profile.bonds, False)])
     return AssembledOperator(Layout(shape, patch_axes=len(sizes)), *entries, profile=profile)
 
 

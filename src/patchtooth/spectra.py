@@ -448,7 +448,8 @@ def _symmetric_spectra(
     """eigen_symmetric(op, n_macro, modes) of each operator, their blocks solved together.
 
     The one symmetric spectrum driver: whole spectra (modes None), selected
-    wavenumbers 1..modes, and the sweeps of the CLI.  Each operator's
+    wavenumbers 1..modes, and the sweeps of the CLI, whose operators come
+    from one assembly pass (assembly._assemble_patches).  Each operator's
     preconditions, wavenumber labels and (selected) entries of
     assembly._bloch_entries are taken in list order.  Work that depends on
     the grid alone is done once per call for each distinct input: the

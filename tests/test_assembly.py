@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patchtooth as pt
-from patchtooth.assembly import AssembledOperator, Layout, _patch_sum, _stencil
+from patchtooth import assembly
+from patchtooth.assembly import (
+    AssembledOperator,
+    Layout,
+    _assemble_patches,
+    _patch_sum,
+    _stencil,
+)
 from patchtooth.coupling import spectral_weights
 
 L = 2 * np.pi
@@ -71,34 +78,98 @@ def test_assembled_operator_is_exactly_symmetric(coupling):
 
 
 @st.composite
-def stencil_inputs(draw):
-    """Stencil axes with right-edge weights of neither coupling family, and bonds
-    that every gap sees on both sides: periods that divide n, or an ensemble."""
+def stencil_inputs(draw, size=st.integers(1, 5)):
+    """A stencil batch of 1-5 operators that share n per axis, the periods and
+    the ensemble flag.  Each has its own N (1-7), spacing d, bonds and
+    right-edge weights of neither coupling family (zeros included), and
+    bonds that every gap sees on both sides: periods that divide n, or an
+    ensemble."""
     dims, ensemble = draw(st.integers(1, 2)), draw(st.booleans())
-    axes, periods = [], []
-    for _ in range(dims):
-        N, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
-        divisors = [p for p in range(1, n + 1) if n % p == 0]
-        periods.append(draw(st.integers(1, 4) if ensemble else st.sampled_from(divisors)))
-        w_right = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=N, max_size=N)))
-        axes.append((N, n, draw(st.floats(0.05, 2.0)), w_right))
-    bond = st.floats(0.01, 100.0)
-    size = int(np.prod(periods))
-    bonds = [np.array(draw(st.lists(bond, min_size=size, max_size=size))).reshape(periods)
-             for _ in range(dims)]
-    return axes, bonds, ensemble
+    n = [draw(st.integers(1, 6)) for _ in range(dims)]
+    periods = [draw(st.integers(1, 4) if ensemble
+                    else st.sampled_from([p for p in range(1, m + 1) if m % p == 0]))
+               for m in n]
+    weight, bond = st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), st.floats(0.01, 100.0)
+    count = int(np.prod(periods))
+    batch = []
+    for _ in range(draw(size)):
+        axes = []
+        for m in n:
+            N = draw(st.integers(1, 7))
+            w_right = np.array(draw(st.lists(weight, min_size=N, max_size=N)))
+            axes.append((N, m, draw(st.floats(0.05, 2.0)), w_right))
+        bonds = [np.array(draw(st.lists(bond, min_size=count, max_size=count))).reshape(periods)
+                 for _ in range(dims)]
+        batch.append((axes, bonds, ensemble))
+    return batch
 
 
 @settings(max_examples=300)
-@given(stencil_inputs())
-def test_any_right_edge_weights_give_an_exactly_symmetric_operator(inputs):
+@given(stencil_inputs(size=st.just(1)))
+def test_any_right_edge_weights_give_an_exactly_symmetric_operator(batch):
     """_stencil mirrors the right-edge weights into the left edge, so the
     operator is bitwise symmetric whatever the weights, not only for the two
     coupling families: 1D and 2D, N 1-7, n 1-6, single phase or ensemble."""
-    axes, bonds, ensemble = inputs
-    shape, entries = _stencil(axes, bonds, ensemble)
-    op = AssembledOperator(Layout(shape, patch_axes=len(axes)), *entries)
+    [(shape, entries)] = _stencil(batch)
+    op = AssembledOperator(Layout(shape, patch_axes=len(batch[0][0])), *entries)
     assert pt.symmetry_defect(op).defect == 0.0
+
+
+@settings(max_examples=200)
+@given(stencil_inputs())
+def test_a_stencil_batch_gives_each_operator_bitwise(batch):
+    """A batch of operators gives each one the shape and the four arrays of
+    its batch of one, dtypes included."""
+    together = _stencil(batch)
+    assert len(together) == len(batch)
+    for (shape, entries), operator in zip(together, batch):
+        [(alone_shape, alone)] = _stencil([operator])
+        assert shape == alone_shape
+        for got, want in zip(entries, alone):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@given(stencil_inputs(), st.sampled_from(["n", "periods", "ensemble"]))
+def test_a_stencil_batch_must_share_n_periods_and_the_ensemble_flag(batch, part):
+    """Operators of other n, periods or ensemble flag in one batch are a
+    programming error: a TypeError, which the CLI reports with exit 3."""
+    axes, bonds, ensemble = batch[-1]
+    if part == "n":
+        axes = [(N, n + 1, d, w) for N, n, d, w in axes]
+    elif part == "periods":
+        bonds = [np.ones((*field.shape, 2)) for field in bonds]
+    else:
+        ensemble = not ensemble
+    with pytest.raises(TypeError):
+        _stencil([*batch, (axes, bonds, ensemble)])
+
+
+def test_a_batch_whose_keys_pass_intp_is_assembled_in_parts(monkeypatch):
+    """Each operator of 1D, n = 2, N = 3 holds keys below 2^2 * 3 = 12, so a
+    limit of 30 splits a batch of three into parts of one and two, and the
+    operators are those of one batch; a limit of 10 refuses one operator."""
+    batch = [([(3, 2, 0.5, np.array([0.5, 0.25, 0.25]))], [np.array([1.0, 2.0])], False)] * 3
+    whole = _stencil(batch)
+    monkeypatch.setattr(assembly, "_KEY_LIMIT", 30)
+    calls = []
+    stencil = assembly._stencil
+
+    def counted(batch):
+        calls.append(len(batch))
+        return stencil(batch)
+
+    monkeypatch.setattr(assembly, "_stencil", counted)
+    parts = assembly._stencil(batch)
+    assert calls == [3, 1, 2]
+    for (shape, entries), (want_shape, want) in zip(parts, whole):
+        assert shape == want_shape
+        for got, expected in zip(entries, want):
+            assert got.tobytes() == expected.tobytes()
+    monkeypatch.setattr(assembly, "_KEY_LIMIT", 10)
+    with pytest.raises(ValueError, match="do not fit in an array index"):
+        assembly._stencil(batch[:1])
 
 
 def _loop_operator(grid, profile, coupling, ensemble):
@@ -152,13 +223,17 @@ def _loop_operator(grid, profile, coupling, ensemble):
 
 def test_stencil_matches_the_row_by_row_loop():
     """Bitwise agreement with the loop, compatible or not, 1D and 2D."""
-    for N, n, p, ens in itertools.product((1, 2, 5), (1, 3, 4), (1, 3), (False, True)):
-        grid = pt.build_grid_1d(L, N, n, 0.3)
+    for n, p, ens in itertools.product((1, 3, 4), (1, 3), (False, True)):
+        # the grids of every N and both couplings, assembled as one batch
         prof = pt.random_lognormal_profile(p, 0.8, n)
-        for coupling in (pt.CouplingSpec("spectral"), _sized(pt.CouplingSpec("lagrangian", 2), N)):
-            if coupling is None:
-                continue
-            op = pt.assemble_patch_1d(grid, prof, coupling, ensemble=ens, allow_incompatible=True)
+        lagrangian = pt.CouplingSpec("lagrangian", 2)
+        points = [
+            (pt.build_grid_1d(L, N, n, 0.3), coupling)
+            for N in (1, 2, 5)
+            for coupling in (pt.CouplingSpec("spectral"), _sized(lagrangian, N))
+            if coupling is not None
+        ]
+        for op, (grid, coupling) in zip(_assemble_patches(points, prof, ens, True), points):
             np.testing.assert_array_equal(op.matrix, _loop_operator(grid, prof, coupling, ens))
     for (Nx, nx, Ny, ny), periods, ens in itertools.product(
         ((3, 2, 2, 1), (1, 3, 4, 2), (2, 1, 3, 1)), ((1, 1), (2, 3)), (False, True)
@@ -269,6 +344,26 @@ def test_spacing_without_a_finite_inverse_square_is_rejected():
         pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"))
     with pytest.raises(ValueError, match="spacing d = 1e-160"):
         pt.full_lattice_operator_1d(prof, 6, 1e-160)  # d^2 is subnormal, 1/d^2 overflows
+
+
+@pytest.mark.parametrize("third", [
+    pt.build_grid_1d(L, 6, 5, 0.3),  # n = 5 is no multiple of p = 2
+    pt.build_grid_1d(1e-170, 6, 4, 0.3),  # d = 1.25e-172 squares to 0.0
+])
+def test_a_batch_raises_the_first_failing_point(third):
+    """A batch validates its points in list order and raises the message of
+    the first that fails, as one assemble_patch_1d call per point does."""
+    prof = pt.DiffusivityProfile1D((1.0, 2.0))
+    grids = [pt.build_grid_1d(L, 6, 4, 0.3), pt.build_grid_1d(L, 7, 4, 0.3), third,
+             pt.build_grid_1d(L, 8, 5, 0.3)]
+    points = [(grid, pt.CouplingSpec("spectral")) for grid in grids]
+    with pytest.raises(ValueError) as alone:
+        for grid, coupling in points:
+            pt.assemble_patch_1d(grid, prof, coupling)
+    with pytest.raises(ValueError) as batch:
+        _assemble_patches(points, prof)
+    assert str(batch.value) == str(alone.value)
+    assert ("n = 5" if third.n == 5 else "d = 1.25e-172") in str(batch.value)
 
 
 def test_ensemble_edge_rows_couple_shifted_members():

@@ -481,13 +481,13 @@ def test_incompatible_sweep_exits_2_with_the_assembly_message(tmp_path, capsys, 
 
 
 def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path, monkeypatch):
-    calls = {"symmetry_defect": 0, "assemble_patch_1d": 0}
+    calls = {"symmetry_defect": 0, "assemble_patch_1d": 0, "_assemble_patches": 0}
 
-    def counted(module, name):
+    def counted(module, name, count=lambda *args: 1):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += count(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -495,6 +495,7 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
     for module in (cli, pt.spectra):
         counted(module, "symmetry_defect")
     counted(cli, "assemble_patch_1d")
+    counted(cli, "_assemble_patches", lambda points, *rest: len(points))  # operators assembled
     for task in ("eigen", "check"):
         calls.update(symmetry_defect=0)
         assert cli.run(base_config(task=task), tmp_path / task) == 0
@@ -504,10 +505,47 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
     lagrangian = {"scheme": "lagrangian", "order": 1}
     config = base_config(task="sweep", sweep=sweep, coupling=lagrangian)
     assert cli.run(config, tmp_path / "sweep") == 0
-    assert calls["assemble_patch_1d"] == 6  # a test and a reference operator per point
-    calls.update(assemble_patch_1d=0)
+    assert calls["_assemble_patches"] == 6  # a test and a reference operator per point
+    assert calls["assemble_patch_1d"] == 0  # all of them in one batch
+    calls.update(_assemble_patches=0)
     assert cli.run(base_config(task="homogenize"), tmp_path / "homogenize") == 0
-    assert calls["assemble_patch_1d"] == 0
+    assert calls["assemble_patch_1d"] == calls["_assemble_patches"] == 0
+
+
+@pytest.mark.parametrize("config", [
+    base_config(grid={"L": 2 * np.pi, "N": 9, "n": 10, "r": 0.05},
+                profile={"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": 0},
+                coupling={"scheme": "lagrangian", "order": 2}, task="sweep",
+                sweep={"parameter": "patches", "values": list(range(9, 130, 8)), "modes": 3}),
+    base_config(grid={"L": 2 * np.pi, "N": 20, "n": 5, "r": 0.1},
+                profile={"kind": "inline", "values": KAPPA5}, task="sweep",
+                sweep={"parameter": "order", "values": [1, 2, 3, 4, 5], "modes": 3}),
+    base_config(model="diffusion2d", grid={"x": {"L": 2 * np.pi, "N": 7, "n": 2, "r": 0.4},
+                                           "y": {"L": 2 * np.pi, "N": 6, "n": 3, "r": 0.3}},
+                profile={"kind": "lognormal", "periods": [2, 3], "sigma": 0.5, "seed": 0},
+                task="sweep", sweep={"parameter": "order", "values": [1, 2], "modes": 3}),
+    base_config(grid={"L": 2 * np.pi, "N": 9, "n": 6, "r": 0.3},
+                profile={"kind": "lognormal", "period": 4, "sigma": 1.0, "seed": 0},
+                coupling={"scheme": "lagrangian", "order": 2}, ensemble=True, task="sweep",
+                sweep={"parameter": "patches", "values": [9, 13, 17], "modes": 3}),
+], ids=["benchmark-patches", "order-1d", "order-2d", "ensemble-g2-patches"])
+def test_a_sweep_assembled_in_one_batch_gives_the_rows_of_one_operator_per_point(
+    config, monkeypatch
+):
+    """_sweep_rows assembles every operator of a sweep in one stencil batch;
+    its rows equal, float for float, those of one assemble_patch_1d per point."""
+    run = cli._resolve(config)
+    batched = cli._sweep_rows(run)
+
+    def one_by_one(points, profile, ensemble=False, allow_incompatible=False):
+        return [pt.assemble_patch_1d(g, profile, c, ensemble=ensemble) for g, c in points]
+
+    monkeypatch.setattr(cli, "_assemble_patches", one_by_one)
+    expected = cli._sweep_rows(run)
+    assert len(batched) == len(config["sweep"]["values"])
+    assert [[float.hex(e) for e in row] for row in batched] == [
+        [float.hex(e) for e in row] for row in expected
+    ]
 
 
 def test_ensemble_eigen_counts_every_member_orbit(tmp_path):
