@@ -49,6 +49,7 @@ unit diffusivities; its matrix is [[0, I], [A, eps B]].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -171,10 +172,12 @@ class AssembledOperator:
     coupling: object = None
 
     def __post_init__(self):
-        order = np.argsort(self._keys(), kind="stable")
-        self.rows, self.offsets, self.cols, self.values = (
-            np.asarray(part)[order] for part in (self.rows, self.offsets, self.cols, self.values)
-        )
+        parts = [np.asarray(part) for part in (self.rows, self.offsets, self.cols, self.values)]
+        self.rows, self.offsets, self.cols, self.values = parts
+        keys = self._keys()
+        if not (keys[1:] > keys[:-1]).all():  # _stencil's entries come sorted already
+            order = np.argsort(keys, kind="stable")
+            self.rows, self.offsets, self.cols, self.values = (part[order] for part in parts)
 
     def _keys(self) -> np.ndarray:
         patches, b, _ = _blocking(_state_layout(self.layout))
@@ -214,60 +217,106 @@ def _patch_layout(op) -> Layout:
     return _state_layout(op.layout)
 
 
+def _stacked(ops):
+    """The sizes and the (rows, offsets, cols, values) of every stored entry of the operators."""
+    sizes = [op.values.size for op in ops]
+    parts = [[getattr(op, part) for op in ops] for part in ("rows", "offsets", "cols", "values")]
+    if len(ops) == 1:
+        return sizes, *(part[0] for part in parts)
+    empty = [np.zeros(0, dtype=np.intp)]  # the parts of an empty list
+    return sizes, *(np.concatenate(part or empty) for part in parts)
+
+
+def _spread(values, sizes):
+    """Each operator's value at each of its `sizes` entries; one operator's value as it is."""
+    return values[0] if len(sizes) == 1 else np.repeat(values, sizes, axis=0)
+
+
 def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
-    """The Bloch blocks H(j) at their stored (row, col) pairs, in batches over j.
+    """_bloch_entry_batch of one operator."""
+    return _bloch_entry_batch([op], [layout], [select])[0]
+
+
+def _bloch_entry_batch(ops, layouts, selects):
+    """The Bloch blocks H(j) of each operator at their stored (row, col) pairs, in one pass.
 
     H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
     the first block row, so that rfftn(A x)(j) = H(j) rfftn(x)(j) with the
     FFT taken over the patch axes.  A patch-local pair, stored at offset 0
     alone (the diagonal and the interior bonds), has H(j) equal to its value
-    at every j, exactly, and is not transformed.  Every other (row, col)
-    pair, an edge coupling, is laid out as one line over the offsets and
-    transformed by rfftn, in extended precision (np.longdouble, plain double
-    where the platform has no wider type): O(varying pairs K log K) work for
-    K patches, never the dense b x b x K first block row.  The lines are
-    transformed a chunk of pairs at a time, at most about _BATCH_BYTES of
-    lines per chunk (one chunk when they all fit), into one spectrum of the
-    pairs that holds only the `select`ed columns when `select` is given.  j
-    runs over the half spectrum of rfftn (the last patch axis halved), in
-    rfftn's output order, or over `select`, indices into it, in the order
-    given.
+    at every j, exactly.  Every other pair, an edge coupling, is one line
+    over the offsets, transformed in extended precision (np.longdouble):
+    O(varying pairs K log K) work for K patches.  One np.unique numbers the
+    pairs of all operators, and the lines of one patch shape are
+    transformed together, at most about _BATCH_BYTES of them at a time;
+    each line alone, so no bit depends on the batch.  j runs over the half
+    spectrum of rfftn (the last patch axis halved), in rfftn's order, or
+    over the operator's `select`, indices into it, in the order given.
 
-    Returns (pairs, entries): the sorted flat indices row * b + col of the
-    pairs in a block indexed by (member, local point) in C order, and the
-    read-only (blocks, pairs) array of the entries H(j)[row, col].  Every
-    other entry of H(j) is zero.  Each consumer slices the blocks into
-    batches of _batch_blocks(b).
+    Returns one (pairs, entries) per operator: the sorted flat indices row *
+    b + col of its pairs in a block indexed by (member, local point) in C
+    order, and the read-only (blocks, pairs) array of the entries
+    H(j)[row, col]; every other entry of H(j) is zero.  Each consumer
+    slices the blocks into batches of _batch_blocks(b).
     """
-    patches, b, _ = _blocking(layout)
-    K = math.prod(patches)
-    pairs, pair = np.unique(op.rows * b + op.cols, return_inverse=True)
+    blockings = [_blocking(layout) for layout in layouts]
+    # the operators of one patch shape next to each other, so that their lines are too
+    shapes = {}
+    kinds = [shapes.setdefault(blocking[0], len(shapes)) for blocking in blockings]
+    order = sorted(range(len(ops)), key=kinds.__getitem__)
+    sizes, rows, offsets, cols, values = _stacked([ops[i] for i in order])
+    b = [blockings[i][1] for i in order]
+    first = [0, *itertools.accumulate(x * x for x in b[:-1])]
+    keys = _spread(first, sizes) + rows * _spread(b, sizes) + cols
+    pairs, pair = np.unique(keys, return_inverse=True)
     # A pair stored at a nonzero offset varies with j.  Each (row, offset,
     # col) is stored once, so every other pair is stored at offset 0 alone.
     varies = np.zeros(pairs.size, dtype=bool)
-    varies[pair[op.offsets != 0]] = True
-    varying = np.flatnonzero(varies)
-    half = patches[:-1] + (patches[-1] // 2 + 1,)
-    columns = math.prod(half) if select is None else len(select)
-    spectrum = np.empty((pairs.size, columns), dtype=np.clongdouble)
+    varies[pair[offsets != 0]] = True
+    bounds = [*np.searchsorted(pairs, first).tolist(), pairs.size]
+    counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    # the columns of each operator's blocks, padded with column 0 to those of the widest
+    halves = [math.prod(p[:-1]) * (p[-1] // 2 + 1) for p, _, _ in (blockings[i] for i in order)]
+    selects = [np.arange(half) if selects[i] is None else np.asarray(selects[i], dtype=np.intp)
+               for i, half in zip(order, halves)]
+    columns = [select.size for select in selects]
+    picks = np.zeros((len(ops), max(columns, default=0)), dtype=np.intp)
+    for pick, select in zip(picks, selects):
+        pick[: select.size] = select
+    spectrum = np.empty((pairs.size, picks.shape[1]), dtype=np.clongdouble)
     local = ~varies[pair]  # the entries of the patch-local pairs
-    spectrum[pair[local]] = op.values[local, None]
-    # the entries of the varying pairs, each with the number of its line
-    line = np.searchsorted(varying, pair[~local])
-    offsets, values = op.offsets[~local], op.values[~local]
-    chunk = max(1, _BATCH_BYTES // (K * np.dtype(np.longdouble).itemsize))
-    axes = tuple(range(1, len(patches) + 1))
-    for start in range(0, varying.size, chunk):
-        stop = min(start + chunk, varying.size)
-        # the entries of this chunk's lines; all of them when one chunk holds every line
-        at = slice(None) if stop - start == varying.size else (line >= start) & (line < stop)
-        lines = np.zeros((stop - start, K), dtype=np.longdouble)
-        lines[line[at] - start, offsets[at]] = values[at]
-        transformed = np.fft.rfftn(lines.reshape(-1, *patches), axes=axes).reshape(stop - start, -1)
-        spectrum[varying[start:stop]] = transformed if select is None else transformed[:, select]
+    spectrum[pair[local]] = values[local, None]
+    # the varying pairs, one line each, and their entries sorted by line
+    lines = np.flatnonzero(varies)
+    line = np.searchsorted(lines, pair[~local])
+    by_line = np.argsort(line, kind="stable")
+    line, offsets, values = line[by_line], offsets[~local][by_line], values[~local][by_line]
+    owners = np.searchsorted(bounds[1:], lines, side="right")
+    entries = np.searchsorted(line, np.arange(lines.size + 1)).tolist()
+    # the first line of each patch shape, in order
+    starts = itertools.accumulate((kinds.count(kind) for kind in range(len(shapes))), initial=0)
+    edges = np.searchsorted(lines, [bounds[i] for i in starts]).tolist()
+    for (patches, kind), top in zip(shapes.items(), edges[1:]):
+        K = math.prod(patches)
+        chunk = max(1, _BATCH_BYTES // (K * np.dtype(np.longdouble).itemsize))
+        for lo in range(edges[kind], top, chunk):
+            hi = min(lo + chunk, top)
+            at = slice(entries[lo], entries[hi])
+            block = np.zeros((hi - lo, K), dtype=np.longdouble)
+            block[line[at] - lo, offsets[at]] = values[at]
+            # rfftn over the patch axes: rfft along the last, then fft along the others
+            transformed = np.fft.rfft(block.reshape(-1, *patches))
+            for axis in range(len(patches) - 1, 0, -1):
+                transformed = np.fft.fft(transformed, axis=axis, out=transformed)
+            transformed = transformed.reshape(hi - lo, -1)
+            spectrum[lines[lo:hi]] = transformed[np.arange(hi - lo)[:, None], picks[owners[lo:hi]]]
     np.conj(spectrum, out=spectrum)  # H(j) takes exp(+2 pi i j.m / N), rfftn the conjugate
     spectrum.flags.writeable = False
-    return pairs, spectrum.T
+    pairs = pairs - _spread(first, counts)
+    batch = [None] * len(ops)
+    for i, lo, hi, c in zip(order, bounds, bounds[1:], columns):
+        batch[i] = pairs[lo:hi], spectrum[lo:hi, :c].T
+    return batch
 
 
 def _batch_blocks(b: int) -> int:
@@ -334,24 +383,49 @@ class SymmetryReport:
 
 
 def symmetry_defect(op: AssembledOperator) -> SymmetryReport:
-    """Largest asymmetry max|L - L^T|, absolute and relative to max|L|.
+    """Largest asymmetry max|L - L^T|, absolute and relative to max|L|: _symmetry_defects of one."""
+    return _symmetry_defects([op])[0]
 
-    Entry (r, m, c) of the first block row is compared with entry (c, -m, r),
+
+def _symmetry_defects(ops) -> list[SymmetryReport]:
+    """symmetry_defect of each operator, in one pass over their first block rows.
+
+    Entry (r, m, c) of a first block row is compared with entry (c, -m, r),
     a missing one counting as 0: O(nnz / N) work, and exactly the maxima of
-    the whole-matrix expressions.
+    the whole-matrix expressions.  Each operator's keys lie past those of
+    the ones before it, as in _stencil, so one searchsorted finds every
+    mirror and np.maximum.reduceat takes the maxima; a batch whose keys
+    would pass _KEY_LIMIT is measured in halves.
     """
-    patches, b, _ = _blocking(_patch_layout(op))
-    defect = scale = 0.0
-    if op.values.size:
-        keys = op._keys()
-        K = math.prod(patches)
-        mirror = (op.cols * K + _patch_sum(0, op.offsets, patches, -1)) * b + op.rows
+    blockings = [_blocking(_patch_layout(op)) for op in ops]
+    ranges = [b * b * math.prod(patches) for patches, b, _ in blockings]
+    if sum(ranges) > _KEY_LIMIT and len(ops) > 1:
+        return _symmetry_defects(ops[: len(ops) // 2]) + _symmetry_defects(ops[len(ops) // 2 :])
+    sizes, rows, offsets, cols, values = _stacked(ops)
+    full = [i for i, size in enumerate(sizes) if size]
+    defects, scales = np.zeros(len(ops)), np.zeros(len(ops))
+    if full:
+        depth = max(len(patches) for patches, _, _ in blockings)
+        # patch axes in C order, each operator's padded in front with axes of one patch
+        N = [(1,) * (depth - len(patches)) + patches for patches, _, _ in blockings]
+        K, b, base = (_spread(part, sizes) for part in (
+            [math.prod(shape) for shape in N], [blocking[1] for blocking in blockings],
+            [0, *itertools.accumulate(ranges[:-1])]))
+        back, rest, stride = 0, offsets, 1  # the offset -m, mod N along each patch axis
+        for axis in reversed(np.transpose(_spread(N, sizes))):
+            rest, digit = np.divmod(rest, axis)
+            back, stride = back + -digit % axis * stride, stride * axis
+        keys = (rows * K + offsets) * b + cols + base
+        mirror = (cols * K + back) * b + rows + base
         at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-        mirrored = np.where(keys[at] == mirror, op.values[at], 0.0)
-        defect = float(np.max(np.abs(op.values - mirrored)))
-        scale = float(np.max(np.abs(op.values)))
-    relative = defect / scale if scale > 0 else 0.0
-    return SymmetryReport(defect=defect, scale=scale, relative=relative)
+        mirrored = np.where(keys[at] == mirror, values[at], 0.0)
+        starts = [[0, *itertools.accumulate(sizes)][i] for i in full]
+        defects[full] = np.maximum.reduceat(np.abs(values - mirrored), starts)
+        scales[full] = np.maximum.reduceat(np.abs(values), starts)
+    return [
+        SymmetryReport(defect=defect, scale=scale, relative=defect / scale if scale > 0 else 0.0)
+        for defect, scale in zip(defects.tolist(), scales.tolist())
+    ]
 
 
 def _kernel_residual(op: AssembledOperator) -> float:

@@ -78,11 +78,11 @@ from .microscale import (
 )
 from .spectra import (
     SymmetryPreconditionError,
-    _symmetric_spectra,
+    _error_rows,
+    _symmetric_solves,
     convergence_slope,
     eigen_general,
     eigen_symmetric,
-    error_table,
 )
 from .timestep import StateVector, _exact_stream, _rk4_stream, conserved_mass
 
@@ -942,10 +942,11 @@ def _sweep_rows(run: _Run):
     Every operator of the sweep is assembled first, in one stencil batch:
     the test and the spectral reference of each swept grid, or the
     reference and then each order of an order sweep, which solves its
-    reference once.  One _symmetric_spectra call then solves only the
+    reference once.  One _symmetric_solves call then solves only the
     Bloch blocks of those wavenumbers, one batched solve per plan group (the
     operators whose blocks store the same (row, col) pairs: all of them on
-    a 1D sweep), and names the first operator in that order that fails.
+    a 1D sweep), and names the first operator in that order that fails;
+    one _error_rows call pairs the solves without making reports.
     """
     modes = run.section["modes"]
     spectral = CouplingSpec(scheme="spectral")
@@ -956,13 +957,14 @@ def _sweep_rows(run: _Run):
     else:
         points = [(g, c) for g in run.swept_grids for c in (run.coupling, spectral)]
     ops = _assemble_patches(points, run.profile, run.ensemble)
-    reports = _symmetric_spectra(ops, modes)
+    solves = _symmetric_solves(ops, modes)
     if order:
-        ref, *tests = reports
+        ref, *tests = solves
         pairs = [(test, ref) for test in tests]
     else:
-        pairs = zip(reports[::2], reports[1::2])
-    return [list(error_table(test, ref, modes).relative_errors) for test, ref in pairs]
+        pairs = zip(solves[::2], solves[1::2])
+    spectra = [(w, ranks, labels, counts) for pair in pairs for _, labels, counts, _, w, ranks in pair]
+    return [list(row) for row in _error_rows(spectra, modes)[2]]
 
 
 def _task_sweep(run: _Run, out: Path) -> None:

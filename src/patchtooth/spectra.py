@@ -75,13 +75,15 @@ its fast ones, or the labels would pair arbitrary modes and the solve
 raises.  The errors are bitwise those of the full solve, since each block is
 the same batched solve of the same rfftn lines, and the start vector of
 inverse iteration is the same in every batch.  Whole and selected spectra
-have one driver, _symmetric_spectra, which takes a list of operators: a
-sweep hands it all of them at once.  It stacks the (selected) blocks of the
-operators that share a stored pair pattern and solves each stack in
-batches by _solve_batch, since a solve of a few small blocks costs mostly
-per-call overhead; eigen_symmetric is that driver on one operator.  Nothing
-is kept from one call to the next: each call makes the _pair_plan of each
-of its groups, tens of microseconds.
+have one driver, _symmetric_solves, which takes a list of operators: a
+sweep hands it all of them at once.  Each per-operator step (symmetry,
+labels, Bloch entries, ranks, separation) is one array pass over the list,
+and it stacks the (selected) blocks of the operators that share a stored
+pair pattern and solves each stack in batches by _solve_batch, since a
+solve of a few small blocks costs mostly per-call overhead;
+eigen_symmetric is that driver on one operator, and _error_rows takes the
+error rows of a whole sweep in one pass.  Nothing is kept from one call to
+the next: each call makes the _pair_plan of each of its groups.
 
 eigen_general solves a wave operator like any other, then sets its zeros by
 count.  On Bloch block j = 0 the wave system has one defective zero pair per
@@ -94,6 +96,7 @@ the rest of block 0 lies at least 100 times further from zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,11 +106,11 @@ from .assembly import (
     SymmetryReport,
     _batch_blocks,
     _bloch_entries,
+    _bloch_entry_batch,
     _bloch_eigenvalues,
-    _mirror_counts,
     _orbits,
     _patch_layout,
-    symmetry_defect,
+    _symmetry_defects,
 )
 
 
@@ -122,14 +125,14 @@ class SymmetryPreconditionError(ValueError):
         self.symmetry = symmetry
 
 
-def _require_symmetric(op, consequence: str) -> SymmetryReport:
-    report = symmetry_defect(op)
-    if report.relative > 1e-10:
+def _require_symmetric(symmetry: SymmetryReport, consequence: str) -> SymmetryReport:
+    """The measurement of symmetry_defect, unless it exceeds the tolerance of the solvers."""
+    if symmetry.relative > 1e-10:
         raise SymmetryPreconditionError(
-            f"relative symmetry defect {report.relative:.3e} exceeds 1e-10; {consequence}",
-            report,
+            f"relative symmetry defect {symmetry.relative:.3e} exceeds 1e-10; {consequence}",
+            symmetry,
         )
-    return report
+    return symmetry
 
 
 def _axis_lengths(op, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +327,7 @@ def _bloch_eigh(op, layout: Layout):
     assembly._batch_blocks(b) blocks of assembly._bloch_entries, each block
     split into its g member orbits: the eigenvectors timestep.evolve_exact
     propagates with.  Spectra take the same per-batch solve, without
-    eigenvectors, through _symmetric_spectra.
+    eigenvectors, through _symmetric_solves.
     """
     pairs, entries = _bloch_entries(op, layout)
     plan = _pair_plan(pairs, _orbits(layout, op.profile.periods))
@@ -334,53 +337,77 @@ def _bloch_eigh(op, layout: Layout):
 
 
 def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
-    """The wavenumber label of each half-spectrum Bloch block, in rfftn order.
+    """The wavenumber label of each half-spectrum Bloch block: _grid_labels of one grid."""
+    grid = layout.shape[1 : 1 + layout.patch_axes], _axis_lengths(op, layout)[0]
+    return _grid_labels([grid])[0][0]
 
-    Each patch axis a of N_a patches folds j_a into (-N_a/2, N_a/2]; j and
-    -j form one class, represented by the larger of the two, x component
+
+def _grid_labels(grids) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The labels and mirror counts of the half-spectrum Bloch blocks of each grid, in one pass.
+
+    A grid is (patches, lengths): its patch shape in C order and the axis
+    lengths of _axis_lengths, x first; its blocks are in rfftn order.  Each
+    patch axis a of N_a patches folds j_a into (-N_a/2, N_a/2]; j and -j
+    form one class, represented by the larger of the two, x component
     first.  The classes are numbered 0, 1, 2, ... in ascending continuum
     |k|^2 = sum_a (2 pi j_a / L_a)^2, ties broken by the larger
     representative first (x component, then y).  So in 1D the label is |j|,
     and in 2D on a square domain (1, 0) comes before (0, 1), and (1, 1)
-    before (1, -1).  Each axis has the length of _axis_lengths.  When all
-    lengths are equal the key is the integer sum_a j_a^2, so classes of equal
-    |k|^2 tie exactly, however rounding would have split them.
+    before (1, -1).  When all lengths are equal the key is the integer
+    sum_a j_a^2, so classes of equal |k|^2 tie exactly.  A mirror count is
+    the number of full-spectrum blocks a block stands for (see
+    assembly._mirror_counts).  The blocks of all grids lie along one axis,
+    patch axes padded with axes of one patch, sorted by one lexsort.
     """
-    k = layout.patch_axes
-    patches = layout.shape[1 : 1 + k]
-    half = patches[:-1] + (patches[-1] // 2 + 1,)
-    N = np.array(patches[::-1])[:, None]  # x first from here on
-    j = np.indices(half).reshape(k, -1)[::-1]
+    depth = max(len(patches) for patches, _ in grids)
+    N = np.array([patches[::-1] + (1,) * (depth - len(patches)) for patches, _ in grids])
+    # |k|^2 = sum_a (scale j_a / length_a)^2: (2 pi j_a / L_a)^2, or j_a^2 on equal lengths
+    equal = [len(set(L.tolist())) == 1 for _, L in grids]
+    scale = np.where(equal, 1.0, 2 * np.pi)
+    length = np.array([[1.0] * depth if same else [*L, *[1.0] * (depth - L.size)]
+                       for same, (_, L) in zip(equal, grids)])
+    half = N.copy()
+    half[:, 0] = N[:, 0] // 2 + 1  # the x axis is halved, the last of C order
+    sizes = half.prod(axis=1)
+    grid = np.repeat(np.arange(len(grids)), sizes)
+    rest, j = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), []
+    for a in range(depth):  # x first, the fastest axis of rfftn's output
+        rest, digit = np.divmod(rest, half[grid, a])
+        j.append(digit)
+    j, Nb = np.array(j), N[grid].T
 
     def fold(x):
-        x = x % N
-        return np.where(2 * x <= N, x, x - N)
+        x = x % Nb
+        return np.where(2 * x <= Nb, x, x - Nb)
 
     plus, minus = fold(j), fold(-j)
     first = np.argmax(plus != minus, axis=0)  # the first component that differs
-    larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
-    represented = np.where(larger, plus, minus)
+    represented = np.where((plus - minus)[first, np.arange(first.size)] >= 0, plus, minus)
     # one integer key per class; the lexsort below fixes the order of the classes
-    key = np.ravel_multi_index(tuple(represented % N), patches[::-1])
+    K = N.prod(axis=1)
+    key, stride = (np.cumsum(K) - K)[grid], 1
+    for a in range(depth):
+        key, stride = key + represented[a] % Nb[a] * stride, stride * Nb[a]
     _, at, inverse = np.unique(key, return_index=True, return_inverse=True)
-    classes = represented[:, at]
-    lengths = _axis_lengths(op, layout)[0]
-    if np.all(lengths == lengths[0]):
-        ksq = np.sum(classes**2, axis=0)
-    else:
-        ksq = np.sum((2 * np.pi * classes / lengths[:, None]) ** 2, axis=0)
-    order = np.lexsort((*-classes[::-1], ksq))
+    classes, owner = represented[:, at], grid[at]
+    ksq = np.sum((scale[owner] * classes / length[owner].T) ** 2, axis=0)
+    order = np.lexsort((*-classes[::-1], ksq, owner))
     place = np.empty(order.size, dtype=np.intp)
     place[order] = np.arange(order.size)
-    return place[inverse]
+    found = np.bincount(owner, minlength=len(grids))
+    labels = place[inverse] - (np.cumsum(found) - found)[grid]
+    counts = np.where((j[0] == 0) | (2 * j[0] == Nb[0]), 1, 2)
+    ends = np.cumsum(sizes).tolist()
+    return [(labels[end - n : end], counts[end - n : end]) for end, n in zip(ends, sizes.tolist())]
 
 
-def _require_separated(w: np.ndarray, ranks: np.ndarray, labels: np.ndarray) -> None:
-    """Raise unless every block's slow modes lie below half its smallest fast one.
+def _unseparated(w: np.ndarray, ranks: np.ndarray, labels: np.ndarray):
+    """The first block whose slow modes do not lie below half its smallest fast one.
 
     Rank labels pair the g slow modes of a block only while they are the g
     smallest by a clear margin; where a fast mode meets a slow one, which of
-    them is ranked slow is arbitrary.
+    them is ranked slow is arbitrary.  Returns (block, ValueError), or None
+    when every block separates.
     """
     mags = np.abs(w)
     slow = np.max(np.where(ranks >= 0, mags, 0.0), axis=1)
@@ -388,11 +415,12 @@ def _require_separated(w: np.ndarray, ranks: np.ndarray, labels: np.ndarray) -> 
     mixed = np.flatnonzero(~(slow <= 0.5 * fast))
     if mixed.size:
         at = mixed[0]
-        raise ValueError(
+        return at, ValueError(
             f"the Bloch block of wavenumber {labels[at]} does not separate its "
             f"{np.count_nonzero(ranks[at] >= 0)} slow modes from its fast ones: "
             f"largest slow magnitude {slow[at]:.6g}, smallest fast {fast[at]:.6g}"
         )
+    return None
 
 
 @dataclass
@@ -442,38 +470,33 @@ class SpectrumReport:
             self.gap_ratio = float(np.abs(self.micro[0])) / macro_scale
 
 
-def _symmetric_spectra(
-    ops, modes: int | None = None, n_macro: int | None = None
-) -> list[SpectrumReport]:
-    """eigen_symmetric(op, n_macro, modes) of each operator, their blocks solved together.
+def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
+    """The symmetric Bloch solve of each operator, each step one pass over the list.
 
     The one symmetric spectrum driver: whole spectra (modes None), selected
-    wavenumbers 1..modes, and the sweeps of the CLI, whose operators come
-    from one assembly pass (assembly._assemble_patches).  Each operator's
-    preconditions, wavenumber labels and (selected) entries of
-    assembly._bloch_entries are taken in list order.  Work that depends on
-    the grid alone is done once per call for each distinct input: the
-    dynamic-range check per (lengths, spacings, bonds), the labels and
-    mirror counts per (patch shape, lengths); a sweep of 32 operators has
-    16 grids.  Operators that share their stored pairs and member orbits,
-    such as those of one stencil on every grid of a patch sweep, share one
-    _pair_plan and have their entries stacked, and _solve_batch solves the
-    stack assembly._batch_blocks blocks at a time:
-    one call for the 96 blocks of the sweep1d-patches benchmark, since a
-    call on an operator's 3 blocks of 10 x 10 costs mostly per-call
-    overhead.  The entries of a plan of one operator are solved as they
-    are, and those of several are dropped once stacked, so a solve holds one
-    copy of them.  Every block is solved alone within a batch, so each
-    report is bitwise the one its operator gets on its own.
+    wavenumbers 1..modes, and the sweeps of the CLI.  Once per list: the
+    symmetry (assembly._symmetry_defects), the labels and mirror counts of
+    each distinct (patch shape, lengths) grid (_grid_labels) and the
+    (selected) Bloch entries (assembly._bloch_entry_batch).  Once per
+    operator, in plain Python: its layout and, per distinct (lengths,
+    spacings, bonds), the dynamic-range check; once per grid, the blocks
+    of wavenumbers 1..modes.  Operators that share their stored pairs and
+    member orbits, such as one stencil on every grid of a patch sweep, form
+    a plan group: one _pair_plan and one stack of entries (a single
+    operator's as they are), which _solve_batch solves _batch_blocks blocks
+    at a time, so the 96 blocks of sweep1d-patches take one call.  The
+    ranks and, with `modes`, _unseparated take the group's eigenvalues at
+    once.  Each block is solved alone, so each solve is bitwise the one
+    its operator gets alone.
 
-    With `modes`, _require_separated checks the reports in list order; a
-    whole spectrum pairs no modes by rank and is not checked.  An operator
-    that fails a precondition ends the list: those before it are solved and
-    checked first, so the error raised is always that of the first operator
-    that fails, as one call per operator would raise it.
+    Returns (symmetry, labels, counts, macro, w, ranks) per operator: the
+    labels and mirror counts of its blocks, its macro mode count, its
+    (blocks, b) eigenvalues and their ranks among the block's slow modes,
+    -1 if fast.  An operator that fails a precondition ends the list: those
+    before it are solved and checked first, so the error raised is that of
+    the first operator that fails, as one call per operator would raise it.
     """
-    solves, groups, failure = [], {}, None
-    ranges, grids = set(), {}  # dynamic-range inputs passed; labels and counts per grid
+    kept, failure, ranges = [], None, set()
     for op in ops:
         try:
             layout = _patch_layout(op)
@@ -483,67 +506,98 @@ def _symmetric_spectra(
             if inputs not in ranges:
                 _require_dynamic_range(op, layout)
                 ranges.add(inputs)
-            symmetry = _require_symmetric(
-                op, "this operator must not be fed to a symmetric eigensolver"
-            )
-            grid = (layout.shape[1 : 1 + layout.patch_axes], lengths.tobytes())
-            if grid not in grids:
-                grids[grid] = _wavenumber_labels(op, layout), _mirror_counts(layout)
-            labels, counts = grids[grid]
-            if modes is not None and not 1 <= modes <= labels.max(initial=0):
-                raise ValueError(
-                    f"asked for wavenumbers 1..{modes}; the grid has {labels.max(initial=0)}"
-                )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             failure = exc
             break
-        if modes is None:
-            select, macro = None, layout.n_macro or op.dimension
-        else:
-            select = np.flatnonzero((labels >= 1) & (labels <= modes))
+        kept.append((op, layout, (layout.shape[1 : 1 + layout.patch_axes], lengths)))
+    # each later check moves the failure to an earlier operator, or leaves it
+    symmetry = _symmetry_defects([op for op, _, _ in kept])
+    for i, report in enumerate(symmetry):
+        try:
+            _require_symmetric(report, "this operator must not be fed to a symmetric eigensolver")
+        except ValueError as exc:
+            failure = exc
+            del kept[i:]
+            break
+    grids = {(patches, lengths.tobytes()): (patches, lengths) for _, _, (patches, lengths) in kept}
+    selected = {}
+    for grid, (labels, counts) in zip(grids, _grid_labels(list(grids.values())) if grids else ()):
+        select = None if modes is None else np.flatnonzero((labels >= 1) & (labels <= modes))
+        if select is not None:
             labels, counts = labels[select], counts[select]
-            # by default the labelled slow modes are the macro modes
-            macro = layout.slow * int(np.sum(counts))
-        pairs, entries = _bloch_entries(op, layout, select)
+        selected[grid] = int(labels.max(initial=0)), select, labels, counts, int(np.sum(counts))
+    for i, (op, layout, (patches, lengths)) in enumerate(kept):
+        top = selected[patches, lengths.tobytes()][0]
+        if modes is not None and not 1 <= modes <= top:
+            failure = ValueError(f"asked for wavenumbers 1..{modes}; the grid has {top}")
+            del kept[i:]
+            break
+    solves, groups = [], {}
+    chosen = [selected[patches, lengths.tobytes()] for _, _, (patches, lengths) in kept]
+    entries = _bloch_entry_batch([op for op, _, _ in kept], [layout for _, layout, _ in kept],
+                                 [select for _, select, _, _, _ in chosen]) if kept else []
+    for i, ((op, layout, _), (pairs, stack), (_, _, labels, counts, copies)) in enumerate(
+        zip(kept, entries, chosen)
+    ):
         orbits = _orbits(layout, op.profile.periods)
         _, _, members, stacked = groups.setdefault(
             (pairs.tobytes(), orbits.shape, orbits.tobytes()), (pairs, orbits, [], [])
         )
-        members.append(len(solves))
-        stacked.append(entries)
-        solves.append((symmetry, labels, counts, macro if n_macro is None else n_macro))
-    solved = [None] * len(solves)
+        members.append(i)
+        stacked.append(stack)
+        # by default the labelled slow modes are the macro modes
+        macro = layout.n_macro or op.dimension if modes is None else layout.slow * copies
+        solves.append([symmetry[i], labels, counts, macro])
+    del entries
+    mixed = None  # (operator, error) of the first operator with a mixed block
     for pairs, orbits, members, stacked in groups.values():
-        entries = stacked[0] if len(stacked) == 1 else np.concatenate(stacked)
+        stack = stacked[0] if len(stacked) == 1 else np.concatenate(stacked)
         stacked.clear()
         plan = _pair_plan(pairs, orbits)
         step = _batch_blocks(plan[4].shape[0])
         w, _, slow = zip(*(
-            _solve_batch(entries[start : start + step], plan, len(orbits), vectors=False)
-            for start in range(0, len(entries), step)
+            _solve_batch(stack[start : start + step], plan, len(orbits), vectors=False)
+            for start in range(0, len(stack), step)
         ))
-        del entries
+        del stack
         w, slow = np.concatenate(w), np.concatenate(slow)
-        bounds = np.cumsum([solves[i][1].size for i in members])[:-1]
-        for i, w_i, slow_i in zip(members, np.split(w, bounds), np.split(slow, bounds)):
-            solved[i] = w_i, slow_i
-    reports = []
-    for (symmetry, labels, counts, count), (w, slow) in zip(solves, solved):
-        # the rank of each eigenvalue among its block's slow modes, -1 if fast
         ranks = np.full(w.shape, -1, dtype=np.intp)
         np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
-        if modes is not None:
-            _require_separated(w, ranks, labels)
+        ends = np.cumsum([solves[i][1].size for i in members])
+        labels = np.concatenate([solves[i][1] for i in members])
+        if modes is not None and (found := _unseparated(w, ranks, labels)) is not None:
+            i = members[np.searchsorted(ends, found[0], side="right")]
+            if mixed is None or i < mixed[0]:
+                mixed = i, found[1]
+        for i, w_i, ranks_i in zip(members, np.split(w, ends[:-1]), np.split(ranks, ends[:-1])):
+            solves[i] += [w_i, ranks_i]
+    if mixed is not None:
+        raise mixed[1]
+    if failure is not None:
+        raise failure
+    return solves
+
+
+def _symmetric_spectra(
+    ops, modes: int | None = None, n_macro: int | None = None
+) -> list[SpectrumReport]:
+    """eigen_symmetric(op, n_macro, modes) of each operator, as reports of _symmetric_solves.
+
+    Once per list: the symmetry pass, the labels of every distinct grid,
+    the Bloch entries; once per grid: the selection of wavenumbers
+    1..modes; once per plan group: the pair plan, the batched solves, the
+    ranks and the separation check.  Only the reports are per operator.
+    """
+    reports = []
+    for symmetry, labels, counts, macro, w, ranks in _symmetric_solves(ops, modes):
         # each half-spectrum block stands for `counts` blocks of the full spectrum
         reports.append(SpectrumReport(
             eigenvalues=np.repeat(w, counts, axis=0).ravel(),
-            n_macro=count,
+            n_macro=macro if n_macro is None else n_macro,
             symmetry=symmetry,
             wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
             ranks=np.repeat(ranks, counts, axis=0).ravel(),
         ))
-    if failure is not None:
-        raise failure
     return reports
 
 
@@ -553,7 +607,7 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     Preconditions: the profile's dynamic range (see _require_dynamic_range)
     and a relative symmetry defect at most 1e-10.  The operator is
     solved block by block in the patch wavenumber, and each eigenvalue is
-    labelled by its block's wavenumber (see _wavenumber_labels) and its rank
+    labelled by its block's wavenumber (see _grid_labels) and its rank
     among the block's Layout.slow slow modes.  Without `modes` every block is
     solved.  With it only the blocks of wavenumbers 1..modes are, O(modes
     b^3) work, and each of them must hold its slow modes below half its
@@ -589,24 +643,6 @@ class ErrorTable:
     relative_errors: np.ndarray
 
 
-def _slow_modes(report: SpectrumReport, count: int, role: str) -> np.ndarray:
-    """The (count, g) slow modes of wavenumbers 1..count by rank, each the mean of its copies."""
-    if report.wavenumbers is None:
-        raise ValueError(f"the {role} spectrum carries no wavenumber labels to pair by")
-    keep = (report.ranks >= 0) & (report.wavenumbers >= 1) & (report.wavenumbers <= count)
-    wavenumbers, ranks = report.wavenumbers[keep], report.ranks[keep]
-    g = int(ranks.max(initial=-1)) + 1
-    key = (wavenumbers - 1) * g + ranks
-    copies = np.bincount(key, minlength=count * g)
-    if copies.size == 0 or np.any(copies == 0):
-        raise ValueError(
-            f"need the slow modes of wavenumbers 1..{count}; the {role} spectrum has "
-            f"{np.unique(wavenumbers).size} of them"
-        )
-    sums = np.bincount(key, weights=np.real(report.eigenvalues[keep]), minlength=count * g)
-    return (sums / copies).reshape(count, g)
-
-
 def error_table(test: SpectrumReport, reference: SpectrumReport, count: int) -> ErrorTable:
     """Relative errors of the slow modes of wavenumbers 1..count, paired by label.
 
@@ -616,26 +652,70 @@ def error_table(test: SpectrumReport, reference: SpectrumReport, count: int) -> 
     (bitwise equal copies in 1D).  With g > 1 slow modes per block a row
     reports the rank of largest relative error, so it bounds every slow mode
     of its wavenumber.  Both spectra must be labelled, as eigen_symmetric
-    labels them, on the same grid.
+    labels them, on the same grid.  _error_rows of one pair.
     """
-    if count < 1:
-        raise ValueError("need at least one table row")
-    t = _slow_modes(test, count, "test")
-    rf = _slow_modes(reference, count, "reference")
-    if t.shape != rf.shape:
-        raise ValueError(
-            f"{t.shape[1]} slow modes per wavenumber in the test spectrum, "
-            f"{rf.shape[1]} in the reference"
+    spectra = [
+        None if report.wavenumbers is None else (
+            report.eigenvalues[:, None], report.ranks[:, None], report.wavenumbers,
+            np.ones(report.eigenvalues.size),
         )
-    errors = np.abs(t - rf) / np.abs(rf)
-    worst = np.argmax(errors, axis=1)[:, None]
-    t, rf, errors = (np.take_along_axis(part, worst, axis=1)[:, 0] for part in (t, rf, errors))
+        for report in (test, reference)
+    ]
+    t, rf, errors = (part[0] for part in _error_rows(spectra, count))
     return ErrorTable(
         indices=np.arange(1, count + 1),
         test_values=t,
         reference_values=rf,
         relative_errors=errors,
     )
+
+
+def _error_rows(spectra, count: int):
+    """error_table's rows of each (test, reference) pair of a list of spectra, in one pass.
+
+    `spectra` alternate test and reference, each (values, ranks, labels,
+    copies), or None without labels: eigenvalues and ranks in rows of one
+    width (one eigenvalue of a report, or one block of _symmetric_solves),
+    each row's label and the copies it stands for.  A slow mode is the mean
+    of its copies, one bincount for the batch; a label of eigen_symmetric
+    has at most two copies, so count x value sums as the copies do.  Each
+    spectrum has its own g.  Returns the (pairs, count) test values,
+    reference values and relative errors, each row its worst rank.
+    """
+    if count < 1:
+        raise ValueError("need at least one table row")
+    roles = ["test", "reference"] * (len(spectra) // 2)
+    for spectrum, role in zip(spectra, roles):
+        if spectrum is None:
+            raise ValueError(f"the {role} spectrum carries no wavenumber labels to pair by")
+    values, ranks, labels, copies = (np.concatenate(part) for part in zip(*spectra))
+    which = np.repeat(np.arange(len(spectra)), [len(spectrum[2]) for spectrum in spectra])
+    keep = (ranks >= 0) & ((labels >= 1) & (labels <= count))[:, None]
+    which, labels, copies = (np.broadcast_to(part[:, None], keep.shape)[keep]
+                             for part in (which, labels, copies))
+    ranks, values = ranks[keep], np.real(values[keep])
+    g = np.zeros(len(spectra), dtype=np.intp)
+    np.maximum.at(g, which, ranks + 1)
+    shape = (len(spectra), count, int(g.max(initial=0)))
+    key = (which * count + labels - 1) * shape[2] + ranks
+    found, sums = (np.bincount(key, weights=weights, minlength=math.prod(shape)).reshape(shape)
+                   for weights in (copies, values * copies))
+    valid = np.arange(shape[2]) < g[:, None, None]
+    for s in np.flatnonzero(np.any((found == 0) & valid, axis=(1, 2)) | (g == 0))[:1]:
+        raise ValueError(
+            f"need the slow modes of wavenumbers 1..{count}; the {roles[s]} spectrum has "
+            f"{np.unique(labels[which == s]).size} of them"
+        )
+    for p in np.flatnonzero(g[0::2] != g[1::2])[:1]:
+        raise ValueError(
+            f"{g[2 * p]} slow modes per wavenumber in the test spectrum, "
+            f"{g[2 * p + 1]} in the reference"
+        )
+    means = np.divide(sums, found, out=np.ones(shape), where=found > 0)
+    t, rf = means[0::2], means[1::2]
+    errors = np.where(valid[1::2], np.abs(t - rf) / np.abs(rf), -np.inf)
+    worst = np.argmax(errors, axis=2)[..., None]
+    return tuple(np.take_along_axis(part, worst, axis=2)[..., 0] for part in (t, rf, errors))
 
 
 def convergence_slope(N_list, errors) -> float:

@@ -63,6 +63,7 @@ from .assembly import (
     _orbits,
     _patch_layout,
     _row_sum_bound,
+    symmetry_defect,
 )
 from .spectra import _bloch_eigh, _require_symmetric
 
@@ -131,7 +132,7 @@ def _checked_state(op, u0) -> StateVector:
 def _exact_stream(op, u0, times, chunk: int):
     """evolve_exact's checks; then its times and a generator of its Trajectory
     in pieces of `chunk` or more snapshots (see _chunks)."""
-    _require_symmetric(op, "exact evolution by orthogonal diagonalisation is unavailable")
+    _require_symmetric(symmetry_defect(op), "exact evolution by orthogonal diagonalisation is unavailable")
     state = _checked_state(op, u0)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):

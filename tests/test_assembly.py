@@ -2,15 +2,17 @@
 
 import itertools
 import math
+from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import patchtooth as pt
-from patchtooth import assembly
+from patchtooth import assembly, spectra
 from patchtooth.assembly import (
     AssembledOperator,
     Layout,
@@ -144,6 +146,132 @@ def test_a_stencil_batch_must_share_n_periods_and_the_ensemble_flag(batch, part)
         ensemble = not ensemble
     with pytest.raises(TypeError):
         _stencil([*batch, (axes, bonds, ensemble)])
+
+
+def batch_operators(batch):
+    """The operators of a stencil batch, each with its own layout (g member
+    orbits of an ensemble included) and a profile of its bonds and periods;
+    without a grid, an operator's axis lengths are its points per axis, so
+    2D lengths differ unless N_x n_x = N_y n_y."""
+    operators = []
+    for shape, entries in _stencil(batch):
+        axes, bonds, ensemble = batch[len(operators)]
+        periods = bonds[0].shape
+        slow = math.prod(math.gcd(p, ax[1]) for p, ax in zip(periods, axes)) if ensemble else 1
+        layout = Layout(shape, patch_axes=len(axes), ensemble=ensemble, slow=slow,
+                        n_macro=slow * math.prod(ax[0] for ax in axes))
+        profile = SimpleNamespace(bonds=bonds, periods=periods)
+        operators.append(AssembledOperator(layout, *entries, profile=profile))
+    return operators
+
+
+def wave_of(op, epsilon=0.02):
+    """[[0, I], [A, eps A]] of an operator A, stored as assemble_wave stores a wave."""
+    b = assembly._blocking(op.layout)[1]
+    u = np.arange(b)
+    layout = replace(op.layout, half=op.dimension, n_macro=2 * op.layout.n_macro)
+    return AssembledOperator(
+        layout, np.concatenate([u, op.rows + b, op.rows + b]),
+        np.concatenate([np.zeros(b, dtype=np.intp), op.offsets, op.offsets]),
+        np.concatenate([u + b, op.cols, op.cols + b]),
+        np.concatenate([np.ones(b), op.values, epsilon * op.values]), profile=op.profile,
+    )
+
+
+def bitwise(got, want):
+    """Equal dtype, shape and bits; a float by value and sign, since the
+    padding bytes of a long double are arbitrary."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind not in "fc":
+        assert got.tobytes() == want.tobytes()
+    for a, b in ((got.real, want.real), (got.imag, want.imag)) if got.dtype.kind in "fc" else ():
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_inputs(), st.data())
+def test_a_batch_gives_each_operator_what_it_gets_alone(batch, data):
+    """Every per-operator step of the symmetric solves, taken for a batch of
+    1-5 operators in one pass, gives each operator the bits it gets alone:
+    the symmetry defect and scale, the Bloch entries of its whole half
+    spectrum or of drawn columns (wave operators too, read densely through
+    _bloch_batches), the wavenumber labels and mirror counts of its grid
+    (the float |k|^2 key on unequal 2D lengths), and the error rows of
+    whole spectra paired in the batch, g > 1 member orbits included, which
+    equal error_table of the reports."""
+    ops = batch_operators(batch)
+    ops += [wave_of(op) for op in data.draw(st.lists(st.sampled_from(ops), max_size=2))]
+    layouts = [assembly._patch_layout(op) for op in ops]
+    for got, op in zip(assembly._symmetry_defects(ops), ops):
+        want = pt.symmetry_defect(op)
+        assert [float.hex(x) for x in astuple(got)] == [float.hex(x) for x in astuple(want)]
+
+    def columns(layout):
+        patches = layout.shape[1 : 1 + layout.patch_axes]
+        half = math.prod(patches[:-1]) * (patches[-1] // 2 + 1)
+        return st.none() | st.lists(st.integers(0, half - 1), max_size=4)
+
+    selects = [data.draw(columns(layout)) for layout in layouts]
+    together = assembly._bloch_entry_batch(ops, layouts, selects)
+    for (pairs, entries), op, layout, select in zip(together, ops, layouts, selects):
+        alone_pairs, alone = assembly._bloch_entries(op, layout, select)
+        bitwise(pairs, alone_pairs)
+        bitwise(entries, alone)
+        if op.layout.half is not None and select is None:
+            b = assembly._blocking(layout)[1]
+            dense = np.zeros((len(entries), b * b), dtype=entries.dtype)
+            dense.imag = -0.0
+            dense[:, pairs] = entries
+            bitwise(np.concatenate(list(assembly._bloch_batches(op, layout))),
+                    dense.reshape(-1, b, b))
+
+    grids = [(layout.shape[1 : 1 + layout.patch_axes], spectra._axis_lengths(op, layout)[0])
+             for op, layout in zip(ops, layouts)]
+    for (labels, counts), grid, op, layout in zip(spectra._grid_labels(grids), grids, ops, layouts):
+        [(alone_labels, alone_counts)] = spectra._grid_labels([grid])
+        bitwise(labels, alone_labels)
+        bitwise(counts, alone_counts)
+        bitwise(labels, spectra._wavenumber_labels(op, layout))
+        bitwise(counts, assembly._mirror_counts(layout))
+
+    diffusion = ops[: len(batch)]
+    solves = spectra._symmetric_solves(diffusion)
+    count = min(int(labels.max(initial=0)) for _, labels, *_ in solves)
+    assume(count >= 1)
+    pairs = [(solves[i], solves[(i + 1) % len(solves)]) for i in range(len(solves))]
+    rows = [(w, ranks, labels, counts) for pair in pairs for _, labels, counts, _, w, ranks in pair]
+    reports = spectra._symmetric_spectra(diffusion)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        together = spectra._error_rows(rows, count)
+        for p, i in enumerate(range(len(solves))):
+            alone = spectra._error_rows(rows[2 * p : 2 * p + 2], count)
+            table = pt.error_table(reports[i], reports[(i + 1) % len(solves)], count)
+            for part, one, name in zip(together, alone, ("test_values", "reference_values",
+                                                        "relative_errors")):
+                bitwise(part[p], one[0])
+                bitwise(part[p], getattr(table, name))
+
+
+def test_a_sorted_first_block_row_is_kept_and_an_unsorted_one_sorted_stably():
+    """_stencil hands AssembledOperator its entries sorted by key, and they
+    are kept as given, the same arrays; entries in any other order are
+    sorted stably, to the bits of the sorted ones."""
+    grid = pt.build_grid_1d(L, 5, 3, 0.3)
+    op = pt.assemble_patch_1d(grid, pt.random_lognormal_profile(3, 0.5, 0), pt.CouplingSpec("spectral"))
+    parts = (op.rows, op.offsets, op.cols, op.values)
+    kept = AssembledOperator(op.layout, *parts)
+    assert all(got is want for got, want in zip(
+        (kept.rows, kept.offsets, kept.cols, kept.values), parts))
+    shuffle = np.random.default_rng(0).permutation(op.values.size)
+    for order in (shuffle, np.arange(op.values.size)[::-1]):
+        mixed = AssembledOperator(op.layout, *(part[order] for part in parts))
+        for got, want in zip((mixed.rows, mixed.offsets, mixed.cols, mixed.values), parts):
+            bitwise(got, want)
+    # equal keys keep their given order
+    twice = AssembledOperator(op.layout, *(np.concatenate([part[::-1], part]) for part in parts))
+    assert np.all(np.diff(twice._keys()) >= 0)
+    bitwise(twice.values[::2], op.values[::-1][np.argsort(op._keys()[::-1], kind="stable")])
 
 
 def test_a_batch_whose_keys_pass_intp_is_assembled_in_parts(monkeypatch):

@@ -483,17 +483,18 @@ def test_incompatible_sweep_exits_2_with_the_assembly_message(tmp_path, capsys, 
 def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path, monkeypatch):
     calls = {"symmetry_defect": 0, "assemble_patch_1d": 0, "_assemble_patches": 0}
 
-    def counted(module, name, count=lambda *args: 1):
+    def counted(module, name, count=lambda *args: 1, key=None):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += count(*args)
+            calls[key or name] += count(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (cli, pt.spectra):
-        counted(module, "symmetry_defect")
+    counted(cli, "symmetry_defect")
+    # the operators measured by the batched check of the symmetric solves
+    counted(pt.spectra, "_symmetry_defects", lambda ops: len(ops), key="symmetry_defect")
     counted(cli, "assemble_patch_1d")
     counted(cli, "_assemble_patches", lambda points, *rest: len(points))  # operators assembled
     for task in ("eigen", "check"):

@@ -395,10 +395,10 @@ def operator_lists(draw):
     return ops, draw(st.none() | st.integers(1, max(classes, 1) + 1))
 
 
-def measured_symmetry(op, consequence):
+def measured_symmetry(symmetry, consequence):
     """The symmetry measurement without its tolerance, so that an operator
     whose stored pattern is not symmetric (mirrorless_operators) is solved."""
-    return pt.symmetry_defect(op)
+    return symmetry
 
 
 @settings(max_examples=100, deadline=None)
@@ -616,6 +616,16 @@ def test_a_batch_raises_the_error_of_its_first_failing_operator():
     with pytest.raises(ValueError, match="wavenumbers 1..3; the grid has 2"):
         _symmetric_spectra([short, mixed], 3)
     assert [report.n_macro for report in _symmetric_spectra([short, mixed], 1)] == [2, 2]
+    # an asymmetric operator, measured in the same symmetry pass as the
+    # operator before it, still waits for that operator's mixed block
+    asymmetric = incompatible_operator()
+    with pytest.raises(ValueError, match="block of wavenumber 2 does not separate") as raised:
+        _symmetric_spectra([mixed, asymmetric], 3)
+    assert not isinstance(raised.value, pt.SymmetryPreconditionError)
+    with pytest.raises(pt.SymmetryPreconditionError):
+        _symmetric_spectra([asymmetric, mixed], 3)
+    with pytest.raises(pt.SymmetryPreconditionError):
+        _symmetric_spectra([short, asymmetric, mixed], 1)
 
 
 def test_a_batch_labels_each_grid_by_its_own_lengths():
@@ -633,13 +643,13 @@ def test_a_batch_labels_each_grid_by_its_own_lengths():
     labels = [_wavenumber_labels(op, _patch_layout(op)) for op in ops]
     assert not np.array_equal(*labels)
     with (
-        mock.patch("patchtooth.spectra._wavenumber_labels", wraps=_wavenumber_labels) as labelled,
+        mock.patch("patchtooth.spectra._grid_labels", wraps=spectra._grid_labels) as labelled,
         mock.patch("patchtooth.spectra._require_dynamic_range",
                    wraps=spectra._require_dynamic_range) as checked,
     ):
         together = _symmetric_spectra(ops + ops, 3)
-    # once per distinct grid
-    assert labelled.call_count == checked.call_count == 2
+    # once per distinct grid, the grids labelled in one pass
+    assert sum(len(call.args[0]) for call in labelled.call_args_list) == checked.call_count == 2
     for got, op in zip(together, ops + ops):
         want = pt.eigen_symmetric(op, modes=3)
         for name in ("eigenvalues", "wavenumbers", "ranks"):
