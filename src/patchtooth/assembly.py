@@ -121,20 +121,21 @@ def _blocking(layout: Layout) -> tuple[tuple[int, ...], int, int]:
     return patches, layout.members * points, points
 
 
-def _orbits(layout: Layout, periods) -> np.ndarray:
-    """The unknowns of a Bloch block grouped by member orbit, (slow, b / slow).
+def _orbits(op) -> np.ndarray:
+    """The unknowns of an operator's Bloch block grouped by member orbit, (slow, b / slow).
 
     A member's orbit is its phase reduced mod gcd(p_a, n_a) on each axis
     (see Layout.slow).  No stored entry couples two orbits, so every Bloch
     block is block diagonal over them, each diagonal block with one slow
     mode.  A single phase is one orbit of every unknown.
     """
+    layout = _patch_layout(op)
     _, b, points = _blocking(layout)
     if layout.slow == 1:
         return np.arange(b)[None]
     n = layout.shape[1 + layout.patch_axes :][::-1]  # x first, as the periods
-    gcds = [math.gcd(p, m) for p, m in zip(periods, n)]
-    phase = np.unravel_index(np.arange(layout.members), periods)
+    gcds = [math.gcd(p, m) for p, m in zip(op.profile.periods, n)]
+    phase = np.unravel_index(np.arange(layout.members), op.profile.periods)
     orbit = np.ravel_multi_index([ph % c for ph, c in zip(phase, gcds)], gcds)
     members = np.argsort(orbit, kind="stable").reshape(layout.slow, -1)
     return (members[:, :, None] * points + np.arange(points)).reshape(layout.slow, -1)
@@ -232,12 +233,7 @@ def _spread(values, sizes):
     return values[0] if len(sizes) == 1 else np.repeat(values, sizes, axis=0)
 
 
-def _bloch_entries(op: AssembledOperator, layout: Layout, select=None):
-    """_bloch_entry_batch of one operator."""
-    return _bloch_entry_batch([op], [layout], [select])[0]
-
-
-def _bloch_entry_batch(ops, layouts, selects):
+def _bloch_entry_batch(ops, selects):
     """The Bloch blocks H(j) of each operator at their stored (row, col) pairs, in one pass.
 
     H(j) = sum_m A[0, m] exp(+2 pi i j.m / N) over the patch offsets m of
@@ -259,7 +255,7 @@ def _bloch_entry_batch(ops, layouts, selects):
     H(j)[row, col]; every other entry of H(j) is zero.  Each consumer
     slices the blocks into batches of _batch_blocks(b).
     """
-    blockings = [_blocking(layout) for layout in layouts]
+    blockings = [_blocking(_patch_layout(op)) for op in ops]
     # the operators of one patch shape next to each other, so that their lines are too
     shapes = {}
     kinds = [shapes.setdefault(blocking[0], len(shapes)) for blocking in blockings]
@@ -324,21 +320,20 @@ def _batch_blocks(b: int) -> int:
     return max(1, _BATCH_BYTES // (np.dtype(np.clongdouble).itemsize * b * b))
 
 
-def _bloch_batches(op: AssembledOperator, layout: Layout, select=None):
+def _bloch_batches(op: AssembledOperator):
     """Bloch blocks H(j) of a patch operator in batches over j, each (k, b, b).
 
-    The dense view of _bloch_entries: each block holds its entries at the
-    stored pairs and zeros elsewhere, a block indexed by (member, local
+    The dense view of _bloch_entry_batch: each block holds its entries at
+    the stored pairs and zeros elsewhere, a block indexed by (member, local
     point) in C order, one batch at most about _BATCH_BYTES of blocks.  For
-    a wave operator, given the layout of _patch_layout, each block is
-    [[0, I], [A(j), eps B(j)]].
+    a wave operator each block is [[0, I], [A(j), eps B(j)]].
 
     Each batch is built in place, a new array that the caller owns and may
     overwrite: no reference to it is kept here, so a caller that drops a
     batch before asking for the next holds one batch of blocks at a time.
     """
-    b = _blocking(layout)[1]
-    pairs, entries = _bloch_entries(op, layout, select)
+    b = _blocking(_patch_layout(op))[1]
+    [(pairs, entries)] = _bloch_entry_batch([op], [None])
     step = _batch_blocks(b)
     for start in range(0, len(entries), step):
         batch = entries[start : start + step]
@@ -360,18 +355,17 @@ def _mirror_counts(layout: Layout) -> np.ndarray:
     return np.broadcast_to(counts, layout.shape[1 : layout.patch_axes] + counts.shape).ravel()
 
 
-def _bloch_eigenvalues(op, layout: Layout) -> np.ndarray:
+def _bloch_eigenvalues(op) -> np.ndarray:
     """Eigenvalues of every Bloch block, those of the mirrored blocks as conjugates.
 
     The one general Bloch eigensolve, of spectra.eigen_general and
     timestep.stability_limit.  A wave operator's 2 * slow eigenvalues of block
     j = 0 nearest zero, one defective pair per member orbit, become exact zeros.
     """
-    batches = _bloch_batches(op, layout)
-    solved = np.concatenate([np.linalg.eigvals(W.astype(complex)) for W in batches])
+    solved = np.concatenate([np.linalg.eigvals(W.astype(complex)) for W in _bloch_batches(op)])
     if op.layout.half is not None:
-        solved[0, np.argsort(np.abs(solved[0]))[: 2 * layout.slow]] = 0.0
-    mirrored = solved[_mirror_counts(layout) == 2]
+        solved[0, np.argsort(np.abs(solved[0]))[: 2 * op.layout.slow]] = 0.0
+    mirrored = solved[_mirror_counts(op.layout) == 2]
     return np.concatenate([solved.ravel(), np.conj(mirrored).ravel()])
 
 

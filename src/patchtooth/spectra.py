@@ -19,7 +19,7 @@ Patch operators are block-circulant in the patch index: every patch carries
 the same interior block and the edge couplings are circulant stencils over
 patch offsets.  A DFT over the patch axes therefore splits an operator on N
 patches exactly into N Bloch blocks H(j) of size b = members * n (members *
-n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_entries
+n_x * n_y in 2D), one per patch wavenumber j.  assembly._bloch_entry_batch
 gives the entries of every block at its stored (row, col) pairs, in
 extended precision: a patch-local pair (the diagonal and the interior
 bonds, stored at patch offset 0 alone) holds its value in every block, and
@@ -42,7 +42,7 @@ microscale), so every solver here takes an AssembledOperator and has no
 dense path.
 
 Both symmetric solvers, eigen_symmetric and timestep.evolve_exact, take one
-per-batch solve, _solve_batch.  A phase-shift ensemble's block is block
+solve loop, _bloch_solves.  A phase-shift ensemble's block is block
 diagonal over its g member orbits, each with one slow mode, its eigenvalue
 of smallest magnitude, so every symmetric block is solved as g blocks of
 size b / g (g = 1 for a single phase), and only the slow mode of each is
@@ -79,7 +79,7 @@ have one driver, _symmetric_solves, which takes a list of operators: a
 sweep hands it all of them at once.  Each per-operator step (symmetry,
 labels, Bloch entries, ranks, separation) is one array pass over the list,
 and it stacks the (selected) blocks of the operators that share a stored
-pair pattern and solves each stack in batches by _solve_batch, since a
+pair pattern and solves each stack by _bloch_solves, since a
 solve of a few small blocks costs mostly per-call overhead;
 eigen_symmetric is that driver on one operator, and _error_rows takes the
 error rows of a whole sweep in one pass.  Nothing is kept from one call to
@@ -102,10 +102,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    Layout,
     SymmetryReport,
     _batch_blocks,
-    _bloch_entries,
     _bloch_entry_batch,
     _bloch_eigenvalues,
     _orbits,
@@ -135,12 +133,13 @@ def _require_symmetric(symmetry: SymmetryReport, consequence: str) -> SymmetryRe
     return symmetry
 
 
-def _axis_lengths(op, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+def _axis_lengths(op) -> tuple[np.ndarray, np.ndarray]:
     """Length L_a and spacing d_a of each lattice axis, x first.
 
     An operator without a grid, a full lattice, takes L_a as its points
     along axis a at unit spacing d_a = 1.
     """
+    layout = _patch_layout(op)
     if op.grid is not None:
         return np.array([g.L for g in op.grid.axes]), np.array([g.d for g in op.grid.axes])
     k = layout.patch_axes
@@ -148,7 +147,7 @@ def _axis_lengths(op, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
     return points.astype(float), np.ones(k)
 
 
-def _require_dynamic_range(op, layout: Layout) -> None:
+def _require_dynamic_range(op) -> None:
     """Refuse a profile whose slowest macro mode would drown in round-off.
 
     The solvers resolve an eigenvalue to about eps ||H||, with ||H|| estimated
@@ -159,7 +158,7 @@ def _require_dynamic_range(op, layout: Layout) -> None:
     It does not depend on the scale of d and L, so a full lattice is checked
     at the unit spacing of _axis_lengths.
     """
-    lengths, spacings = _axis_lengths(op, layout)
+    lengths, spacings = _axis_lengths(op)
     bonds = op.profile.bonds
     with np.errstate(over="ignore", divide="ignore"):
         norm = sum(2.0 * np.max(b) / np.square(d) for d, b in zip(spacings, bonds))
@@ -237,7 +236,7 @@ def _locate(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 def _pair_plan(pairs: np.ndarray, orbits: np.ndarray) -> tuple:
     """Where the entries of a Bloch block's Hermitian part go, from its pairs.
 
-    `pairs` are the sorted pair indices of assembly._bloch_entries and
+    `pairs` are the sorted pair indices of assembly._bloch_entry_batch and
     `orbits` the (g, m) unknowns of assembly._orbits.  A plan costs tens of
     microseconds, and each call of a solver makes one per group of operators
     that share both.  The Hermitian part lives on the union of the pairs and
@@ -320,26 +319,19 @@ def _solve_batch(E: np.ndarray, plan: tuple, g: int, vectors: bool):
     return w, V, np.take_along_axis(slow, order, axis=1)
 
 
-def _bloch_eigh(op, layout: Layout):
-    """_solve_batch with eigenvectors of each batch of an operator's Bloch blocks.
+def _bloch_solves(pairs: np.ndarray, orbits: np.ndarray, entries: np.ndarray, vectors: bool):
+    """_solve_batch of a stack of Bloch blocks, assembly._batch_blocks(b) blocks at a time.
 
-    Yields (w, V, slow) of _solve_batch, vectors=True, for each batch of
-    assembly._batch_blocks(b) blocks of assembly._bloch_entries, each block
-    split into its g member orbits: the eigenvectors timestep.evolve_exact
-    propagates with.  Spectra take the same per-batch solve, without
-    eigenvectors, through _symmetric_solves.
+    `entries` are the (blocks, pairs) entries of blocks that share the
+    stored `pairs` and the (g, m) member `orbits` of assembly._orbits: one
+    operator's, or a plan group's of _symmetric_solves.  One _pair_plan
+    serves every batch.  Yields (w, V, slow) of _solve_batch for each batch;
+    timestep.evolve_exact asks for the eigenvectors, spectra do not.
     """
-    pairs, entries = _bloch_entries(op, layout)
-    plan = _pair_plan(pairs, _orbits(layout, op.profile.periods))
-    step = _batch_blocks(plan[4].shape[0])
+    plan = _pair_plan(pairs, orbits)
+    step = _batch_blocks(orbits.size)
     for start in range(0, len(entries), step):
-        yield _solve_batch(entries[start : start + step], plan, layout.slow, vectors=True)
-
-
-def _wavenumber_labels(op, layout: Layout) -> np.ndarray:
-    """The wavenumber label of each half-spectrum Bloch block: _grid_labels of one grid."""
-    grid = layout.shape[1 : 1 + layout.patch_axes], _axis_lengths(op, layout)[0]
-    return _grid_labels([grid])[0][0]
+        yield _solve_batch(entries[start : start + step], plan, len(orbits), vectors)
 
 
 def _grid_labels(grids) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -478,15 +470,15 @@ def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
     symmetry (assembly._symmetry_defects), the labels and mirror counts of
     each distinct (patch shape, lengths) grid (_grid_labels) and the
     (selected) Bloch entries (assembly._bloch_entry_batch).  Once per
-    operator, in plain Python: its layout and, per distinct (lengths,
-    spacings, bonds), the dynamic-range check; once per grid, the blocks
-    of wavenumbers 1..modes.  Operators that share their stored pairs and
-    member orbits, such as one stencil on every grid of a patch sweep, form
-    a plan group: one _pair_plan and one stack of entries (a single
-    operator's as they are), which _solve_batch solves _batch_blocks blocks
-    at a time, so the 96 blocks of sweep1d-patches take one call.  The
-    ranks and, with `modes`, _unseparated take the group's eigenvalues at
-    once.  Each block is solved alone, so each solve is bitwise the one
+    operator, in plain Python: per distinct (lengths, spacings, bonds), the
+    dynamic-range check; then its symmetry and wavenumber-range refusals and
+    the blocks of wavenumbers 1..modes.  Operators that share their stored
+    pairs and member orbits, such as one stencil on every grid of a patch
+    sweep, form a plan group: one _pair_plan and one stack of entries (a
+    single operator's as they are), which _bloch_solves solves _batch_blocks
+    blocks at a time, so the 96 blocks of sweep1d-patches take one call.
+    The ranks and, with `modes`, _unseparated take the group's eigenvalues
+    at once.  Each block is solved alone, so each solve is bitwise the one
     its operator gets alone.
 
     Returns (symmetry, labels, counts, macro, w, ranks) per operator: the
@@ -496,69 +488,58 @@ def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
     before it are solved and checked first, so the error raised is that of
     the first operator that fails, as one call per operator would raise it.
     """
-    kept, failure, ranges = [], None, set()
+    kept, failure, ranges, grids = [], None, set(), {}
     for op in ops:
         try:
-            layout = _patch_layout(op)
-            lengths, spacings = _axis_lengths(op, layout)
+            lengths, spacings = _axis_lengths(op)
             bonds = ((b.shape, b.tobytes()) for b in op.profile.bonds)
             inputs = (lengths.tobytes(), spacings.tobytes(), *bonds)
             if inputs not in ranges:
-                _require_dynamic_range(op, layout)
+                _require_dynamic_range(op)
                 ranges.add(inputs)
         except (TypeError, ValueError) as exc:
             failure = exc
             break
-        kept.append((op, layout, (layout.shape[1 : 1 + layout.patch_axes], lengths)))
-    # each later check moves the failure to an earlier operator, or leaves it
-    symmetry = _symmetry_defects([op for op, _, _ in kept])
-    for i, report in enumerate(symmetry):
+        grid = op.layout.shape[1 : 1 + op.layout.patch_axes], lengths.tobytes()
+        grids.setdefault(grid, (grid[0], lengths))
+        kept.append((op, grid))
+    labelled = dict(zip(grids, _grid_labels(list(grids.values())) if grids else ()))
+    checks = zip(_symmetry_defects([op for op, _ in kept]), [labelled[grid] for _, grid in kept])
+    solves, selects = [], []
+    # each refusal moves the failure to an earlier operator, or leaves it
+    for i, (report, (labels, counts)) in enumerate(checks):
         try:
             _require_symmetric(report, "this operator must not be fed to a symmetric eigensolver")
+            if modes is not None and not 1 <= modes <= (top := int(labels.max(initial=0))):
+                raise ValueError(f"asked for wavenumbers 1..{modes}; the grid has {top}")
         except ValueError as exc:
             failure = exc
             del kept[i:]
             break
-    grids = {(patches, lengths.tobytes()): (patches, lengths) for _, _, (patches, lengths) in kept}
-    selected = {}
-    for grid, (labels, counts) in zip(grids, _grid_labels(list(grids.values())) if grids else ()):
-        select = None if modes is None else np.flatnonzero((labels >= 1) & (labels <= modes))
-        if select is not None:
+        op = kept[i][0]
+        # by default the labelled slow modes are the macro modes
+        macro, select = op.layout.n_macro or op.dimension, None
+        if modes is not None:
+            select = np.flatnonzero((labels >= 1) & (labels <= modes))
             labels, counts = labels[select], counts[select]
-        selected[grid] = int(labels.max(initial=0)), select, labels, counts, int(np.sum(counts))
-    for i, (op, layout, (patches, lengths)) in enumerate(kept):
-        top = selected[patches, lengths.tobytes()][0]
-        if modes is not None and not 1 <= modes <= top:
-            failure = ValueError(f"asked for wavenumbers 1..{modes}; the grid has {top}")
-            del kept[i:]
-            break
-    solves, groups = [], {}
-    chosen = [selected[patches, lengths.tobytes()] for _, _, (patches, lengths) in kept]
-    entries = _bloch_entry_batch([op for op, _, _ in kept], [layout for _, layout, _ in kept],
-                                 [select for _, select, _, _, _ in chosen]) if kept else []
-    for i, ((op, layout, _), (pairs, stack), (_, _, labels, counts, copies)) in enumerate(
-        zip(kept, entries, chosen)
-    ):
-        orbits = _orbits(layout, op.profile.periods)
+            macro = op.layout.slow * int(np.sum(counts))
+        solves.append([report, labels, counts, macro])
+        selects.append(select)
+    entries = _bloch_entry_batch([op for op, _ in kept], selects) if kept else []
+    groups = {}
+    for i, (pairs, stack) in enumerate(entries):
+        orbits = _orbits(kept[i][0])
         _, _, members, stacked = groups.setdefault(
             (pairs.tobytes(), orbits.shape, orbits.tobytes()), (pairs, orbits, [], [])
         )
         members.append(i)
         stacked.append(stack)
-        # by default the labelled slow modes are the macro modes
-        macro = layout.n_macro or op.dimension if modes is None else layout.slow * copies
-        solves.append([symmetry[i], labels, counts, macro])
     del entries
     mixed = None  # (operator, error) of the first operator with a mixed block
     for pairs, orbits, members, stacked in groups.values():
         stack = stacked[0] if len(stacked) == 1 else np.concatenate(stacked)
         stacked.clear()
-        plan = _pair_plan(pairs, orbits)
-        step = _batch_blocks(plan[4].shape[0])
-        w, _, slow = zip(*(
-            _solve_batch(stack[start : start + step], plan, len(orbits), vectors=False)
-            for start in range(0, len(stack), step)
-        ))
+        w, _, slow = zip(*_bloch_solves(pairs, orbits, stack, vectors=False))
         del stack
         w, slow = np.concatenate(w), np.concatenate(slow)
         ranks = np.full(w.shape, -1, dtype=np.intp)
@@ -578,29 +559,6 @@ def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
     return solves
 
 
-def _symmetric_spectra(
-    ops, modes: int | None = None, n_macro: int | None = None
-) -> list[SpectrumReport]:
-    """eigen_symmetric(op, n_macro, modes) of each operator, as reports of _symmetric_solves.
-
-    Once per list: the symmetry pass, the labels of every distinct grid,
-    the Bloch entries; once per grid: the selection of wavenumbers
-    1..modes; once per plan group: the pair plan, the batched solves, the
-    ranks and the separation check.  Only the reports are per operator.
-    """
-    reports = []
-    for symmetry, labels, counts, macro, w, ranks in _symmetric_solves(ops, modes):
-        # each half-spectrum block stands for `counts` blocks of the full spectrum
-        reports.append(SpectrumReport(
-            eigenvalues=np.repeat(w, counts, axis=0).ravel(),
-            n_macro=macro if n_macro is None else n_macro,
-            symmetry=symmetry,
-            wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
-            ranks=np.repeat(ranks, counts, axis=0).ravel(),
-        ))
-    return reports
-
-
 def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) -> SpectrumReport:
     """Real spectrum of a symmetric operator, sorted by magnitude and labelled.
 
@@ -612,9 +570,17 @@ def eigen_symmetric(op, n_macro: int | None = None, modes: int | None = None) ->
     solved.  With it only the blocks of wavenumbers 1..modes are, O(modes
     b^3) work, and each of them must hold its slow modes below half its
     smallest fast one, or a ValueError names the block.  Both go through
-    _symmetric_spectra of this one operator.
+    _symmetric_solves of this one operator.
     """
-    return _symmetric_spectra([op], modes, n_macro)[0]
+    [(symmetry, labels, counts, macro, w, ranks)] = _symmetric_solves([op], modes)
+    # each half-spectrum block stands for `counts` blocks of the full spectrum
+    return SpectrumReport(
+        eigenvalues=np.repeat(w, counts, axis=0).ravel(),
+        n_macro=macro if n_macro is None else n_macro,
+        symmetry=symmetry,
+        wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
+        ranks=np.repeat(ranks, counts, axis=0).ravel(),
+    )
 
 
 def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
@@ -625,11 +591,10 @@ def eigen_general(op, n_macro: int | None = None) -> SpectrumReport:
     exact zeros in the report.
     Precondition: the profile's dynamic range (see _require_dynamic_range).
     """
-    layout = _patch_layout(op)
-    _require_dynamic_range(op, layout)
-    vals = _bloch_eigenvalues(op, layout)
+    _require_dynamic_range(op)
+    vals = _bloch_eigenvalues(op)
     if n_macro is None:
-        n_macro = layout.n_macro or vals.size
+        n_macro = op.layout.n_macro or vals.size
     return SpectrumReport(eigenvalues=vals, n_macro=n_macro)
 
 

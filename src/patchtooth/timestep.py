@@ -14,7 +14,7 @@ builds them from the stored first block row in batches) is advanced on its
 own, and only the stored states are transformed back.  evolve_exact
 propagates a block member orbit by member orbit, by the eigendecomposition of
 each orbit's diagonal block, the one symmetric solve path of spectra
-(_bloch_eigh): no stored entry couples two orbits.  On a linear system one RK4
+(_bloch_solves): no stored entry couples two orbits.  On a linear system one RK4
 step is u <- (I + E) u with E = S + S^2/2 + S^3/6 + S^4/24, S = dt W.  The
 paper's self-adjoint coupling makes the diffusion part A(j) of every Bloch
 block Hermitian, so evolve_rk4 works in its unitary eigenbasis V(j) (of the
@@ -60,12 +60,13 @@ import numpy as np
 from .assembly import (
     _bloch_batches,
     _bloch_eigenvalues,
+    _bloch_entry_batch,
     _orbits,
     _patch_layout,
     _row_sum_bound,
     symmetry_defect,
 )
-from .spectra import _bloch_eigh, _require_symmetric
+from .spectra import _bloch_solves, _require_symmetric
 
 # dt * bound up to this certifies an RK4 step: the limit 2.5 / rho(L) less a
 # relative margin for the rounding of the row sums, rows of up to about 10^6
@@ -141,7 +142,7 @@ def _exact_stream(op, u0, times, chunk: int):
         raise ValueError("snapshot times must be strictly increasing")
     if np.any(times < state.time):
         raise ValueError("cannot evolve backwards past the initial time")
-    return times, _bloch_evolve(op, _patch_layout(op), state, times, chunk)
+    return times, _bloch_evolve(op, state, times, chunk)
 
 
 def evolve_exact(op, u0, times) -> Trajectory:
@@ -204,28 +205,31 @@ def _bloch_states(modes: np.ndarray, layout) -> np.ndarray:
     return np.moveaxis(u_t, k + 1, 1).reshape(modes.shape[0], -1)
 
 
-def _bloch_evolve(op, layout, state: StateVector, times: np.ndarray, chunk: int):
+def _bloch_evolve(op, state: StateVector, times: np.ndarray, chunk: int):
     """The Trajectory exp(A (t - t0)) u0 of the times, piece by piece.
 
     Each orbit block's eigenvectors V, eigenvalues w and coefficients
     c = V^H u0 are kept; a piece's states are V exp(w t) c, transformed back.
     Its modes are formed in _exact_modes, so that none outlive the transform.
     """
-    orbits = _orbits(layout, op.profile.periods).ravel()
+    layout, orbits = _patch_layout(op), _orbits(op)
+    [(pairs, entries)] = _bloch_entry_batch([op], [None])
     elapsed = times - state.time
     # exp(w t) of a spurious positive eigenvalue may overflow; the states are
     # checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         u_hat = _bloch_modes(state.values, layout)
         batches, start, top = [], 0, -np.inf
-        for w, V, _ in _bloch_eigh(op, layout):
+        for w, V, _ in _bloch_solves(pairs, orbits, entries, vectors=True):
             batch = slice(start, start + w.shape[0])
-            # one matrix of V per member orbit of a block, as _bloch_eigh splits
+            # one matrix of V per member orbit of a block, as _bloch_solves splits
             # them; the gather comes out column-major, and the matmul of a
             # strided operand rounds differently from that of a C-ordered one
             u = np.ascontiguousarray(u_hat[batch][:, orbits]).reshape(V.shape[0], -1, 1)
             batches.append((batch, w, V, V.conj().swapaxes(1, 2) @ u))
             start, top = batch.stop, max(top, float(np.max(w)))
+    del entries
+    orbits = orbits.ravel()
     for a, b in _chunks(times.size, chunk):
         with np.errstate(over="ignore", invalid="ignore"):
             states = _bloch_states(_exact_modes(batches, orbits, u_hat.shape, elapsed[a:b]), layout)
@@ -251,7 +255,7 @@ def stability_limit(op) -> float:
 
     rho is exact, the largest magnitude of assembly._bloch_eigenvalues.
     """
-    rho = float(np.max(np.abs(_bloch_eigenvalues(op, _patch_layout(op)))))
+    rho = float(np.max(np.abs(_bloch_eigenvalues(op))))
     return 2.5 / rho if rho > 0.0 else float("inf")
 
 
@@ -306,19 +310,20 @@ def _power_deviations(E: np.ndarray, power: int) -> np.ndarray:
         E = 2 * E + E @ E
 
 
-def _bloch_rk4(op, layout, state: StateVector, times: np.ndarray, dt: float, steps: int,
-               stride: int, chunk: int):
+def _bloch_rk4(op, state: StateVector, times: np.ndarray, dt: float, steps: int, stride: int,
+               chunk: int):
     """The Trajectory of RK4 states after every stride-th step, piece by piece;
     each piece's mass is the total after every step from its first state on.
 
     The set-up and each piece run in functions of their own, so that no
     temporary of theirs stays alive while a piece is written.
     """
+    layout = _patch_layout(op)
     fields = 1 if op.layout.half is None else 2  # u alone, or u and v
     # an unstable step may overflow; the states and masses are checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         u_hat = _bloch_modes(state.values, layout)
-        batches, totals = _rk4_setup(op, layout, u_hat, dt, steps, stride, fields)
+        batches, totals = _rk4_setup(op, u_hat, dt, steps, stride, fields)
     for a, b in _chunks(times.size, chunk):
         with np.errstate(over="ignore", invalid="ignore"):
             states, mass = _rk4_piece(batches, layout, u_hat.shape, totals, fields, a, b - a)
@@ -336,11 +341,11 @@ def _bloch_rk4(op, layout, state: StateVector, times: np.ndarray, dt: float, ste
         yield Trajectory(times=times[a:b], states=states, mass=mass)
 
 
-def _rk4_setup(op, layout, u_hat: np.ndarray, dt: float, steps: int, stride: int, fields: int):
+def _rk4_setup(op, u_hat: np.ndarray, dt: float, steps: int, stride: int, fields: int):
     """Per batch of Bloch blocks [its slice, V, F = (I + E)^stride - I, the
     initial state in the eigenbasis]; and the mass rows r_k of block j = 0."""
     batches, start = [], 0
-    for blocks in _bloch_batches(op, layout):
+    for blocks in _bloch_batches(op):
         V, rayleigh = _eigenbasis_blocks(blocks, fields)
         E = _rk4_deviations(rayleigh, dt)
         batch = slice(start, start + len(blocks))
@@ -382,7 +387,7 @@ def _rk4_piece(batches, layout, shape, totals: np.ndarray, fields: int, first: i
 def _rk4_stream(op, u0, dt: float, steps: int, allow_unstable: bool, stride: int, chunk: int):
     """evolve_rk4's checks; then its stored times and a generator of its
     Trajectory in pieces of `chunk` or more stored states (see _chunks)."""
-    layout = _patch_layout(op)
+    _patch_layout(op)  # a TypeError for a non-operator now, not when the stream is read
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"time step dt = {dt} must be a positive finite number")
     if steps < 1:
@@ -399,7 +404,7 @@ def _rk4_stream(op, u0, dt: float, steps: int, allow_unstable: bool, stride: int
                 "reduce the step or pass allow_unstable=True"
             )
     times = state.time + dt * np.arange(0, steps + 1, stride)
-    return times, _bloch_rk4(op, layout, state, times, dt, steps, stride, chunk)
+    return times, _bloch_rk4(op, state, times, dt, steps, stride, chunk)
 
 
 def evolve_rk4(

@@ -14,7 +14,7 @@ the stored pairs only and must agree with this bit for bit.
 
 bloch_entries_dft sums the Bloch entries of the stored pairs directly from
 the first block row, in extended precision, without the FFT and without the
-patch-local shortcut of assembly._bloch_entries.
+patch-local shortcut of assembly._bloch_entry_batch.
 
 matvec is the product A x gathered over every patch, the reference for the
 first-block-row sums of assembly._kernel_residual; the package forms no
@@ -36,7 +36,7 @@ import scipy.sparse.linalg
 
 import patchtooth as pt
 from patchtooth.assembly import (
-    Layout,
+    _batch_blocks,
     _bloch_batches,
     _blocking,
     _orbits,
@@ -154,22 +154,27 @@ def _refined_eigh(H: np.ndarray, vectors: bool):
     return w, V, slow
 
 
-def _bloch_eigh(op, layout: Layout, select=None, vectors: bool = False):
+def _bloch_eigh(op, select=None, vectors: bool = False):
     """_refined_eigh of the Hermitian parts of the Bloch blocks, one batch at a time.
 
     Each block is split into its g member orbits (assembly._orbits), g
     blocks of size m = b / g with one slow mode each.  Yields (w, V, slow)
-    for each batch of k blocks of assembly._bloch_batches (only the blocks
-    `select` names, if given): w (k, b) holds each block's eigenvalues orbit
-    by orbit, V the (k * g, m, m) eigenvectors of the orbit blocks when
-    `vectors` (else None), and slow the (k, g) indices into w of the
-    orbits' slow modes in ascending magnitude.  The Hermitian part
-    0.5 (B + B^H) of each block B is formed in place in the batch, which
+    for each batch of k of the blocks of assembly._bloch_batches that
+    `select` names (all of them if None), assembly._batch_blocks(b) at a
+    time: w (k, b) holds each block's eigenvalues orbit by orbit, V the
+    (k * g, m, m) eigenvectors of the orbit blocks when `vectors` (else
+    None), and slow the (k, g) indices into w of the orbits' slow modes in
+    ascending magnitude.  The Hermitian part
+    0.5 (B + B^H) of each block B is formed in place on the blocks that
     _bloch_batches hands over, bit for bit as that expression forms it.
     """
-    orbits = _orbits(layout, op.profile.periods)
+    orbits = _orbits(op)
     g, m = orbits.shape
-    for H in _bloch_batches(op, layout, select):
+    blocks = np.concatenate(list(_bloch_batches(op)))
+    blocks = blocks if select is None else blocks[select]
+    step = _batch_blocks(g * m)
+    for start in range(0, len(blocks), step):
+        H = blocks[start : start + step]
         H += H.conj().swapaxes(1, 2)
         H *= 0.5
         k = H.shape[0]

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_spectra import symmetric_reports, wavenumber_labels
 
 import patchtooth as pt
 from patchtooth import assembly, spectra
@@ -213,9 +214,9 @@ def test_a_batch_gives_each_operator_what_it_gets_alone(batch, data):
         return st.none() | st.lists(st.integers(0, half - 1), max_size=4)
 
     selects = [data.draw(columns(layout)) for layout in layouts]
-    together = assembly._bloch_entry_batch(ops, layouts, selects)
+    together = assembly._bloch_entry_batch(ops, selects)
     for (pairs, entries), op, layout, select in zip(together, ops, layouts, selects):
-        alone_pairs, alone = assembly._bloch_entries(op, layout, select)
+        [(alone_pairs, alone)] = assembly._bloch_entry_batch([op], [select])
         bitwise(pairs, alone_pairs)
         bitwise(entries, alone)
         if op.layout.half is not None and select is None:
@@ -223,16 +224,16 @@ def test_a_batch_gives_each_operator_what_it_gets_alone(batch, data):
             dense = np.zeros((len(entries), b * b), dtype=entries.dtype)
             dense.imag = -0.0
             dense[:, pairs] = entries
-            bitwise(np.concatenate(list(assembly._bloch_batches(op, layout))),
+            bitwise(np.concatenate(list(assembly._bloch_batches(op))),
                     dense.reshape(-1, b, b))
 
-    grids = [(layout.shape[1 : 1 + layout.patch_axes], spectra._axis_lengths(op, layout)[0])
+    grids = [(layout.shape[1 : 1 + layout.patch_axes], spectra._axis_lengths(op)[0])
              for op, layout in zip(ops, layouts)]
     for (labels, counts), grid, op, layout in zip(spectra._grid_labels(grids), grids, ops, layouts):
         [(alone_labels, alone_counts)] = spectra._grid_labels([grid])
         bitwise(labels, alone_labels)
         bitwise(counts, alone_counts)
-        bitwise(labels, spectra._wavenumber_labels(op, layout))
+        bitwise(labels, wavenumber_labels(op))
         bitwise(counts, assembly._mirror_counts(layout))
 
     diffusion = ops[: len(batch)]
@@ -241,7 +242,7 @@ def test_a_batch_gives_each_operator_what_it_gets_alone(batch, data):
     assume(count >= 1)
     pairs = [(solves[i], solves[(i + 1) % len(solves)]) for i in range(len(solves))]
     rows = [(w, ranks, labels, counts) for pair in pairs for _, labels, counts, _, w, ranks in pair]
-    reports = spectra._symmetric_spectra(diffusion)
+    reports = symmetric_reports(diffusion)
     with np.errstate(divide="ignore", invalid="ignore"):
         together = spectra._error_rows(rows, count)
         for p, i in enumerate(range(len(solves))):
@@ -298,6 +299,42 @@ def test_a_batch_whose_keys_pass_intp_is_assembled_in_parts(monkeypatch):
     monkeypatch.setattr(assembly, "_KEY_LIMIT", 10)
     with pytest.raises(ValueError, match="do not fit in an array index"):
         assembly._stencil(batch[:1])
+
+
+def test_a_symmetry_batch_whose_keys_pass_intp_is_measured_in_parts(monkeypatch):
+    """A limit at the largest key range of one operator, below the sum of
+    the batch's, splits a batch of five into halves until each part fits,
+    and each report is symmetry_defect of its operator alone, bit for bit:
+    symmetric and asymmetric operators, a wave and a 2D ensemble."""
+    prof = pt.DiffusivityProfile1D((1.0, 2.0, 3.0))
+    spectral = pt.CouplingSpec("spectral")
+    symmetric = pt.assemble_patch_1d(pt.build_grid_1d(L, 5, 3, 0.3), prof, spectral)
+    asymmetric = pt.assemble_patch_1d(pt.build_grid_1d(L, 6, 4, 0.3), prof,
+                                      pt.CouplingSpec("lagrangian", 2), allow_incompatible=True)
+    ensemble = pt.assemble_patch_2d(pt.build_grid_2d(L, 3, 2, 0.3, L, 4, 2, 0.3),
+                                    pt.random_lognormal_profile_2d(2, 1, 0.5, 3), spectral,
+                                    ensemble=True)
+    ops = [asymmetric, symmetric, pt.assemble_wave(symmetric), ensemble, asymmetric]
+    want = [pt.symmetry_defect(op) for op in ops]
+    assert want[0].defect > 0 and want[1].defect == 0
+    ranges = []
+    for op in ops:
+        patches, b, _ = assembly._blocking(assembly._patch_layout(op))
+        ranges.append(b * b * math.prod(patches))
+    monkeypatch.setattr(assembly, "_KEY_LIMIT", max(ranges))
+    calls = []
+    measure = assembly._symmetry_defects
+
+    def counted(ops):
+        calls.append(len(ops))
+        return measure(ops)
+
+    monkeypatch.setattr(assembly, "_symmetry_defects", counted)
+    got = assembly._symmetry_defects(ops)
+    # 96 + 45 fits; 180 + 768 + 96 is split down to single operators
+    assert calls == [5, 2, 3, 1, 2, 1, 1]
+    for report, alone in zip(got, want, strict=True):
+        assert [float.hex(x) for x in astuple(report)] == [float.hex(x) for x in astuple(alone)]
 
 
 def _loop_operator(grid, profile, coupling, ensemble):

@@ -307,6 +307,9 @@ def test_every_schema_default_fits_its_schema():
          "['sweep']['values']: the patch counts of a sweep with fitted convergence slopes"),
         ({"task": "homogenize", "homogenize": {"node_count": 0}},
          "['homogenize']['node_count']: 0 is below the minimum of 1"),
+        ({"task": "simulate", "simulate": {"t_final": 1.0, "initial": {"kind": "sine",
+                                                                       "modes": [1, 1, 1]}}},
+         "['simulate']['initial']['modes']: [1, 1, 1] has more than 2 items"),
         ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
           "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
          "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
@@ -362,7 +365,7 @@ def test_every_schema_default_fits_its_schema():
          "order-beyond-the-grid", "2d-order-beyond-the-grid", "wave-order-beyond-the-grid",
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
-         "node_count-below-one", "spectral-patch-sweep",
+         "node_count-below-one", "initial-modes-beyond-maxItems", "spectral-patch-sweep",
          "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator",
          "model-vs-grid", "model-vs-profile", "lognormal-without-period",
          "lagrangian-without-order", "spectral-with-order", "2d-homogenize", "wave-sweep",
@@ -381,7 +384,8 @@ def test_config_faults_exit_1_and_name_the_key(tmp_path, capsys, overrides, key)
     integer field given as a float, even an integral one.  So is a Lagrangian
     stencil wider than a grid the run assembles, a swept patch count whose
     spacing needs r > 1, swept counts that do not increase where slopes are
-    fitted, and a homogenize node_count below its minimum of 1.  So is a
+    fitted, a homogenize node_count below its minimum of 1 and a list
+    longer than its maxItems.  So is a
     patch sweep with spectral coupling, which would measure the spectral
     operator against itself, a sweep with allow_incompatible, whose
     symmetric solves could not take a waived operator, compatible or not,
@@ -815,15 +819,15 @@ def test_exact_simulate_that_overflows_exits_2_without_artefacts(tmp_path, capsy
     # a positive eigenvalue of 1000 put in the first block's solve: exp(1000 t)
     # overflows from t = 0.75 on, the 16th of 41 snapshots, after the first
     # piece of 8 has been written
-    solve = timestep._bloch_eigh
+    solve = timestep._bloch_solves
 
-    def spurious(op, layout):
-        for w, V, slow in solve(op, layout):
+    def spurious(*args, **kwargs):
+        for w, V, slow in solve(*args, **kwargs):
             w = w.copy()
             w.flat[0] = 1000.0
             yield w, V, slow
 
-    monkeypatch.setattr(timestep, "_bloch_eigh", spurious)
+    monkeypatch.setattr(timestep, "_bloch_solves", spurious)
     monkeypatch.setattr(cli, "_BLOCK_VALUES", 50)
     written = blocks_written(monkeypatch)
     config = base_config(task="simulate", simulate={

@@ -113,6 +113,18 @@ def test_full_size_patches_truncate_to_a_shift():
 def test_lagrangian_stencil_must_fit():
     with pytest.raises(ValueError):
         lagrangian_weights(5, 0.3, 3)  # needs 2P+1 = 7 patches
+    with pytest.raises(ValueError, match="order P must be at least 1"):
+        lagrangian_weights(5, 0.3, 0)
+
+
+@pytest.mark.parametrize("weights", [spectral_weights, lambda N, r: lagrangian_weights(N, r, 1)],
+                         ids=["spectral", "lagrangian"])
+def test_the_weights_refuse_no_patches_and_a_ratio_outside_the_unit_interval(weights):
+    with pytest.raises(ValueError, match="need at least one patch"):
+        weights(0, 0.3)
+    for r in (0.0, -0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"size ratio r = {r} outside \(0, 1\]"):
+            weights(5, r)
 
 
 def test_coupling_spec_validation():

@@ -106,6 +106,12 @@ def test_a_beta_that_overflows_raises():
         pt.extract_coefficients(huge, d=1e-100)
 
 
+@pytest.mark.parametrize("d", [0.0, -0.5])
+def test_extract_coefficients_refuses_a_spacing_that_is_not_positive(d):
+    with pytest.raises(ValueError, match="lattice spacing must be positive"):
+        pt.extract_coefficients(KAPPA123, d=d)
+
+
 def test_a_contrast_beyond_round_off_fails_the_k2_check():
     """At a contrast of 1e16 the series' k^2 coefficient reads 0.29 relative
     off the harmonic mean, so no K4 is given."""

@@ -34,6 +34,15 @@ def test_profile_requires_positive_values():
     # a draw that overflows to infinity is rejected the same way
     with pytest.raises(ValueError, match="finite"):
         pt.random_lognormal_profile(2, 1000.0, 1)
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        pt.random_lognormal_profile(0, 1.0, 0)
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        pt.random_lognormal_profile(2, -1.0, 0)
+    for px, py in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="periods must be at least 1"):
+            pt.random_lognormal_profile_2d(px, py, 1.0, 0)
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        pt.random_lognormal_profile_2d(2, 2, -1.0, 0)
 
 
 def test_profile_json_round_trip():

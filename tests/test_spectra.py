@@ -25,9 +25,27 @@ import patchtooth as pt
 from patchtooth import spectra
 from patchtooth.assembly import _bloch_batches, _mirror_counts, _patch_layout
 from patchtooth.microscale import _full_lattice
-from patchtooth.spectra import _axis_lengths, _symmetric_spectra, _wavenumber_labels
+from patchtooth.spectra import _axis_lengths, _grid_labels, _symmetric_solves
 
 L = 2 * np.pi
+
+
+def wavenumber_labels(op):
+    """The wavenumber label of each half-spectrum Bloch block of an operator's grid."""
+    layout = _patch_layout(op)
+    return _grid_labels([(layout.shape[1 : 1 + layout.patch_axes], _axis_lengths(op)[0])])[0][0]
+
+
+def symmetric_reports(ops, modes=None):
+    """eigen_symmetric's report of each operator, from one _symmetric_solves call."""
+    return [
+        pt.SpectrumReport(
+            eigenvalues=np.repeat(w, counts, axis=0).ravel(), n_macro=macro, symmetry=symmetry,
+            wavenumbers=np.repeat(np.repeat(labels, counts), w.shape[1]),
+            ranks=np.repeat(ranks, counts, axis=0).ravel(),
+        )
+        for symmetry, labels, counts, macro, w, ranks in _symmetric_solves(ops, modes)
+    ]
 
 
 def dense_eigenvalues(op):
@@ -125,8 +143,8 @@ def test_the_wave_zero_pairs_stand_apart_in_block_zero(base, epsilon):
     mode to."""
     wave = pt.assemble_wave(base, epsilon=epsilon)
     layout = _patch_layout(wave)
-    spectra._require_dynamic_range(wave, layout)
-    block = next(_bloch_batches(wave, layout))[0]
+    spectra._require_dynamic_range(wave)
+    block = next(_bloch_batches(wave))[0]
     magnitudes = np.sort(np.abs(np.linalg.eigvals(block.astype(complex))))
     zeroed = 2 * layout.slow
     assert np.all(magnitudes[zeroed:] >= 100 * magnitudes[zeroed - 1])
@@ -167,6 +185,11 @@ def test_spectrum_report_gap_guards():
     assert rep.gap_ratio == np.inf  # no micro modes left
     with pytest.raises(ValueError):
         pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0]), n_macro=5)
+    with pytest.raises(ValueError, match="wavenumbers and ranks label the eigenvalues together"):
+        pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0]), n_macro=2, wavenumbers=[0, 1])
+    with pytest.raises(ValueError, match="need one wavenumber and one rank per eigenvalue"):
+        pt.SpectrumReport(eigenvalues=np.array([0.0, -1.0]), n_macro=2, wavenumbers=[0, 1, 1],
+                          ranks=[0, 0, 0])
 
 
 def incompatible_operator():
@@ -391,7 +414,7 @@ def operator_lists(draw):
     ))
     pool = [op for ops in pool for op in ops]
     ops = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-    classes = min(int(_wavenumber_labels(op, _patch_layout(op)).max(initial=0)) for op in ops)
+    classes = min(int(wavenumber_labels(op).max(initial=0)) for op in ops)
     return ops, draw(st.none() | st.integers(1, max(classes, 1) + 1))
 
 
@@ -404,7 +427,7 @@ def measured_symmetry(symmetry, consequence):
 @settings(max_examples=100, deadline=None)
 @given(operator_lists(), st.sampled_from([1, 5000, 2**22]))
 def test_a_batch_of_operators_reports_each_as_a_call_of_its_own_would(case, batch_bytes):
-    """_symmetric_spectra stacks the selected blocks, or all of them, of the
+    """_symmetric_solves stacks the selected blocks, or all of them, of the
     operators that share a pair plan; a batch of 1 or 5000 bytes splits each
     stack into batches of one block or a few.  Each report is the
     one-operator call's, bit for bit, and a failing list raises the error of
@@ -422,10 +445,10 @@ def test_a_batch_of_operators_reports_each_as_a_call_of_its_own_would(case, batc
                 alone.append(pt.eigen_symmetric(op, modes=modes))
             except ValueError as exc:
                 with pytest.raises(type(exc)) as batched:
-                    _symmetric_spectra(ops, modes)
+                    symmetric_reports(ops, modes)
                 assert str(batched.value) == str(exc)
                 return
-        together = _symmetric_spectra(ops, modes)
+        together = symmetric_reports(ops, modes)
     assert len(together) == len(ops)
     for got, want in zip(together, alone):
         for name in ("eigenvalues", "wavenumbers", "ranks"):
@@ -471,7 +494,7 @@ def labels_by_unique_columns(op, layout):
     first = np.argmax(plus != minus, axis=0)
     larger = np.take_along_axis(plus - minus, first[None], axis=0)[0] >= 0
     classes, inverse = np.unique(np.where(larger, plus, minus), axis=1, return_inverse=True)
-    lengths = _axis_lengths(op, layout)[0]
+    lengths = _axis_lengths(op)[0]
     if np.all(lengths == lengths[0]):
         lengths = np.ones_like(lengths)
     ksq = [sum(Fraction(int(j) ** 2) / Fraction(length) ** 2 for j, length in zip(c, lengths))
@@ -512,7 +535,7 @@ def labelled_operators(draw):
 def test_wavenumber_labels_match_the_unique_columns(op):
     layout = _patch_layout(op)
     np.testing.assert_array_equal(
-        _wavenumber_labels(op, layout), labels_by_unique_columns(op, layout)
+        wavenumber_labels(op), labels_by_unique_columns(op, layout)
     )
 
 
@@ -525,7 +548,7 @@ def class_wavevectors(op):
     N = np.array(patches[::-1])[:, None]
     j = np.indices(half).reshape(k, -1)[::-1] % N
     j = np.where(2 * j <= N, j, j - N)
-    labels = _wavenumber_labels(op, layout)
+    labels = wavenumber_labels(op)
     return [{tuple(s * v) for v in j[:, labels == c].T for s in (1, -1)}
             for c in range(labels.max() + 1)]
 
@@ -566,7 +589,7 @@ def test_a_whole_spectrum_is_the_oracle_solve_bit_for_bit(op):
     single phases, degenerate ensembles and full lattices."""
     layout = _patch_layout(op)
     w, slow = (np.concatenate(part) for part in zip(*(
-        (w, slow) for w, _, slow in oracles._bloch_eigh(op, layout)
+        (w, slow) for w, _, slow in oracles._bloch_eigh(op)
     )))
     ranks = np.full(w.shape, -1, dtype=np.intp)
     np.put_along_axis(ranks, slow, np.arange(slow.shape[1]), axis=1)
@@ -612,20 +635,20 @@ def test_a_batch_raises_the_error_of_its_first_failing_operator():
         for N in (6, 4)
     )
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
-        _symmetric_spectra([mixed, short], 3)
+        symmetric_reports([mixed, short], 3)
     with pytest.raises(ValueError, match="wavenumbers 1..3; the grid has 2"):
-        _symmetric_spectra([short, mixed], 3)
-    assert [report.n_macro for report in _symmetric_spectra([short, mixed], 1)] == [2, 2]
+        symmetric_reports([short, mixed], 3)
+    assert [report.n_macro for report in symmetric_reports([short, mixed], 1)] == [2, 2]
     # an asymmetric operator, measured in the same symmetry pass as the
     # operator before it, still waits for that operator's mixed block
     asymmetric = incompatible_operator()
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate") as raised:
-        _symmetric_spectra([mixed, asymmetric], 3)
+        symmetric_reports([mixed, asymmetric], 3)
     assert not isinstance(raised.value, pt.SymmetryPreconditionError)
     with pytest.raises(pt.SymmetryPreconditionError):
-        _symmetric_spectra([asymmetric, mixed], 3)
+        symmetric_reports([asymmetric, mixed], 3)
     with pytest.raises(pt.SymmetryPreconditionError):
-        _symmetric_spectra([short, asymmetric, mixed], 1)
+        symmetric_reports([short, asymmetric, mixed], 1)
 
 
 def test_a_batch_labels_each_grid_by_its_own_lengths():
@@ -640,14 +663,14 @@ def test_a_batch_labels_each_grid_by_its_own_lengths():
                              pt.CouplingSpec("spectral"))
         for Lx, Ly in ((L, 1.5 * L), (1.5 * L, L))
     ]
-    labels = [_wavenumber_labels(op, _patch_layout(op)) for op in ops]
+    labels = [wavenumber_labels(op) for op in ops]
     assert not np.array_equal(*labels)
     with (
         mock.patch("patchtooth.spectra._grid_labels", wraps=spectra._grid_labels) as labelled,
         mock.patch("patchtooth.spectra._require_dynamic_range",
                    wraps=spectra._require_dynamic_range) as checked,
     ):
-        together = _symmetric_spectra(ops + ops, 3)
+        together = symmetric_reports(ops + ops, 3)
     # once per distinct grid, the grids labelled in one pass
     assert sum(len(call.args[0]) for call in labelled.call_args_list) == checked.call_count == 2
     for got, op in zip(together, ops + ops):
@@ -668,13 +691,13 @@ def test_a_batch_checks_the_dynamic_range_of_each_profile():
         return pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
 
     mixed, wide = assembled(1.0), assembled(40.0)
-    assert len(_symmetric_spectra([mixed, mixed], 1)) == 2
+    assert len(symmetric_reports([mixed, mixed], 1)) == 2
     with pytest.raises(ValueError, match="^dynamic range"):
-        _symmetric_spectra([mixed, mixed, wide], 1)
+        symmetric_reports([mixed, mixed, wide], 1)
     with pytest.raises(ValueError, match="block of wavenumber 2 does not separate"):
-        _symmetric_spectra([mixed, wide], 3)
+        symmetric_reports([mixed, wide], 3)
     with pytest.raises(ValueError, match="^dynamic range"):
-        _symmetric_spectra([wide, mixed], 3)
+        symmetric_reports([wide, mixed], 3)
 
 
 def test_error_table_reports_the_worst_rank():
@@ -688,6 +711,11 @@ def test_error_table_reports_the_worst_rank():
     unlabelled = pt.SpectrumReport(ref.eigenvalues, n_macro=6)
     with pytest.raises(ValueError, match="no wavenumber labels"):
         pt.error_table(test, unlabelled, 1)
+    single = pt.SpectrumReport(ref.eigenvalues, n_macro=6, wavenumbers=labels["wavenumbers"],
+                               ranks=[0, -1, 0, 0, -1, -1])
+    with pytest.raises(ValueError, match="2 slow modes per wavenumber in the test spectrum, 1 in "
+                                         "the reference"):
+        pt.error_table(test, single, 1)
 
 
 def test_convergence_slope_recovers_power_laws():

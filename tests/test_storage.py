@@ -16,7 +16,7 @@ import patchtooth as pt
 from patchtooth.assembly import (
     _batch_blocks,
     _bloch_batches,
-    _bloch_entries,
+    _bloch_entry_batch,
     _kernel_residual,
     _mirror_counts,
     _orbits,
@@ -44,11 +44,11 @@ def dense_bloch_blocks(matrix, layout):
     return blocks.reshape(-1, b, b)
 
 
-def solved_batches(op, layout, select, vectors):
+def solved_batches(op, select, vectors):
     """_solve_batch of each batch of _batch_blocks(b) blocks of the entries
-    of _bloch_entries(op, layout, select), as the symmetric solvers slice them."""
-    pairs, entries = _bloch_entries(op, layout, select)
-    orbits = _orbits(layout, op.profile.periods)
+    of _bloch_entry_batch([op], [select]), as the symmetric solvers slice them."""
+    [(pairs, entries)] = _bloch_entry_batch([op], [select])
+    orbits = _orbits(op)
     plan = _pair_plan(pairs, orbits)
     step = _batch_blocks(plan[4].shape[0])
     for start in range(0, len(entries), step):
@@ -92,7 +92,7 @@ def orbit_slow_values(op, layout):
     eigenvalue in magnitude; and each block's largest magnitude."""
     orbits = member_orbits(op, layout)
     values, apart, scale = [], [], []
-    for blocks in _bloch_batches(op, layout):
+    for blocks in _bloch_batches(op):
         H = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
         H = H[:, orbits[:, :, None], orbits[:, None, :]]
         V = np.linalg.eigh(H.astype(complex))[1]
@@ -168,7 +168,7 @@ def full_lattices(draw):
 @given(st.one_of(stored_operators(), full_lattices()))
 def test_bloch_blocks_match_the_dense_rfftn(op):
     layout = _patch_layout(op)
-    got = np.concatenate(list(_bloch_batches(op, layout)))
+    got = np.concatenate(list(_bloch_batches(op)))
     want = dense_bloch_blocks(op.matrix, layout)
     assert got.shape == want.shape
     scale = np.max(np.linalg.norm(want.astype(complex), ord=2, axis=(1, 2)))
@@ -208,7 +208,7 @@ def test_bloch_entries_match_a_direct_dft(op, data):
     )
     batch_bytes = data.draw(st.sampled_from([1, 5000, 2**22]))
     with mock.patch("patchtooth.assembly._BATCH_BYTES", batch_bytes):
-        pairs, got = _bloch_entries(op, layout, select)
+        [(pairs, got)] = _bloch_entry_batch([op], [select])
     want_pairs, want = oracles.bloch_entries_dft(op, select)
     np.testing.assert_array_equal(pairs, want_pairs)
     assert got.shape == want.shape == (blocks if select is None else select.size, pairs.size)
@@ -326,7 +326,7 @@ def test_the_slow_bloch_eigenvalues_are_rayleigh_quotients(op):
     def slow_values(vectors):
         blocks = [
             np.take_along_axis(w, slow, axis=1)
-            for w, _, slow in solved_batches(op, layout, None, vectors)
+            for w, _, slow in solved_batches(op, None, vectors)
         ]
         # `slow` lists each block's slow modes in ascending magnitude, their ranks
         assert all(np.all(np.diff(np.abs(values), axis=1) >= 0) for values in blocks)
@@ -396,8 +396,8 @@ def test_the_pair_path_is_the_dense_solve_bit_for_bit(op, data):
         st.none() | st.lists(st.integers(0, blocks - 1), min_size=1, unique=True).map(np.array)
     )
     vectors = data.draw(st.booleans())
-    got = solved_batches(op, layout, select, vectors)
-    want = oracles._bloch_eigh(op, layout, select, vectors)
+    got = solved_batches(op, select, vectors)
+    want = oracles._bloch_eigh(op, select, vectors)
     for batch, dense in zip(got, want, strict=True):
         for part, oracle in zip(batch, dense, strict=True):
             if oracle is None:
@@ -472,7 +472,7 @@ def test_the_slow_count_is_the_number_of_member_orbits(periods, n, slow):
     ensemble = pt.assemble_patch_1d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
     assert ensemble.layout.slow == slow
     # _orbits groups the unknowns of a block by the members stored entries couple
-    orbits = _orbits(_patch_layout(ensemble), prof.periods)
+    orbits = _orbits(ensemble)
     want = member_orbits(ensemble, _patch_layout(ensemble))
     assert orbits.shape == want.shape == (slow, want.shape[1])
     assert sorted(map(sorted, orbits.tolist())) == sorted(want.tolist())
@@ -488,16 +488,15 @@ def test_batches_bound_the_blocks_alive_at_once(monkeypatch):
     grid = pt.build_grid_2d(L, 5, 2, 0.3, L, 4, 2, 0.4)
     prof = pt.random_lognormal_profile_2d(2, 1, 0.5, 3)
     op = pt.assemble_patch_2d(grid, prof, pt.CouplingSpec("spectral"), ensemble=True)
-    layout = _patch_layout(op)
-    whole = list(_bloch_batches(op, layout))
+    whole = list(_bloch_batches(op))
     monkeypatch.setattr("patchtooth.assembly._BATCH_BYTES", 1)
-    single = [batch.copy() for batch in _bloch_batches(op, layout)]
+    single = [batch.copy() for batch in _bloch_batches(op)]
     assert len(whole) == 1 and len(single) == 4 * 3  # N_y x (N_x // 2 + 1)
     np.testing.assert_array_equal(np.concatenate(single), whole[0])
-    for got, want in zip(_bloch_batches(op, layout), single, strict=True):
+    for got, want in zip(_bloch_batches(op), single, strict=True):
         np.testing.assert_array_equal(got, want)
         got[...] = np.nan
-    np.testing.assert_array_equal(np.concatenate(list(_bloch_batches(op, layout))), whole[0])
+    np.testing.assert_array_equal(np.concatenate(list(_bloch_batches(op))), whole[0])
 
 
 def test_the_stored_form_needs_no_dense_matrix():
@@ -545,7 +544,7 @@ def test_a_symmetric_solve_holds_one_copy_of_its_blocks():
     times when the batch, its conjugate, their sum and the Hermitian part
     were alive at once."""
     op = eigen2d_ens_operator()
-    blocks = sum(batch.nbytes for batch in _bloch_batches(op, _patch_layout(op)))
+    blocks = sum(batch.nbytes for batch in _bloch_batches(op))
     peak, report = traced_peak(pt.eigen_symmetric, op)
     assert report.eigenvalues.size == op.dimension == 2916
     assert peak < 3 * blocks, f"{peak / blocks:.2f} x {blocks} bytes"
@@ -590,7 +589,7 @@ def test_a_whole_spectrum_holds_one_copy_of_its_entries():
     operator are solved as they are, not stacked into a copy.  It read 1.44
     times so; a solve that always stacks holds two copies at once."""
     op = large_2d_operator()
-    entries = _bloch_entries(op, _patch_layout(op))[1].nbytes
+    entries = _bloch_entry_batch([op], [None])[0][1].nbytes
     peak, report = traced_peak(pt.eigen_symmetric, op)
     assert report.eigenvalues.size == op.dimension == 107_584
     assert peak < 1.6 * entries, f"{peak / entries:.2f} x {entries} bytes"

@@ -69,12 +69,16 @@ def test_trajectory_rejects_unordered_times(monkeypatch):
     def unreached(*args):
         raise AssertionError("the times are checked before the eigensolve")
 
-    monkeypatch.setattr(timestep, "_bloch_eigh", unreached)
+    monkeypatch.setattr(timestep, "_bloch_solves", unreached)
     for times in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.25]):
         with pytest.raises(ValueError, match="strictly increasing"):
             pt.evolve_exact(op, np.ones(op.dimension), times)
+    with pytest.raises(ValueError, match="cannot evolve backwards past the initial time"):
+        pt.evolve_exact(op, pt.StateVector(np.ones(op.dimension), time=1.0), [0.5, 2.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         pt.Trajectory(times=[0.0, 0.5, 0.5], states=np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="one state row per time required"):
+        pt.Trajectory(times=[0.0, 0.5], states=np.zeros((1, 3)))
 
 
 def test_exact_evolution_requires_symmetry():
@@ -248,6 +252,8 @@ def test_rk4_on_a_full_lattice_stores_every_stride_th_step_of_the_loop():
     assert drift == np.max(np.abs(traj.mass - traj.mass[0]))
     with pytest.raises(ValueError):
         pt.evolve_rk4(op, u0, dt, 10, stride=0)
+    with pytest.raises(ValueError, match="need at least one step"):
+        pt.evolve_rk4(op, u0, dt, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,7 +399,7 @@ def test_a_certified_rk4_run_does_no_general_eigensolve(tmp_path, monkeypatch):
     """The benchmark wave at its smoke steps, through the CLI: dt = 1e-4 is
     within 2.5 over the row-sum bound, 2.88e-4."""
 
-    def refuse(op, layout):
+    def refuse(op):
         raise AssertionError("general Bloch eigensolve")
 
     monkeypatch.setattr(timestep, "_bloch_eigenvalues", refuse)
@@ -490,6 +496,30 @@ def test_the_integrators_refuse_a_state_of_the_wrong_length():
         pt.evolve_rk4(op, np.ones(25), 1e-3, 3)
     with pytest.raises(ValueError, match=text):
         pt.evolve_exact(op, np.ones(25), [0.0, 1.0])
+    with pytest.raises(ValueError, match="state must be a flat vector"):
+        pt.StateVector(np.ones((5, 5)))
+
+
+def test_the_streams_refuse_when_made_not_when_read():
+    """The CLI makes a stream before it writes trajectory.csv, so each
+    refusal comes from the call that makes the stream, before any piece is
+    asked for: a non-operator, and every ValueError of the checks."""
+    op = make_operator(0.3)
+    u0 = np.ones(op.dimension)
+    with pytest.raises(TypeError, match="AssembledOperator"):
+        timestep._rk4_stream(op.matrix, u0, 1e-3, 3, False, 1, 1)
+    with pytest.raises(TypeError, match="AssembledOperator"):
+        timestep._exact_stream(op.matrix, u0, [0.0, 1.0], 1)
+    for make, text in (
+        (lambda: timestep._rk4_stream(op, u0, 1e-3, 0, False, 1, 1), "need at least one step"),
+        (lambda: timestep._rk4_stream(op, u0, 1e-3, 3, False, 0, 1), "stride must be at least 1"),
+        (lambda: timestep._rk4_stream(op, np.ones(25), 1e-3, 3, False, 1, 1), "state has 25"),
+        (lambda: timestep._rk4_stream(op, u0, 10.0, 3, False, 1, 1), "exceeds the RK4 stability"),
+        (lambda: timestep._exact_stream(op, u0, [1.0, 0.5], 1), "strictly increasing"),
+        (lambda: timestep._exact_stream(op, np.ones(25), [0.0, 1.0], 1), "state has 25"),
+    ):
+        with pytest.raises(ValueError, match=text):
+            make()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
