@@ -255,6 +255,8 @@ def _bloch_entry_batch(ops, selects):
     H(j)[row, col]; every other entry of H(j) is zero.  Each consumer
     slices the blocks into batches of _batch_blocks(b).
     """
+    if not ops:
+        return []
     blockings = [_blocking(_patch_layout(op)) for op in ops]
     # the operators of one patch shape next to each other, so that their lines are too
     shapes = {}
@@ -511,6 +513,8 @@ def _stencil(batch):
     Every entry is the same floating point sum as in a row-by-row loop of
     its operator alone.
     """
+    if not batch:
+        return []
     n = [ax[1] for ax in batch[0][0]]
     periods, ensemble = batch[0][1][0].shape, batch[0][2]
     for axes, bonds, flag in batch:

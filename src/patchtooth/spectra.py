@@ -351,6 +351,8 @@ def _grid_labels(grids) -> list[tuple[np.ndarray, np.ndarray]]:
     assembly._mirror_counts).  The blocks of all grids lie along one axis,
     patch axes padded with axes of one patch, sorted by one lexsort.
     """
+    if not grids:
+        return []
     depth = max(len(patches) for patches, _ in grids)
     N = np.array([patches[::-1] + (1,) * (depth - len(patches)) for patches, _ in grids])
     # |k|^2 = sum_a (scale j_a / length_a)^2: (2 pi j_a / L_a)^2, or j_a^2 on equal lengths
@@ -503,7 +505,7 @@ def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
         grid = op.layout.shape[1 : 1 + op.layout.patch_axes], lengths.tobytes()
         grids.setdefault(grid, (grid[0], lengths))
         kept.append((op, grid))
-    labelled = dict(zip(grids, _grid_labels(list(grids.values())) if grids else ()))
+    labelled = dict(zip(grids, _grid_labels(list(grids.values()))))
     checks = zip(_symmetry_defects([op for op, _ in kept]), [labelled[grid] for _, grid in kept])
     solves, selects = [], []
     # each refusal moves the failure to an earlier operator, or leaves it
@@ -525,7 +527,7 @@ def _symmetric_solves(ops, modes: int | None = None) -> list[tuple]:
             macro = op.layout.slow * int(np.sum(counts))
         solves.append([report, labels, counts, macro])
         selects.append(select)
-    entries = _bloch_entry_batch([op for op, _ in kept], selects) if kept else []
+    entries = _bloch_entry_batch([op for op, _ in kept], selects)
     groups = {}
     for i, (pairs, stack) in enumerate(entries):
         orbits = _orbits(kept[i][0])
@@ -649,6 +651,8 @@ def _error_rows(spectra, count: int):
     """
     if count < 1:
         raise ValueError("need at least one table row")
+    if not spectra:
+        return (np.zeros((0, count)),) * 3
     roles = ["test", "reference"] * (len(spectra) // 2)
     for spectrum, role in zip(spectra, roles):
         if spectrum is None:

@@ -337,6 +337,23 @@ def test_a_symmetry_batch_whose_keys_pass_intp_is_measured_in_parts(monkeypatch)
         assert [float.hex(x) for x in astuple(report)] == [float.hex(x) for x in astuple(alone)]
 
 
+@pytest.mark.parametrize("batch, shapes", [
+    (lambda: assembly._stencil([]), []),
+    (lambda: assembly._assemble_patches([], pt.DiffusivityProfile1D((1.0, 2.0))), []),
+    (lambda: assembly._symmetry_defects([]), []),
+    (lambda: assembly._bloch_entry_batch([], []), []),
+    (lambda: spectra._grid_labels([]), []),
+    (lambda: spectra._symmetric_solves([]), []),
+    (lambda: spectra._symmetric_solves([], modes=2), []),
+    (lambda: spectra._error_rows([], 3), [(0, 3)] * 3),
+], ids=["stencil", "assemble_patches", "symmetry_defects", "bloch_entry_batch", "grid_labels",
+        "symmetric_solves", "symmetric_solves-modes", "error_rows"])
+def test_a_batch_routine_gives_an_empty_list_an_empty_result(batch, shapes):
+    """Each batch routine takes an empty list: one result per item, none;
+    _error_rows gives its three tables with no rows."""
+    assert [np.shape(part) for part in batch()] == shapes
+
+
 def _loop_operator(grid, profile, coupling, ensemble):
     """Row-by-row reference assembly.
 

@@ -313,6 +313,10 @@ def test_every_schema_default_fits_its_schema():
         ({"grid": {"L": 2 * np.pi, "N": 9, "n": 4, "r": 0.3}, "task": "sweep",
           "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
          "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
+        ({"grid": {"L": 2 * np.pi, "N": 9, "n": 10, "r": 0.05},
+          "profile": {"kind": "lognormal", "period": 5, "sigma": 1.0, "seed": 0}, "task": "sweep",
+          "sweep": {"parameter": "patches", "values": [9, 17, 25]}},
+         "['coupling']['scheme']: a patch sweep measures the Lagrangian scheme"),
         ({"eigen": {"n_macro": 1000}},
          "['eigen']['n_macro']: 1000 macro modes asked for, but the operator has 24 eigenvalues"),
         ({"model": "wave1d", "eigen": {"n_macro": 49}},
@@ -366,6 +370,7 @@ def test_every_schema_default_fits_its_schema():
          "swept-order-beyond-the-grid", "swept-patches-below-the-order",
          "swept-patches-beyond-the-spacing", "swept-patches-not-increasing",
          "node_count-below-one", "initial-modes-beyond-maxItems", "spectral-patch-sweep",
+         "spectral-patch-sweep-of-the-benchmark-grid",
          "n_macro-beyond-the-operator", "wave-n_macro-beyond-the-operator",
          "model-vs-grid", "model-vs-profile", "lognormal-without-period",
          "lagrangian-without-order", "spectral-with-order", "2d-homogenize", "wave-sweep",
@@ -534,22 +539,32 @@ def test_tasks_measure_symmetry_once_and_sweeps_skip_the_base_operator(tmp_path,
                 coupling={"scheme": "lagrangian", "order": 2}, ensemble=True, task="sweep",
                 sweep={"parameter": "patches", "values": [9, 13, 17], "modes": 3}),
 ], ids=["benchmark-patches", "order-1d", "order-2d", "ensemble-g2-patches"])
-def test_a_sweep_assembled_in_one_batch_gives_the_rows_of_one_operator_per_point(
-    config, monkeypatch
-):
-    """_sweep_rows assembles every operator of a sweep in one stencil batch;
-    its rows equal, float for float, those of one assemble_patch_1d per point."""
+def test_a_sweep_assembled_in_one_batch_gives_the_rows_of_one_operator_per_point(config):
+    """_sweep_rows assembles every operator of a sweep in one stencil batch
+    and solves them in one pass of the symmetric solves; its rows equal,
+    float for float, those of one assemble_patch_1d, eigen_symmetric(op,
+    modes=...) and error_table per point, on the BLAS kernel in use."""
     run = cli._resolve(config)
+    sweep, modes = config["sweep"], config["sweep"]["modes"]
+    spectral = pt.CouplingSpec("spectral")
+    expected = []
+    for v in sweep["values"]:
+        if sweep["parameter"] == "order":
+            grid, coupling = run.grid, pt.CouplingSpec("lagrangian", v)
+        else:
+            L, n = run.grid.L, run.grid.n
+            grid = pt.build_grid_1d(L, v, n, pt.ratio_for_spacing(L, v, n, run.grid.d))
+            coupling = run.coupling
+        test, ref = (
+            pt.eigen_symmetric(pt.assemble_patch_1d(grid, run.profile, c, ensemble=run.ensemble),
+                               modes=modes)
+            for c in (coupling, spectral)
+        )
+        expected.append(pt.error_table(test, ref, modes).relative_errors)
     batched = cli._sweep_rows(run)
-
-    def one_by_one(points, profile, ensemble=False, allow_incompatible=False):
-        return [pt.assemble_patch_1d(g, profile, c, ensemble=ensemble) for g, c in points]
-
-    monkeypatch.setattr(cli, "_assemble_patches", one_by_one)
-    expected = cli._sweep_rows(run)
-    assert len(batched) == len(config["sweep"]["values"])
+    assert len(batched) == len(sweep["values"])
     assert [[float.hex(e) for e in row] for row in batched] == [
-        [float.hex(e) for e in row] for row in expected
+        [float.hex(float(e)) for e in row] for row in expected
     ]
 
 
@@ -580,13 +595,18 @@ def test_wave_gap_ratio_splits_after_every_macro_pair(tmp_path, overrides, slow,
     """Each macro mode of A is a pair +-i omega of the wave system, so the
     macro band holds 2 g N eigenvalues.  A split at g N fell inside it and
     read a gap ratio of 1 + a few ulps, the ratio of two modes of one
-    wavenumber; check writes the same gap ratio as eigen."""
+    wavenumber; check writes the same gap ratio as eigen.  Bloch block 0
+    holds one defective zero pair per member orbit, written as 2 g exact
+    zero rows, and no pair has a positive real part."""
     config = base_config(model="wave1d", **overrides)
     assert cli.run(config, tmp_path / "eigen") == 0
     summary = strict_json(tmp_path / "eigen" / "summary.json")
     N = config["grid"]["N"]
     assert summary["n_macro"] == 2 * slow * N
-    magnitudes = np.array([float(row[3]) for row in read_csv(tmp_path / "eigen" / "eigenvalues.csv")[1:]])
+    assert summary["max_real_part"] <= 0
+    rows = read_csv(tmp_path / "eigen" / "eigenvalues.csv")[1:]
+    assert sum(float(row[1]) == 0 and float(row[2]) == 0 for row in rows) == 2 * slow
+    magnitudes = np.array([float(row[3]) for row in rows])
     assert summary["gap_ratio"] == magnitudes[2 * slow * N] / magnitudes[2 * slow * N - 1]
     assert summary["gap_ratio"] == pytest.approx(gap, abs=0.005)
     assert cli.run(base_config(**{**config, "task": "check"}), tmp_path / "check") == 0
@@ -782,6 +802,32 @@ def test_simulate_rk4_stability_guard(tmp_path):
     assert cli.run(config, tmp_path) == 2
     config["simulate"]["allow_unstable"] = True
     assert cli.run(config, tmp_path) == 0
+
+
+def test_an_rk4_wave_step_is_certified_at_half_its_exact_limit_and_exits_2_above_it(
+    tmp_path, capsys, monkeypatch
+):
+    """The wave-half entry of tests/artefact_digests.py, and 1.05 times its
+    step: the row-sum certificate admits the half step with no general
+    eigensolve; the larger step falls back to the exact limit and exits 2."""
+    grid = {"L": 2 * np.pi, "N": 8, "n": 4, "r": 0.3}
+    op = pt.assemble_patch_1d(pt.build_grid_1d(**grid), pt.DiffusivityProfile1D((1.0, 2.0)),
+                              pt.CouplingSpec("spectral"))
+    limit = pt.stability_limit(pt.assemble_wave(op, epsilon=0.02))
+    solves, original = [], timestep._bloch_eigenvalues
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(timestep, "_bloch_eigenvalues", counted)
+    for factor, code, count in ((0.5, 0, 0), (1.05, 2, 1)):
+        config = base_config(model="wave1d", grid=grid, epsilon=0.02, task="simulate",
+                             simulate={"integrator": "rk4", "dt": factor * limit, "steps": 100,
+                                       "stride": 10})
+        assert cli.run(config, tmp_path / str(factor)) == code
+        assert len(solves) == count
+    assert "exceeds the RK4 stability limit" in capsys.readouterr().err
 
 
 def blocks_written(monkeypatch):
@@ -1324,6 +1370,19 @@ def test_check_task_consistency_at_full_size(tmp_path):
     payload2 = json.loads((out2 / "check.json").read_text())
     assert payload2["consistency"]["available"] is False
     assert "r = 1" in payload2["consistency"]["reason"]
+    # a 2D Lagrangian tiling at r = 1 is the full lattice too
+    lattice_2d = {
+        "model": "diffusion2d",
+        "grid": {"x": {"L": 2 * np.pi, "N": 7, "n": 4, "r": 1.0},
+                 "y": {"L": 2 * np.pi, "N": 6, "n": 4, "r": 1.0}},
+        "profile": {"kind": "lognormal", "periods": [2, 2], "sigma": 0.5, "seed": 0},
+        "coupling": {"scheme": "lagrangian", "order": 2},
+        "task": "check",
+    }
+    assert cli.run(lattice_2d, tmp_path / "lattice-2d") == 0
+    payload = strict_json(tmp_path / "lattice-2d" / "check.json")
+    assert payload["consistency"]["available"] is True
+    assert payload["consistency"]["max_relative_error"] <= 1e-9
     # Tilings with fewer than 3 lattice points along an axis have a valid
     # patch operator but no full lattice to compare with.
     small_2d = {
